@@ -280,12 +280,14 @@ class NNCellIndex:
         self.box = self.config.data_space or MBR.unit_cube(self.dim)
         if self.box.dim != self.dim:
             raise ValueError("data_space dimensionality mismatch")
-        if not all(self.box.contains_point(p, atol=1e-12) for p in pts):
+        if not (
+            np.all(self.box.low - 1e-12 <= pts)
+            and np.all(pts <= self.box.high + 1e-12)
+        ):
             raise ValueError("all points must lie inside the data space")
         self._active = np.ones(pts.shape[0], dtype=bool)
         self._systems: "Dict[int, HalfspaceSystem]" = {}
         self._cell_rects: "Dict[int, List[MBR]]" = {}
-        self._referencing: "Dict[int, Set[int]]" = {}
         # Data pages hold points (d coordinates + id); solution-space
         # pages hold a cell rectangle plus its owner's coordinates
         # (3d values + id) — the paper's "twice the size of the database".
@@ -383,19 +385,9 @@ class NNCellIndex:
     ) -> None:
         self._systems[point_id] = system
         self._cell_rects[point_id] = rects
-        for opponent in np.unique(system.point_ids):
-            if opponent >= 0:
-                self._referencing.setdefault(int(opponent), set()).add(point_id)
 
     def _unregister_cell(self, point_id: int) -> None:
-        system = self._systems.pop(point_id)
-        for opponent in np.unique(system.point_ids):
-            if opponent >= 0:
-                refs = self._referencing.get(int(opponent))
-                if refs is not None:
-                    refs.discard(point_id)
-                    if not refs:
-                        del self._referencing[int(opponent)]
+        del self._systems[point_id]
         del self._cell_rects[point_id]
 
     def _replace_cell_in_tree(
@@ -817,12 +809,14 @@ class NNCellIndex:
         self._active[point_id] = False
         self._selector.set_active(point_id, False)
 
-        for cell_id in sorted(self._referencing.get(point_id, set())):
+        referencing = sorted(
+            c for c, s in self._systems.items() if s.references(point_id)
+        )
+        for cell_id in referencing:
             system, rects = self._compute_cell(cell_id)
             self._replace_cell_in_tree(cell_id, rects)
             self._unregister_cell(cell_id)
             self._register_cell(cell_id, system, rects)
-        self._referencing.pop(point_id, None)
 
     # ==================================================================
     # Introspection

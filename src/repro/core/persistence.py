@@ -10,12 +10,27 @@ the in-memory index (including both trees, via bulk loading) on load.
 The archive stores *results*, not tree pages: rebuilding the trees from
 the stored rectangles is deterministic and costs milliseconds, while
 keeping the format independent of node-layout details.
+
+Format version 2 is columnar.  Each per-cell field is one array
+concatenated over the active cells in id order, with CSR offsets: cell
+``i`` (the ``i``-th active id) owns rows ``offsets[i]:offsets[i + 1]``.
+
+* ``sys_offsets``, ``sys_a``, ``sys_b``, ``sys_ids`` — the constraint
+  systems (``A x <= b`` rows and the point that generated each row);
+* ``rect_offsets``, ``rect_lows``, ``rect_highs`` — the rectangles.
+
+With the points, the active mask, the data-space box and the build
+config, an archive has a fixed number of members whatever the number of
+points, so loading costs a fixed number of reads.  Archives are outside
+input: :func:`load_index` checks that the columns fit together before
+slicing them.  Version-1 archives (five members per cell) are refused;
+rebuild them with ``repro build``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -33,16 +48,30 @@ __all__ = [
     "save_sharded_index",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 _SHARD_FORMAT_VERSION = 1
 _SHARD_MANIFEST = "manifest.json"
 _SHARD_GLOBALS = "global.npz"
 
+#: Offsets array -> the columns it partitions into per-cell runs.
+_COLUMNS = {
+    "sys_offsets": ("sys_a", "sys_b", "sys_ids"),
+    "rect_offsets": ("rect_lows", "rect_highs"),
+}
+
+
+def _offsets(counts) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given lengths."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
 
 def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
     """Serialise a built index to ``path`` (a ``.npz`` archive)."""
-    active = index.active_ids
+    active = [int(pid) for pid in index.active_ids]
+    systems = [index._systems[pid] for pid in active]
+    cell_rects = [index._cell_rects[pid] for pid in active]
+    rects = [rect for cell in cell_rects for rect in cell]
     arrays = {
         "format_version": np.int64(_FORMAT_VERSION),
         "points": index.points,
@@ -58,16 +87,14 @@ def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
         "page_size": np.int64(index.config.page_size),
         "cache_pages": np.int64(index.config.cache_pages),
         "query_atol": np.float64(index.config.query_atol),
+        "sys_offsets": _offsets([s.n_constraints for s in systems]),
+        "sys_a": np.concatenate([s.a for s in systems]),
+        "sys_b": np.concatenate([s.b for s in systems]),
+        "sys_ids": np.concatenate([s.point_ids for s in systems]),
+        "rect_offsets": _offsets([len(cell) for cell in cell_rects]),
+        "rect_lows": np.stack([r.low for r in rects]),
+        "rect_highs": np.stack([r.high for r in rects]),
     }
-    for point_id in active:
-        pid = int(point_id)
-        system = index._systems[pid]
-        arrays[f"sys_a_{pid}"] = system.a
-        arrays[f"sys_b_{pid}"] = system.b
-        arrays[f"sys_ids_{pid}"] = system.point_ids
-        rects = index._cell_rects[pid]
-        arrays[f"rect_lows_{pid}"] = np.stack([r.low for r in rects])
-        arrays[f"rect_highs_{pid}"] = np.stack([r.high for r in rects])
     np.savez_compressed(Path(path), **arrays)
 
 
@@ -78,48 +105,84 @@ def load_index(path: "Union[str, Path]") -> NNCellIndex:
         if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported index archive version {version} "
-                f"(expected {_FORMAT_VERSION})"
+                f"(expected {_FORMAT_VERSION}); rebuild the index with "
+                "`repro build`"
             )
-        points = archive["points"]
-        active = archive["active"]
-        box = MBR(archive["box_low"], archive["box_high"])
-        config = BuildConfig(
-            selector=SelectorKind(bytes(archive["selector"]).decode()),
-            selector_params=SelectorParams(
-                sphere_radius_factor=float(archive["sphere_radius_factor"])
-            ),
-            decompose=bool(archive["decompose"]),
-            index_kind=bytes(archive["index_kind"]).decode(),
-            page_size=int(archive["page_size"]),
-            cache_pages=int(archive["cache_pages"]),
-            query_atol=float(archive["query_atol"]),
-            data_space=box,
-        )
+        fields = {name: archive[name] for name in archive.files}
+    points = fields["points"]
+    active = fields["active"]
+    box = MBR(fields["box_low"], fields["box_high"])
+    config = BuildConfig(
+        selector=SelectorKind(bytes(fields["selector"]).decode()),
+        selector_params=SelectorParams(
+            sphere_radius_factor=float(fields["sphere_radius_factor"])
+        ),
+        decompose=bool(fields["decompose"]),
+        index_kind=bytes(fields["index_kind"]).decode(),
+        page_size=int(fields["page_size"]),
+        cache_pages=int(fields["cache_pages"]),
+        query_atol=float(fields["query_atol"]),
+        data_space=box,
+    )
 
-        index = NNCellIndex(points[active], config)
-        # Restore the full id space (deleted rows keep their slots so the
-        # stored constraint point_ids stay valid).
-        index.points = points.copy()
-        index._active = active.copy()
+    index = NNCellIndex(points[active], config)
+    # Restore the full id space (deleted rows keep their slots so the
+    # stored constraint point_ids stay valid).
+    index.points = points.copy()
+    index._active = active.copy()
 
-        for pid in np.flatnonzero(active):
-            pid = int(pid)
-            system = HalfspaceSystem(
-                archive[f"sys_a_{pid}"],
-                archive[f"sys_b_{pid}"],
-                box,
-                archive[f"sys_ids_{pid}"],
-            )
-            rect_lows = archive[f"rect_lows_{pid}"]
-            rect_highs = archive[f"rect_highs_{pid}"]
-            rects = [
-                MBR(rect_lows[i], rect_highs[i])
-                for i in range(rect_lows.shape[0])
-            ]
-            index._register_cell(pid, system, rects)
+    active_ids = np.flatnonzero(active)
+    _check_columns(fields, active_ids.size, points.shape[0])
+    sys_at = fields["sys_offsets"].tolist()
+    rect_at = fields["rect_offsets"].tolist()
+    sys_a, sys_b, sys_ids = fields["sys_a"], fields["sys_b"], fields["sys_ids"]
+    lows, highs = fields["rect_lows"], fields["rect_highs"]
+    for i, pid in enumerate(active_ids.tolist()):
+        s0, s1 = sys_at[i], sys_at[i + 1]
+        system = HalfspaceSystem(sys_a[s0:s1], sys_b[s0:s1], box, sys_ids[s0:s1])
+        rects = [MBR(lows[r], highs[r]) for r in range(rect_at[i], rect_at[i + 1])]
+        index._register_cell(pid, system, rects)
 
     _rebuild_runtime_state(index)
     return index
+
+
+def _check_columns(
+    fields: "Dict[str, np.ndarray]", n_active: int, n_points: int
+) -> None:
+    """Raise ``ValueError`` naming the field unless the columns fit
+    together, and make them read-only: cells share the column buffers,
+    so an in-place write to one cell's slice must not reach another."""
+    for offsets_name, columns in _COLUMNS.items():
+        offsets = fields[offsets_name]
+        if offsets.shape != (n_active + 1,):
+            raise ValueError(
+                f"index archive field {offsets_name!r} has shape "
+                f"{offsets.shape}; expected one offset pair per active "
+                f"point ({n_active + 1} entries)"
+            )
+        if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+            raise ValueError(
+                f"index archive field {offsets_name!r} must start at 0 "
+                "and never decrease"
+            )
+        for name in columns:
+            if fields[name].shape[:1] != (offsets[-1],):
+                raise ValueError(
+                    f"index archive field {offsets_name!r} ends at "
+                    f"{offsets[-1]}, but {name!r} has shape "
+                    f"{fields[name].shape}"
+                )
+            fields[name].setflags(write=False)
+    if np.any(np.diff(fields["rect_offsets"]) == 0):
+        raise ValueError(
+            "index archive field 'rect_offsets' gives a cell no rectangle"
+        )
+    ids = fields["sys_ids"]
+    if ids.size and (ids.min() < -1 or ids.max() >= n_points):
+        raise ValueError(
+            f"index archive field 'sys_ids' must lie in [-1, {n_points})"
+        )
 
 
 # ======================================================================

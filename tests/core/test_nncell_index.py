@@ -8,6 +8,7 @@ from repro.core.candidates import SelectorKind
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import clustered_points, grid_points, uniform_points
+from repro.geometry.mbr import MBR
 
 ALL_SELECTORS = list(SelectorKind)
 
@@ -26,6 +27,27 @@ class TestBuild:
     def test_rejects_points_outside_data_space(self):
         with pytest.raises(ValueError):
             NNCellIndex.build(np.array([[0.5, 1.5]]))
+
+    @pytest.mark.parametrize(
+        "extra, inside",
+        [
+            ([1.0, 0.0], True),  # exactly on two faces
+            ([0.5, 1.0 + 1e-13], True),  # within the 1e-12 tolerance
+            ([0.5, 1.0 + 1e-9], False),  # just outside
+            ([-1e-9, 0.5], False),
+            ([np.nan, 0.5], False),
+        ],
+    )
+    def test_data_space_check(self, extra, inside):
+        points = np.vstack([uniform_points(5, 2, seed=4), [extra]])
+        box = MBR.unit_cube(2)
+        # The per-point loop is the reference for the vectorised check.
+        assert all(box.contains_point(p, atol=1e-12) for p in points) is inside
+        if inside:
+            NNCellIndex(points)
+        else:
+            with pytest.raises(ValueError, match="inside the data space"):
+                NNCellIndex(points)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):

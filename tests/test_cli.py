@@ -92,11 +92,10 @@ class TestParallelAndBatch:
         )
         assert code == 0
         assert "built index over 30 points" in stdout
-        serial = np.load(serial_out)
-        parallel = np.load(parallel_out)
-        assert sorted(serial.files) == sorted(parallel.files)
-        for name in serial.files:
-            assert np.array_equal(serial[name], parallel[name]), name
+        with np.load(serial_out) as serial, np.load(parallel_out) as parallel:
+            assert sorted(serial.files) == sorted(parallel.files)
+            for name in serial.files:
+                assert np.array_equal(serial[name], parallel[name]), name
 
     def test_query_batch_file(self, tmp_path, capsys):
         out = tmp_path / "idx.npz"
