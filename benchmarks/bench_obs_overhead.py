@@ -8,8 +8,8 @@ machine-readable root-level ``BENCH_obs.json``:
 
 * ``disabled_qps`` / ``metrics_qps`` / ``metrics_events_qps`` /
   ``analytics_qps`` / ``tracing_qps`` — direct ``nearest`` throughput
-  with telemetry off, with the metrics registry (plus time-series sink)
-  on, with the structured event log on too, with the workload-analytics
+  with telemetry off, with the metrics registry (and its per-second
+  windows) on, with the structured event log on too, with the workload-analytics
   access recorder on top of metrics (the ``serve --analytics``
   configuration), and with span tracing recording into a tail-sampling
   :class:`~repro.obs.tracestore.TraceStore` (``serve --tracing``);
@@ -23,8 +23,9 @@ machine-readable root-level ``BENCH_obs.json``:
   ``ANALYTICS_OVERHEAD_BUDGET_PCT`` (10%), so both the CI bench leg
   and a local regeneration fail loudly.  The others are context;
 * ``serve_wall_qps`` / ``serve_p50_ms`` / ``serve_p99_ms`` — a
-  concurrent service run measured through the *new 60s windows*
-  (``TimeSeries``), i.e. the numbers the live dashboard would show.
+  concurrent service run measured through the registry's 60s window
+  (:func:`repro.obs.timeseries.window`), i.e. the numbers the live
+  dashboard would show.
 
 Diff two snapshots with ``python tools/compare_bench.py`` — it fails on
 a >10% regression in any gated metric.  Runnable both ways::
@@ -41,8 +42,7 @@ from pathlib import Path
 from repro.core.nncell_index import NNCellIndex
 from repro.data import query_points, uniform_points
 from repro.eval.loadgen import run_service_load
-from repro.obs import analytics, events, metrics, tracestore, tracing
-from repro.obs.timeseries import TimeSeries
+from repro.obs import analytics, events, metrics, timeseries, tracestore, tracing
 from repro.serve import ServeConfig
 
 try:  # direct `python benchmarks/bench_obs_overhead.py` runs too
@@ -92,12 +92,12 @@ def _mode_disabled():
 
 @contextmanager
 def _mode_metrics():
-    with metrics.collecting(fresh=True):
-        metrics.install_timeseries(TimeSeries())
+    with metrics.collecting(fresh=True) as registry:
+        registry.enable_windows()
         try:
             yield
         finally:
-            metrics.uninstall_timeseries()
+            registry.disable_windows()
 
 
 @contextmanager
@@ -187,20 +187,19 @@ def measure_serve_windows(index, queries) -> dict:
     """Concurrent-serve latency as reported by the sliding windows.
 
     The service run is measured the way an operator would see it: the
-    installed :class:`TimeSeries` aggregates ``serve.latency_ms`` into
-    its 60s window, and p50/p99/QPS are read back from there.
+    registry's windows aggregate ``serve.latency_ms`` into the 60s
+    window, and p50/p99/QPS are read back from there.
     """
-    ts = TimeSeries()
-    with metrics.collecting(fresh=True):
-        metrics.install_timeseries(ts)
+    with metrics.collecting(fresh=True) as registry:
+        registry.enable_windows()
         try:
             report = run_service_load(
                 index, queries, n_threads=4,
                 config=ServeConfig(max_batch_size=64, max_wait_ms=2.0),
             )
+            window = timeseries.window(registry, 60).get("serve.latency_ms")
         finally:
-            metrics.uninstall_timeseries()
-    window = ts.window(60).get("serve.latency_ms")
+            registry.disable_windows()
     return {
         "serve_wall_qps": report.throughput_qps(),
         "serve_p50_ms": window.percentile(50) if window else 0.0,

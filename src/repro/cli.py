@@ -845,7 +845,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if telemetry is not None:
                 print(
                     obs_timeseries.telemetry_table(
-                        telemetry.timeseries
+                        telemetry.registry
                     ).render(),
                     file=sys.stderr,
                 )
@@ -1210,7 +1210,7 @@ def _stats_watch(args: argparse.Namespace, index) -> int:
                 if now >= next_render:
                     print(
                         obs_timeseries.telemetry_table(
-                            session.timeseries
+                            session.registry
                         ).render()
                     )
                     print(flush=True)
@@ -1219,7 +1219,7 @@ def _stats_watch(args: argparse.Namespace, index) -> int:
             pass
         print(
             obs_timeseries.telemetry_table(
-                session.timeseries, title=f"Live telemetry ({i} queries)"
+                session.registry, title=f"Live telemetry ({i} queries)"
             ).render()
         )
     return 0

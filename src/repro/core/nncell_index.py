@@ -39,7 +39,7 @@ from ..index.bulk import bulk_load
 from ..index.nnsearch import hs_k_nearest, rkv_nearest
 from ..index.rstar import RStarTree
 from ..index.xtree import XTree
-from ..obs import analytics, events, metrics, workload
+from ..obs import analytics, metrics, workload
 from ..obs.tracing import span
 from ..storage.page import DEFAULT_PAGE_SIZE
 from .approximation import approximate_cell
@@ -418,32 +418,16 @@ class NNCellIndex:
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError(f"query must be a {self.dim}-vector")
-        if not events.enabled():
-            point_id, distance, info = self._nearest_impl(q)
-            workload.record_query(
-                q, point_id, distance, info.pages,
-                source="fallback" if info.fallback else "cell",
-            )
-            return point_id, distance, info
-        start = time.perf_counter()
-        point_id, distance, info = self._nearest_impl(q)
-        events.emit(
-            "query",
-            outcome="fallback" if info.fallback else "cell",
-            point_id=int(point_id),
-            candidates=info.n_candidates,
-            pages=info.pages,
-            retried_atol=info.retried_atol,
-            fallback_reason=fallback_reason(info),
-            duration_ms=1e3 * (time.perf_counter() - start),
-        )
-        workload.record_query(
-            q, point_id, distance, info.pages,
-            source="fallback" if info.fallback else "cell",
-        )
+        started = time.perf_counter()
+        point_id, distance, info, cells = self._nearest_impl(q)
+        workload.record_query(q, point_id, distance, info, cells, started)
         return point_id, distance, info
 
-    def _nearest_impl(self, q: np.ndarray) -> "Tuple[int, float, QueryInfo]":
+    def _nearest_impl(
+        self, q: np.ndarray
+    ) -> "Tuple[int, float, QueryInfo, Optional[np.ndarray]]":
+        """``nearest`` without its record; also returns the candidate
+        cells (``None`` on the fallback path)."""
         info = QueryInfo()
         with span("query.nearest", dim=self.dim) as root:
             if not self.box.contains_point(q, atol=self.config.query_atol):
@@ -459,7 +443,6 @@ class NNCellIndex:
                     # crack: retry once with a much looser tolerance
                     # before giving up.
                     info.retried_atol = True
-                    metrics.inc("query.atol_retries")
                     candidate_ids = np.unique(
                         self.cell_tree.point_query(
                             q, atol=max(self.config.query_atol * 1e4, 1e-6)
@@ -477,25 +460,25 @@ class NNCellIndex:
                 info.n_candidates = int(candidate_ids.size)
                 info.distance_computations = int(candidate_ids.size)
                 scan.set("candidates", info.n_candidates)
-            analytics.record_cells(candidate_ids)
-            metrics.inc("query.count")
-            metrics.observe("query.candidates", info.n_candidates)
-            metrics.observe("query.pages", info.pages)
             root.set("pages", info.pages)
             root.set("candidates", info.n_candidates)
             best = int(np.argmin(dist_sq))
-            return int(candidate_ids[best]), float(np.sqrt(dist_sq[best])), info
+            return (
+                int(candidate_ids[best]),
+                float(np.sqrt(dist_sq[best])),
+                info,
+                candidate_ids,
+            )
 
     def _fallback_nearest(
         self, q: np.ndarray, info: QueryInfo
-    ) -> "Tuple[int, float, QueryInfo]":
+    ) -> "Tuple[int, float, QueryInfo, None]":
         info.fallback = True
-        metrics.inc("query.fallbacks")
         with span("query.fallback"):
             result = rkv_nearest(self.data_tree, q)
         info.pages += result.pages
         info.distance_computations += result.distance_computations
-        return result.nearest_id, result.nearest_distance, info
+        return result.nearest_id, result.nearest_distance, info, None
 
     def k_nearest(
         self, query: Sequence[float], k: int

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..index.nnsearch import rkv_nearest
 from ..index.rstar import RStarTree
-from ..obs import analytics, events, metrics, workload
+from ..obs import workload
 from ..obs.tracing import span
 
 __all__ = ["BatchQueryInfo", "batched_point_query", "query_batch"]
@@ -131,35 +131,26 @@ def query_batch(
     if m == 0:
         return ids, dists, info
     size = m if batch_size is None else min(batch_size, m)
-    emit_events = events.enabled()
-    started = time.perf_counter() if emit_events else 0.0
-    metrics.inc("query.batch.count")
-    metrics.inc("query.batch.queries", m)
-    metrics.observe("query.batch_size", m)
+    started = time.perf_counter()
+    candidates = np.zeros(m, dtype=np.int64)  # per query, for the record
+    cells = []
     with span("query.batch", n_queries=m, dim=index.dim,
               batch_size=size) as root:
         for start in range(0, m, size):
             stop = min(start + size, m)
-            _walk_chunk(
-                index, qs[start:stop], ids[start:stop], dists[start:stop],
-                info,
+            cells.append(
+                _walk_chunk(
+                    index, qs[start:stop], ids[start:stop],
+                    dists[start:stop], candidates[start:stop], info,
+                )
             )
             info.n_batches += 1
         root.set("pages", info.pages)
         root.set("candidates", info.n_candidates)
         root.set("fallbacks", info.fallbacks)
-    metrics.observe("query.batch.pages", info.pages)
-    workload.record_batch(qs, ids, dists, info.pages)
-    if emit_events:
-        events.emit(
-            "batch",
-            n_queries=m,
-            candidates=info.n_candidates,
-            pages=info.pages,
-            fallbacks=info.fallbacks,
-            retried_atol=info.retried_atol,
-            duration_ms=1e3 * (time.perf_counter() - started),
-        )
+    workload.record_batch(
+        qs, ids, dists, info, np.concatenate(cells), candidates, started
+    )
     return ids, dists, info
 
 
@@ -168,12 +159,14 @@ def _walk_chunk(
     q: np.ndarray,
     ids_out: np.ndarray,
     dists_out: np.ndarray,
+    candidates_out: np.ndarray,
     info: BatchQueryInfo,
-) -> None:
+) -> np.ndarray:
     """One batched walk: point queries, retries, scan, fallbacks.
 
-    ``ids_out``/``dists_out`` are writable views into the caller's
-    result arrays.
+    ``ids_out``/``dists_out``/``candidates_out`` are writable views into
+    the caller's per-query arrays.  Returns the candidate cells scanned,
+    query by query.
     """
     atol = index.config.query_atol
     k = q.shape[0]
@@ -198,7 +191,6 @@ def _walk_chunk(
         missing = in_box[~matched[in_box]]
         if missing.size:
             info.retried_atol += int(missing.size)
-            metrics.inc("query.atol_retries", int(missing.size))
             retry_q, retry_owner = batched_point_query(
                 index.cell_tree, q[missing], max(atol * 1e4, 1e-6)
             )
@@ -234,11 +226,7 @@ def _walk_chunk(
             info.n_candidates += int(pair_q.size)
             info.distance_computations += int(pair_q.size)
             scan.set("candidates", int(pair_q.size))
-        analytics.record_cells(pair_owner)
-        if metrics.enabled():
-            counts = np.bincount(pair_q, minlength=k)
-            for count in counts[counts > 0]:
-                metrics.observe("query.candidates", int(count))
+        candidates_out += np.bincount(pair_q, minlength=k)
 
     # Out-of-box queries — and in-box ones still empty after the retry —
     # take the same branch-and-bound fallback as the serial path.
@@ -247,10 +235,10 @@ def _walk_chunk(
         answered[pair_q] = True
     for j in np.flatnonzero(~answered):
         info.fallbacks += 1
-        metrics.inc("query.fallbacks")
         with span("query.fallback"):
             result = rkv_nearest(index.data_tree, q[j])
         ids_out[j] = result.nearest_id
         dists_out[j] = result.nearest_distance
         info.pages += result.pages
         info.distance_computations += result.distance_computations
+    return pair_owner

@@ -10,18 +10,24 @@ Small modules with one job each:
   admission and propagated with the same ``contextvars`` discipline;
 * :mod:`repro.obs.tracestore` — tail-sampled bounded retention of
   finished traces, critical-path analysis, Chrome trace export;
-* :mod:`repro.obs.timeseries` — sliding-window (1s/10s/60s) per-second
-  buckets over serving/query metrics, feeding the live dashboards and
-  carrying tail exemplars (trace ids of the slowest observations);
+* :mod:`repro.obs.timeseries` — sliding windows (1s/10s/60s) over the
+  per-second buckets the registry keeps for serving/query/shard
+  metrics, feeding the live dashboards and carrying tail exemplars
+  (trace ids of the slowest observations);
 * :mod:`repro.obs.slo` — declared objectives with multi-window
   burn-rate alerting over those windows;
 * :mod:`repro.obs.events` — sampled structured event log, one record
-  per query / flush / build-chunk lifecycle, trace-id stamped;
+  per query / batch / flush / build-chunk / SLO lifecycle, trace-id
+  stamped; its :class:`~repro.obs.events.EventLog` is also the
+  workload capture's class;
 * :mod:`repro.obs.analytics` — bounded cell/page access heatmaps,
   per-shard load shares and the workload-skew report (``repro
   analyze``, ``GET /analytics``);
-* :mod:`repro.obs.workload` — sampled capture of served queries and
-  their answers into a replayable log (``repro replay``);
+* :mod:`repro.obs.workload` — the one record per answered query that
+  feeds metrics, windows, the heatmap, the event log and the capture
+  (:func:`~repro.obs.workload.record_query` /
+  :func:`~repro.obs.workload.record_batch`), and the sampled capture of
+  served queries into a replayable log (``repro replay``);
 * :mod:`repro.obs.promexport` — Prometheus text exposition plus the
   ``--metrics-port`` HTTP scrape endpoint (`/metrics`, `/telemetry`,
   `/trace/<id>`, `/healthz`);
@@ -72,7 +78,6 @@ from .promexport import (
 )
 from .slo import SLO, SLOWatchdog
 from .timeseries import (
-    TimeSeries,
     dashboard,
     dashboard_line,
     telemetry_table,
@@ -83,7 +88,7 @@ from .tracestore import (
     critical_path,
     to_chrome_trace,
 )
-from .tracing import Span, TraceCarrier, Tracer, carrier, current_span, span, traced
+from .tracing import Span, TraceCarrier, Tracer, carrier, current_span, span
 from .workload import Workload, WorkloadRecorder, load_workload, save_workload_npz
 
 __all__ = [
@@ -102,7 +107,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TimeSeries",
     "EventLog",
     "AccessRecorder",
     "TopKSketch",
@@ -123,7 +127,6 @@ __all__ = [
     "TraceCarrier",
     "carrier",
     "span",
-    "traced",
     "current_span",
     "StoredTrace",
     "TraceStore",

@@ -40,7 +40,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 __all__ = [
     "AccessRecorder",
     "TopKSketch",
-    "active",
     "current_shard",
     "gini",
     "install",
@@ -450,11 +449,6 @@ _recorder: "Optional[AccessRecorder]" = None
 _shard_scope: "contextvars.ContextVar[Optional[int]]" = (
     contextvars.ContextVar("repro_analytics_shard", default=None)
 )
-
-
-def active() -> bool:
-    """Whether an access recorder is installed."""
-    return _recorder is not None
 
 
 def install(

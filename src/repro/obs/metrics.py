@@ -17,7 +17,14 @@ Design constraints, in order:
    observations from parallel workers (e.g. threads driving
    :mod:`repro.index.parallel` searches) are serialised by one registry
    lock; ``n`` threads adding ``k`` events each always total ``n * k``.
-3. **Snapshot/delta friendly.**  The evaluation harness brackets a query
+   :meth:`MetricsRegistry.apply` makes several updates — one query's
+   record — under a single acquisition.
+3. **Windows next to the totals.**  A metric whose name starts with one
+   of :data:`WINDOW_PREFIXES` also keeps per-second buckets over the
+   last :data:`WINDOW_HORIZON_SECONDS` while windows are on
+   (:meth:`MetricsRegistry.enable_windows`), updated under the same
+   lock as its cumulative value; :mod:`repro.obs.timeseries` reads them.
+4. **Snapshot/delta friendly.**  The evaluation harness brackets a query
    workload with :meth:`MetricsRegistry.snapshot` /
    :meth:`MetricsRegistry.delta_since` to attribute counter traffic to
    that workload, the same way :class:`repro.storage.page.AccessStats`
@@ -34,28 +41,31 @@ import math
 import random
 import re
 import threading
+import time
 import zlib
 from contextlib import contextmanager
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
     Tuple,
 )
 
-if TYPE_CHECKING:  # avoid a runtime import cycle with the sink module
-    from .timeseries import TimeSeries
-
 __all__ = [
+    "BUCKET_EXEMPLAR_CAP",
+    "BUCKET_SAMPLE_CAP",
+    "Bucket",
     "Counter",
     "Gauge",
     "Histogram",
     "LabelCardinalityError",
     "MAX_LABEL_SETS",
     "MetricsRegistry",
+    "WINDOW_HORIZON_SECONDS",
+    "WINDOW_PREFIXES",
     "base_name",
     "enabled",
     "enable",
@@ -70,9 +80,6 @@ __all__ = [
     "sum_labeled",
     "delta_since",
     "collecting",
-    "install_timeseries",
-    "uninstall_timeseries",
-    "get_timeseries",
 ]
 
 #: Histograms keep exact count/sum/min/max forever but cap the stored
@@ -88,6 +95,22 @@ HISTOGRAM_SAMPLE_CAP = 65_536
 #: the ``/metrics`` payload without limit, so crossing the cap raises
 #: :class:`LabelCardinalityError` instead of silently registering.
 MAX_LABEL_SETS = 64
+
+#: Name prefixes whose metrics keep per-second window buckets: serving,
+#: query and sharded scatter-gather traffic.  Build-time counter storms
+#: stay out of the serving dashboard.
+WINDOW_PREFIXES: "Tuple[str, ...]" = ("serve.", "query.", "shard.")
+
+#: Ring length in seconds: how far back a window may reach.
+WINDOW_HORIZON_SECONDS = 120
+
+#: Reservoir cap on stored samples per bucket (one metric, one second).
+BUCKET_SAMPLE_CAP = 512
+
+#: Exemplar trace ids kept per bucket — only the largest traced
+#: observations keep their id, since those are the ones a p99 on
+#: ``/telemetry`` points at.
+BUCKET_EXEMPLAR_CAP = 4
 
 
 class LabelCardinalityError(RuntimeError):
@@ -110,9 +133,9 @@ class LabelCardinalityError(RuntimeError):
 # A labeled metric is stored under one canonical string key:
 # ``base{k="v",...}`` with label names sorted and values escaped the
 # way the Prometheus text format escapes them ("\\", "\"", "\n").  The
-# key keeps the dotted base name as its prefix, so prefix-based sinks
-# (the time-series ring tracks ``serve.``/``query.``/``shard.``) see
-# labeled children without any special casing.
+# key keeps the dotted base name as its prefix, so the window prefixes
+# (:data:`WINDOW_PREFIXES`) cover labeled children without any special
+# casing.
 
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
@@ -242,11 +265,13 @@ def parse_labeled(key: str) -> "Tuple[str, Dict[str, str]]":
 class Counter:
     """A monotonically increasing sum of events."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "ring")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0.0
+        #: Per-second buckets of a windowed metric (see the registry).
+        self.ring: "Optional[List[Optional[Bucket]]]" = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -257,11 +282,12 @@ class Counter:
 class Gauge:
     """A point-in-time value (buffer occupancy, tree height, ...)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "ring")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0.0
+        self.ring: "Optional[List[Optional[Bucket]]]" = None
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -271,15 +297,20 @@ class Histogram:
     """A distribution of observed values.
 
     Count, sum, min and max are exact; percentiles are computed from a
-    stored sample capped at :data:`HISTOGRAM_SAMPLE_CAP` observations.
-    Past the cap the sample is maintained by *reservoir sampling*
-    (Vitter's Algorithm R with a per-histogram seeded RNG, so runs are
-    reproducible): every observation — early or late — has an equal
-    chance of being represented, which keeps long-running percentiles
-    honest instead of frozen on the first 65 536 warm-up values.
+    stored sample capped at :attr:`sample_cap` observations.  Past the
+    cap the sample is maintained by *reservoir sampling* (Vitter's
+    Algorithm R with a per-name seeded RNG, so runs are reproducible):
+    every observation — early or late — has an equal chance of being
+    represented, which keeps long-running percentiles honest instead of
+    frozen on the first warm-up values.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "_samples", "_rng")
+    __slots__ = (
+        "name", "count", "total", "min", "max", "_samples", "_rng", "ring",
+    )
+
+    #: Stored-sample cap: the reservoir size.
+    sample_cap = HISTOGRAM_SAMPLE_CAP
 
     def __init__(self, name: str):
         self.name = name
@@ -288,9 +319,8 @@ class Histogram:
         self.min = math.inf
         self.max = -math.inf
         self._samples: "List[float]" = []
-        # Deterministic per-name seed: reproducible independent of
-        # creation order and of Python's randomized str hashing.
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
+        self._rng: "Optional[random.Random]" = None
+        self.ring: "Optional[List[Optional[Bucket]]]" = None
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -300,11 +330,15 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if len(self._samples) < HISTOGRAM_SAMPLE_CAP:
+        if len(self._samples) < self.sample_cap:
             self._samples.append(value)
         else:
             # Algorithm R: the i-th observation replaces a random slot
-            # with probability cap/i, leaving a uniform sample.
+            # with probability cap/i, leaving a uniform sample.  The
+            # per-name seed makes the draw independent of creation
+            # order and of Python's randomized str hashing.
+            if self._rng is None:
+                self._rng = random.Random(zlib.crc32(self.name.encode("utf-8")))
             j = self._rng.randrange(self.count)
             if j < len(self._samples):
                 self._samples[j] = value
@@ -313,35 +347,86 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def percentiles(self, *qs: float) -> "List[float]":
+        """Linear-interpolation percentiles of the stored sample, each
+        ``q`` in [0, 100]; one sort serves them all."""
+        for q in qs:
+            if not 0.0 <= q <= 100.0:
+                raise ValueError("q must be in [0, 100]")
+        if not self._samples:
+            return [0.0 for __ in qs]
+        ordered = sorted(self._samples)
+        out = []
+        for q in qs:
+            pos = (len(ordered) - 1) * q / 100.0
+            lo = int(pos)
+            hi = min(lo + 1, len(ordered) - 1)
+            frac = pos - lo
+            out.append(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
+        return out
+
     def percentile(self, q: float) -> float:
         """Linear-interpolation percentile of the stored sample, ``q`` in
         [0, 100]."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("q must be in [0, 100]")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        pos = (len(ordered) - 1) * q / 100.0
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return self.percentiles(q)[0]
 
     def summary(self) -> "Dict[str, float]":
         """The exported aggregate view of this histogram."""
         if self.count == 0:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
                     "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
+        p50, p90, p99 = self.percentiles(50, 90, 99)
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": p50,
+            "p90": p90,
+            "p99": p99,
         }
+
+
+class Bucket(Histogram):
+    """One windowed metric's events within one wall-clock second.
+
+    Gauge and histogram updates land as :class:`Histogram` observations
+    (reservoir capped at :data:`BUCKET_SAMPLE_CAP`); a counter bucket
+    keeps only the event count and amount sum.  Every bucket keeps the
+    last value, and the ids of its largest traced observations.
+    """
+
+    __slots__ = ("second", "last", "exemplars")
+
+    sample_cap = BUCKET_SAMPLE_CAP
+
+    def __init__(self, name: str, second: int):
+        super().__init__(name)
+        self.second = second
+        self.last = 0.0
+        #: ``(value, trace_id)`` for the largest traced observations.
+        self.exemplars: "List[Tuple[float, str]]" = []
+
+    def add(self, amount: float) -> None:
+        """A counter increment."""
+        self.count += 1
+        self.total += amount
+        self.last = amount
+
+    def observe(
+        self, value: float, trace_id: "Optional[str]" = None
+    ) -> None:
+        value = float(value)
+        super().observe(value)
+        self.last = value
+        exemplars = self.exemplars
+        if trace_id is not None and (
+            len(exemplars) < BUCKET_EXEMPLAR_CAP or value > exemplars[-1][0]
+        ):
+            exemplars.append((value, trace_id))
+            exemplars.sort(key=lambda e: e[0], reverse=True)
+            del exemplars[BUCKET_EXEMPLAR_CAP:]
 
 
 class MetricsRegistry:
@@ -349,7 +434,11 @@ class MetricsRegistry:
 
     All mutating operations take the registry lock, so a registry can be
     shared by worker threads.  Metric objects are created on first use
-    and live for the registry's lifetime.
+    and live for the registry's lifetime.  A metric named under
+    :data:`WINDOW_PREFIXES` is *windowed*, decided once at creation:
+    while windows are on it also fills one :class:`Bucket` per
+    wall-clock second in a ring of :data:`WINDOW_HORIZON_SECONDS`
+    slots, under the same lock acquisition as its cumulative value.
     """
 
     def __init__(self, max_label_sets: int = MAX_LABEL_SETS):
@@ -363,6 +452,8 @@ class MetricsRegistry:
         self.max_label_sets = int(max_label_sets)
         #: base name -> canonical labeled keys registered under it.
         self._label_keys: "Dict[str, set]" = {}
+        #: Monotonic seconds clock of the windows; ``None`` = windows off.
+        self._clock: "Optional[Callable[[], float]]" = None
 
     def set_name_validator(
         self, validator: "Optional[Callable[[str], None]]"
@@ -379,16 +470,17 @@ class MetricsRegistry:
         """
         with self._lock:
             if validator is not None:
-                for name in (
-                    list(self._counters) + list(self._gauges)
-                    + list(self._histograms)
-                ):
-                    validator(base_name(name))
+                for metric in self._metrics():
+                    validator(base_name(metric.name))
             self._name_validator = validator
 
-    def _admit(self, name: str) -> None:
-        """Gate a *new* canonical key: base-name validation, then the
-        per-base cardinality cap for labeled keys.  Lock held."""
+    def _get(self, table: dict, cls: type, name: str):
+        """Get-or-create ``name`` in ``table`` (lock held).  A new name
+        passes base-name validation, then the per-base cardinality cap
+        for labeled keys; its windowing is decided here, once."""
+        metric = table.get(name)
+        if metric is not None:
+            return metric
         base = base_name(name)
         if self._name_validator is not None:
             self._name_validator(base)
@@ -399,60 +491,150 @@ class MetricsRegistry:
                 if len(keys) >= self.max_label_sets:
                     raise LabelCardinalityError(base, self.max_label_sets)
                 keys.add(name)
+        metric = table[name] = cls(name)
+        if name.startswith(WINDOW_PREFIXES):
+            metric.ring = [None] * WINDOW_HORIZON_SECONDS
+        return metric
+
+    # ------------------------------------------------------------------
+    # Windows
+    # ------------------------------------------------------------------
+    def enable_windows(
+        self, clock: "Callable[[], float]" = time.monotonic
+    ) -> None:
+        """Start filling buckets, from empty rings; ``clock`` is
+        monotonic seconds (tests inject a fixed one)."""
+        self._set_windows(clock)
+
+    def disable_windows(self) -> None:
+        """Stop filling buckets and drop the ones held."""
+        self._set_windows(None)
+
+    def _set_windows(self, clock: "Optional[Callable[[], float]]") -> None:
+        with self._lock:
+            self._clock = clock
+            for metric in self._metrics():
+                if metric.ring is not None:
+                    metric.ring = [None] * WINDOW_HORIZON_SECONDS
+
+    @property
+    def windowed(self) -> bool:
+        """Whether windows are on."""
+        return self._clock is not None
+
+    def _metrics(self) -> "Iterator":
+        yield from self._counters.values()
+        yield from self._gauges.values()
+        yield from self._histograms.values()
+
+    def _second(self) -> "Optional[int]":
+        """The current window second, or ``None`` with windows off."""
+        clock = self._clock
+        return None if clock is None else int(clock())
+
+    @staticmethod
+    def _bucket(metric, second: int) -> Bucket:
+        """``metric``'s bucket of ``second`` (lock held); a ring slot is
+        reset lazily when a new second claims it."""
+        slot = second % WINDOW_HORIZON_SECONDS
+        bucket = metric.ring[slot]
+        if bucket is None or bucket.second != second:
+            bucket = metric.ring[slot] = Bucket(metric.name, second)
+        return bucket
+
+    def visit_windows(
+        self, seconds: int, visit: "Callable[[str, str, Bucket], None]"
+    ) -> None:
+        """Call ``visit(name, kind, bucket)`` under the lock for each
+        bucket of the last ``seconds`` seconds, oldest first per metric
+        (nothing with windows off); :func:`repro.obs.timeseries.window`
+        merges them.  ``kind`` is ``counter``, ``gauge`` or
+        ``histogram``."""
+        with self._lock:
+            now = self._second()
+            if now is None:
+                return
+            for metric in self._metrics():
+                if metric.ring is None:
+                    continue
+                kind = type(metric).__name__.lower()
+                for second in range(now - int(seconds) + 1, now + 1):
+                    bucket = metric.ring[second % WINDOW_HORIZON_SECONDS]
+                    if bucket is not None and bucket.second == second:
+                        visit(metric.name, kind, bucket)
 
     # ------------------------------------------------------------------
     # Metric access (get-or-create)
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                self._admit(name)
-                metric = self._counters[name] = Counter(name)
-            return metric
+            return self._get(self._counters, Counter, name)
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                self._admit(name)
-                metric = self._gauges[name] = Gauge(name)
-            return metric
+            return self._get(self._gauges, Gauge, name)
 
     def histogram(self, name: str) -> Histogram:
         with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                self._admit(name)
-                metric = self._histograms[name] = Histogram(name)
-            return metric
+            return self._get(self._histograms, Histogram, name)
 
     # ------------------------------------------------------------------
-    # Recording (one lock round-trip per event)
+    # Recording (one lock round-trip per call)
     # ------------------------------------------------------------------
+    def _inc(self, name: str, amount: float, second: "Optional[int]") -> None:
+        metric = self._get(self._counters, Counter, name)
+        metric.inc(amount)
+        if second is not None and metric.ring is not None:
+            self._bucket(metric, second).add(amount)
+
+    def _observe(
+        self,
+        name: str,
+        value: float,
+        trace_id: "Optional[str]",
+        second: "Optional[int]",
+    ) -> None:
+        metric = self._get(self._histograms, Histogram, name)
+        metric.observe(value)
+        if second is not None and metric.ring is not None:
+            self._bucket(metric, second).observe(value, trace_id)
+
     def inc(self, name: str, amount: float = 1.0) -> None:
         with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                self._admit(name)
-                metric = self._counters[name] = Counter(name)
-            metric.inc(amount)
+            self._inc(name, amount, self._second())
 
     def set_gauge(self, name: str, value: float) -> None:
         with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                self._admit(name)
-                metric = self._gauges[name] = Gauge(name)
+            metric = self._get(self._gauges, Gauge, name)
             metric.set(value)
+            second = self._second()
+            if second is not None and metric.ring is not None:
+                self._bucket(metric, second).observe(value)
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(
+        self, name: str, value: float, trace_id: "Optional[str]" = None
+    ) -> None:
+        """One histogram observation; ``trace_id`` tags it in its window
+        bucket as an exemplar candidate (the cumulative histogram ignores
+        it)."""
         with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                self._admit(name)
-                metric = self._histograms[name] = Histogram(name)
-            metric.observe(value)
+            self._observe(name, value, trace_id, self._second())
+
+    def apply(
+        self,
+        counters: "Iterable[Tuple[str, float]]" = (),
+        histograms: "Iterable[Tuple[str, float]]" = (),
+    ) -> None:
+        """Several updates under one lock acquisition: each
+        ``(name, amount)`` of ``counters`` is an :meth:`inc`, each
+        ``(name, value)`` of ``histograms`` an :meth:`observe`.  One
+        query's record (:mod:`repro.obs.workload`) lands this way."""
+        with self._lock:
+            second = self._second()
+            for name, amount in counters:
+                self._inc(name, amount, second)
+            for name, value in histograms:
+                self._observe(name, value, None, second)
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -503,7 +685,8 @@ class MetricsRegistry:
             }
 
     def reset(self) -> None:
-        """Drop every metric (tests and per-run profiling)."""
+        """Drop every metric and its windows (tests and per-run
+        profiling)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
@@ -525,7 +708,6 @@ class MetricsRegistry:
 
 _enabled = False
 _registry = MetricsRegistry()
-_timeseries: "Optional[TimeSeries]" = None
 
 
 def enabled() -> bool:
@@ -551,38 +733,11 @@ def get_registry() -> MetricsRegistry:
     return _registry
 
 
-def install_timeseries(ts: "TimeSeries") -> "TimeSeries":
-    """Mirror every *enabled* metric event into a sliding-window ring.
-
-    The :class:`~repro.obs.timeseries.TimeSeries` filters by name
-    prefix, so hot paths it does not track pay one attribute load plus
-    one ``tracks`` check.  The disabled fast path is untouched: with
-    metrics off, no event reaches the sink at all.
-    """
-    global _timeseries
-    _timeseries = ts
-    return ts
-
-
-def uninstall_timeseries() -> None:
-    """Stop mirroring metric events into the time-series ring."""
-    global _timeseries
-    _timeseries = None
-
-
-def get_timeseries() -> "Optional[TimeSeries]":
-    """The installed time-series sink, or ``None``."""
-    return _timeseries
-
-
 def inc(name: str, amount: float = 1.0) -> None:
     """Hot-path counter increment; no-op unless metrics are enabled."""
     if not _enabled:
         return
     _registry.inc(name, amount)
-    ts = _timeseries
-    if ts is not None:
-        ts.add(name, amount)
 
 
 def set_gauge(name: str, value: float) -> None:
@@ -590,9 +745,6 @@ def set_gauge(name: str, value: float) -> None:
     if not _enabled:
         return
     _registry.set_gauge(name, value)
-    ts = _timeseries
-    if ts is not None:
-        ts.set_gauge(name, value)
 
 
 def observe(
@@ -600,16 +752,13 @@ def observe(
 ) -> None:
     """Hot-path histogram observation; no-op unless metrics are enabled.
 
-    ``trace_id`` tags the observation in the windowed sink so tail
+    ``trace_id`` tags the observation in its window bucket so tail
     percentiles keep exemplar links to stored traces; the cumulative
     histogram ignores it.
     """
     if not _enabled:
         return
-    _registry.observe(name, value)
-    ts = _timeseries
-    if ts is not None:
-        ts.observe(name, value, trace_id)
+    _registry.observe(name, value, trace_id)
 
 
 def snapshot() -> "Dict[str, float]":

@@ -16,8 +16,8 @@ telemetry smoke test validates scrapes with.
 
 :class:`MetricsServer` is a deliberately tiny stdlib ``http.server``
 wrapper — one daemon thread, ``GET /metrics`` for Prometheus,
-``GET /telemetry`` for the windowed JSON view when a
-:class:`~repro.obs.timeseries.TimeSeries` is attached, ``GET /healthz``
+``GET /telemetry`` for the windowed JSON view while the registry's
+windows are on, ``GET /healthz``
 for liveness.  It is wired into ``python -m repro serve
 --metrics-port`` (see ``docs/serving.md``); there is intentionally no
 auth, TLS or routing beyond that — run it on loopback or behind a real
@@ -39,7 +39,7 @@ from .metrics import (
     get_registry,
     parse_labeled,
 )
-from .timeseries import DEFAULT_WINDOWS, TimeSeries
+from .timeseries import DEFAULT_WINDOWS, windows
 
 __all__ = [
     "CONTENT_TYPE",
@@ -332,7 +332,6 @@ class MetricsServer:
         registry: "Optional[MetricsRegistry]" = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        timeseries: "Optional[TimeSeries]" = None,
         tracestore=None,
         watchdog=None,
         analytics=None,
@@ -346,7 +345,6 @@ class MetricsServer:
         :class:`~repro.obs.analytics.AccessRecorder`) adds
         ``GET /analytics`` — the live workload-skew report as JSON."""
         self.registry = registry  # None = the process-wide registry
-        self.timeseries = timeseries
         self.tracestore = tracestore
         self.watchdog = watchdog
         self.analytics = analytics
@@ -412,17 +410,21 @@ class MetricsServer:
     def telemetry_document(self) -> "Dict[str, object]":
         """The windowed JSON view served at ``/telemetry``.
 
+        ``windows`` is empty while the registry's windows are off.
         Histogram window summaries carry tail ``exemplars`` — resolve a
         ``trace_id`` via ``GET /trace/<id>``.  With a watchdog attached
         the document gains an ``slo`` section; with a trace store, a
         ``traces`` retention summary.
         """
         document: "Dict[str, object]" = {"windows": {}}
-        if self.timeseries is not None:
+        registry = self.registry if self.registry is not None else (
+            get_registry()
+        )
+        if registry.windowed:
             document["windows"] = {
                 str(seconds): snapshot.as_dict()
                 for seconds, snapshot in
-                self.timeseries.windows(DEFAULT_WINDOWS).items()
+                windows(registry, DEFAULT_WINDOWS).items()
             }
         if self.watchdog is not None:
             document["slo"] = self.watchdog.status()

@@ -21,8 +21,8 @@ is still happening — and *warns* on a long-window burn alone.  This
 keeps a one-second blip from paging while catching a real regression in
 seconds rather than minutes.
 
-:class:`SLOWatchdog` evaluates the installed :class:`~repro.obs
-.timeseries.TimeSeries` periodically, publishes ``serve.slo.*`` gauges,
+:class:`SLOWatchdog` evaluates a registry's windows
+(:mod:`repro.obs.timeseries`) periodically, publishes ``serve.slo.*`` gauges,
 emits an event-log record on every state transition, and exposes its
 state for ``/healthz`` (503 while paging) and ``/telemetry``.  An
 optional ``on_change`` hook receives the aggregate paging flag so the
@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import events, metrics
-from .timeseries import TimeSeries, WindowSnapshot
+from .metrics import MetricsRegistry
+from .timeseries import WindowSnapshot, window
 
 __all__ = [
     "DEFAULT_SLOS",
@@ -183,7 +184,8 @@ class SLOStatus:
 
 
 class SLOWatchdog:
-    """Periodic multi-window burn-rate evaluation over a time series.
+    """Periodic multi-window burn-rate evaluation over a registry's
+    windows.
 
     One evaluation is cheap (two window merges per objective), so the
     default 1 s cadence adds nothing measurable to a serving process.
@@ -194,7 +196,7 @@ class SLOWatchdog:
 
     def __init__(
         self,
-        timeseries: TimeSeries,
+        registry: MetricsRegistry,
         slos: "Sequence[SLO]" = DEFAULT_SLOS,
         page_burn: float = DEFAULT_PAGE_BURN,
         warn_burn: float = DEFAULT_WARN_BURN,
@@ -208,7 +210,7 @@ class SLOWatchdog:
         short, long_ = alert_windows
         if short >= long_:
             raise ValueError("alert windows must be (short, long)")
-        self.timeseries = timeseries
+        self.registry = registry
         self.slos = tuple(slos)
         self.page_burn = float(page_burn)
         self.warn_burn = float(warn_burn)
@@ -229,8 +231,8 @@ class SLOWatchdog:
         """Evaluate every objective once; returns the new statuses."""
         short, long_ = self.alert_windows
         snapshots = {
-            short: self.timeseries.window(short),
-            long_: self.timeseries.window(long_),
+            short: window(self.registry, short),
+            long_: window(self.registry, long_),
         }
         changed: "List[Tuple[str, str, SLOStatus]]" = []
         with self._lock:

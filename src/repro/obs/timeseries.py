@@ -1,25 +1,30 @@
-"""Windowed live telemetry: per-second buckets over selected metrics.
+"""Windowed live telemetry: sliding windows over per-second buckets.
 
 The cumulative registry (:mod:`repro.obs.metrics`) answers "how much
 work has this process done"; an *operator* asks a different question —
 what is the p99 latency, queue depth and fallback rate **right now**.
-This module answers it with a lock-protected ring of per-second buckets:
-every tracked event lands in the bucket of its wall-clock second, and a
-*window* aggregates the last N seconds into rates and percentiles.
+The registry keeps the raw material: a metric named under
+:data:`~repro.obs.metrics.WINDOW_PREFIXES` (``serve.``, ``query.`` and
+``shard.``) fills one bucket per wall-clock second next to its
+cumulative value, under the same lock.  This module is the read side:
+a *window* merges the last N seconds of buckets into rates and
+percentiles.
 
 Design constraints, matching the rest of ``repro.obs``:
 
-1. **Bounded memory.**  The ring holds ``horizon_seconds`` buckets
-   (default 120) and reuses slots modulo the horizon, so a month-long
-   serve process stores exactly as much as a two-minute one.  Per-bucket
-   histogram samples are reservoir-capped (seeded RNG, deterministic).
-2. **Cheap and optional.**  Nothing records here unless a
-   :class:`TimeSeries` is *installed* on the metrics module
-   (:func:`repro.obs.metrics.install_timeseries`); the disabled metrics
-   fast path is untouched, and the enabled path adds one ``None`` check.
-3. **Selective.**  Only names matching the configured prefixes are
-   tracked (default: ``serve.`` and ``query.``) — build-time counter
-   storms do not churn the serving dashboard.
+1. **Bounded memory.**  Each windowed metric holds a ring of
+   :data:`~repro.obs.metrics.WINDOW_HORIZON_SECONDS` (120) buckets and
+   reuses slots modulo the horizon, so a month-long serve process
+   stores exactly as much as a two-minute one.  Per-bucket samples are
+   reservoir-capped at :data:`~repro.obs.metrics.BUCKET_SAMPLE_CAP`
+   (512, seeded, deterministic).
+2. **Cheap and optional.**  Buckets fill only while the registry's
+   windows are on (:meth:`~repro.obs.metrics.MetricsRegistry
+   .enable_windows`, which :class:`~repro.serve.telemetry
+   .TelemetrySession` calls); the disabled metrics fast path is
+   untouched.
+3. **Selective.**  Only the three prefixes are windowed — build-time
+   counter storms do not churn the serving dashboard.
 
 The standard windows are 1s / 10s / 60s (:data:`DEFAULT_WINDOWS`);
 :func:`dashboard` condenses one window into the operator quantities
@@ -30,101 +35,53 @@ The standard windows are 1s / 10s / 60s (:data:`DEFAULT_WINDOWS`);
 
 from __future__ import annotations
 
-import random
-import threading
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .metrics import (
+    BUCKET_EXEMPLAR_CAP,
+    WINDOW_HORIZON_SECONDS,
+    Bucket,
+    Histogram,
+    MetricsRegistry,
+)
 
 __all__ = [
-    "BUCKET_SAMPLE_CAP",
-    "DEFAULT_HORIZON_SECONDS",
-    "DEFAULT_PREFIXES",
     "DEFAULT_WINDOWS",
     "MetricWindow",
-    "TimeSeries",
     "WindowSnapshot",
     "dashboard",
     "dashboard_line",
     "telemetry_table",
+    "window",
+    "windows",
 ]
 
 #: Sliding windows (seconds) rendered by the dashboard surfaces.
 DEFAULT_WINDOWS: "Tuple[int, ...]" = (1, 10, 60)
-
-#: Ring length: how far back a window may reach.
-DEFAULT_HORIZON_SECONDS = 120
-
-#: Metric-name prefixes tracked by default (serving + query traffic,
-#: including the sharded scatter-gather counters).
-DEFAULT_PREFIXES: "Tuple[str, ...]" = ("serve.", "query.", "shard.")
-
-#: Reservoir cap on stored samples *per bucket per metric*.
-BUCKET_SAMPLE_CAP = 512
-
-#: Exemplar trace ids retained *per bucket per metric* — only the
-#: largest observations keep their trace id, since those are the ones
-#: a p99 on /telemetry will point at.
-BUCKET_EXEMPLAR_CAP = 4
 
 _COUNTER = "counter"
 _HISTOGRAM = "histogram"
 _GAUGE = "gauge"
 
 
-class _Bucket:
-    """Aggregates of one metric within one wall-clock second."""
+class MetricWindow(Histogram):
+    """One metric aggregated over one sliding window.
 
-    __slots__ = (
-        "kind", "count", "total", "min", "max", "last", "samples",
-        "exemplars",
-    )
+    A :class:`~repro.obs.metrics.Histogram` of the window's buckets
+    (their count, sum, min, max and samples, merged), plus the metric's
+    kind, the last value and the tail exemplars.
+    """
 
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.last = 0.0
-        self.samples: "List[float]" = []
-        #: ``(value, trace_id)`` for the largest traced observations.
-        self.exemplars: "List[Tuple[float, str]]" = []
-
-
-def _percentile(ordered: "List[float]", q: float) -> float:
-    """Linear-interpolation percentile of a pre-sorted sample list."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    if not ordered:
-        return 0.0
-    pos = (len(ordered) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-class MetricWindow:
-    """One metric aggregated over one sliding window."""
-
-    __slots__ = (
-        "name", "kind", "seconds", "count", "total", "min", "max", "last",
-        "_samples", "_exemplars",
-    )
+    __slots__ = ("kind", "seconds", "last", "_exemplars")
 
     def __init__(self, name: str, kind: str, seconds: float):
-        self.name = name
+        super().__init__(name)
         self.kind = kind
         self.seconds = seconds
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
         self.last = 0.0
-        self._samples: "List[float]" = []
         self._exemplars: "List[Tuple[float, str]]" = []
 
-    def _merge(self, bucket: _Bucket) -> None:
+    def _merge(self, bucket: Bucket) -> None:
         self.count += bucket.count
         self.total += bucket.total
         if bucket.min < self.min:
@@ -132,7 +89,7 @@ class MetricWindow:
         if bucket.max > self.max:
             self.max = bucket.max
         self.last = bucket.last  # buckets are merged oldest -> newest
-        self._samples.extend(bucket.samples)
+        self._samples.extend(bucket._samples)
         if bucket.exemplars:
             self._exemplars.extend(bucket.exemplars)
             self._exemplars.sort(key=lambda e: e[0], reverse=True)
@@ -151,14 +108,6 @@ class MetricWindow:
         if self.kind == _COUNTER:
             return self.total / self.seconds
         return self.count / self.seconds
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Percentile of the window's (reservoir-sampled) observations."""
-        return _percentile(sorted(self._samples), q)
 
     def fraction_above(self, threshold: float) -> float:
         """Fraction of the window's observations above ``threshold``.
@@ -192,10 +141,7 @@ class MetricWindow:
             "last": self.last,
         }
         if self.kind == _HISTOGRAM:
-            ordered = sorted(self._samples)
-            out["p50"] = _percentile(ordered, 50)
-            out["p95"] = _percentile(ordered, 95)
-            out["p99"] = _percentile(ordered, 99)
+            out["p50"], out["p95"], out["p99"] = self.percentiles(50, 95, 99)
             if self._exemplars:
                 # Tail exemplars: /telemetry consumers resolve these ids
                 # against the trace store (GET /trace/<id>).
@@ -233,162 +179,35 @@ class WindowSnapshot:
         }
 
 
-class TimeSeries:
-    """Lock-protected ring of per-second buckets for selected metrics.
+def window(registry: MetricsRegistry, seconds: int) -> WindowSnapshot:
+    """The last ``seconds`` of ``registry``'s buckets (current second
+    included), merged per metric.
 
-    Thread-safe: recorders (query threads, the serve flush loop) and
-    readers (the stats printer, the scrape endpoint) share one lock.
-    ``clock`` is injectable for tests; it must be monotonic seconds.
+    ``seconds`` is clamped to the ring horizon.  Rates divide by the
+    nominal window length, so a window that is still filling reports a
+    conservative (lower) rate rather than an extrapolated one.  With
+    the registry's windows off the snapshot is empty.
     """
+    if seconds < 1:
+        raise ValueError("window seconds must be >= 1")
+    seconds = min(int(seconds), WINDOW_HORIZON_SECONDS)
+    merged: "Dict[str, MetricWindow]" = {}
 
-    def __init__(
-        self,
-        horizon_seconds: int = DEFAULT_HORIZON_SECONDS,
-        prefixes: "Sequence[str]" = DEFAULT_PREFIXES,
-        sample_cap: int = BUCKET_SAMPLE_CAP,
-        clock: "Callable[[], float]" = time.monotonic,
-        seed: int = 0,
-    ):
-        if horizon_seconds < max(DEFAULT_WINDOWS):
-            raise ValueError(
-                f"horizon_seconds must cover the largest window "
-                f"({max(DEFAULT_WINDOWS)}s)"
-            )
-        if sample_cap < 1:
-            raise ValueError("sample_cap must be >= 1")
-        self._lock = threading.Lock()
-        self._prefixes = tuple(prefixes)
-        self._sample_cap = sample_cap
-        self._clock = clock
-        self._rng = random.Random(seed)
-        # Ring slot i holds (second, {name: _Bucket}) for a second with
-        # ``second % horizon == i``; a slot is reset lazily when a new
-        # second claims it.
-        self._ring: "List[Optional[Tuple[int, Dict[str, _Bucket]]]]" = (
-            [None] * int(horizon_seconds)
-        )
+    def merge(name: str, kind: str, bucket: Bucket) -> None:
+        metric = merged.get(name)
+        if metric is None:
+            metric = merged[name] = MetricWindow(name, kind, float(seconds))
+        metric._merge(bucket)
 
-    # ------------------------------------------------------------------
-    # Recording (called from repro.obs.metrics when installed)
-    # ------------------------------------------------------------------
-    def tracks(self, name: str) -> bool:
-        """Whether ``name`` falls inside the configured prefixes."""
-        return name.startswith(self._prefixes)
+    registry.visit_windows(seconds, merge)
+    return WindowSnapshot(float(seconds), merged)
 
-    def _bucket(self, name: str, kind: str) -> _Bucket:
-        """The current second's bucket for ``name`` (caller holds lock)."""
-        second = int(self._clock())
-        slot = second % len(self._ring)
-        entry = self._ring[slot]
-        if entry is None or entry[0] != second:
-            entry = (second, {})
-            self._ring[slot] = entry
-        bucket = entry[1].get(name)
-        if bucket is None:
-            bucket = entry[1][name] = _Bucket(kind)
-        return bucket
 
-    def add(self, name: str, amount: float = 1.0) -> None:
-        """Counter increment within the current second."""
-        if not self.tracks(name):
-            return
-        with self._lock:
-            bucket = self._bucket(name, _COUNTER)
-            bucket.count += 1
-            bucket.total += amount
-            bucket.last = amount
-
-    def observe(
-        self, name: str, value: float, trace_id: "Optional[str]" = None
-    ) -> None:
-        """Histogram observation within the current second.
-
-        ``trace_id`` links the observation to a stored trace: the bucket
-        keeps the ids of its largest traced observations, so a window's
-        p99 can point at the concrete request behind it (exemplars).
-        """
-        if not self.tracks(name):
-            return
-        value = float(value)
-        with self._lock:
-            bucket = self._bucket(name, _HISTOGRAM)
-            bucket.count += 1
-            bucket.total += value
-            if value < bucket.min:
-                bucket.min = value
-            if value > bucket.max:
-                bucket.max = value
-            bucket.last = value
-            if len(bucket.samples) < self._sample_cap:
-                bucket.samples.append(value)
-            else:
-                j = self._rng.randrange(bucket.count)
-                if j < self._sample_cap:
-                    bucket.samples[j] = value
-            if trace_id is not None:
-                exemplars = bucket.exemplars
-                if (
-                    len(exemplars) < BUCKET_EXEMPLAR_CAP
-                    or value > exemplars[-1][0]
-                ):
-                    exemplars.append((value, trace_id))
-                    exemplars.sort(key=lambda e: e[0], reverse=True)
-                    del exemplars[BUCKET_EXEMPLAR_CAP:]
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Gauge update within the current second (keeps last and max)."""
-        if not self.tracks(name):
-            return
-        value = float(value)
-        with self._lock:
-            bucket = self._bucket(name, _GAUGE)
-            bucket.count += 1
-            bucket.total += value
-            if value < bucket.min:
-                bucket.min = value
-            if value > bucket.max:
-                bucket.max = value
-            bucket.last = value
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def window(self, seconds: int) -> WindowSnapshot:
-        """Aggregate of the last ``seconds`` buckets (current one included).
-
-        ``seconds`` is clamped to the ring horizon.  Rates divide by the
-        nominal window length, so a window that is still filling reports
-        a conservative (lower) rate rather than an extrapolated one.
-        """
-        if seconds < 1:
-            raise ValueError("window seconds must be >= 1")
-        seconds = min(int(seconds), len(self._ring))
-        merged: "Dict[str, MetricWindow]" = {}
-        with self._lock:
-            now = int(self._clock())
-            for second in range(now - seconds + 1, now + 1):
-                entry = self._ring[second % len(self._ring)]
-                if entry is None or entry[0] != second:
-                    continue
-                for name, bucket in entry[1].items():
-                    window = merged.get(name)
-                    if window is None:
-                        window = merged[name] = MetricWindow(
-                            name, bucket.kind, float(seconds)
-                        )
-                    window._merge(bucket)
-        return WindowSnapshot(float(seconds), merged)
-
-    def windows(
-        self, seconds: "Sequence[int]" = DEFAULT_WINDOWS
-    ) -> "Dict[int, WindowSnapshot]":
-        """The standard multi-window view: ``{1: ..., 10: ..., 60: ...}``."""
-        return {int(s): self.window(int(s)) for s in seconds}
-
-    def clear(self) -> None:
-        with self._lock:
-            for i in range(len(self._ring)):
-                self._ring[i] = None
+def windows(
+    registry: MetricsRegistry, seconds: "Sequence[int]" = DEFAULT_WINDOWS
+) -> "Dict[int, WindowSnapshot]":
+    """The standard multi-window view: ``{1: ..., 10: ..., 60: ...}``."""
+    return {int(s): window(registry, int(s)) for s in seconds}
 
 
 # ======================================================================
@@ -424,7 +243,9 @@ def _fallback_total(snapshot: WindowSnapshot) -> float:
     return total
 
 
-def dashboard(ts: TimeSeries, seconds: int = 10) -> "Dict[str, float]":
+def dashboard(
+    registry: MetricsRegistry, seconds: int = 10
+) -> "Dict[str, float]":
     """One window condensed into the operator quantities.
 
     QPS and percentiles come from the first latency histogram with
@@ -433,7 +254,7 @@ def dashboard(ts: TimeSeries, seconds: int = 10) -> "Dict[str, float]":
     ``fallback_pct`` is the share of completions that took any fallback
     path.
     """
-    snapshot = ts.window(seconds)
+    snapshot = window(registry, seconds)
     latency = None
     for name in _LATENCY_METRICS:
         candidate = snapshot.get(name)
@@ -457,9 +278,9 @@ def dashboard(ts: TimeSeries, seconds: int = 10) -> "Dict[str, float]":
     }
 
 
-def dashboard_line(ts: TimeSeries, seconds: int = 10) -> str:
+def dashboard_line(registry: MetricsRegistry, seconds: int = 10) -> str:
     """The one-line dashboard printed by ``serve --stats-interval``."""
-    d = dashboard(ts, seconds)
+    d = dashboard(registry, seconds)
     return (
         f"[telemetry {int(d['window_s']):>3d}s] "
         f"qps={d['qps']:8.1f}  "
@@ -471,7 +292,9 @@ def dashboard_line(ts: TimeSeries, seconds: int = 10) -> str:
 
 
 def telemetry_table(
-    ts: TimeSeries, windows: "Sequence[int]" = DEFAULT_WINDOWS, title: str = "Live telemetry"
+    registry: MetricsRegistry,
+    windows: "Sequence[int]" = DEFAULT_WINDOWS,
+    title: str = "Live telemetry",
 ):
     """The multi-window dashboard as a printable ``ResultTable``.
 
@@ -486,7 +309,7 @@ def telemetry_table(
          "fallback_pct"],
     )
     for seconds in windows:
-        d = dashboard(ts, int(seconds))
+        d = dashboard(registry, int(seconds))
         table.add_row(
             window=f"{int(seconds)}s",
             qps=d["qps"],

@@ -24,7 +24,6 @@ measured duration can never exceed its parent's beyond timer resolution.
 
 from __future__ import annotations
 
-import functools
 import time
 from contextvars import ContextVar
 from typing import Any, Callable, Dict, List, Optional
@@ -36,7 +35,6 @@ __all__ = [
     "TraceCarrier",
     "Tracer",
     "span",
-    "traced",
     "carrier",
     "current_span",
     "enabled",
@@ -220,24 +218,6 @@ def current_span():
         return _NOOP
     active = _current.get()
     return active if active is not None else _NOOP
-
-
-def traced(name: "Optional[str]" = None) -> "Callable":
-    """Decorator form: trace every call of the wrapped function."""
-
-    def decorate(func: "Callable") -> "Callable":
-        span_name = name or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            if not _enabled:
-                return func(*args, **kwargs)
-            with Span(span_name):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 class TraceCarrier:

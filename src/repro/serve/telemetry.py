@@ -2,9 +2,8 @@
 
 :class:`TelemetrySession` is the one place that knows how the pieces of
 ``repro.obs`` compose into an *operational* surface: it enables the
-metrics registry, installs a :class:`~repro.obs.timeseries.TimeSeries`
-sink behind it, optionally turns on the structured event log with a
-JSONL sink, optionally installs a tail-sampled
+metrics registry and its per-second windows, optionally turns on the
+structured event log with a JSONL sink, optionally installs a tail-sampled
 :class:`~repro.obs.tracestore.TraceStore` and records spans into it,
 optionally runs the :class:`~repro.obs.slo.SLOWatchdog`, optionally
 binds the Prometheus scrape endpoint, and can run a periodic stderr
@@ -35,7 +34,7 @@ from ..obs import (
     workload as workload_mod,
 )
 from ..obs.promexport import MetricsServer, validate_metric_name
-from ..obs.timeseries import TimeSeries, dashboard_line
+from ..obs.timeseries import dashboard_line
 from .config import TelemetryConfig
 
 __all__ = ["TelemetrySession"]
@@ -44,10 +43,10 @@ __all__ = ["TelemetrySession"]
 class TelemetrySession:
     """Owns the setup and teardown of one process's live telemetry.
 
-    The session always enables metrics, installs a fresh
-    :class:`TimeSeries` (the windowed dashboards need both) and installs
-    the exposition-grammar name validator on the registry, so a metric
-    name that could not be scraped fails at its call site; the scrape
+    The session always enables metrics, turns on the registry's windows
+    from empty (the windowed dashboards need both) and installs the
+    exposition-grammar name validator on the registry, so a metric name
+    that could not be scraped fails at its call site; the scrape
     endpoint, event log, trace store, SLO watchdog and stats printer are
     opt-in via the :class:`~repro.serve.config.TelemetryConfig` fields.
     Idempotent :meth:`close`; usable as a context manager.
@@ -62,7 +61,6 @@ class TelemetrySession:
         self.config = config or TelemetryConfig()
         self._stream = stream if stream is not None else sys.stderr
         self._was_enabled = metrics.enabled()
-        self.timeseries = TimeSeries()
         self.server: "Optional[MetricsServer]" = None
         self.event_log: "Optional[events.EventLog]" = None
         self.tracestore: "Optional[tracestore.TraceStore]" = None
@@ -75,9 +73,10 @@ class TelemetrySession:
         self._printer: "Optional[threading.Thread]" = None
         self._closed = False
 
-        registry = metrics.enable()
-        registry.set_name_validator(validate_metric_name)
-        metrics.install_timeseries(self.timeseries)
+        #: The process-wide registry; its windows feed the dashboards.
+        self.registry = metrics.enable()
+        self.registry.set_name_validator(validate_metric_name)
+        self.registry.enable_windows()
         if self.config.events_path is not None:
             self.event_log = events.enable(
                 sink=self.config.events_path,
@@ -92,7 +91,7 @@ class TelemetrySession:
             tracing.enable(self.tracestore)
         if self.config.slo:
             self.watchdog = slo_mod.SLOWatchdog(
-                self.timeseries, on_change=self._on_slo_change
+                self.registry, on_change=self._on_slo_change
             )
             self.watchdog.start(self.config.slo_interval_s)
         if self.config.analytics:
@@ -106,7 +105,6 @@ class TelemetrySession:
             self.server = MetricsServer(
                 host=self.config.metrics_host,
                 port=self.config.metrics_port,
-                timeseries=self.timeseries,
                 tracestore=self.tracestore,
                 watchdog=self.watchdog,
                 analytics=self.analytics,
@@ -140,7 +138,7 @@ class TelemetrySession:
 
     def dashboard_line(self, seconds: int = 10) -> str:
         """The current windowed dashboard line (see ``timeseries``)."""
-        return dashboard_line(self.timeseries, seconds)
+        return dashboard_line(self.registry, seconds)
 
     def _print_loop(self) -> None:
         interval = self.config.stats_interval_s
@@ -176,8 +174,8 @@ class TelemetrySession:
         if self.event_log is not None:
             events.disable()
             self.event_log.close()
-        metrics.uninstall_timeseries()
-        metrics.get_registry().set_name_validator(None)
+        self.registry.disable_windows()
+        self.registry.set_name_validator(None)
         if not self._was_enabled:
             metrics.disable()
 

@@ -441,11 +441,7 @@ class ShardedNNCellIndex:
             if report.degraded:
                 root.set("degraded", True)
                 root.set("failed_shards", list(report.failed_shards))
-        metrics.inc("shard.query.count")
-        metrics.observe("shard.query.pages", info.pages)
-        workload.record_query(
-            q, int(best_gid), float(best_dist), info.pages, source="sharded"
-        )
+        workload.record_query(q, int(best_gid), float(best_dist), info)
         return int(best_gid), float(best_dist), info
 
     def k_nearest(
@@ -550,10 +546,7 @@ class ShardedNNCellIndex:
             if report.degraded:
                 root.set("degraded", True)
                 root.set("failed_shards", list(report.failed_shards))
-        metrics.inc("shard.batch.count")
-        metrics.inc("shard.batch.queries", m)
-        metrics.observe("shard.query.pages", info.pages)
-        workload.record_batch(qs, ids, dists, info.pages)
+        workload.record_batch(qs, ids, dists, info)
         return ids, dists, info
 
     def nearest_batch(

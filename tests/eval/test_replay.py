@@ -28,7 +28,7 @@ def clean_recorder():
 def _capture_serial(index, queries):
     """Answer ``queries`` one by one; ``index.nearest`` itself feeds the
     installed recorder through the hot-path hook."""
-    with workload.capturing(dim=queries.shape[1]) as recorder:
+    with workload.capturing() as recorder:
         for q in queries:
             index.nearest(q)
         return recorder.workload()

@@ -29,14 +29,16 @@ class TestEventLog:
         assert record["kind"] == "query"
         assert record["outcome"] == "cell"
 
-    def test_ring_is_bounded_oldest_evicted(self):
-        log = EventLog(capacity=3)
+    def test_ring_is_bounded_oldest_evicted(self, monkeypatch):
+        monkeypatch.setattr(EventLog, "capacity", 3)
+        log = EventLog()
         for i in range(5):
             log.emit("query", i=i)
         assert len(log) == 3
         assert [r["i"] for r in log.records()] == [2, 3, 4]
-        assert log.emitted == 5
+        assert log.seen == 5
         assert log.recorded == 5  # recorded counts writes, not retention
+        assert log.dropped == 2
 
     def test_records_filter_by_kind(self):
         log = EventLog()
@@ -47,19 +49,24 @@ class TestEventLog:
         assert len(log.records("flush")) == 1
 
     def test_sampling_is_deterministic_and_audited(self):
-        a = EventLog(sample=0.25, seed=7)
-        b = EventLog(sample=0.25, seed=7)
+        a = EventLog(sample=0.25)
+        b = EventLog(sample=0.25)
         kept_a = [a.emit("query", i=i) for i in range(200)]
         kept_b = [b.emit("query", i=i) for i in range(200)]
         assert kept_a == kept_b  # seeded RNG: reproducible runs
-        assert 0 < a.recorded < a.emitted == 200
+        assert 0 < a.recorded < a.seen == 200
         assert a.recorded == sum(kept_a)
+        # seq counts every offered record, so gaps show what sampling
+        # dropped.
+        assert [r["seq"] for r in a.records()] == [
+            i + 1 for i, kept in enumerate(kept_a) if kept
+        ]
 
     def test_sample_bounds_validated(self):
         with pytest.raises(ValueError):
             EventLog(sample=1.5)
         with pytest.raises(ValueError):
-            EventLog(capacity=0)
+            EventLog(sample=-0.1)
 
     def test_filelike_sink_is_borrowed_not_closed(self):
         sink = io.StringIO()
@@ -84,7 +91,7 @@ class TestEventLog:
         log.emit("query")
         log.clear()
         assert len(log) == 0
-        assert log.emitted == 1
+        assert log.seen == 1
 
 
 class TestModuleFastPath:
@@ -101,13 +108,13 @@ class TestModuleFastPath:
         assert [r["i"] for r in log.records()] == [1]
 
     def test_enable_with_kwargs_builds_fresh_log(self):
-        log = events.enable(capacity=2, sample=1.0)
-        assert log.capacity == 2
+        log = events.enable(sample=0.5)
+        assert log.sample == 0.5
         assert events.get_log() is log
 
     def test_enable_rejects_log_plus_kwargs(self):
         with pytest.raises(ValueError):
-            events.enable(EventLog(), capacity=5)
+            events.enable(EventLog(), sample=0.5)
 
     def test_enable_reuses_previous_log(self):
         first = events.enable()

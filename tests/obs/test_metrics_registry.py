@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs import metrics
+from repro.obs import metrics, timeseries
 from repro.obs.metrics import (
     HISTOGRAM_SAMPLE_CAP,
     Counter,
@@ -20,14 +20,14 @@ from repro.obs.metrics import (
 
 @pytest.fixture(autouse=True)
 def clean_global_state():
-    """Every test starts disabled, empty, and without a time-series sink."""
+    """Every test starts disabled, empty, and with windows off."""
     metrics.disable()
     metrics.get_registry().reset()
-    metrics.uninstall_timeseries()
+    metrics.get_registry().disable_windows()
     yield
     metrics.disable()
     metrics.get_registry().reset()
-    metrics.uninstall_timeseries()
+    metrics.get_registry().disable_windows()
 
 
 class TestCounter:
@@ -229,16 +229,16 @@ class TestModuleFastPath:
 
 
 class TestTimeseriesSink:
-    def test_enabled_events_mirror_into_installed_sink(self):
-        from repro.obs.timeseries import TimeSeries
+    """Windows live in the registry, next to the cumulative values."""
 
-        ts = metrics.install_timeseries(TimeSeries())
-        assert metrics.get_timeseries() is ts
+    def test_enabled_events_mirror_into_installed_sink(self):
+        registry = metrics.get_registry()
+        registry.enable_windows()
         metrics.enable()
         metrics.inc("serve.rejected", 2)
         metrics.observe("serve.latency_ms", 5.0)
         metrics.set_gauge("serve.queue.depth", 3)
-        window = ts.window(10)
+        window = timeseries.window(registry, 10)
         assert window.total("serve.rejected") == 2.0
         assert window.get("serve.latency_ms").count == 1
         assert window.get("serve.queue.depth").last == 3.0
@@ -246,22 +246,63 @@ class TestTimeseriesSink:
         assert metrics.snapshot()["serve.rejected"] == 2.0
 
     def test_disabled_events_never_reach_sink(self):
-        from repro.obs.timeseries import TimeSeries
-
-        ts = metrics.install_timeseries(TimeSeries())
+        registry = metrics.get_registry()
+        registry.enable_windows()
         metrics.inc("serve.rejected")
         metrics.observe("serve.latency_ms", 5.0)
-        assert ts.window(10).names() == []
+        assert timeseries.window(registry, 10).names() == []
 
     def test_uninstall_stops_mirroring(self):
-        from repro.obs.timeseries import TimeSeries
-
-        ts = metrics.install_timeseries(TimeSeries())
+        registry = metrics.get_registry()
+        registry.enable_windows()
         metrics.enable()
-        metrics.uninstall_timeseries()
-        assert metrics.get_timeseries() is None
+        registry.disable_windows()
+        assert not registry.windowed
         metrics.inc("serve.rejected")
-        assert ts.window(10).names() == []
+        assert timeseries.window(registry, 10).names() == []
+        assert metrics.snapshot()["serve.rejected"] == 1.0
+
+
+class TestApply:
+    """Several updates under one lock acquisition."""
+
+    def test_apply_matches_separate_calls(self):
+        clock = lambda: 1000.0  # noqa: E731
+        one, many = MetricsRegistry(), MetricsRegistry()
+        for registry in (one, many):
+            registry.enable_windows(clock=clock)
+        counters = [("query.count", 1.0), ("lp.solves", 3)]
+        histograms = [("query.candidates", 4), ("query.candidates", 7)]
+        one.apply(counters, histograms)
+        for name, amount in counters:
+            many.inc(name, amount)
+        for name, value in histograms:
+            many.observe(name, value)
+        assert one.as_dict() == many.as_dict()
+        assert (
+            timeseries.window(one, 1).as_dict()
+            == timeseries.window(many, 1).as_dict()
+        )
+
+    def test_apply_takes_the_lock_once(self):
+        registry = MetricsRegistry()
+        acquisitions = []
+        inner = registry._lock
+
+        class Counting:
+            def __enter__(self):
+                acquisitions.append(1)
+                return inner.__enter__()
+
+            def __exit__(self, *exc):
+                return inner.__exit__(*exc)
+
+        registry._lock = Counting()
+        registry.apply(
+            [("query.count", 1.0)], [("query.candidates", v) for v in range(9)]
+        )
+        assert len(acquisitions) == 1
+        assert registry.histogram("query.candidates").count == 9
 
 
 class TestLabels:

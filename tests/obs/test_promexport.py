@@ -23,7 +23,7 @@ from repro.obs.promexport import (
     render_prometheus,
     validate_metric_name,
 )
-from repro.obs.timeseries import DEFAULT_WINDOWS, TimeSeries
+from repro.obs.timeseries import DEFAULT_WINDOWS
 
 
 @pytest.fixture
@@ -103,9 +103,9 @@ class TestMetricsServer:
         assert samples["serve_rejected_total"] == 3.0
 
     def test_telemetry_endpoint_serves_windows(self, registry):
-        ts = TimeSeries()
-        ts.observe("serve.latency_ms", 5.0)
-        with MetricsServer(registry=registry, timeseries=ts) as server:
+        registry.enable_windows()
+        registry.observe("serve.latency_ms", 5.0)
+        with MetricsServer(registry=registry) as server:
             __, __, body = _get(
                 f"http://{server.host}:{server.port}/telemetry"
             )
@@ -251,7 +251,8 @@ class TestWatchdogWiring:
     def test_healthz_pages_as_503(self, registry):
         from repro.obs.slo import SLO, SLOWatchdog
 
-        ts = TimeSeries()
+        ts = MetricsRegistry()
+        ts.enable_windows()
         for __ in range(20):
             ts.observe("serve.latency_ms", 500.0)
         dog = SLOWatchdog(ts, slos=[SLO(
@@ -268,7 +269,8 @@ class TestWatchdogWiring:
     def test_telemetry_carries_slo_status(self, registry):
         from repro.obs.slo import SLOWatchdog
 
-        ts = TimeSeries()
+        ts = MetricsRegistry()
+        ts.enable_windows()
         dog = SLOWatchdog(ts)
         dog.evaluate()
         with MetricsServer(registry=registry, watchdog=dog) as server:

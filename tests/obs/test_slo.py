@@ -13,7 +13,8 @@ from repro.obs.slo import (
     STATE_PAGE,
     STATE_WARN,
 )
-from repro.obs.timeseries import TimeSeries
+from repro.obs import timeseries
+from repro.obs.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -31,7 +32,10 @@ def clock():
 
 @pytest.fixture
 def ts(clock):
-    return TimeSeries(clock=clock)
+    """A registry with windows on, reading the settable clock."""
+    registry = MetricsRegistry()
+    registry.enable_windows(clock=clock)
+    return registry
 
 
 def latency_slo(budget=0.01, threshold_ms=50.0):
@@ -68,7 +72,7 @@ class TestSLODeclaration:
 class TestBadFraction:
     def test_empty_window_burns_nothing(self, ts):
         slo = latency_slo()
-        snapshot = ts.window(60)
+        snapshot = timeseries.window(ts, 60)
         assert slo.bad_fraction(snapshot) == 0.0
         assert slo.burn_rate(snapshot) == 0.0
 
@@ -78,7 +82,7 @@ class TestBadFraction:
         for __ in range(10):
             ts.observe("serve.latency_ms", 100.0)
         slo = latency_slo(budget=0.01, threshold_ms=50.0)
-        snapshot = ts.window(60)
+        snapshot = timeseries.window(ts, 60)
         assert slo.bad_fraction(snapshot) == pytest.approx(0.1)
         assert slo.burn_rate(snapshot) == pytest.approx(10.0)
 
@@ -88,17 +92,17 @@ class TestBadFraction:
             bad=("serve.deadline_missed",), good=("serve.completed",),
         )
         for __ in range(3):
-            ts.add("serve.deadline_missed")
+            ts.inc("serve.deadline_missed")
         for __ in range(97):
-            ts.add("serve.completed")
-        assert slo.bad_fraction(ts.window(60)) == pytest.approx(0.03)
+            ts.inc("serve.completed")
+        assert slo.bad_fraction(timeseries.window(ts, 60)) == pytest.approx(0.03)
 
     def test_ratio_with_no_traffic_is_zero(self, ts):
         slo = SLO(
             name="errors", kind="ratio", budget=0.1,
             bad=("serve.deadline_missed",), good=("serve.completed",),
         )
-        assert slo.bad_fraction(ts.window(60)) == 0.0
+        assert slo.bad_fraction(timeseries.window(ts, 60)) == 0.0
 
 
 class TestWatchdogStates:

@@ -13,7 +13,6 @@ from repro.obs.tracing import (
     carrier,
     current_span,
     span,
-    traced,
 )
 
 
@@ -35,17 +34,6 @@ class TestDisabledMode:
         with span("x") as s:
             s.set("key", "value")  # swallowed
         assert current_span() is _NOOP
-
-    def test_traced_function_runs_untraced(self):
-        calls = []
-
-        @traced("work")
-        def work(v):
-            calls.append(v)
-            return v * 2
-
-        assert work(3) == 6
-        assert calls == [3]
 
 
 class TestEnabledMode:
@@ -104,17 +92,6 @@ class TestEnabledMode:
         (s,) = tracer.spans
         assert s.end >= s.start
         assert current_span() is not s
-
-    def test_traced_decorator_records_calls(self):
-        tracer = tracing.enable(Tracer())
-
-        @traced("lp.solve")
-        def solve():
-            return 42
-
-        solve()
-        solve()
-        assert [s.name for s in tracer.spans] == ["lp.solve", "lp.solve"]
 
     def test_find_searches_whole_tree(self):
         tracer = tracing.enable(Tracer())

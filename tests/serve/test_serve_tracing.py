@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.nncell_index import NNCellIndex
 from repro.data import query_points, uniform_points
-from repro.obs import events, metrics, tracectx, tracestore, tracing
+from repro.obs import events, metrics, timeseries, tracectx, tracestore, tracing
 from repro.obs.tracestore import critical_path
 from repro.serve import (
     DeadlineExceeded,
@@ -30,7 +30,7 @@ pytestmark = pytest.mark.usefixtures("clean_obs_state")
 def clean_obs_state():
     metrics.disable()
     metrics.get_registry().reset()
-    metrics.uninstall_timeseries()
+    metrics.get_registry().disable_windows()
     events.disable()
     events._log = None
     tracing.disable()
@@ -38,7 +38,7 @@ def clean_obs_state():
     yield
     metrics.disable()
     metrics.get_registry().reset()
-    metrics.uninstall_timeseries()
+    metrics.get_registry().disable_windows()
     events.disable()
     events._log = None
     tracing.disable()
@@ -154,7 +154,7 @@ class TestStoredTraces:
             with QueryService(index) as service:
                 for q in workload:
                     service.submit(q)
-            window = session.timeseries.window(60).get("serve.latency_ms")
+            window = timeseries.window(session.registry, 60).get("serve.latency_ms")
             exemplars = window.exemplars()
             assert exemplars, "tail observations must carry exemplars"
             for __, trace_id in exemplars:
@@ -204,7 +204,7 @@ class TestDegradationHook:
                 # Hammer the budget: synthetic latency far above the
                 # 50 ms objective makes every window page.
                 for __ in range(50):
-                    session.timeseries.observe("serve.latency_ms", 500.0)
+                    session.registry.observe("serve.latency_ms", 500.0)
                 session.watchdog.evaluate()
                 assert session.watchdog.paging
                 assert service.degraded
@@ -217,7 +217,7 @@ class TestDegradationHook:
             with QueryService(index) as service:
                 session.set_degrade_target(service)
                 for __ in range(50):
-                    session.timeseries.observe("serve.latency_ms", 500.0)
+                    session.registry.observe("serve.latency_ms", 500.0)
                 session.watchdog.evaluate()
                 assert session.watchdog.paging
                 assert not service.degraded

@@ -10,7 +10,7 @@ import pytest
 from repro.core.nncell_index import NNCellIndex
 from repro.data import query_points, uniform_points
 from repro.eval.loadgen import run_service_load
-from repro.obs import events, metrics
+from repro.obs import events, metrics, timeseries
 from repro.obs.promexport import parse_exposition
 from repro.serve import ServeConfig, TelemetryConfig, TelemetrySession
 
@@ -19,13 +19,13 @@ from repro.serve import ServeConfig, TelemetryConfig, TelemetrySession
 def clean_global_state():
     metrics.disable()
     metrics.get_registry().reset()
-    metrics.uninstall_timeseries()
+    metrics.get_registry().disable_windows()
     events.disable()
     events._log = None
     yield
     metrics.disable()
     metrics.get_registry().reset()
-    metrics.uninstall_timeseries()
+    metrics.get_registry().disable_windows()
     events.disable()
     events._log = None
 
@@ -59,9 +59,10 @@ class TestTelemetrySessionLifecycle:
         assert not metrics.enabled()
         with TelemetrySession() as session:
             assert metrics.enabled()
-            assert metrics.get_timeseries() is session.timeseries
+            assert session.registry is metrics.get_registry()
+            assert session.registry.windowed
         assert not metrics.enabled()
-        assert metrics.get_timeseries() is None
+        assert not metrics.get_registry().windowed
 
     def test_preserves_pre_enabled_metrics(self):
         metrics.enable()
@@ -73,7 +74,7 @@ class TestTelemetrySessionLifecycle:
         session = TelemetrySession()
         session.close()
         session.close()
-        assert metrics.get_timeseries() is None
+        assert not metrics.get_registry().windowed
 
     def test_metrics_server_scrapes_live_traffic(self, index):
         config = TelemetryConfig(metrics_port=0)
@@ -133,7 +134,7 @@ class TestWindowedStatsAgainstGroundTruth:
                 index, queries, n_threads=4,
                 config=ServeConfig(max_batch_size=32, max_wait_ms=2.0),
             )
-            window = session.timeseries.window(60).get("serve.latency_ms")
+            window = timeseries.window(session.registry, 60).get("serve.latency_ms")
         assert report.errors == 0
         assert window is not None
         # Every completed query was recorded in the window.
@@ -158,7 +159,7 @@ class TestWindowedStatsAgainstGroundTruth:
                 index, queries, n_threads=4,
                 config=ServeConfig(max_batch_size=16, max_wait_ms=1.0),
             )
-            snapshot = session.timeseries.window(60)
+            snapshot = timeseries.window(session.registry, 60)
         assert snapshot.get("serve.queue.depth") is not None
 
 

@@ -527,7 +527,7 @@ class TestServeTelemetry:
         )
         assert code == 0
         assert not obs_metrics.enabled()
-        assert obs_metrics.get_timeseries() is None
+        assert not obs_metrics.get_registry().windowed
         assert not obs_events.enabled()
 
 
