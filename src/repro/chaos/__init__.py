@@ -8,11 +8,8 @@
   :meth:`repro.shard.ShardedNNCellIndex.set_chaos` and
   :meth:`repro.storage.PageManager.set_chaos` — with zero overhead
   while no injector is installed;
-* :mod:`repro.chaos.model` — modelled-clock simulation of scatter
-  latency under the mitigation policies (no mitigation, timeout+retry,
-  hedging, partial answers), feeding ``benchmarks/bench_chaos.py``;
 * :mod:`repro.chaos.drill` — the end-to-end drill harness behind the
-  ``repro chaos`` CLI subcommand and CI's ``tools/chaos_smoke.py``.
+  ``repro chaos`` CLI subcommand and the chaos leg of ``tools/smoke.py``.
 
 The mitigations themselves live with the scatter path in
 :mod:`repro.shard.resilience`; this package only *breaks* things and
@@ -29,7 +26,6 @@ from .faults import (
     ShardFaults,
     StuckProbe,
 )
-from .model import ScatterModel, SimResult, percentile, simulate
 
 __all__ = [
     "ChaosInjector",
@@ -38,12 +34,8 @@ __all__ = [
     "FlakyPageRead",
     "InjectedFault",
     "PageFaults",
-    "ScatterModel",
     "ShardFaults",
-    "SimResult",
     "StuckProbe",
     "install_page_chaos",
-    "percentile",
     "run_drill",
-    "simulate",
 ]

@@ -1,7 +1,7 @@
 """Reproducible failure drills: chaos in, verified resilience out.
 
-A *drill* is the closed loop the ``repro chaos`` CLI subcommand and
-``tools/chaos_smoke.py`` both run:
+A *drill* is the closed loop the ``repro chaos`` CLI subcommand and the
+chaos leg of ``tools/smoke.py`` both run:
 
 1. take a built :class:`~repro.shard.ShardedNNCellIndex` (and a clean
    unsharded twin over the same points for ground truth);
@@ -20,9 +20,11 @@ A *drill* is the closed loop the ``repro chaos`` CLI subcommand and
      surface as raw exceptions.
 
 The returned :class:`DrillReport` carries the outcome tally, the
-injected-fault counts, and the ``shard.retry`` / ``shard.hedge`` /
+injected-fault counts, the ``shard.retry`` / ``shard.hedge`` /
 ``shard.timeout`` / ``shard.degraded`` counters observed during the
-drill, so callers can assert the mitigation actually engaged.
+drill, so callers can assert the mitigation actually engaged, and the
+median and p95 of the answered queries' wall-clock latency, so two
+drills under different mitigation policies can be compared.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.nncell_index import NNCellIndex
 from ..data.synthetic import query_points
@@ -74,6 +78,11 @@ class DrillReport:
     counters: "Dict[str, float]" = field(default_factory=dict)
     #: Union of every failed-shard id reported on degraded answers.
     faulted_shards: "List[int]" = field(default_factory=list)
+    #: Median and p95 of ``QueryResult.latency_ms`` (submission to
+    #: completion) over the ``answered`` queries, ok and degraded alike.
+    latency_p50_ms: float = 0.0
+    latency_p95_ms: float = 0.0
+    answered: int = 0
 
     @property
     def passed(self) -> bool:
@@ -106,6 +115,9 @@ class DrillReport:
             "injected": dict(self.injected),
             "counters": dict(self.counters),
             "faulted_shards": list(self.faulted_shards),
+            "latency_p50_ms": self.latency_p50_ms,
+            "latency_p95_ms": self.latency_p95_ms,
+            "answered": self.answered,
             "passed": self.passed,
         }
 
@@ -223,6 +235,11 @@ def run_drill(
                 counters[key] = value
     report.counters = counters
     report.faulted_shards = sorted(faulted)
+    latencies = [r.latency_ms for r in results if r is not None]
+    if latencies:
+        p50, p95 = np.percentile(latencies, [50, 95])
+        report.latency_p50_ms, report.latency_p95_ms = float(p50), float(p95)
+    report.answered = len(latencies)
     return report
 
 

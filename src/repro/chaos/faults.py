@@ -21,7 +21,8 @@ on demand, reproducibly*.  This module is that production line:
 
 Injected failures raise :class:`InjectedFault` subclasses, never bare
 ``Exception``, so test assertions can tell a drill's own faults from a
-genuine bug ("zero non-typed errors" in ``tools/chaos_smoke.py``).
+genuine bug ("zero non-typed errors" in the chaos leg of
+``tools/smoke.py``).
 
 Determinism: one locked ``random.Random(seed)`` drives every
 probabilistic decision, so a single-threaded replay of the same plan

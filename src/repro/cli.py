@@ -955,6 +955,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         for name, value in sorted(report.counters.items())
     )
     print(f"observed:  {counters or 'none'}")
+    print(
+        f"latency:   p50 {report.latency_p50_ms:.2f} ms, p95"
+        f" {report.latency_p95_ms:.2f} ms over {report.answered} answers"
+    )
     if report.faulted_shards:
         shards = ", ".join(str(s) for s in report.faulted_shards)
         print(f"degraded answers named shards: [{shards}]")

@@ -8,6 +8,7 @@ assert the drill itself verifies, accounts and tears down correctly.
 
 import pytest
 
+from repro import NNCellIndex
 from repro.chaos import FaultPlan, PageFaults, ShardFaults, run_drill
 from repro.data import uniform_points
 from repro.shard import ResilienceConfig, ShardConfig, ShardedNNCellIndex
@@ -43,6 +44,27 @@ class TestHealthyDrill:
         assert report.outcomes == {"ok": N_QUERIES}
         assert report.injected == {}
         assert report.faulted_shards == []
+        assert report.answered == N_QUERIES
+        assert 0.0 < report.latency_p50_ms <= report.latency_p95_ms
+
+
+class TestSilentlyWrongAnswers:
+    def test_truth_over_other_points_fails_the_drill(self):
+        # Every answer is a real fleet answer, but the truth index holds
+        # different points: the drill must call that silently wrong.
+        fleet = ShardedNNCellIndex.build(
+            uniform_points(60, 3, seed=3), ShardConfig(n_shards=2),
+        )
+        truth = NNCellIndex.build(uniform_points(60, 3, seed=4))
+        try:
+            report = run_drill(
+                fleet, FaultPlan(), n_queries=N_QUERIES,
+                n_threads=N_THREADS, truth=truth,
+            )
+        finally:
+            fleet.close()
+        assert report.mismatches > 0
+        assert report.passed is False
 
 
 class TestFaultedDrills:
@@ -112,4 +134,6 @@ class TestFaultedDrills:
         assert set(document) >= {
             "outcomes", "injected", "counters", "faulted_shards",
             "mismatches", "unaccounted_degraded", "untyped_errors",
+            "latency_p50_ms", "latency_p95_ms", "answered",
         }
+        assert document["answered"] == 8

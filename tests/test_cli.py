@@ -823,6 +823,7 @@ class TestChaosAndResilience:
         assert code == 0
         assert "chaos drill: PASSED" in stdout
         assert "degraded" in stdout
+        assert "ms over 30 answers" in stdout
 
     def test_chaos_drill_json_report(self, index_path, capsys):
         import json

@@ -1,8 +1,9 @@
 """The repo's own docs must pass the link checker.
 
-Runs :mod:`tools.check_doc_links` over ``docs/`` and the root markdown
-files — any reference to a renamed or deleted file fails the suite, so
-documentation drift is caught by CI, not by readers.
+Runs :mod:`tools.check_doc_links` over ``docs/``, the root markdown
+files and the skill notes under ``.claude/skills/`` — any reference to
+a renamed or deleted file fails the suite, so documentation drift is
+caught by CI, not by readers.
 """
 
 import importlib.util
@@ -51,9 +52,11 @@ def test_checker_skips_external_and_anchor_links(checker, tmp_path, capsys):
 
 
 def test_default_targets_cover_docs_and_readme(checker):
-    names = {p.name for p in checker.default_targets()}
+    targets = checker.default_targets()
+    names = {p.name for p in targets}
     assert "README.md" in names
     assert "architecture.md" in names
+    assert REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md" in targets
 
 
 def test_architecture_mentions_every_subpackage(checker):

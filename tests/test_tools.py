@@ -1,7 +1,7 @@
 """Tests for the standalone CI tools in ``tools/``.
 
-``tools/compare_archives.py`` backs the ``parallel-parity`` workflow
-job and ``tools/compare_bench.py`` backs the perf-trajectory gate; the
+``tools/compare_archives.py`` backs the build leg of ``tools/smoke.py``
+and ``tools/compare_bench.py`` backs the perf-trajectory gate; the
 comparison logic of both is unit-tested here so the CI contracts are
 exercised by the suite, not only on a runner.
 """

@@ -18,7 +18,8 @@ Usage::
     python tools/check_doc_links.py [FILE_OR_DIR ...]
 
 With no arguments, checks ``docs/``, ``README.md`` and every other
-``*.md`` at the repo root, plus the architecture-coverage rule.  Exits
+``*.md`` at the repo root, the markdown of each skill under
+``.claude/skills/``, plus the architecture-coverage rule.  Exits
 non-zero listing each broken reference as ``file:line: target``.
 """
 
@@ -48,6 +49,7 @@ _SKIP_SCHEMES = ("http://", "https://", "mailto:")
 def default_targets() -> "List[Path]":
     files = sorted((REPO_ROOT / "docs").glob("*.md"))
     files += sorted(REPO_ROOT.glob("*.md"))
+    files += sorted(REPO_ROOT.glob(".claude/skills/*/*.md"))
     return files
 
 

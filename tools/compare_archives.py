@@ -2,10 +2,11 @@
 """Compare two ``.npz`` archives array-by-array.
 
 The engine layer's determinism contract says a parallel build must
-produce an archive *identical* to the serial one; CI's
-``parallel-parity`` job enforces it by building twice and running this
-tool (the comparison logic lives here, not inline in the workflow, so it
-is unit-tested like any other code — ``tests/test_tools.py``).
+produce an archive *identical* to the serial one; the build leg of
+``tools/smoke.py`` enforces it by building twice and calling
+:func:`compare_archives` (the comparison logic lives here, not inline in
+the smoke script, so it is unit-tested like any other code —
+``tests/test_tools.py``).
 
 Usage::
 
