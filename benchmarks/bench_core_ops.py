@@ -41,7 +41,7 @@ def bench_lp_simplex_small(benchmark):
     b = a @ x0 + rng.uniform(0.0, 0.3, size=24)
     c = np.eye(6)[0]
     lb, ub = np.zeros(6), np.ones(6)
-    benchmark(lambda: maximize(c, a, b, lb, ub, backend="simplex"))
+    benchmark(lambda: maximize(c, a, b, lb, ub))
 
 
 def bench_cell_approximation(benchmark, workload):

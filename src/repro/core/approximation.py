@@ -22,6 +22,7 @@ import numpy as np
 from ..geometry.halfspace import HalfspaceSystem
 from ..geometry.mbr import MBR
 from ..lp.interface import maximize, minimize
+from ..lp.simplex import SimplexState
 from ..obs import metrics
 
 __all__ = ["approximate_cell", "CellApproximation", "lp_call_count"]
@@ -48,7 +49,6 @@ class CellApproximation:
 
 def approximate_cell(
     system: HalfspaceSystem,
-    backend: "str | None" = None,
     center: "np.ndarray | None" = None,
     prune: bool = True,
 ) -> "Optional[MBR]":
@@ -63,6 +63,8 @@ def approximate_cell(
     optima are provably identical (the cell is contained in any
     subset-constraint MBR, and dropped rows hold throughout it).
 
+    The ``2d`` LPs of one system share a :class:`SimplexState`: phase 1
+    runs once, and each axis re-optimises from the previous basis.
     Bounds are post-processed so the returned rectangle always contains
     every feasible LP optimum despite solver roundoff.
     """
@@ -80,22 +82,19 @@ def approximate_cell(
         pre_system = HalfspaceSystem(
             system.a[nearest], system.b[nearest], box
         )
-        pre_mbr = approximate_cell(
-            pre_system, backend=backend, center=center, prune=False
-        )
+        pre_mbr = approximate_cell(pre_system, center=center, prune=False)
         if pre_mbr is not None:
             reduced = system.reduced_to_box(pre_mbr)
-            return approximate_cell(
-                reduced, backend=backend, center=center, prune=False
-            )
+            return approximate_cell(reduced, center=center, prune=False)
 
     low = np.empty(dim)
     high = np.empty(dim)
     a, b = system.a, system.b
+    state = SimplexState(a, b, box.low, box.high)
     for axis in range(dim):
         c = np.zeros(dim)
         c[axis] = 1.0
-        res_min = minimize(c, a, b, box.low, box.high, backend=backend)
+        res_min = minimize(c, a, b, box.low, box.high, state)
         _LP_CALLS += 1
         metrics.inc("cell.lp_calls")
         if not res_min.is_optimal:
@@ -104,7 +103,7 @@ def approximate_cell(
             raise RuntimeError(
                 f"cell LP unexpectedly {res_min.status} on axis {axis}"
             )
-        res_max = maximize(c, a, b, box.low, box.high, backend=backend)
+        res_max = maximize(c, a, b, box.low, box.high, state)
         _LP_CALLS += 1
         metrics.inc("cell.lp_calls")
         if not res_max.is_optimal:  # pragma: no cover - same system as above

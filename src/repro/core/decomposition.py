@@ -29,7 +29,7 @@ with a budget ``k_max = 100``, constant per-dimension counts give
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -72,7 +72,6 @@ class DecompositionConfig:
     heuristic: str = "extent"  # "extent" | "trial"
     strategy: str = "grid"  # "grid" | "greedy"
     min_extent: float = 1e-9
-    lp_backend: "str | None" = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -111,9 +110,7 @@ def _trial_split_scores(
         lower_box, upper_box = mbr.split_at(axis, midpoint)
         reduced = 0.0
         for sub_box in (lower_box, upper_box):
-            sub_mbr = approximate_cell(
-                system.reduced_to_box(sub_box), backend=config.lp_backend
-            )
+            sub_mbr = approximate_cell(system.reduced_to_box(sub_box))
             if sub_mbr is not None:
                 reduced += sub_mbr.volume()
         scores[axis] = max(0.0, 1.0 - reduced / base_volume)
@@ -201,9 +198,7 @@ def decompose_cell(
     ranges = [range(int(c)) for c in counts]
     for multi_index in itertools.product(*ranges):
         sub_box = mbr.grid_cell(counts, np.asarray(multi_index))
-        sub_mbr = approximate_cell(
-            grid_system.reduced_to_box(sub_box), backend=config.lp_backend
-        )
+        sub_mbr = approximate_cell(grid_system.reduced_to_box(sub_box))
         if sub_mbr is not None:
             pieces.append(sub_mbr)
         else:
@@ -232,9 +227,7 @@ def decompose_cell_greedy(
     bench).  Pieces still tile the cell — the no-false-dismissal argument
     of Lemma 2 applies unchanged.
     """
-    base = approximate_cell(
-        system.reduced_to_box(mbr), backend=config.lp_backend
-    )
+    base = approximate_cell(system.reduced_to_box(mbr))
     if base is None:
         return [mbr]
 
@@ -256,10 +249,7 @@ def decompose_cell_greedy(
                 replacement: "List[tuple[MBR, MBR]]" = []
                 child_volume = 0.0
                 for child_clip in (lower_clip, upper_clip):
-                    child = approximate_cell(
-                        system.reduced_to_box(child_clip),
-                        backend=config.lp_backend,
-                    )
+                    child = approximate_cell(system.reduced_to_box(child_clip))
                     if child is not None:
                         replacement.append((child, child_clip))
                         child_volume += child.volume()

@@ -27,7 +27,7 @@ the returned :class:`QueryInfo`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -77,7 +77,6 @@ class BuildConfig:
     decomposition: DecompositionConfig = field(
         default_factory=DecompositionConfig
     )
-    lp_backend: "str | None" = None
     index_kind: str = "xtree"  # "xtree" | "rstar"
     page_size: int = DEFAULT_PAGE_SIZE
     cache_pages: int = 0
@@ -244,13 +243,12 @@ def approximate_system(
     system: HalfspaceSystem, center: np.ndarray, config: BuildConfig
 ) -> "List[MBR]":
     """MBR approximation (Definition 3), optionally decomposed (Def. 5)."""
-    mbr = approximate_cell(system, backend=config.lp_backend, center=center)
+    mbr = approximate_cell(system, center=center)
     if mbr is None:  # pragma: no cover - full cells contain their centre
         raise RuntimeError("NN-cell approximation unexpectedly empty")
     if not config.decompose:
         return [mbr]
-    decomposition = replace(config.decomposition, lp_backend=config.lp_backend)
-    return decompose_cell(system, mbr, decomposition)
+    return decompose_cell(system, mbr, config.decomposition)
 
 
 def compute_cell(

@@ -45,6 +45,7 @@ from ..index.bulk import bulk_load
 from ..index.rstar import RStarTree
 from ..index.xtree import XTree
 from ..lp.interface import maximize
+from ..lp.simplex import SimplexState
 from .approximation import approximate_cell
 
 __all__ = ["OrderKCell", "OrderKIndex", "enumerate_order_k_cells"]
@@ -90,21 +91,22 @@ def _order_k_system(
 
 
 def _supporting_pairs(
-    system: HalfspaceSystem,
-    pairs: np.ndarray,
-    backend: "str | None" = None,
+    system: HalfspaceSystem, pairs: np.ndarray
 ) -> "List[Tuple[int, int]]":
     """(inside, outside) pairs whose bisector supports a facet of the cell.
 
     A constraint row ``a . x <= b`` is *supporting* iff the maximum of
-    ``a . x`` over the cell equals ``b`` — an LP per candidate row.  Rows
-    that are slack everywhere are skipped cheaply by evaluating the cell's
-    MBR corners first.
+    ``a . x`` over the cell equals ``b`` — an LP per candidate row, all
+    over one system, so they share one warm simplex state.  Rows that are
+    slack everywhere are skipped cheaply by evaluating the cell's MBR
+    corners first.
     """
     supporting: "List[Tuple[int, int]]" = []
-    mbr = approximate_cell(system, backend=backend, prune=False)
+    mbr = approximate_cell(system, prune=False)
     if mbr is None:
         return supporting
+    low, high = system.box.low, system.box.high
+    state = SimplexState(system.a, system.b, low, high)
     for row in range(system.n_constraints):
         a = system.a[row]
         b = float(system.b[row])
@@ -112,8 +114,7 @@ def _supporting_pairs(
         best_over_mbr = float(np.dot(np.where(a > 0.0, mbr.high, mbr.low), a))
         if best_over_mbr < b - _FACET_TOL:
             continue
-        res = maximize(a, system.a, system.b, system.box.low, system.box.high,
-                       backend=backend)
+        res = maximize(a, system.a, system.b, low, high, state)
         if res.is_optimal and res.objective >= b - _FACET_TOL:
             supporting.append((int(pairs[row, 0]), int(pairs[row, 1])))
     return supporting
@@ -123,7 +124,6 @@ def enumerate_order_k_cells(
     points: np.ndarray,
     k: int,
     box: "MBR | None" = None,
-    backend: "str | None" = None,
 ) -> "List[OrderKCell]":
     """All non-empty order-k cells of ``points`` (BFS over facet swaps)."""
     pts = np.asarray(points, dtype=np.float64)
@@ -145,11 +145,11 @@ def enumerate_order_k_cells(
     while queue:
         members = queue.popleft()
         system, pairs = _order_k_system(pts, members, box)
-        mbr = approximate_cell(system, backend=backend, prune=False)
+        mbr = approximate_cell(system, prune=False)
         if mbr is None:
             continue  # empty cell reached via an over-eager swap
         cells.append(OrderKCell(members, mbr))
-        for inside_id, outside_id in _supporting_pairs(system, pairs, backend):
+        for inside_id, outside_id in _supporting_pairs(system, pairs):
             neighbor = frozenset(members - {inside_id} | {outside_id})
             if neighbor not in visited:
                 visited.add(neighbor)
@@ -172,7 +172,6 @@ class OrderKIndex:
         points: np.ndarray,
         k: int,
         index_kind: str = "xtree",
-        backend: "str | None" = None,
     ):
         self.points = np.asarray(points, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[0] < 2:
@@ -180,9 +179,7 @@ class OrderKIndex:
         self.k = k
         self.dim = self.points.shape[1]
         self.box = MBR.unit_cube(self.dim)
-        self.cells = enumerate_order_k_cells(
-            self.points, k, self.box, backend=backend
-        )
+        self.cells = enumerate_order_k_cells(self.points, k, self.box)
         self._member_sets: "List[FrozenSet[int]]" = [
             c.members for c in self.cells
         ]

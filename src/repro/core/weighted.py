@@ -47,7 +47,6 @@ class WeightedNNCellIndex:
         points: np.ndarray,
         weights: Sequence[float],
         max_constraints: "int | None" = None,
-        lp_backend: "str | None" = None,
     ):
         """``max_constraints`` bounds the opponents per cell (weighted
         nearest first); ``None`` uses all of them (the Correct strategy).
@@ -68,7 +67,7 @@ class WeightedNNCellIndex:
         self.tree = XTree(dim, leaf_entry_bytes=3 * 8 * dim + 8)
         lows, highs, owners = [], [], []
         for center in range(n):
-            mbr = self._cell_mbr(center, max_constraints, lp_backend)
+            mbr = self._cell_mbr(center, max_constraints)
             lows.append(mbr.low)
             highs.append(mbr.high)
             owners.append(center)
@@ -77,12 +76,7 @@ class WeightedNNCellIndex:
         else:
             self.tree.insert(lows[0], highs[0], owners[0])
 
-    def _cell_mbr(
-        self,
-        center: int,
-        max_constraints: "int | None",
-        lp_backend: "str | None",
-    ) -> MBR:
+    def _cell_mbr(self, center: int, max_constraints: "int | None") -> MBR:
         others = np.delete(np.arange(self.points.shape[0]), center)
         if max_constraints is not None and others.size > max_constraints:
             dist = weighted_distances(
@@ -93,9 +87,7 @@ class WeightedNNCellIndex:
             self.points[center], self.points[others], self.weights
         )
         system = HalfspaceSystem(a_mat, b_vec, self.box, others)
-        mbr = approximate_cell(
-            system, backend=lp_backend, center=self.points[center]
-        )
+        mbr = approximate_cell(system, center=self.points[center])
         assert mbr is not None  # the centre is always feasible
         return mbr
 

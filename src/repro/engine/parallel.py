@@ -6,9 +6,11 @@ read-only state — the point set, the data tree, the selector — so the
 work chunks cleanly.  This module fans the per-point pipeline of
 :mod:`repro.core.nncell_index` (``compute_cell``: candidate selection →
 constraint system → ``2d`` LPs → optional decomposition) out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (or a thread pool when
-the LP backend releases the GIL — scipy's HiGHS does for the solve
-itself; the pure-Python simplex does not, so processes are the default).
+:class:`~concurrent.futures.ProcessPoolExecutor` by default.  The simplex
+is Python over tiny numpy tableaux, so an LP holds the GIL for nearly all
+of its time and threads cannot solve two at once; the thread pool is kept
+for platforms without ``fork`` and for builds whose worker spans must
+join the caller's trace.
 
 **Determinism.**  Every worker rebuilds the same state from the same
 inputs with the same code (:class:`CellWorkshop` calls the very
@@ -45,7 +47,6 @@ from ..core.nncell_index import (
 )
 from ..geometry.halfspace import HalfspaceSystem
 from ..geometry.mbr import MBR
-from ..lp import interface as lp_interface
 from ..obs import events, metrics
 from ..obs.tracing import carrier, span
 
@@ -169,11 +170,8 @@ _PROCESS_WORKSHOP: "CellWorkshop | None" = None
 _THREAD_LOCAL = threading.local()
 
 
-def _init_process_worker(
-    points: np.ndarray, config: BuildConfig, lp_backend: str
-) -> None:
+def _init_process_worker(points: np.ndarray, config: BuildConfig) -> None:
     global _PROCESS_WORKSHOP
-    lp_interface.set_default_backend(lp_backend)
     _PROCESS_WORKSHOP = CellWorkshop(points, config)
 
 
@@ -239,7 +237,7 @@ def parallel_cells(
                 max_workers=workers,
                 mp_context=_mp_context(),
                 initializer=_init_process_worker,
-                initargs=(pts, config, lp_interface.get_default_backend()),
+                initargs=(pts, config),
             )
             run_chunk = _process_chunk
 

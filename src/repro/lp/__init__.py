@@ -1,23 +1,20 @@
-"""Linear programming substrate (from-scratch simplex + scipy backend)."""
+"""Linear programming substrate: a from-scratch, warm-startable simplex.
 
-from .interface import (
-    BACKENDS,
-    LPResult,
-    get_default_backend,
-    maximize,
-    minimize,
-    set_default_backend,
-)
-from .simplex import SimplexError, SimplexResult, simplex_maximize
+:func:`maximize` / :func:`minimize` are the front-end every LP of the
+system calls; a :class:`SimplexState` shared across the calls of one
+constraint system runs phase 1 once and re-optimises each objective from
+the previous basis.  scipy's HiGHS is only the test suite's oracle.
+"""
+
+from .interface import LPResult, maximize, minimize
+from .simplex import SimplexError, SimplexResult, SimplexState, simplex_maximize
 
 __all__ = [
-    "BACKENDS",
     "LPResult",
     "SimplexError",
     "SimplexResult",
-    "get_default_backend",
+    "SimplexState",
     "maximize",
     "minimize",
-    "set_default_backend",
     "simplex_maximize",
 ]

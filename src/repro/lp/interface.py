@@ -1,17 +1,13 @@
-"""Backend-neutral LP front-end.
+"""LP front-end: one solve per objective, counted.
 
-Two interchangeable exact solvers are offered:
-
-* ``"simplex"`` — the from-scratch tableau simplex in
-  :mod:`repro.lp.simplex` (mirrors the paper's Dantzig / Best–Ritter
-  substrate; fastest on the tiny constraint sets produced by the optimised
-  selectors);
-* ``"scipy"`` — ``scipy.optimize.linprog`` with the HiGHS solver (fastest
-  on large *Correct*-selector systems).
-
-``"auto"`` picks by problem size.  The default backend is process-global
-and can be overridden per call or via :func:`set_default_backend` — the
-benchmark harness uses that to compare backends.
+Every LP in the system goes through :func:`maximize` or :func:`minimize`,
+which count each solve (``lp.solves``, ``lp.constraint_rows``,
+``lp.infeasible``) and run the from-scratch simplex of
+:mod:`repro.lp.simplex`.  Callers that solve several objectives over one
+constraint system pass the same :class:`~repro.lp.simplex.SimplexState`
+to each call: phase 1 then runs once for the system, and each objective
+starts from the previous optimal basis.  Without a state a call is a cold
+solve.  scipy's HiGHS is the test suite's oracle, not a runtime backend.
 """
 
 from __future__ import annotations
@@ -22,28 +18,14 @@ from typing import Optional
 import numpy as np
 
 from ..obs import metrics
-from .simplex import SimplexResult, simplex_maximize
+from .simplex import SimplexState
 
-__all__ = [
-    "LPResult",
-    "maximize",
-    "minimize",
-    "set_default_backend",
-    "get_default_backend",
-    "BACKENDS",
-]
-
-BACKENDS = ("auto", "simplex", "scipy")
-
-# Above this many constraint rows, HiGHS beats the pure-Python tableau.
-_AUTO_SCIPY_THRESHOLD = 60
-
-_default_backend = "auto"
+__all__ = ["LPResult", "maximize", "minimize"]
 
 
 @dataclass(frozen=True)
 class LPResult:
-    """Solver-independent LP outcome."""
+    """Outcome of one LP solve."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
@@ -54,47 +36,27 @@ class LPResult:
         return self.status == "optimal"
 
 
-def set_default_backend(backend: str) -> None:
-    """Set the process-wide default LP backend."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    global _default_backend
-    _default_backend = backend
-
-
-def get_default_backend() -> str:
-    """The process-wide default LP backend."""
-    return _default_backend
-
-
 def maximize(
     c: np.ndarray,
     a_ub: np.ndarray,
     b_ub: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
-    backend: "str | None" = None,
+    state: "SimplexState | None" = None,
 ) -> LPResult:
-    """Maximize ``c . x`` s.t. ``a_ub x <= b_ub``, ``lb <= x <= ub``."""
-    chosen = backend or _default_backend
-    if chosen not in BACKENDS:
-        raise ValueError(f"unknown backend {chosen!r}; expected one of {BACKENDS}")
-    if chosen == "auto":
-        chosen = (
-            "scipy"
-            if np.asarray(a_ub).shape[0] >= _AUTO_SCIPY_THRESHOLD
-            else "simplex"
-        )
+    """Maximize ``c . x`` s.t. ``a_ub x <= b_ub``, ``lb <= x <= ub``.
+
+    ``state``, when given, must hold this same system; the solve starts
+    from the basis its previous solve left.
+    """
+    if state is None:
+        state = SimplexState(a_ub, b_ub, lb, ub)
     metrics.inc("lp.solves")
-    metrics.inc(f"lp.backend.{chosen}")
-    metrics.inc("lp.constraint_rows", np.asarray(a_ub).shape[0])
-    if chosen == "simplex":
-        result = _from_simplex(simplex_maximize(c, a_ub, b_ub, lb, ub))
-    else:
-        result = _scipy_maximize(c, a_ub, b_ub, lb, ub)
-    if result.status == "infeasible":
+    metrics.inc("lp.constraint_rows", np.shape(a_ub)[0])
+    res = state.maximize(c)
+    if res.status == "infeasible":
         metrics.inc("lp.infeasible")
-    return result
+    return LPResult(res.status, res.x, res.objective)
 
 
 def minimize(
@@ -103,46 +65,11 @@ def minimize(
     b_ub: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
-    backend: "str | None" = None,
+    state: "SimplexState | None" = None,
 ) -> LPResult:
     """Minimize ``c . x`` under the same constraint shape as :func:`maximize`."""
     result = maximize(-np.asarray(c, dtype=np.float64), a_ub, b_ub, lb, ub,
-                      backend=backend)
+                      state)
     if not result.is_optimal:
         return result
     return LPResult("optimal", result.x, -result.objective)
-
-
-def _from_simplex(res: SimplexResult) -> LPResult:
-    return LPResult(res.status, res.x, res.objective)
-
-
-def _scipy_maximize(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-) -> LPResult:
-    from scipy.optimize import linprog
-
-    c = np.asarray(c, dtype=np.float64)
-    a_ub = np.asarray(a_ub, dtype=np.float64)
-    b_ub = np.asarray(b_ub, dtype=np.float64)
-    bounds = list(zip(np.asarray(lb, dtype=np.float64),
-                      np.asarray(ub, dtype=np.float64)))
-    res = linprog(
-        -c,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=b_ub if a_ub.shape[0] else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 0:
-        x = np.clip(res.x, [b[0] for b in bounds], [b[1] for b in bounds])
-        return LPResult("optimal", x, float(np.dot(c, x)))
-    if res.status == 2:
-        return LPResult("infeasible", None, float("nan"))
-    if res.status == 3:
-        return LPResult("unbounded", None, float("nan"))
-    raise RuntimeError(f"scipy linprog failed: {res.message}")  # pragma: no cover

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from helpers import highs_mbr
 from repro.core.approximation import approximate_cell, lp_call_count
 from repro.core.constraints import cell_system
+from repro.core.nncell_index import NNCellIndex
 from repro.data import uniform_points
 from repro.geometry.halfspace import HalfspaceSystem
 from repro.geometry.mbr import MBR
+from repro.obs import metrics
 
 
 class TestApproximateCell:
@@ -97,8 +100,24 @@ class TestPruningFastPath:
         assert mbr is not None
 
     def test_backends_agree(self):
+        """The pruned, warm-started MBR equals the HiGHS per-axis optima."""
         points = uniform_points(50, 4, seed=27)
         system = cell_system(points, 0, np.arange(50))
-        a = approximate_cell(system, backend="simplex", center=points[0])
-        b = approximate_cell(system, backend="scipy", center=points[0])
-        assert a.approx_equal(b, atol=1e-6)
+        mbr = approximate_cell(system, center=points[0])
+        low, high = highs_mbr(system)
+        assert mbr.approx_equal(MBR(low, high), atol=1e-6)
+
+
+class TestWarmStart:
+    def test_build_lp_counts_and_pivots(self):
+        """A seeded n=100, d=6 build (the layer benchmark's seed-1
+        points): 24 LP calls per cell, one solve per call, and at most
+        40% of the 79,288 pivots a cold simplex (one tableau and phase 1
+        per LP) makes for the same build."""
+        points = np.random.default_rng([1, 0]).random((100, 6))
+        with metrics.collecting(fresh=True) as registry:
+            NNCellIndex.build(points)
+        snap = registry.snapshot()
+        assert snap["cell.lp_calls"] == 2400
+        assert snap["lp.solves"] == snap["cell.lp_calls"]
+        assert snap["lp.simplex.pivots"] <= 0.4 * 79_288

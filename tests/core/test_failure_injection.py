@@ -6,6 +6,8 @@ exact.  Degenerate datasets (duplicates, collinear points, boundary
 points) stress the geometry where Voronoi cells lose full dimensionality.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,18 +34,21 @@ class TestSafetyNets:
             __, true_dist = brute_nearest(q, points)
             assert dist == pytest.approx(true_dist)
 
-    def test_zero_atol_still_exact(self, rng):
-        """With query_atol = 0 boundary queries may slip through cell
-        cracks; the retry/fallback chain must keep answers exact."""
-        points = uniform_points(60, 2, seed=172)
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(170, 176))
+    def test_zero_atol_still_exact(self, seed, dim):
+        """With query_atol = 0 nothing loosens the point query, so a
+        query on a face of the data space is answered only if its owner's
+        rectangle reaches the face exactly, not a few ulps short of it."""
+        points = uniform_points(60, dim, seed=seed)
         index = NNCellIndex.build(points, BuildConfig(query_atol=0.0))
-        # Hammer axis-aligned boundary coordinates.
+        # Hammer axis-aligned boundary coordinates: faces and mid-planes.
         for x in np.linspace(0.0, 1.0, 21):
-            for y in (0.0, 0.5, 1.0):
-                q = np.array([x, y])
+            for rest in itertools.product((0.0, 0.5, 1.0), repeat=dim - 1):
+                q = np.array([x, *rest])
                 __, dist, __info = index.nearest(q)
                 __, true_dist = brute_nearest(q, points)
-                assert dist == pytest.approx(true_dist)
+                assert dist == pytest.approx(true_dist), q
 
 
 class TestDegenerateData:

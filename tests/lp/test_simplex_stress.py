@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.lp.interface import maximize
-from repro.lp.simplex import simplex_maximize
+from helpers import highs_maximize
+from repro.lp.simplex import SimplexState, simplex_maximize
 
 
 class TestDegeneracyStress:
@@ -20,7 +20,7 @@ class TestDegeneracyStress:
         # Feasible set contains... the vertex at least; maximum of a
         # negative objective over it is bounded.
         res = simplex_maximize(c, a, b, np.zeros(d), np.ones(d))
-        ref = maximize(c, a, b, np.zeros(d), np.ones(d), backend="scipy")
+        ref = highs_maximize(c, a, b, np.zeros(d), np.ones(d))
         assert res.status == ref.status
         if res.is_optimal:
             assert res.objective == pytest.approx(ref.objective, abs=1e-6)
@@ -42,7 +42,7 @@ class TestDegeneracyStress:
         x0 = np.full(3, 0.5)
         b = a @ x0 + 0.1
         res = simplex_maximize(base, a, b, np.zeros(3), np.ones(3))
-        ref = maximize(base, a, b, np.zeros(3), np.ones(3), backend="scipy")
+        ref = highs_maximize(base, a, b, np.zeros(3), np.ones(3))
         assert res.is_optimal and ref.is_optimal
         assert res.objective == pytest.approx(ref.objective, abs=1e-6)
 
@@ -54,7 +54,7 @@ class TestDegeneracyStress:
         b = a @ x0 + np.array([1.0, 1e-7, 0.1])
         c = np.array([1.0, 1.0])
         res = simplex_maximize(c, a, b, np.zeros(2), np.ones(2))
-        ref = maximize(c, a, b, np.zeros(2), np.ones(2), backend="scipy")
+        ref = highs_maximize(c, a, b, np.zeros(2), np.ones(2))
         assert res.status == ref.status == "optimal"
         assert res.objective == pytest.approx(ref.objective, rel=1e-5)
 
@@ -62,25 +62,22 @@ class TestDegeneracyStress:
 class TestBulkAgreement:
     @pytest.mark.parametrize("seed", range(8))
     def test_batches_of_random_cells(self, seed):
-        """Mini soak: whole batches of bisector-shaped systems, both
-        backends, statuses and optima identical."""
+        """Mini soak: whole batches of bisector-shaped systems, all
+        2d objectives of a cell through one warm state, statuses and
+        optima identical to the oracle's."""
         rng = np.random.default_rng(300 + seed)
         d = int(rng.integers(2, 7))
         pts = rng.uniform(size=(18, d))
         center = pts[0]
         a = 2.0 * (pts[1:] - center)
         b = np.einsum("ij,ij->i", pts[1:], pts[1:]) - float(center @ center)
+        state = SimplexState(a, b, np.zeros(d), np.ones(d))
         for axis in range(d):
             c = np.zeros(d)
             c[axis] = 1.0
             for sign in (1.0, -1.0):
-                ours = simplex_maximize(
-                    sign * c, a, b, np.zeros(d), np.ones(d)
-                )
-                ref = maximize(
-                    sign * c, a, b, np.zeros(d), np.ones(d),
-                    backend="scipy",
-                )
+                ours = state.maximize(sign * c)
+                ref = highs_maximize(sign * c, a, b, np.zeros(d), np.ones(d))
                 assert ours.status == ref.status == "optimal"
                 assert ours.objective == pytest.approx(
                     ref.objective, abs=1e-7

@@ -2,7 +2,8 @@
 
 * no false dismissals: the cell index always returns the exact nearest
   neighbor, for arbitrary point sets, selectors and decompositions;
-* Lemma 1 as a property: constraint subsets only enlarge approximations;
+* Lemma 1 as a property: constraint subsets only enlarge approximations,
+  and every warm-started MBR contains the HiGHS optima of its axes;
 * NN-cells tile the data space: every generic point has exactly one owner.
 """
 
@@ -10,11 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import highs_mbr
 from repro.core.approximation import approximate_cell
 from repro.core.candidates import SelectorKind
 from repro.core.constraints import cell_system
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
+from repro.geometry.mbr import MBR
 
 
 @st.composite
@@ -112,3 +115,49 @@ def test_dynamic_insert_preserves_exactness(points, data):
         __, dist, __ = index.nearest(q)
         true_dist = float(np.min(np.linalg.norm(live - q, axis=1)))
         assert abs(dist - true_dist) < 1e-9
+
+
+@st.composite
+def bisector_cases(draw):
+    """A cell's bisector system (d 2..8, up to ~150 rows, some duplicate
+    points) and either no sub-box or one that may miss the cell."""
+    dim = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 151))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    points = rng.uniform(size=(n, dim))
+    n_dup = draw(st.integers(0, n // 4))
+    points[rng.integers(0, n, n_dup)] = points[rng.integers(0, n, n_dup)]
+    center = int(rng.integers(n))
+    sub_box = None
+    if draw(st.booleans()):
+        # Around the centre (mostly hits the cell) or anywhere (mostly
+        # misses it once the cell is small).
+        anchor = points[center] if draw(st.booleans()) else rng.uniform(size=dim)
+        low = np.clip(anchor - rng.uniform(0.0, 0.3, dim), 0.0, 1.0)
+        high = np.clip(anchor + rng.uniform(0.0, 0.3, dim), 0.0, 1.0)
+        sub_box = MBR(low, high)
+    return points, center, sub_box
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bisector_cases())
+def test_lemma1_mbr_contains_highs_optima(case):
+    """The MBR of the warm-started LPs contains the HiGHS minimum and
+    maximum on every axis, and is ``None`` exactly when HiGHS finds the
+    (sub-boxed) cell empty.  Full cells take the pruning pre-pass."""
+    points, center, sub_box = case
+    system = cell_system(points, center, np.arange(points.shape[0]))
+    if sub_box is None:
+        mbr = approximate_cell(system, center=points[center])
+    else:
+        system = system.clipped_to(sub_box)
+        mbr = approximate_cell(system)
+    ref = highs_mbr(system)
+    if ref is None:
+        assert mbr is None
+        return
+    assert mbr is not None
+    low, high = ref
+    assert np.all(mbr.low <= low + 1e-7) and np.all(mbr.high >= high - 1e-7)
+    assert np.allclose(mbr.low, low, atol=1e-6)
+    assert np.allclose(mbr.high, high, atol=1e-6)

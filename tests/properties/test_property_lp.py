@@ -1,15 +1,19 @@
 """Property-based tests for the LP substrate.
 
-The central property: the from-scratch simplex and scipy's HiGHS agree on
-status and optimal objective for arbitrary box-bounded systems — the LP
-layer is the foundation of every approximation guarantee upstream.
+The central property: the from-scratch simplex and scipy's HiGHS (the
+test oracle) agree on status and optimal objective for arbitrary
+box-bounded systems, and a warm-started solve reaches the same optimum
+as a cold one — the LP layer is the foundation of every approximation
+guarantee upstream.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import highs_maximize
 from repro.lp.interface import maximize
+from repro.lp.simplex import SimplexState
 
 
 @st.composite
@@ -33,18 +37,36 @@ def lp_problems(draw):
 @given(problem=lp_problems())
 def test_simplex_agrees_with_scipy(problem):
     c, a, b, lb, ub = problem
-    ours = maximize(c, a, b, lb, ub, backend="simplex")
-    ref = maximize(c, a, b, lb, ub, backend="scipy")
+    ours = maximize(c, a, b, lb, ub)
+    ref = highs_maximize(c, a, b, lb, ub)
     assert ours.status == ref.status
     if ours.status == "optimal":
         assert abs(ours.objective - ref.objective) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=lp_problems(), seed=st.integers(0, 2 ** 31))
+def test_warm_state_matches_cold_solves(problem, seed):
+    """A sequence of objectives through one state: each solve starts
+    from the previous basis and must reach the optimum of a fresh state,
+    which the test above holds to the oracle's."""
+    __, a, b, lb, ub = problem
+    state = SimplexState(a, b, lb, ub)
+    rng = np.random.default_rng(seed)
+    for __ in range(6):
+        c = rng.normal(size=a.shape[1])
+        warm = maximize(c, a, b, lb, ub, state)
+        cold = maximize(c, a, b, lb, ub)
+        assert warm.status == cold.status
+        if warm.status == "optimal":
+            assert abs(warm.objective - cold.objective) < 1e-7
 
 
 @settings(max_examples=100, deadline=None)
 @given(problem=lp_problems())
 def test_optimal_solutions_are_feasible(problem):
     c, a, b, lb, ub = problem
-    res = maximize(c, a, b, lb, ub, backend="simplex")
+    res = maximize(c, a, b, lb, ub)
     if res.status != "optimal":
         return
     assert np.all(res.x >= lb - 1e-9)
@@ -58,8 +80,8 @@ def test_optimal_solutions_are_feasible(problem):
 def test_objective_scaling_invariance(problem, scale):
     """Scaling the objective scales the optimum but not the argmax set."""
     c, a, b, lb, ub = problem
-    base = maximize(c, a, b, lb, ub, backend="simplex")
-    scaled = maximize(scale * c, a, b, lb, ub, backend="simplex")
+    base = maximize(c, a, b, lb, ub)
+    scaled = maximize(scale * c, a, b, lb, ub)
     assert base.status == scaled.status
     if base.status == "optimal":
         assert abs(scaled.objective - scale * base.objective) < 1e-6
@@ -73,8 +95,8 @@ def test_adding_constraints_never_improves(problem):
     c, a, b, lb, ub = problem
     if a.shape[0] < 2:
         return
-    full = maximize(c, a, b, lb, ub, backend="simplex")
-    half = maximize(c, a[::2], b[::2], lb, ub, backend="simplex")
+    full = maximize(c, a, b, lb, ub)
+    half = maximize(c, a[::2], b[::2], lb, ub)
     if full.status == "optimal":
         assert half.status == "optimal"
         assert half.objective >= full.objective - 1e-7
