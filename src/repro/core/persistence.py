@@ -11,26 +11,38 @@ The archive stores *results*, not tree pages: rebuilding the trees from
 the stored rectangles is deterministic and costs milliseconds, while
 keeping the format independent of node-layout details.
 
-Format version 2 is columnar.  Each per-cell field is one array
-concatenated over the active cells in id order, with CSR offsets: cell
-``i`` (the ``i``-th active id) owns rows ``offsets[i]:offsets[i + 1]``.
+Format version 3 has eleven members, whatever the number of points:
 
+* ``meta`` — one JSON object: ``format_version`` and the build config
+  (``selector``, ``sphere_radius_factor``, ``decompose``, ``index_kind``,
+  ``page_size``, ``cache_pages``, ``query_atol``);
+* ``points``, ``active`` — every point row (deleted points keep their
+  slots) and the active mask;
+* ``box`` — the data space as one ``(2, d)`` array, ``low`` then
+  ``high``;
 * ``sys_offsets``, ``sys_a``, ``sys_b``, ``sys_ids`` — the constraint
   systems (``A x <= b`` rows and the point that generated each row);
 * ``rect_offsets``, ``rect_lows``, ``rect_highs`` — the rectangles.
 
-With the points, the active mask, the data-space box and the build
-config, an archive has a fixed number of members whatever the number of
-points, so loading costs a fixed number of reads.  Archives are outside
-input: :func:`load_index` checks that the columns fit together before
-slicing them.  Version-1 archives (five members per cell) are refused;
-rebuild them with ``repro build``.
+Each per-cell field is one column concatenated over the active cells in
+id order, with CSR offsets: cell ``i`` (the ``i``-th active id) owns
+rows ``offsets[i]:offsets[i + 1]``.  Members are stored, not deflated:
+the float columns deflate by only a few percent, and inflating them was
+most of the cost of a load.
+
+Archives are outside input.  :func:`load_index` reads ``meta`` first and
+checks the type of every key, then checks that the columns fit together
+and that every float is finite, and raises a ``ValueError`` naming the
+key or field otherwise.  Versions 1 and 2 are refused; rebuild them with
+``repro build``.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from pathlib import Path
-from typing import Dict, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -48,17 +60,37 @@ __all__ = [
     "save_sharded_index",
 ]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 _SHARD_FORMAT_VERSION = 1
 _SHARD_MANIFEST = "manifest.json"
 _SHARD_GLOBALS = "global.npz"
+
+#: Keys of the ``meta`` object besides ``format_version`` -> the type of
+#: its value (exactly: a bool is not an int, nor an int a float).
+_META = {
+    "selector": str,
+    "sphere_radius_factor": float,
+    "decompose": bool,
+    "index_kind": str,
+    "page_size": int,
+    "cache_pages": int,
+    "query_atol": float,
+}
 
 #: Offsets array -> the columns it partitions into per-cell runs.
 _COLUMNS = {
     "sys_offsets": ("sys_a", "sys_b", "sys_ids"),
     "rect_offsets": ("rect_lows", "rect_highs"),
 }
+
+#: The array members besides ``meta``.
+_ARRAYS = ("points", "active", "box") + tuple(
+    name for offsets, columns in _COLUMNS.items() for name in (offsets, *columns)
+)
+
+#: The float members; every value in them must be finite.
+_FLOATS = ("points", "box", "sys_a", "sys_b", "rect_lows", "rect_highs")
 
 
 def _offsets(counts) -> np.ndarray:
@@ -72,21 +104,22 @@ def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
     systems = [index._systems[pid] for pid in active]
     cell_rects = [index._cell_rects[pid] for pid in active]
     rects = [rect for cell in cell_rects for rect in cell]
+    config = index.config
+    meta = {
+        "format_version": _FORMAT_VERSION,
+        "selector": config.selector.value,
+        "sphere_radius_factor": float(config.selector_params.sphere_radius_factor),
+        "decompose": bool(config.decompose),
+        "index_kind": config.index_kind,
+        "page_size": int(config.page_size),
+        "cache_pages": int(config.cache_pages),
+        "query_atol": float(config.query_atol),
+    }
     arrays = {
-        "format_version": np.int64(_FORMAT_VERSION),
+        "meta": np.bytes_(json.dumps(meta, sort_keys=True).encode()),
         "points": index.points,
         "active": index._active,
-        "box_low": index.box.low,
-        "box_high": index.box.high,
-        "selector": np.bytes_(index.config.selector.value.encode()),
-        "sphere_radius_factor": np.float64(
-            index.config.selector_params.sphere_radius_factor
-        ),
-        "decompose": np.bool_(index.config.decompose),
-        "index_kind": np.bytes_(index.config.index_kind.encode()),
-        "page_size": np.int64(index.config.page_size),
-        "cache_pages": np.int64(index.config.cache_pages),
-        "query_atol": np.float64(index.config.query_atol),
+        "box": np.stack([index.box.low, index.box.high]),
         "sys_offsets": _offsets([s.n_constraints for s in systems]),
         "sys_a": np.concatenate([s.a for s in systems]),
         "sys_b": np.concatenate([s.b for s in systems]),
@@ -95,33 +128,28 @@ def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
         "rect_lows": np.stack([r.low for r in rects]),
         "rect_highs": np.stack([r.high for r in rects]),
     }
-    np.savez_compressed(Path(path), **arrays)
+    np.savez(Path(path), **arrays)
 
 
 def load_index(path: "Union[str, Path]") -> NNCellIndex:
     """Rebuild an index saved with :func:`save_index`."""
     with np.load(Path(path)) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported index archive version {version} "
-                f"(expected {_FORMAT_VERSION}); rebuild the index with "
-                "`repro build`"
-            )
-        fields = {name: archive[name] for name in archive.files}
+        meta = _read_meta(archive)
+        fields = {name: archive[name] for name in _ARRAYS}
+    _check_columns(fields)
     points = fields["points"]
     active = fields["active"]
-    box = MBR(fields["box_low"], fields["box_high"])
+    box = MBR(*fields["box"])
     config = BuildConfig(
-        selector=SelectorKind(bytes(fields["selector"]).decode()),
+        selector=SelectorKind(meta["selector"]),
         selector_params=SelectorParams(
-            sphere_radius_factor=float(fields["sphere_radius_factor"])
+            sphere_radius_factor=meta["sphere_radius_factor"]
         ),
-        decompose=bool(fields["decompose"]),
-        index_kind=bytes(fields["index_kind"]).decode(),
-        page_size=int(fields["page_size"]),
-        cache_pages=int(fields["cache_pages"]),
-        query_atol=float(fields["query_atol"]),
+        decompose=meta["decompose"],
+        index_kind=meta["index_kind"],
+        page_size=meta["page_size"],
+        cache_pages=meta["cache_pages"],
+        query_atol=meta["query_atol"],
         data_space=box,
     )
 
@@ -131,13 +159,11 @@ def load_index(path: "Union[str, Path]") -> NNCellIndex:
     index.points = points.copy()
     index._active = active.copy()
 
-    active_ids = np.flatnonzero(active)
-    _check_columns(fields, active_ids.size, points.shape[0])
     sys_at = fields["sys_offsets"].tolist()
     rect_at = fields["rect_offsets"].tolist()
     sys_a, sys_b, sys_ids = fields["sys_a"], fields["sys_b"], fields["sys_ids"]
     lows, highs = fields["rect_lows"], fields["rect_highs"]
-    for i, pid in enumerate(active_ids.tolist()):
+    for i, pid in enumerate(np.flatnonzero(active).tolist()):
         s0, s1 = sys_at[i], sys_at[i + 1]
         system = HalfspaceSystem(sys_a[s0:s1], sys_b[s0:s1], box, sys_ids[s0:s1])
         rects = [MBR(lows[r], highs[r]) for r in range(rect_at[i], rect_at[i + 1])]
@@ -147,12 +173,79 @@ def load_index(path: "Union[str, Path]") -> NNCellIndex:
     return index
 
 
-def _check_columns(
-    fields: "Dict[str, np.ndarray]", n_active: int, n_points: int
-) -> None:
-    """Raise ``ValueError`` naming the field unless the columns fit
-    together, and make them read-only: cells share the column buffers,
-    so an in-place write to one cell's slice must not reach another."""
+def _version_error(version: Any) -> ValueError:
+    return ValueError(
+        f"unsupported index archive version {version} "
+        f"(expected {_FORMAT_VERSION}); rebuild the index with `repro build`"
+    )
+
+
+def _read_meta(archive) -> "Dict[str, Any]":
+    """The archive's ``meta`` object, with its version, the type of each
+    key of :data:`_META`, the finiteness of each float and the selector
+    name checked."""
+    if "meta" not in archive.files:
+        if "format_version" not in archive.files:
+            raise ValueError("not an index archive: no member 'meta'")
+        # Versions 1 and 2 kept the version in a member of its own.
+        raise _version_error(int(archive["format_version"]))
+    try:
+        meta = json.loads(archive["meta"].item())
+    except (TypeError, ValueError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError("index archive member 'meta' is not a JSON object")
+    version = meta.get("format_version")
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise _version_error(version)
+    for key, kind in _META.items():
+        if key not in meta:
+            raise ValueError(f"index archive meta has no key {key!r}")
+        value = meta[key]
+        if type(value) is not kind:
+            raise ValueError(
+                f"index archive meta key {key!r} is {value!r}, "
+                f"not {kind.__name__}"
+            )
+        if kind is float and not math.isfinite(value):
+            raise ValueError(
+                f"index archive meta key {key!r} is {value!r}, not finite"
+            )
+    known = [kind.value for kind in SelectorKind]
+    if meta["selector"] not in known:
+        raise ValueError(
+            f"index archive meta key 'selector' is {meta['selector']!r}, "
+            f"not one of {known}"
+        )
+    return meta
+
+
+def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
+    """Raise ``ValueError`` naming the field unless the members fit
+    together and every float in them is finite, and make the columns
+    read-only: cells share the column buffers, so an in-place write to
+    one cell's slice must not reach another."""
+    points, active = fields["points"], fields["active"]
+    if points.ndim != 2 or active.shape != points.shape[:1] or active.dtype != bool:
+        raise ValueError(
+            f"index archive fields 'points' {points.shape} and 'active' "
+            f"{active.shape} {active.dtype} must be an (n, d) array and a "
+            "bool mask of n entries"
+        )
+    n_points, dim = points.shape
+    if fields["box"].shape != (2, dim):
+        raise ValueError(
+            f"index archive field 'box' has shape {fields['box'].shape}; "
+            f"expected (2, {dim})"
+        )
+    for name in _FLOATS:
+        column = fields[name]
+        if column.dtype != np.float64 or not np.isfinite(column).all():
+            raise ValueError(
+                f"index archive field {name!r} must hold finite float64 "
+                "values"
+            )
+    n_active = int(np.count_nonzero(active))
     for offsets_name, columns in _COLUMNS.items():
         offsets = fields[offsets_name]
         if offsets.shape != (n_active + 1,):
@@ -205,8 +298,6 @@ def is_sharded_archive(path: "Union[str, Path]") -> bool:
 
 def save_sharded_index(index, path: "Union[str, Path]") -> None:
     """Serialise a :class:`~repro.shard.ShardedNNCellIndex` directory."""
-    import json
-
     target = Path(path)
     if target.exists() and not target.is_dir():
         raise ValueError(
@@ -243,7 +334,7 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
     (target / _SHARD_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    np.savez_compressed(
+    np.savez(
         target / _SHARD_GLOBALS,
         points=index.points,
         active=index._active,
@@ -254,8 +345,6 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
 
 def load_sharded_index(path: "Union[str, Path]"):
     """Rebuild a sharded index saved with :func:`save_sharded_index`."""
-    import json
-
     from ..shard import ShardConfig, ShardedNNCellIndex, partitioner_from_manifest
 
     source = Path(path)
@@ -287,11 +376,17 @@ def load_sharded_index(path: "Union[str, Path]"):
         shards.append(shard)
     if build_config is None:  # pragma: no cover - archives are non-empty
         raise ValueError(f"{source} contains no live shards")
+    if len(shards) != shard_config.n_shards:
+        raise ValueError(
+            f"{source}: manifest lists {len(shards)} shards, but its "
+            f"shard_config has n_shards={shard_config.n_shards}"
+        )
     with np.load(source / _SHARD_GLOBALS) as arrays:
-        points = arrays["points"]
+        points = np.asarray(arrays["points"], dtype=np.float64)
         active = arrays["active"]
-        shard_of = [int(v) for v in arrays["shard_of"]]
-        local_of = [int(v) for v in arrays["local_of"]]
+        shard_of = arrays["shard_of"]
+        local_of = arrays["local_of"]
+    _check_id_maps(source, shards, globals_, points, active, shard_of, local_of)
     return ShardedNNCellIndex._restore(
         points=points,
         active=active,
@@ -300,9 +395,77 @@ def load_sharded_index(path: "Union[str, Path]"):
         partitioner=partitioner,
         shards=shards,
         globals_=globals_,
-        shard_of=shard_of,
-        local_of=local_of,
+        shard_of=shard_of.tolist(),
+        local_of=local_of.tolist(),
     )
+
+
+def _check_id_maps(
+    source: Path, shards, globals_, points, active, shard_of, local_of
+) -> None:
+    """Raise ``ValueError`` naming the shard unless the manifest's id
+    maps, ``global.npz`` and the shard archives agree.
+
+    Each live shard's rows are the global rows its map names, bit for
+    bit, and ``shard_of``/``local_of`` route each of those ids back to
+    its row, active exactly where the shard's row is.  The maps are not
+    exact inverses: a torn-down shard's deleted ids keep their stale
+    ``shard_of``/``local_of`` entries, so only the live shards' ids are
+    checked, and no active id may lie outside them.
+    """
+    n = points.shape[0]
+    for name, column, kind in (
+        ("active", active, "bool"),
+        ("shard_of", shard_of, "int"),
+        ("local_of", local_of, "int"),
+    ):
+        if column.shape != (n,) or column.dtype.kind != kind[0]:
+            raise ValueError(
+                f"{source / _SHARD_GLOBALS}: {name!r} must hold one {kind} "
+                f"per point ({n})"
+            )
+    held = 0
+    for s, (shard, gids) in enumerate(zip(shards, globals_)):
+        where = f"{source}: shard {s}"
+        if shard is None:
+            if gids:
+                raise ValueError(
+                    f"{where} has no archive but maps {len(gids)} global ids"
+                )
+            continue
+        ids = np.asarray(gids, dtype=np.int64)
+        rows = shard.points.shape[0]
+        if ids.size != rows:
+            raise ValueError(
+                f"{where} maps {ids.size} global ids, but its archive "
+                f"holds {rows} rows"
+            )
+        if ids.min() < 0 or ids.max() >= n:
+            raise ValueError(f"{where} maps global ids outside [0, {n})")
+        mapped = points[ids]
+        if (
+            mapped.shape != shard.points.shape
+            or mapped.tobytes() != shard.points.tobytes()
+        ):
+            raise ValueError(
+                f"{where}: its rows differ from the global points its "
+                "map names"
+            )
+        if np.any(shard_of[ids] != s) or np.any(local_of[ids] != np.arange(rows)):
+            raise ValueError(
+                f"{where}: shard_of/local_of do not route its global ids "
+                "to its rows"
+            )
+        if not np.array_equal(active[ids], shard._active):
+            raise ValueError(
+                f"{where}: its active rows differ from the global active mask"
+            )
+        held += len(shard)
+    if held != np.count_nonzero(active):
+        raise ValueError(
+            f"{source / _SHARD_GLOBALS} marks {np.count_nonzero(active)} "
+            f"points active, but the shards hold {held}"
+        )
 
 
 def load_any_index(path: "Union[str, Path]"):

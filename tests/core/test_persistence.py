@@ -1,5 +1,8 @@
 """Tests for saving/loading NN-cell indexes."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,13 @@ def assert_answers_identical(a, b, queries):
     assert_same_bytes(dists_a, dists_b)
 
 
+def poisoned(column, value):
+    """A copy of ``column`` with its first entry set to ``value``."""
+    out = column.copy()
+    out.flat[0] = value
+    return out
+
+
 def queries_for(rng, dim, n_queries=30):
     queries = rng.uniform(size=(n_queries, dim))
     queries[::10] += 1.05  # outside the data space: the fallback path
@@ -75,6 +85,20 @@ def rewrite(path, **changes):
         data = dict(archive)
     data.update(changes)
     np.savez(path, **data)
+
+
+def read_meta(path):
+    with np.load(path) as archive:
+        return json.loads(archive["meta"].item())
+
+
+def rewrite_meta(path, drop=(), **changes):
+    """Replace or ``drop`` keys of the archive's ``meta`` object."""
+    meta = read_meta(path)
+    meta.update(changes)
+    for key in drop:
+        del meta[key]
+    rewrite(path, meta=np.bytes_(json.dumps(meta).encode()))
 
 
 class TestRoundtrip:
@@ -151,11 +175,38 @@ class TestRoundtrip:
 
     def test_version_guard(self, archive_path):
         index = NNCellIndex.build(uniform_points(10, 2, seed=116))
-        for version in (1, 99):
+        for version in (1, 2, 99, "3"):
             save_index(index, archive_path)
-            rewrite(archive_path, format_version=np.int64(version))
+            rewrite_meta(archive_path, format_version=version)
             with pytest.raises(ValueError, match="repro build"):
                 load_index(archive_path)
+
+    def test_version_2_layout_refused(self, archive_path):
+        # Version 2: the version, the box and each config key were
+        # members of their own, deflated, and there was no `meta`.
+        index = NNCellIndex.build(uniform_points(10, 2, seed=116))
+        save_index(index, archive_path)
+        with np.load(archive_path) as archive:
+            data = dict(archive)
+        meta = json.loads(data.pop("meta").item())
+        meta["format_version"] = 2
+        low, high = data.pop("box")
+        data.update(box_low=low, box_high=high)
+        for key, value in meta.items():
+            data[key] = (
+                np.bytes_(value.encode())
+                if isinstance(value, str)
+                else np.asarray(value)
+            )
+        assert len(data) == 19
+        np.savez_compressed(archive_path, **data)
+        with pytest.raises(ValueError, match="version 2 .*repro build"):
+            load_index(archive_path)
+
+    def test_foreign_archive_refused(self, archive_path):
+        np.savez(archive_path, points=np.eye(2))
+        with pytest.raises(ValueError, match="not an index archive"):
+            load_index(archive_path)
 
     def test_single_point_roundtrip(self, archive_path, rng):
         index = NNCellIndex.build(np.array([[0.4, 0.6]]))
@@ -229,6 +280,38 @@ class TestColumnarArchive:
                 "'sys_ids' must lie in",
                 lambda d: {"sys_ids": np.r_[-2, d["sys_ids"][1:]]},
             ),
+            (
+                "'points' .* 'active' .* bool mask of n entries",
+                lambda d: {"active": d["active"][:-1]},
+            ),
+            (
+                "'box' has shape",
+                lambda d: {"box": d["box"][:1]},
+            ),
+            (
+                "'points' must hold finite",
+                lambda d: {"points": poisoned(d["points"], np.nan)},
+            ),
+            (
+                "'box' must hold finite",
+                lambda d: {"box": poisoned(d["box"], -np.inf)},
+            ),
+            (
+                "'sys_a' must hold finite",
+                lambda d: {"sys_a": poisoned(d["sys_a"], np.nan)},
+            ),
+            (
+                "'sys_b' must hold finite",
+                lambda d: {"sys_b": poisoned(d["sys_b"], np.inf)},
+            ),
+            (
+                "'rect_lows' must hold finite",
+                lambda d: {"rect_lows": poisoned(d["rect_lows"], np.nan)},
+            ),
+            (
+                "'rect_highs' must hold finite",
+                lambda d: {"rect_highs": poisoned(d["rect_highs"], np.inf)},
+            ),
         ],
     )
     def test_malformed_columns_rejected(self, archive_path, error, corrupt):
@@ -239,6 +322,54 @@ class TestColumnarArchive:
         rewrite(archive_path, **changes)
         with pytest.raises(ValueError, match=error):
             load_index(archive_path)
+
+    @pytest.mark.parametrize("meta", [b"{not json", b"[3]", b"\xff"])
+    def test_meta_not_an_object_rejected(self, archive_path, meta):
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        rewrite(archive_path, meta=np.bytes_(meta))
+        with pytest.raises(ValueError, match="'meta' is not a JSON object"):
+            load_index(archive_path)
+
+    @pytest.mark.parametrize(
+        "error, changes",
+        [
+            ("no key 'selector'", {"drop": ("selector",)}),
+            ("no key 'query_atol'", {"drop": ("query_atol",)}),
+            ("'selector' is 'voronoi', not one of", {"selector": "voronoi"}),
+            ("'page_size' is '4096', not int", {"page_size": "4096"}),
+            ("'cache_pages' is True, not int", {"cache_pages": True}),
+            ("'decompose' is 1, not bool", {"decompose": 1}),
+            ("'index_kind' is 2, not str", {"index_kind": 2}),
+            ("'query_atol' is nan, not finite", {"query_atol": float("nan")}),
+            ("'sphere_radius_factor' is 2, not float", {"sphere_radius_factor": 2}),
+            ("index_kind must be", {"index_kind": "kd-tree"}),
+        ],
+    )
+    def test_malformed_meta_rejected(self, archive_path, error, changes):
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        rewrite_meta(archive_path, **changes)
+        with pytest.raises(ValueError, match=error):
+            load_index(archive_path)
+
+    def test_every_member_is_stored(self, tmp_path):
+        # Stored members are read without inflating them: a return to
+        # `savez_compressed` here, in a shard or in global.npz fails.
+        points = uniform_points(30, 2, seed=121)
+        save_index(NNCellIndex.build(points), tmp_path / "index.npz")
+        with ShardedNNCellIndex.build(points, ShardConfig(n_shards=2)) as fleet:
+            save_sharded_index(fleet, tmp_path / "fleet")
+        archives = [tmp_path / "index.npz", *sorted((tmp_path / "fleet").glob("*.npz"))]
+        assert [p.name for p in archives] == [
+            "index.npz", "global.npz", "shard_0.npz", "shard_1.npz"
+        ]
+        for path in archives:
+            with zipfile.ZipFile(path) as zipped:
+                kinds = {info.compress_type for info in zipped.infolist()}
+            assert kinds == {zipfile.ZIP_STORED}, path.name
+        members = "meta points active box sys_offsets sys_a sys_b sys_ids"
+        members += " rect_offsets rect_lows rect_highs"
+        with np.load(archives[0]) as archive:
+            assert sorted(archive.files) == sorted(members.split())
 
 
 @settings(max_examples=8, deadline=None)

@@ -6,6 +6,8 @@ shards, shard teardown/lazy rebuild, persistence, and the serving stack
 running unmodified over a sharded backend.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,25 @@ class TestPersistence:
         q = np.array([0.3, 0.7])
         assert loaded.nearest(q)[:2] == flat.nearest(q)[:2]
 
+    def test_roundtrip_after_teardown_and_rebuild(self, tmp_path):
+        # A torn-down shard's deleted ids keep stale shard_of/local_of
+        # entries, which the load's id-map checks must accept.
+        pts = uniform_points(6, 2, seed=9)
+        index = ShardedNNCellIndex.build(pts, ShardConfig(n_shards=3))
+        victim = index._shard_of[0]
+        for g in range(6):
+            if index._shard_of[g] == victim:
+                index.delete(g)
+        draws = np.random.default_rng(3).uniform(size=(50, 2))
+        index.insert(next(p for p in draws if index.partitioner.shard_of(p) == victim))
+        save_sharded_index(index, tmp_path / "fleet")
+        loaded = load_sharded_index(tmp_path / "fleet")
+        assert loaded._shard_of == index._shard_of
+        assert loaded._local_of == index._local_of
+        queries = uniform_points(20, 2, seed=10)
+        for got, exp in zip(loaded.query_batch(queries), index.query_batch(queries)):
+            assert np.array_equal(got, exp)
+
     def test_load_any_index_dispatches(self, tmp_path, points, sharded):
         flat = NNCellIndex.build(points)
         save_index(flat, tmp_path / "flat.npz")
@@ -246,13 +267,81 @@ class TestPersistence:
         target = tmp_path / "fleet"
         save_sharded_index(sharded, target)
         manifest = target / "manifest.json"
-        import json
-
         doc = json.loads(manifest.read_text())
         doc["format_version"] = 99
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_sharded_index(target)
+
+    def test_load_cross_checks_id_maps(self, tmp_path, sharded):
+        target = tmp_path / "fleet"
+        save_sharded_index(sharded, target)
+        manifest = json.loads((target / "manifest.json").read_text())
+        with np.load(target / "global.npz") as archive:
+            arrays = dict(archive)
+        ids = [entry["global_ids"] for entry in manifest["shards"]]
+
+        def refused(error, entries=None, **changes):
+            """Load the fleet with ``entries`` as its manifest's shards
+            and ``changes`` to its global.npz; expect ``error``."""
+            doc = dict(manifest, shards=entries or manifest["shards"])
+            (target / "manifest.json").write_text(json.dumps(doc))
+            np.savez(target / "global.npz", **{**arrays, **changes})
+            with pytest.raises(ValueError, match=error):
+                load_sharded_index(target)
+
+        def entry(s, **changes):
+            """The manifest's shard entries with entry ``s`` changed."""
+            entries = [dict(e) for e in manifest["shards"]]
+            entries[s].update(changes)
+            return entries
+
+        def edited(name, rows, values):
+            column = arrays[name].copy()
+            column[rows] = values
+            return column
+
+        # A rotated map loaded once and gave answers other points' ids.
+        refused(
+            "shard 0: its rows differ from the global points",
+            entry(0, global_ids=ids[0][1:] + ids[0][:1]),
+        )
+        refused(
+            r"shard 1 maps \d+ global ids, but its archive holds \d+ rows",
+            entry(1, global_ids=ids[1][:-1]),
+        )
+        refused(
+            "shard 2 maps global ids outside",
+            entry(2, global_ids=[48] + ids[2][1:]),
+        )
+        refused("shard 3 has no archive but maps", entry(3, archive=None))
+        refused(
+            "manifest lists 3 shards, but its shard_config has n_shards=4",
+            manifest["shards"][:3],
+        )
+        refused(
+            "shard 0: shard_of/local_of do not route",
+            shard_of=edited("shard_of", ids[0][0], 1),
+        )
+        refused(
+            "shard 1: shard_of/local_of do not route",
+            local_of=edited("local_of", ids[1], np.arange(len(ids[1]))[::-1]),
+        )
+        refused(
+            "shard 2: its active rows differ from the global active mask",
+            active=edited("active", ids[2][0], False),
+        )
+        refused(
+            "'local_of' must hold one int per point",
+            local_of=arrays["local_of"][:-1],
+        )
+        refused(
+            "'shard_of' must hold one int per point",
+            shard_of=arrays["shard_of"].astype(np.float64),
+        )
+        # An active id that no shard maps.
+        grown = {name: np.concatenate([a, a[:1]]) for name, a in arrays.items()}
+        refused("marks 49 points active, but the shards hold 48", **grown)
 
     def test_plain_loader_rejects_sharded_archive(
         self, tmp_path, sharded

@@ -80,6 +80,34 @@ class TestCompareArchives:
         assert "shape" in diffs["s"]
         assert "values differ" in diffs["v"]
 
+    def test_index_meta_listed_key_by_key(self, tool, tmp_path, capsys):
+        from repro.core.nncell_index import BuildConfig, NNCellIndex
+        from repro.core.persistence import save_index
+        from repro.data import uniform_points
+
+        points = uniform_points(12, 2, seed=5)
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        save_index(NNCellIndex.build(points), a)
+        save_index(NNCellIndex.build(points, BuildConfig(cache_pages=16)), b)
+        assert tool.compare_archives(a, b) == ["meta.cache_pages: 0 != 16"]
+        assert tool.main([str(a), str(b)]) == 1
+        assert "meta.cache_pages: 0 != 16" in capsys.readouterr().out
+
+    def test_meta_keys_only_on_one_side_and_non_json(self, tool, tmp_path):
+        def meta(**fields):
+            return np.bytes_(json.dumps(fields).encode())
+
+        a = save(tmp_path / "a.npz", meta=meta(k=1, only_a=0))
+        b = save(tmp_path / "b.npz", meta=meta(k=1.0, only_b=0))
+        assert tool.compare_archives(a, b) == [
+            "meta.k: 1 != 1.0",
+            f"meta.only_a: only in {a}",
+            f"meta.only_b: only in {b}",
+        ]
+        a = save(tmp_path / "a.npz", meta=np.bytes_(b"not json"))
+        b = save(tmp_path / "b.npz", meta=np.bytes_(b"not json!"))
+        assert tool.compare_archives(a, b) == ["meta: dtype |S8 != |S9"]
+
 
 class TestMain:
     def test_exit_zero_and_summary_on_parity(self, tool, tmp_path, capsys):

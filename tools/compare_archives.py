@@ -13,11 +13,15 @@ Usage::
     python tools/compare_archives.py serial.npz parallel.npz
 
 Exit status 0 when every array matches (same key set, same dtype, same
-shape, equal bytes); 1 otherwise, listing each difference.
+shape, equal bytes); 1 otherwise, listing each difference.  An index
+archive keeps its format version and build config in one JSON member,
+``meta``; when two ``meta`` members differ, each differing key is listed
+on its own line.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 from typing import List, Sequence
@@ -43,7 +47,10 @@ def compare_archives(path_a: "str | Path", path_b: "str | Path") -> "List[str]":
             diffs.append(f"{key}: only in {path_b}")
         for key in sorted(keys_a & keys_b):
             left, right = a[key], b[key]
-            if left.dtype != right.dtype:
+            fields = _meta_diffs(left, right, path_a, path_b) if key == "meta" else []
+            if fields:
+                diffs.extend(fields)
+            elif left.dtype != right.dtype:
                 diffs.append(
                     f"{key}: dtype {left.dtype} != {right.dtype}"
                 )
@@ -54,6 +61,26 @@ def compare_archives(path_a: "str | Path", path_b: "str | Path") -> "List[str]":
             elif left.tobytes() != right.tobytes():
                 diffs.append(f"{key}: values differ")
         return diffs
+
+
+def _meta_diffs(left, right, path_a, path_b) -> "List[str]":
+    """Key-by-key differences of two ``meta`` members; empty when either
+    side is not a JSON object or no key's encoding differs."""
+    try:
+        a, b = (json.loads(side.item()) for side in (left, right))
+    except (TypeError, ValueError):
+        return []
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    diffs: "List[str]" = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in b:
+            diffs.append(f"meta.{key}: only in {path_a}")
+        elif key not in a:
+            diffs.append(f"meta.{key}: only in {path_b}")
+        elif json.dumps(a[key]) != json.dumps(b[key]):
+            diffs.append(f"meta.{key}: {a[key]!r} != {b[key]!r}")
+    return diffs
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
