@@ -123,10 +123,10 @@ class DrillReport:
 
 
 def install_page_chaos(index, injector: "Optional[ChaosInjector]") -> None:
-    """Hook (or unhook, with ``None``) every live shard's page managers."""
+    """Hook (or unhook, with ``None``) every live shard's page reads:
+    its cell-tree walk and its page managers."""
     for __, shard in index._live_shards():
-        shard.cell_tree.pages.set_chaos(injector)
-        shard.data_tree.pages.set_chaos(injector)
+        shard.set_page_chaos(injector)
 
 
 def run_drill(

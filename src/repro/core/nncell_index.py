@@ -22,10 +22,18 @@ The index is dynamic (Section 2, "the dynamic case"):
 Queries that fall outside the data space — where NN-cells are undefined —
 fall back to branch-and-bound search on the data index and are flagged in
 the returned :class:`QueryInfo`.
+
+Queries never read the mutable cell tree.  They walk :attr:`snapshot`, a
+packed immutable copy of it (:mod:`repro.index.packed`), laid out at
+build and load time by the same STR packing a bulk load allocates, and
+frozen again at the end of every write.  The mutable X-tree the writes
+maintain — and, for a loaded index, the per-cell systems and rectangles
+— are made on the first write, or the first call that needs them.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -35,13 +43,14 @@ import numpy as np
 from ..geometry.distance import distances_to_points
 from ..geometry.halfspace import HalfspaceSystem, bisector, box_inside_halfspace
 from ..geometry.mbr import MBR
-from ..index.bulk import bulk_load
+from ..index.bulk import bulk_load, str_layout
 from ..index.nnsearch import hs_k_nearest, rkv_nearest
-from ..index.rstar import RStarTree
+from ..index.packed import PackedTree, Walk, batched_point_query
+from ..index.rstar import RStarTree, node_shape
 from ..index.xtree import XTree
 from ..obs import analytics, metrics, workload
 from ..obs.tracing import span
-from ..storage.page import DEFAULT_PAGE_SIZE
+from ..storage.page import DEFAULT_PAGE_SIZE, record_reads
 from .approximation import approximate_cell
 from .candidates import CandidateSelector, SelectorKind, SelectorParams
 from .constraints import cell_system
@@ -101,6 +110,13 @@ class BuildConfig:
             raise ValueError("executor must be 'process' or 'thread'")
         if self.build_chunk_size is not None and self.build_chunk_size < 1:
             raise ValueError("build_chunk_size must be >= 1")
+
+    @property
+    def retry_atol(self) -> float:
+        """The looser tolerance of the one retry after a point query
+        found nothing (roundoff let the query through a cell-boundary
+        crack)."""
+        return max(self.query_atol * 1e4, 1e-6)
 
 
 @dataclass
@@ -226,6 +242,18 @@ def make_tree(dim: int, config: BuildConfig, leaf_entry_bytes: int) -> RStarTree
     )
 
 
+def cell_entry_bytes(dim: int) -> int:
+    """On-disk size of one cell-tree leaf entry: the cell rectangle plus
+    its owner's coordinates (3d values and an id) — the paper's "twice
+    the size of the database"."""
+    return 3 * 8 * dim + 8
+
+
+#: The page a fresh tree's bulk load starts allocating on: the empty
+#: root takes page 0 when the tree is made, and the load frees it.
+_FIRST_BULK_PAGE = 1
+
+
 def load_data_tree(
     tree: RStarTree, points: np.ndarray, config: BuildConfig
 ) -> RStarTree:
@@ -264,6 +292,14 @@ def compute_cell(
     return system, approximate_system(system, points[point_id], config)
 
 
+def _publish_walks(walks: "List[Walk]") -> None:
+    """Publish the pages of walks no query record carries."""
+    record_reads(
+        np.concatenate([w.page_ids() for w in walks]),
+        np.concatenate([w.blocks() for w in walks]),
+    )
+
+
 class NNCellIndex:
     """Voronoi-cell (solution space) nearest-neighbor index."""
 
@@ -284,18 +320,29 @@ class NNCellIndex:
         ):
             raise ValueError("all points must lie inside the data space")
         self._active = np.ones(pts.shape[0], dtype=bool)
-        self._systems: "Dict[int, HalfspaceSystem]" = {}
-        self._cell_rects: "Dict[int, List[MBR]]" = {}
+        #: Per-cell systems and rectangles; both ``None`` while a loaded
+        #: index keeps them as archive columns (see :meth:`_thaw_cells`).
+        self._systems: "Optional[Dict[int, HalfspaceSystem]]" = {}
+        self._cell_rects: "Optional[Dict[int, List[MBR]]]" = {}
+        #: A loaded index's per-cell archive columns, until its first
+        #: write (``save_index`` writes them back unchanged).
+        self._columns: "Optional[Dict[str, np.ndarray]]" = None
         # Data pages hold points (d coordinates + id); solution-space
-        # pages hold a cell rectangle plus its owner's coordinates
-        # (3d values + id) — the paper's "twice the size of the database".
+        # pages hold a cell rectangle plus its owner's coordinates.
         self.data_tree: RStarTree = make_tree(
             self.dim, self.config, leaf_entry_bytes=8 * self.dim + 8
         )
-        self.cell_tree: RStarTree = make_tree(
-            self.dim, self.config, leaf_entry_bytes=3 * 8 * self.dim + 8
-        )
+        #: What every query reads: the cell tree, packed and immutable.
+        #: Writes replace it whole, with one assignment.
+        self.snapshot: "Optional[PackedTree]" = None
+        self._cell_tree: "Optional[RStarTree]" = None
+        #: The ``(lows, highs, owners)`` the snapshot was laid out from,
+        #: which :attr:`cell_tree` bulk-loads when first needed.
+        self._entries: "Optional[Tuple[np.ndarray, ...]]" = None
         self._selector: "Optional[CandidateSelector]" = None
+        self._chaos = None  # page-read fault injector (repro.chaos)
+        #: Makes the lazy cell state once, whoever asks for it first.
+        self._thaw_lock = threading.Lock()
 
     # ==================================================================
     # Construction
@@ -348,16 +395,12 @@ class NNCellIndex:
                         all_highs.append(rect.high)
                         all_ids.append(int(point_id))
             with span("build.cell_tree"):
-                if self.config.bulk and len(all_ids) > 1:
-                    bulk_load(
-                        self.cell_tree,
-                        np.stack(all_lows),
-                        np.stack(all_highs),
-                        all_ids,
-                    )
-                else:
-                    for low, high, entry_id in zip(all_lows, all_highs, all_ids):
-                        self.cell_tree.insert(low, high, entry_id)
+                self._index_cells(
+                    np.stack(all_lows),
+                    np.stack(all_highs),
+                    np.asarray(all_ids, dtype=np.int64),
+                    bulk=self.config.bulk,
+                )
             root.set("n_rectangles", len(all_ids))
         metrics.inc("build.cells", n)
         metrics.inc("build.rectangles", len(all_ids))
@@ -376,6 +419,159 @@ class NNCellIndex:
         return approximate_system(system, center, self.config)
 
     # ------------------------------------------------------------------
+    # The cell tree: snapshot, mutable tree, per-cell objects
+    # ------------------------------------------------------------------
+    @classmethod
+    def _restore(
+        cls,
+        points: np.ndarray,
+        active: np.ndarray,
+        config: BuildConfig,
+        columns: "Dict[str, np.ndarray]",
+    ) -> "NNCellIndex":
+        """An index over validated archive columns (``load_index``).
+
+        ``points`` holds every row, deleted ones included, so stored
+        point ids stay valid.  The data tree is bulk-loaded, because
+        fallback queries read it; the cell tree is only laid out into
+        :attr:`snapshot`.  No per-cell object is made.
+        """
+        index = cls(points[active], config)
+        index.points = points.copy()
+        index._active = active.copy()
+        index._systems = index._cell_rects = None
+        index._columns = columns
+        live = index.active_ids
+        if live.size > 1:
+            bulk_load(index.data_tree, points[live], points[live], live)
+        else:
+            index.data_tree.insert_point(points[live[0]], int(live[0]))
+        owners = np.repeat(live, np.diff(columns["rect_offsets"]))
+        index._index_cells(
+            columns["rect_lows"], columns["rect_highs"], owners, bulk=True
+        )
+        return index
+
+    def _index_cells(
+        self,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        owners: np.ndarray,
+        bulk: bool,
+    ) -> None:
+        """Index every cell rectangle: build :attr:`snapshot`.
+
+        Several rectangles with ``bulk`` are laid out by STR, as a bulk
+        load would pack them, and kept for :attr:`cell_tree`; otherwise
+        they are inserted one by one into the mutable tree, which is
+        then frozen.
+        """
+        if bulk and owners.size > 1:
+            shape = node_shape(
+                self.dim, self.config.page_size,
+                leaf_entry_bytes=cell_entry_bytes(self.dim),
+            )
+            layout = str_layout(lows, highs, owners, shape, _FIRST_BULK_PAGE)
+            self._entries = (lows, highs, owners)
+            self.snapshot = PackedTree.from_layout(layout)
+            return
+        tree = self._new_cell_tree()
+        for low, high, owner in zip(lows, highs, owners.tolist()):
+            tree.insert(low, high, owner)
+        self._cell_tree = tree
+        self.snapshot = PackedTree.freeze(tree)
+
+    def _new_cell_tree(self) -> RStarTree:
+        tree = make_tree(
+            self.dim, self.config, leaf_entry_bytes=cell_entry_bytes(self.dim)
+        )
+        tree.pages.set_chaos(self._chaos)
+        return tree
+
+    @property
+    def cell_tree(self) -> RStarTree:
+        """The mutable cell tree the writes maintain.
+
+        Queries read :attr:`snapshot` instead.  After a bulk build or a
+        load, the first access bulk-loads this tree from the rectangles
+        the snapshot was laid out from, so the two agree node for node.
+        """
+        return self._thaw_tree()
+
+    def _thaw_tree(self) -> RStarTree:
+        if self._cell_tree is None:
+            with self._thaw_lock:
+                if self._cell_tree is None:
+                    tree = self._new_cell_tree()
+                    if self._entries is not None:
+                        bulk_load(tree, *self._entries)
+                    self._cell_tree = tree
+        return self._cell_tree
+
+    def _thaw_cells(self) -> None:
+        """Make a loaded index's per-cell systems and rectangles from
+        its archive columns, on the first call that needs them."""
+        if self._cell_rects is None:
+            with self._thaw_lock:
+                if self._cell_rects is None:
+                    self._make_cells()
+
+    def _make_cells(self) -> None:
+        columns = self._columns
+        sys_at = columns["sys_offsets"].tolist()
+        rect_at = columns["rect_offsets"].tolist()
+        sys_a, sys_b = columns["sys_a"], columns["sys_b"]
+        sys_ids = columns["sys_ids"]
+        lows, highs = columns["rect_lows"], columns["rect_highs"]
+        systems: "Dict[int, HalfspaceSystem]" = {}
+        cell_rects: "Dict[int, List[MBR]]" = {}
+        for i, pid in enumerate(self.active_ids.tolist()):
+            s0, s1 = sys_at[i], sys_at[i + 1]
+            systems[pid] = HalfspaceSystem(
+                sys_a[s0:s1], sys_b[s0:s1], self.box, sys_ids[s0:s1]
+            )
+            cell_rects[pid] = [
+                MBR(lows[r], highs[r]) for r in range(rect_at[i], rect_at[i + 1])
+            ]
+        # ``_cell_rects`` last: it is the flag unlocked readers test.
+        self._systems = systems
+        self._cell_rects = cell_rects
+
+    def _prepare_write(self) -> None:
+        """Make what a write changes before it changes anything: the
+        per-cell objects, the mutable cell tree and the selector."""
+        self._thaw_cells()
+        self._thaw_tree()
+        self._entries = None
+        self._columns = None
+        if self._selector is None:
+            self._selector = CandidateSelector(
+                self.points,
+                self.data_tree,
+                self.config.selector,
+                self.config.selector_params,
+            )
+            for pid in np.flatnonzero(~self._active).tolist():
+                self._selector.set_active(pid, False)
+
+    def _publish(self) -> None:
+        """End of a write: freeze the mutable tree into a new snapshot."""
+        self.snapshot = PackedTree.freeze(self._cell_tree)
+
+    def set_page_chaos(self, injector) -> None:
+        """Install (or, with ``None``, remove) a page-read fault injector.
+
+        ``injector`` duck-types :class:`repro.chaos.ChaosInjector`.  The
+        cell-tree walk runs it for every node it touches, and both trees'
+        page managers for every read, each with the flaky-read retries of
+        :func:`repro.storage.page.chaos_read`.
+        """
+        self._chaos = injector
+        self.data_tree.pages.set_chaos(injector)
+        if self._cell_tree is not None:
+            self._cell_tree.pages.set_chaos(injector)
+
+    # ------------------------------------------------------------------
     # Cell bookkeeping
     # ------------------------------------------------------------------
     def _register_cell(
@@ -391,14 +587,17 @@ class NNCellIndex:
     def _replace_cell_in_tree(
         self, point_id: int, new_rects: "List[MBR]"
     ) -> None:
+        """Swap one cell's rectangles in the mutable tree (queries see
+        the change once the write publishes its snapshot)."""
+        tree = self._thaw_tree()
         for rect in self._cell_rects[point_id]:
-            removed = self.cell_tree.delete(rect.low, rect.high, point_id)
+            removed = tree.delete(rect.low, rect.high, point_id)
             if not removed:  # pragma: no cover - bookkeeping invariant
                 raise RuntimeError(
                     f"cell rectangle of point {point_id} missing from index"
                 )
         for rect in new_rects:
-            self.cell_tree.insert(rect.low, rect.high, point_id)
+            tree.insert(rect.low, rect.high, point_id)
 
     # ==================================================================
     # Queries
@@ -417,41 +616,27 @@ class NNCellIndex:
         if q.shape != (self.dim,):
             raise ValueError(f"query must be a {self.dim}-vector")
         started = time.perf_counter()
-        point_id, distance, info, cells = self._nearest_impl(q)
-        workload.record_query(q, point_id, distance, info, cells, started)
+        point_id, distance, info, cells, walks = self._nearest_impl(q)
+        workload.record_query(
+            q, point_id, distance, info, cells, started, reads=walks
+        )
         return point_id, distance, info
 
     def _nearest_impl(
         self, q: np.ndarray
-    ) -> "Tuple[int, float, QueryInfo, Optional[np.ndarray]]":
+    ) -> "Tuple[int, float, QueryInfo, Optional[np.ndarray], List[Walk]]":
         """``nearest`` without its record; also returns the candidate
-        cells (``None`` on the fallback path)."""
+        cells (``None`` on the fallback path) and the cell-tree walks."""
         info = QueryInfo()
         with span("query.nearest", dim=self.dim) as root:
             if not self.box.contains_point(q, atol=self.config.query_atol):
-                return self._fallback_nearest(q, info)
+                return self._fallback_nearest(q, info, [])
 
-            before = self.cell_tree.pages.stats.logical_reads
             with span("query.point_query") as lookup:
-                candidate_ids = np.unique(
-                    self.cell_tree.point_query(q, atol=self.config.query_atol)
-                )
-                if candidate_ids.size == 0:
-                    # Roundoff pushed the query through a cell boundary
-                    # crack: retry once with a much looser tolerance
-                    # before giving up.
-                    info.retried_atol = True
-                    candidate_ids = np.unique(
-                        self.cell_tree.point_query(
-                            q, atol=max(self.config.query_atol * 1e4, 1e-6)
-                        )
-                    )
-                info.pages += (
-                    self.cell_tree.pages.stats.logical_reads - before
-                )
+                candidate_ids, walks = self._point_query(q, info)
                 lookup.set("pages", info.pages)
             if candidate_ids.size == 0:  # pragma: no cover - safety net
-                return self._fallback_nearest(q, info)
+                return self._fallback_nearest(q, info, walks)
 
             with span("query.candidate_scan") as scan:
                 dist_sq = distances_to_points(q, self.points[candidate_ids])
@@ -466,17 +651,42 @@ class NNCellIndex:
                 float(np.sqrt(dist_sq[best])),
                 info,
                 candidate_ids,
+                walks,
             )
 
+    def _point_query(
+        self, q: np.ndarray, info: QueryInfo, retry: bool = True
+    ) -> "Tuple[np.ndarray, List[Walk]]":
+        """Owners of the cell rectangles containing ``q`` (sorted, once
+        each) and the walks of :attr:`snapshot` that found them.
+
+        With ``retry``, an empty answer is retried once at the looser
+        :attr:`BuildConfig.retry_atol`.  The walks' pages are added to
+        ``info.pages``.
+        """
+        snapshot = self.snapshot  # one version for the whole query
+        walk = batched_point_query(
+            snapshot, q[None, :], self.config.query_atol, self._chaos
+        )
+        walks = [walk]
+        if retry and not walk.owner.size:
+            info.retried_atol = True
+            walk = batched_point_query(
+                snapshot, q[None, :], self.config.retry_atol, self._chaos
+            )
+            walks.append(walk)
+        info.pages += sum(w.pages for w in walks)
+        return np.unique(walk.owner), walks
+
     def _fallback_nearest(
-        self, q: np.ndarray, info: QueryInfo
-    ) -> "Tuple[int, float, QueryInfo, None]":
+        self, q: np.ndarray, info: QueryInfo, walks: "List[Walk]"
+    ) -> "Tuple[int, float, QueryInfo, None, List[Walk]]":
         info.fallback = True
         with span("query.fallback"):
             result = rkv_nearest(self.data_tree, q)
         info.pages += result.pages
         info.distance_computations += result.distance_computations
-        return result.nearest_id, result.nearest_distance, info, None
+        return result.nearest_id, result.nearest_distance, info, None, walks
 
     def k_nearest(
         self, query: Sequence[float], k: int
@@ -488,7 +698,9 @@ class NNCellIndex:
         query on the data index completes the answer exactly.  (The
         paper's future work proposes order-k cells — implemented in
         :mod:`repro.core.order_k` — for turning this into a single point
-        query; this method is the practical hybrid.)
+        query; this method is the practical hybrid.)  The answer is the
+        k smallest points by ``(distance, id)`` — the order the sharded
+        merge uses — on this path and on the fallback alike.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -500,31 +712,16 @@ class NNCellIndex:
         info = QueryInfo()
         with span("query.k_nearest", dim=self.dim, k=k_eff) as root:
             if not self.box.contains_point(q, atol=self.config.query_atol):
-                info.fallback = True
-                metrics.inc("query.fallbacks")
-                with span("query.fallback"):
-                    result = hs_k_nearest(self.data_tree, q, k_eff)
-                info.pages += result.pages
-                info.distance_computations += result.distance_computations
-                return result.ids, result.distances, info
+                return self._fallback_k_nearest(q, k_eff, info)
 
-            before = self.cell_tree.pages.stats.logical_reads
             with span("query.point_query") as lookup:
-                candidates = np.unique(
-                    self.cell_tree.point_query(q, atol=self.config.query_atol)
-                )
-                info.pages += self.cell_tree.pages.stats.logical_reads - before
+                candidates, walks = self._point_query(q, info, retry=False)
                 lookup.set("pages", info.pages)
+            _publish_walks(walks)
 
             if candidates.size < k_eff:
                 # Not enough order-1 candidates: let the data index finish.
-                info.fallback = True
-                metrics.inc("query.fallbacks")
-                with span("query.fallback"):
-                    result = hs_k_nearest(self.data_tree, q, k_eff)
-                info.pages += result.pages
-                info.distance_computations += result.distance_computations
-                return result.ids, result.distances, info
+                return self._fallback_k_nearest(q, k_eff, info)
 
             with span("query.candidate_scan") as scan:
                 dist_sq = distances_to_points(q, self.points[candidates])
@@ -532,30 +729,41 @@ class NNCellIndex:
                 info.distance_computations += int(candidates.size)
                 scan.set("candidates", info.n_candidates)
             analytics.record_cells(candidates)
-            order = np.argsort(dist_sq)
-            radius = float(np.sqrt(dist_sq[order[k_eff - 1]]))
+            radius = float(np.sqrt(np.partition(dist_sq, k_eff - 1)[k_eff - 1]))
 
             # Every k-NN member lies within the candidates' k-th distance.
-            before = self.data_tree.pages.stats.logical_reads
             with span("query.sphere_refinement"):
-                within = self.data_tree.sphere_query(
+                within, blocks = self.data_tree.sphere_query_blocks(
                     q, radius + self.config.query_atol
                 )
-            info.pages += self.data_tree.pages.stats.logical_reads - before
+            info.pages += blocks
             within = np.unique(within)
-            final_sq = distances_to_points(q, self.points[within])
+            final = np.sqrt(distances_to_points(q, self.points[within]))
             info.distance_computations += int(within.size)
             metrics.inc("query.count")
             metrics.observe("query.candidates", info.n_candidates)
             metrics.observe("query.pages", info.pages)
             root.set("pages", info.pages)
             root.set("candidates", info.n_candidates)
-            best = np.argsort(final_sq)[:k_eff]
+            # ``within`` is sorted, so a stable sort by distance breaks
+            # exact ties by id.
+            best = np.argsort(final, kind="stable")[:k_eff]
             return (
                 [int(within[i]) for i in best],
-                [float(np.sqrt(final_sq[i])) for i in best],
+                [float(final[i]) for i in best],
                 info,
             )
+
+    def _fallback_k_nearest(
+        self, q: np.ndarray, k: int, info: QueryInfo
+    ) -> "Tuple[List[int], List[float], QueryInfo]":
+        info.fallback = True
+        metrics.inc("query.fallbacks")
+        with span("query.fallback"):
+            result = hs_k_nearest(self.data_tree, q, k)
+        info.pages += result.pages
+        info.distance_computations += result.distance_computations
+        return result.ids, result.distances, info
 
     def within_radius(
         self, center: Sequence[float], radius: float
@@ -626,80 +834,43 @@ class NNCellIndex:
                 nearest_distance=result.nearest_distance, rectangles=[],
                 candidates=[], nodes_visited=0, pages=result.pages,
             )
-        path = "cell"
-        retried = False
-        rectangles, visited, pages = self._explain_point_query(q, atol)
-        if not rectangles:
-            # Mirror nearest(): one retry with a much looser tolerance.
-            path, retried = "cell_retry", True
-            atol = max(self.config.query_atol * 1e4, 1e-6)
-            rectangles, more_visited, more_pages = (
-                self._explain_point_query(q, atol)
-            )
-            visited += more_visited
-            pages += more_pages
-        if not rectangles:
+        info = QueryInfo()
+        owners, walks = self._point_query(q, info)
+        _publish_walks(walks)
+        visited = sum(len(w.page_ids()) for w in walks)
+        if info.retried_atol:
+            atol = self.config.retry_atol
+        path = "cell_retry" if info.retried_atol else "cell"
+        if not owners.size:
             result = rkv_nearest(self.data_tree, q)
             return QueryExplain(
                 query=q, path="empty_point_query", atol=atol,
                 retried_atol=True, nearest_id=result.nearest_id,
                 nearest_distance=result.nearest_distance, rectangles=[],
                 candidates=[], nodes_visited=visited,
-                pages=pages + result.pages,
+                pages=info.pages + result.pages,
             )
-        # np.unique sorts ids, and argsort is stable — so among
+        walk = walks[-1]
+        leaves = walk.tree.leaves
+        rectangles = [
+            (owner, MBR(leaves.lows[entry], leaves.highs[entry]))
+            for owner, entry in zip(walk.owner.tolist(), walk.entry.tolist())
+        ]
+        # np.unique sorts ids and the argsort is stable, so among
         # equidistant owners the lowest id wins, exactly as nearest()'s
         # argmin over the unique candidate array does.
-        owners = np.unique([owner for owner, _ in rectangles])
         dist = np.sqrt(distances_to_points(q, self.points[owners]))
-        order = np.argsort(dist)
+        order = np.argsort(dist, kind="stable")
         candidates = [
             (int(owners[i]), float(dist[i])) for i in order
         ]
         return QueryExplain(
-            query=q, path=path, atol=atol, retried_atol=retried,
+            query=q, path=path, atol=atol, retried_atol=info.retried_atol,
             nearest_id=candidates[0][0],
             nearest_distance=candidates[0][1],
             rectangles=rectangles, candidates=candidates,
-            nodes_visited=visited, pages=pages,
+            nodes_visited=visited, pages=info.pages,
         )
-
-    def _explain_point_query(
-        self, q: np.ndarray, atol: float
-    ) -> "Tuple[List[Tuple[int, MBR]], int, int]":
-        """The cell tree's point query, keeping the hit rectangles.
-
-        Same containment arithmetic as ``RStarTree.point_query`` but
-        returns ``(rectangles, nodes visited, pages read)`` instead of
-        bare owner ids.
-        """
-        tree = self.cell_tree
-        before = tree.pages.stats.logical_reads
-        rectangles: "List[Tuple[int, MBR]]" = []
-        visited = 0
-        stack = [tree.root_id]
-        while stack:
-            node = tree._read(stack.pop())
-            visited += 1
-            if node.n_entries == 0:
-                continue
-            mask = np.logical_and(
-                np.all(node.lows <= q + atol, axis=1),
-                np.all(q <= node.highs + atol, axis=1),
-            )
-            hits = np.flatnonzero(mask)
-            if node.is_leaf:
-                rectangles.extend(
-                    (
-                        int(node.ids[i]),
-                        MBR(node.lows[i].copy(), node.highs[i].copy()),
-                    )
-                    for i in hits
-                )
-            else:
-                stack.extend(int(node.ids[i]) for i in hits)
-        pages = tree.pages.stats.logical_reads - before
-        return rectangles, visited, pages
 
     # ==================================================================
     # Dynamic updates
@@ -717,6 +888,7 @@ class NNCellIndex:
             raise ValueError(f"point must be a {self.dim}-vector")
         if not self.box.contains_point(p, atol=1e-12):
             raise ValueError("point lies outside the data space")
+        self._prepare_write()
         new_id = self.points.shape[0]
         self.points = np.vstack([self.points, p[None, :]])
         self._active = np.append(self._active, True)
@@ -735,7 +907,8 @@ class NNCellIndex:
         system, rects = self._compute_cell(new_id)
         self._register_cell(new_id, system, rects)
         for rect in rects:
-            self.cell_tree.insert(rect.low, rect.high, new_id)
+            self._cell_tree.insert(rect.low, rect.high, new_id)
+        self._publish()
         return new_id
 
     def _cells_possibly_shrunk_by(self, p: np.ndarray) -> "List[int]":
@@ -750,9 +923,10 @@ class NNCellIndex:
         region, so no point of the region can prefer ``p``).
         """
         affected: "Set[int]" = set()
-        stack = [self.cell_tree.root_id]
+        tree = self._cell_tree
+        stack = [tree.root_id]
         while stack:
-            node = self.cell_tree._read(stack.pop())
+            node = tree._read(stack.pop())
             if node.n_entries == 0:
                 continue
             region = node.mbr()
@@ -780,6 +954,7 @@ class NNCellIndex:
             raise KeyError(f"point {point_id} is not in the index")
         if int(np.sum(self._active)) == 1:
             raise ValueError("cannot delete the last remaining point")
+        self._prepare_write()
         self._replace_cell_in_tree(point_id, [])
         self._unregister_cell(point_id)
         removed = self.data_tree.delete(
@@ -798,6 +973,7 @@ class NNCellIndex:
             self._replace_cell_in_tree(cell_id, rects)
             self._unregister_cell(cell_id)
             self._register_cell(cell_id, system, rects)
+        self._publish()
 
     # ==================================================================
     # Introspection
@@ -819,16 +995,19 @@ class NNCellIndex:
         """The stored (decomposed) approximation of one cell."""
         if not self._is_active(point_id):
             raise KeyError(f"point {point_id} is not in the index")
+        self._thaw_cells()
         return list(self._cell_rects[point_id])
 
     def constraint_system(self, point_id: int) -> HalfspaceSystem:
         """The bisector constraint system backing one cell."""
         if not self._is_active(point_id):
             raise KeyError(f"point {point_id} is not in the index")
+        self._thaw_cells()
         return self._systems[point_id]
 
     def all_cell_rectangles(self) -> "List[Tuple[int, MBR]]":
         """Every stored rectangle as ``(owner id, rect)`` pairs."""
+        self._thaw_cells()
         return [
             (point_id, rect)
             for point_id in sorted(self._cell_rects)
@@ -837,6 +1016,7 @@ class NNCellIndex:
 
     def stats(self) -> "Dict[str, float]":
         """Sizing diagnostics: rectangle counts, volumes, tree shape."""
+        self._thaw_cells()
         rect_count = sum(len(r) for r in self._cell_rects.values())
         total_volume = sum(
             rect.volume()
@@ -848,7 +1028,7 @@ class NNCellIndex:
             "n_points": float(len(self)),
             "n_rectangles": float(rect_count),
             "expected_candidates": total_volume / box_volume,
-            "cell_tree_height": float(self.cell_tree.height),
+            "cell_tree_height": float(self.snapshot.height),
             "data_tree_height": float(self.data_tree.height),
-            "cell_tree_blocks": float(self.cell_tree.pages.total_blocks()),
+            "cell_tree_blocks": float(self.snapshot.total_blocks()),
         }

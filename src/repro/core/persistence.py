@@ -4,12 +4,17 @@ Precomputing the solution space is the expensive step of the paper's
 approach (thousands of LPs), so a production deployment computes it once
 and reuses it.  This module serialises everything the precomputation
 produced — the points, each cell's constraint system and its (decomposed)
-rectangle approximations — into a single ``.npz`` archive, and rebuilds
-the in-memory index (including both trees, via bulk loading) on load.
+rectangle approximations — into a single ``.npz`` archive.
 
-The archive stores *results*, not tree pages: rebuilding the trees from
-the stored rectangles is deterministic and costs milliseconds, while
-keeping the format independent of node-layout details.
+The archive stores *results*, not tree pages: the trees are rebuilt from
+the stored rectangles deterministically, keeping the format independent
+of node-layout details.  A load makes only what a query reads: it
+bulk-loads the data tree (fallback queries search it) and lays the
+rectangles out, as a bulk load would, straight into the packed cell-tree
+snapshot the queries walk.  It keeps the columns; the per-cell systems
+and rectangles and the mutable cell tree are made from them on the first
+write or the first call that needs them, and a save before any write
+writes the same columns back.
 
 Format version 3 has eleven members, whatever the number of points:
 
@@ -31,10 +36,11 @@ the float columns deflate by only a few percent, and inflating them was
 most of the cost of a load.
 
 Archives are outside input.  :func:`load_index` reads ``meta`` first and
-checks the type of every key, then checks that the columns fit together
-and that every float is finite, and raises a ``ValueError`` naming the
-key or field otherwise.  Versions 1 and 2 are refused; rebuild them with
-``repro build``.
+checks the type of every key, then checks that the columns fit together,
+that every float is finite and — over whole columns — what the per-cell
+constraint-system and rectangle constructors would check, and raises a
+``ValueError`` naming the key or field otherwise.  Versions 1 and 2 are
+refused; rebuild them with ``repro build``.
 """
 
 from __future__ import annotations
@@ -46,9 +52,8 @@ from typing import Any, Dict, Union
 
 import numpy as np
 
-from ..geometry.halfspace import HalfspaceSystem
 from ..geometry.mbr import MBR
-from .candidates import CandidateSelector, SelectorKind, SelectorParams
+from .candidates import SelectorKind, SelectorParams
 from .nncell_index import BuildConfig, NNCellIndex
 
 __all__ = [
@@ -84,10 +89,13 @@ _COLUMNS = {
     "rect_offsets": ("rect_lows", "rect_highs"),
 }
 
-#: The array members besides ``meta``.
-_ARRAYS = ("points", "active", "box") + tuple(
+#: The per-cell members, which a loaded index keeps.
+_CELL_ARRAYS = tuple(
     name for offsets, columns in _COLUMNS.items() for name in (offsets, *columns)
 )
+
+#: The array members besides ``meta``.
+_ARRAYS = ("points", "active", "box") + _CELL_ARRAYS
 
 #: The float members; every value in them must be finite.
 _FLOATS = ("points", "box", "sys_a", "sys_b", "rect_lows", "rect_highs")
@@ -98,12 +106,28 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
-def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
-    """Serialise a built index to ``path`` (a ``.npz`` archive)."""
+def _cell_columns(index: NNCellIndex) -> "Dict[str, np.ndarray]":
+    """The per-cell columns of ``index``: those it was loaded from if no
+    write has happened since, else made from its cells."""
+    if index._columns is not None:
+        return dict(index._columns)
     active = [int(pid) for pid in index.active_ids]
     systems = [index._systems[pid] for pid in active]
     cell_rects = [index._cell_rects[pid] for pid in active]
     rects = [rect for cell in cell_rects for rect in cell]
+    return {
+        "sys_offsets": _offsets([s.n_constraints for s in systems]),
+        "sys_a": np.concatenate([s.a for s in systems]),
+        "sys_b": np.concatenate([s.b for s in systems]),
+        "sys_ids": np.concatenate([s.point_ids for s in systems]),
+        "rect_offsets": _offsets([len(cell) for cell in cell_rects]),
+        "rect_lows": np.stack([r.low for r in rects]),
+        "rect_highs": np.stack([r.high for r in rects]),
+    }
+
+
+def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
+    """Serialise a built index to ``path`` (a ``.npz`` archive)."""
     config = index.config
     meta = {
         "format_version": _FORMAT_VERSION,
@@ -120,13 +144,7 @@ def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
         "points": index.points,
         "active": index._active,
         "box": np.stack([index.box.low, index.box.high]),
-        "sys_offsets": _offsets([s.n_constraints for s in systems]),
-        "sys_a": np.concatenate([s.a for s in systems]),
-        "sys_b": np.concatenate([s.b for s in systems]),
-        "sys_ids": np.concatenate([s.point_ids for s in systems]),
-        "rect_offsets": _offsets([len(cell) for cell in cell_rects]),
-        "rect_lows": np.stack([r.low for r in rects]),
-        "rect_highs": np.stack([r.high for r in rects]),
+        **_cell_columns(index),
     }
     np.savez(Path(path), **arrays)
 
@@ -137,6 +155,7 @@ def load_index(path: "Union[str, Path]") -> NNCellIndex:
         meta = _read_meta(archive)
         fields = {name: archive[name] for name in _ARRAYS}
     _check_columns(fields)
+    _check_cells(fields)
     points = fields["points"]
     active = fields["active"]
     box = MBR(*fields["box"])
@@ -152,25 +171,8 @@ def load_index(path: "Union[str, Path]") -> NNCellIndex:
         query_atol=meta["query_atol"],
         data_space=box,
     )
-
-    index = NNCellIndex(points[active], config)
-    # Restore the full id space (deleted rows keep their slots so the
-    # stored constraint point_ids stay valid).
-    index.points = points.copy()
-    index._active = active.copy()
-
-    sys_at = fields["sys_offsets"].tolist()
-    rect_at = fields["rect_offsets"].tolist()
-    sys_a, sys_b, sys_ids = fields["sys_a"], fields["sys_b"], fields["sys_ids"]
-    lows, highs = fields["rect_lows"], fields["rect_highs"]
-    for i, pid in enumerate(np.flatnonzero(active).tolist()):
-        s0, s1 = sys_at[i], sys_at[i + 1]
-        system = HalfspaceSystem(sys_a[s0:s1], sys_b[s0:s1], box, sys_ids[s0:s1])
-        rects = [MBR(lows[r], highs[r]) for r in range(rect_at[i], rect_at[i + 1])]
-        index._register_cell(pid, system, rects)
-
-    _rebuild_runtime_state(index)
-    return index
+    columns = {name: fields[name] for name in _CELL_ARRAYS}
+    return NNCellIndex._restore(points, active, config, columns)
 
 
 def _version_error(version: Any) -> ValueError:
@@ -276,6 +278,47 @@ def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
         raise ValueError(
             f"index archive field 'sys_ids' must lie in [-1, {n_points})"
         )
+
+
+def _check_cells(fields: "Dict[str, np.ndarray]") -> None:
+    """What the per-cell ``HalfspaceSystem`` and ``MBR`` constructors
+    would check, over whole columns, so that making the cells later
+    cannot fail; and their clamp of the rectangles' tiny negative
+    extents (``rect_highs`` is replaced by the clamped copy)."""
+    dim = fields["points"].shape[1]
+    sys_a, sys_b, ids = fields["sys_a"], fields["sys_b"], fields["sys_ids"]
+    if sys_a.ndim != 2 or (sys_a.shape[0] and sys_a.shape[1] != dim):
+        raise ValueError(
+            f"index archive field 'sys_a' has shape {sys_a.shape}; "
+            f"expected (rows, {dim})"
+        )
+    for name, column in (("sys_b", sys_b), ("sys_ids", ids)):
+        if column.ndim != 1:
+            raise ValueError(
+                f"index archive field {name!r} has shape {column.shape}; "
+                "expected one value per constraint row"
+            )
+    if ids.dtype != np.int64:
+        fields["sys_ids"] = _read_only(ids.astype(np.int64))
+    lows, highs = fields["rect_lows"], fields["rect_highs"]
+    for name, column in (("rect_lows", lows), ("rect_highs", highs)):
+        if column.ndim != 2 or column.shape[1] != dim:
+            raise ValueError(
+                f"index archive field {name!r} has shape {column.shape}; "
+                f"expected (rectangles, {dim})"
+            )
+    bad = np.flatnonzero(np.any(lows > highs + 1e-12, axis=1))
+    if bad.size:
+        raise ValueError(
+            f"index archive fields 'rect_lows' and 'rect_highs': rectangle "
+            f"{int(bad[0])} has low > high"
+        )
+    fields["rect_highs"] = _read_only(np.maximum(lows, highs))
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)
+    return column
 
 
 # ======================================================================
@@ -479,35 +522,3 @@ def load_any_index(path: "Union[str, Path]"):
             " (not a sharded index archive)"
         )
     return load_index(path)
-
-
-def _rebuild_runtime_state(index: NNCellIndex) -> None:
-    """Reconstruct the trees and selector from the restored cell data."""
-    from ..index.bulk import bulk_load
-
-    active = index.active_ids
-    live_points = index.points[active]
-    if active.size > 1:
-        bulk_load(index.data_tree, live_points, live_points, active)
-    else:
-        index.data_tree.insert_point(live_points[0], int(active[0]))
-
-    lows, highs, owners = [], [], []
-    for pid in active:
-        for rect in index._cell_rects[int(pid)]:
-            lows.append(rect.low)
-            highs.append(rect.high)
-            owners.append(int(pid))
-    if len(owners) > 1:
-        bulk_load(index.cell_tree, np.stack(lows), np.stack(highs), owners)
-    else:
-        index.cell_tree.insert(lows[0], highs[0], owners[0])
-
-    index._selector = CandidateSelector(
-        index.points,
-        index.data_tree,
-        index.config.selector,
-        index.config.selector_params,
-    )
-    for pid in np.flatnonzero(~index._active):
-        index._selector.set_active(int(pid), False)

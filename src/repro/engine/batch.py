@@ -2,13 +2,14 @@
 
 Serving batches is where the solution-space approach shines — a NN query
 is a *point query*, and point queries over the same tree share their
-descent.  Instead of walking root→leaf once per query, the batched walk
-carries a whole *set* of query points down the tree: each node is read
-once, its entry rectangles are tested against every live query in one
-vectorised containment check, and the query set splits across children.
-Page reads (the paper's cost currency) are therefore paid per *node
-touched by the batch*, not per query; the candidate distance scan at the
-end is likewise one NumPy pass over all (query, owner) pairs.
+descent.  :func:`batched_point_query` (the one walk of
+:mod:`repro.index.packed`, which ``nearest`` runs as a batch of one)
+carries a whole *set* of query points down the index's packed snapshot:
+each level is one vectorised containment test of the entries of the
+nodes some query reached against every query.  Page reads (the paper's
+cost currency) are therefore paid per *node touched by the batch*, not
+per query; the candidate distance scan at the end is likewise one NumPy
+pass over all (query, owner) pairs.
 
 **Semantics.**  ``query_batch(index, Q)`` returns exactly what calling
 ``index.nearest(q)`` per row returns — the same ids and bit-identical
@@ -20,7 +21,7 @@ this.  Only the *accounting* differs: page counts are amortised, and
 diagnostics come back as one :class:`BatchQueryInfo` for the batch.
 
 ``batch_size`` bounds how many queries walk together (the vectorised
-containment test materialises an ``entries × queries`` mask per node);
+containment test materialises an ``entries × queries`` mask per level);
 ``None`` walks the whole batch at once.
 """
 
@@ -33,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..index.nnsearch import rkv_nearest
-from ..index.rstar import RStarTree
+from ..index.packed import batched_point_query
 from ..obs import workload
 from ..obs.tracing import span
 
@@ -64,53 +65,6 @@ class BatchQueryInfo:
     shards_answered: "Optional[int]" = None
 
 
-def batched_point_query(
-    tree: RStarTree, queries: np.ndarray, atol: float = 1e-12
-) -> "Tuple[np.ndarray, np.ndarray]":
-    """All (query index, entry id) containment pairs in one tree walk.
-
-    The multi-query generalisation of :meth:`RStarTree.point_query`,
-    using the same containment arithmetic (``low <= q + atol``); each
-    node on the union of the queries' paths is read exactly once.  Pairs
-    may repeat when an entry id is stored under several rectangles
-    (decomposed cells) — callers deduplicate, as the serial path does.
-    """
-    q = np.asarray(queries, dtype=np.float64)
-    out_queries = []
-    out_entries = []
-    if q.shape[0]:
-        stack = [(tree.root_id, np.arange(q.shape[0]))]
-        while stack:
-            node_id, live = stack.pop()
-            node = tree._read(node_id)
-            if node.n_entries == 0:
-                continue
-            sub = q[live]
-            mask = np.all(
-                node.lows[:, None, :] <= sub[None, :, :] + atol, axis=2
-            )
-            mask &= np.all(
-                sub[None, :, :] <= node.highs[:, None, :] + atol, axis=2
-            )
-            if node.is_leaf:
-                entry_idx, query_idx = np.nonzero(mask)
-                if entry_idx.size:
-                    out_queries.append(live[query_idx])
-                    out_entries.append(node.ids[entry_idx])
-            else:
-                for entry in np.flatnonzero(np.any(mask, axis=1)):
-                    stack.append(
-                        (int(node.ids[entry]), live[np.flatnonzero(mask[entry])])
-                    )
-    if not out_queries:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    return (
-        np.concatenate(out_queries).astype(np.int64, copy=False),
-        np.concatenate(out_entries).astype(np.int64, copy=False),
-    )
-
-
 def query_batch(
     index, queries: np.ndarray, batch_size: "int | None" = None
 ) -> "Tuple[np.ndarray, np.ndarray, BatchQueryInfo]":
@@ -134,14 +88,16 @@ def query_batch(
     started = time.perf_counter()
     candidates = np.zeros(m, dtype=np.int64)  # per query, for the record
     cells = []
+    walks = []
+    snapshot = index.snapshot  # one version for the whole batch
     with span("query.batch", n_queries=m, dim=index.dim,
               batch_size=size) as root:
         for start in range(0, m, size):
             stop = min(start + size, m)
             cells.append(
                 _walk_chunk(
-                    index, qs[start:stop], ids[start:stop],
-                    dists[start:stop], candidates[start:stop], info,
+                    index, snapshot, qs[start:stop], ids[start:stop],
+                    dists[start:stop], candidates[start:stop], info, walks,
                 )
             )
             info.n_batches += 1
@@ -149,24 +105,27 @@ def query_batch(
         root.set("candidates", info.n_candidates)
         root.set("fallbacks", info.fallbacks)
     workload.record_batch(
-        qs, ids, dists, info, np.concatenate(cells), candidates, started
+        qs, ids, dists, info, np.concatenate(cells), candidates, started,
+        reads=walks,
     )
     return ids, dists, info
 
 
 def _walk_chunk(
     index,
+    snapshot,
     q: np.ndarray,
     ids_out: np.ndarray,
     dists_out: np.ndarray,
     candidates_out: np.ndarray,
     info: BatchQueryInfo,
+    walks: list,
 ) -> np.ndarray:
     """One batched walk: point queries, retries, scan, fallbacks.
 
     ``ids_out``/``dists_out``/``candidates_out`` are writable views into
-    the caller's per-query arrays.  Returns the candidate cells scanned,
-    query by query.
+    the caller's per-query arrays, and the walks are appended to
+    ``walks``.  Returns the candidate cells scanned, query by query.
     """
     atol = index.config.query_atol
     k = q.shape[0]
@@ -177,12 +136,12 @@ def _walk_chunk(
     )
     in_box = np.flatnonzero(inside)
 
-    pages_before = index.cell_tree.pages.stats.logical_reads
     with span("query.batch.point_query") as lookup:
-        pair_q, pair_owner = batched_point_query(
-            index.cell_tree, q[in_box], atol
-        )
-        pair_q = in_box[pair_q]
+        walk = batched_point_query(snapshot, q[in_box], atol, index._chaos)
+        walks.append(walk)
+        chunk_pages = walk.pages
+        pair_q = in_box[walk.query]
+        pair_owner = walk.owner
         # Chunk-level mirror of the serial tolerance retry: queries whose
         # point query came back empty re-walk once with a looser bound
         # before falling back.
@@ -191,14 +150,13 @@ def _walk_chunk(
         missing = in_box[~matched[in_box]]
         if missing.size:
             info.retried_atol += int(missing.size)
-            retry_q, retry_owner = batched_point_query(
-                index.cell_tree, q[missing], max(atol * 1e4, 1e-6)
+            retry = batched_point_query(
+                snapshot, q[missing], index.config.retry_atol, index._chaos
             )
-            pair_q = np.concatenate([pair_q, missing[retry_q]])
-            pair_owner = np.concatenate([pair_owner, retry_owner])
-        chunk_pages = (
-            index.cell_tree.pages.stats.logical_reads - pages_before
-        )
+            walks.append(retry)
+            chunk_pages += retry.pages
+            pair_q = np.concatenate([pair_q, missing[retry.query]])
+            pair_owner = np.concatenate([pair_owner, retry.owner])
         info.pages += chunk_pages
         lookup.set("pages", chunk_pages)
 

@@ -116,7 +116,9 @@ def measure_nncell_queries(
     before = obs_metrics.snapshot() if obs_metrics.enabled() else None
     for q in np.atleast_2d(queries):
         if drop_cache:
-            index.cell_tree.pages.drop_cache()
+            # The cell-tree walk reads a snapshot, not a buffer pool; only
+            # the fallback's data-tree reads can hit a cache.
+            index.data_tree.pages.drop_cache()
         with Timer() as timer:
             __, __, info = index.nearest(q)
         meas.n_queries += 1
@@ -175,7 +177,7 @@ def measure_nncell_batch_queries(
     meas = QueryMeasurement("nn-cell-batch")
     before = obs_metrics.snapshot() if obs_metrics.enabled() else None
     if drop_cache:
-        index.cell_tree.pages.drop_cache()
+        index.data_tree.pages.drop_cache()
     with Timer() as timer:
         __, __, info = index.query_batch(qs, batch_size=batch_size)
     meas.n_queries = info.n_queries

@@ -20,16 +20,79 @@ pins this down to the node bytes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .node import Node
-from .rstar import RStarTree
+from .rstar import NodeShape, RStarTree
 
-__all__ = ["bulk_load", "DEFAULT_FILL"]
+__all__ = ["DEFAULT_FILL", "LayoutLevel", "bulk_load", "str_layout"]
 
 DEFAULT_FILL = 0.75
+
+
+@dataclass(frozen=True)
+class LayoutLevel:
+    """One level of an STR layout: its entries and the nodes packing them.
+
+    At the leaf level the entries are the loaded ones; above it they are
+    the MBRs of the level below's nodes, with those nodes' page ids as
+    ids.
+    """
+
+    lows: np.ndarray  # (E, d)
+    highs: np.ndarray  # (E, d)
+    ids: np.ndarray  # (E,)
+    #: Each node's entries, as indices into the level's entry arrays.
+    groups: "List[np.ndarray]"
+    #: The page each node is allocated on, in allocation order.
+    page_ids: np.ndarray
+
+
+def str_layout(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    ids: np.ndarray,
+    shape: NodeShape,
+    first_page: int,
+    fill: float = DEFAULT_FILL,
+) -> "List[LayoutLevel]":
+    """The nodes STR packs ``n >= 1`` entries into, leaves first.
+
+    Node occupancy targets ``fill`` times the maximum fan-out of
+    ``shape`` but never drops below its minimum fill grade.  Pages are
+    numbered from ``first_page`` in allocation order: the leaves, then
+    each directory level; the last level holds only the root.  This is
+    the one layout :func:`bulk_load` allocates and the packed read
+    snapshot (:mod:`repro.index.packed`) copies, so the two agree node
+    for node and page for page.
+    """
+    dims = list(range(lows.shape[1]))
+    capacity = max(2, int(fill * shape.max_entries), shape.min_entries)
+    leaf_capacity = max(
+        2, int(fill * shape.leaf_max_entries), shape.leaf_min_entries
+    )
+    levels: "List[LayoutLevel]" = []
+    cap, min_entries = leaf_capacity, shape.leaf_min_entries
+    page = first_page
+    while True:
+        centers = (lows + highs) / 2.0
+        groups = _str_groups(
+            centers, np.arange(ids.shape[0]), cap, min_entries, dims
+        )
+        page_ids = np.arange(page, page + len(groups), dtype=np.int64)
+        page += len(groups)
+        levels.append(LayoutLevel(lows, highs, ids, groups, page_ids))
+        if len(groups) == 1:
+            return levels
+        # The next level's entries are these nodes' MBRs, computed as
+        # Node.mbr() does (the same reduction, then the same clamp).
+        node_lows = np.stack([lows[g].min(axis=0) for g in groups])
+        node_highs = np.stack([highs[g].max(axis=0) for g in groups])
+        lows, highs, ids = node_lows, np.maximum(node_lows, node_highs), page_ids
+        cap, min_entries = capacity, shape.min_entries
 
 
 def bulk_load(
@@ -41,10 +104,9 @@ def bulk_load(
 ) -> RStarTree:
     """Fill an *empty* tree with the given entries using STR packing.
 
-    Returns the tree for chaining.  Node occupancy targets
-    ``fill * max_entries`` but never drops below the tree's minimum fill
-    grade, so the result satisfies every structural invariant of
-    :meth:`RStarTree.validate`.
+    Returns the tree for chaining.  The nodes are those of
+    :func:`str_layout`, so the result satisfies every structural
+    invariant of :meth:`RStarTree.validate`.
     """
     lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
@@ -61,55 +123,31 @@ def bulk_load(
     if n == 0:
         return tree
 
-    capacity = max(2, int(fill * tree.max_entries))
-    capacity = max(capacity, tree.min_entries)
-    leaf_capacity = max(2, int(fill * tree.leaf_max_entries))
-    leaf_capacity = max(leaf_capacity, tree.leaf_min_entries)
-
-    # ----- leaf level ------------------------------------------------
-    centers = (lows + highs) / 2.0
-    groups = _str_groups(
-        centers,
-        np.arange(n),
-        leaf_capacity,
-        tree.leaf_min_entries,
-        list(range(tree.dim)),
+    shape = NodeShape(
+        tree.max_entries, tree.min_entries,
+        tree.leaf_max_entries, tree.leaf_min_entries,
     )
-    level_nodes: "List[Node]" = [
-        Node(True, 0, lows[g], highs[g], ids_arr[g]) for g in groups
-    ]
-    level_ids = [
-        tree.pages.allocate(node, n_blocks=tree._blocks_for(node))
-        for node in level_nodes
-    ]
-
-    # ----- directory levels ------------------------------------------
-    level = 0
-    while len(level_nodes) > 1:
-        level += 1
-        mbr_lows = np.stack([node.mbr().low for node in level_nodes])
-        mbr_highs = np.stack([node.mbr().high for node in level_nodes])
-        child_ids = np.asarray(level_ids, dtype=np.int64)
-        centers = (mbr_lows + mbr_highs) / 2.0
-        groups = _str_groups(
-            centers,
-            np.arange(len(level_nodes)),
-            capacity,
-            tree.min_entries,
-            list(range(tree.dim)),
-        )
-        level_nodes = [
-            Node(False, level, mbr_lows[g], mbr_highs[g], child_ids[g])
-            for g in groups
-        ]
-        level_ids = [
-            tree.pages.allocate(node, n_blocks=tree._blocks_for(node))
-            for node in level_nodes
-        ]
+    layout = str_layout(
+        lows, highs, ids_arr, shape, tree.pages.next_page_id, fill
+    )
+    for level, nodes in enumerate(layout):
+        for group, page_id in zip(nodes.groups, nodes.page_ids.tolist()):
+            node = Node(
+                level == 0, level,
+                nodes.lows[group], nodes.highs[group], nodes.ids[group],
+            )
+            allocated = tree.pages.allocate(
+                node, n_blocks=tree._blocks_for(node)
+            )
+            if allocated != page_id:  # pragma: no cover - layout invariant
+                raise RuntimeError(
+                    f"bulk load allocated page {allocated}, "
+                    f"but its layout placed the node on {page_id}"
+                )
 
     tree.pages.free(tree.root_id)
-    tree.root_id = level_ids[0]
-    tree.height = level + 1
+    tree.root_id = int(layout[-1].page_ids[0])
+    tree.height = len(layout)
     tree.n_entries = n
     return tree
 

@@ -17,7 +17,8 @@ art it improves on:
 Both operate on any :class:`repro.index.rstar.RStarTree` (hence also the
 X-tree) whose leaf entries are data points stored as degenerate
 rectangles, and report the page accesses and distance computations they
-performed.
+performed.  Each counts the blocks of the nodes it reads itself, so a
+search's page count does not depend on what other threads read.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ def rkv_nearest(tree: RStarTree, query: Sequence[float]) -> NNResult:
     state = {"best_sq": np.inf, "best_id": -1}
 
     def visit(page_id: int) -> None:
-        before = tree.pages.stats.logical_reads
         node = tree._read(page_id)
-        result.pages += tree.pages.stats.logical_reads - before
+        result.pages += tree.pages.n_blocks_of(page_id)
         metrics.inc("search.node_visits")
         if node.n_entries == 0:
             return
@@ -123,38 +123,39 @@ def hs_nearest(tree: RStarTree, query: Sequence[float]) -> NNResult:
 
 
 def hs_k_nearest(tree: RStarTree, query: Sequence[float], k: int) -> NNResult:
-    """Best-first k-nearest neighbors on a global MINDIST priority queue."""
+    """Best-first k-nearest neighbors on a global MINDIST priority queue.
+
+    The answer is the ``k`` smallest entries by ``(distance, id)``: the
+    queue orders by distance, then nodes before entries, then id, so an
+    entry leaves it only after every node that could hold one as close
+    has been opened.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     q = np.asarray(query, dtype=np.float64)
     result = NNResult()
-    counter = 0  # heap tie-break
-    # Heap items: (mindist_sq, counter, kind, payload); kind 0 = node page,
-    # kind 1 = data entry.
-    heap: "List[tuple[float, int, int, int]]" = [(0.0, counter, 0, tree.root_id)]
+    # Heap items: (mindist, kind, payload); kind 0 = node page, kind 1 =
+    # data entry.  Distances, not their squares, so that ties are the
+    # ties of the reported distances.
+    heap: "List[tuple[float, int, int]]" = [(0.0, 0, tree.root_id)]
     with span("search.hs", k=k) as s:
         while heap and len(result.ids) < k:
-            dist_sq, __, kind, payload = heapq.heappop(heap)
+            dist, kind, payload = heapq.heappop(heap)
             if kind == 1:
                 result.ids.append(payload)
-                result.distances.append(float(np.sqrt(dist_sq)))
+                result.distances.append(dist)
                 continue
-            before = tree.pages.stats.logical_reads
             node = tree._read(payload)
-            result.pages += tree.pages.stats.logical_reads - before
+            result.pages += tree.pages.n_blocks_of(payload)
             metrics.inc("search.node_visits")
             if node.n_entries == 0:
                 continue
-            dists = mindist_sq_arrays(q, node.lows, node.highs)
+            dists = np.sqrt(mindist_sq_arrays(q, node.lows, node.highs))
             if node.is_leaf:
                 result.distance_computations += node.n_entries
-            for i in range(node.n_entries):
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (float(dists[i]), counter, int(node.is_leaf),
-                     int(node.ids[i])),
-                )
+            child_kind = int(node.is_leaf)
+            for d, child in zip(dists.tolist(), node.ids.tolist()):
+                heapq.heappush(heap, (d, child_kind, child))
         s.set("pages", result.pages)
         s.set("distance_computations", result.distance_computations)
     metrics.inc("search.queries")

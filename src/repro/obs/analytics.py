@@ -15,7 +15,8 @@ This module turns the raw access stream into that distribution:
   the :meth:`~AccessRecorder.report` skew document (load shares, Gini
   coefficient, cache-hit ratio by shard, partitioner-balance verdict);
 * a module-level fast path in the house style: every hot-path hook
-  (:func:`record_cells`, :func:`record_page`, :func:`record_probe`)
+  (:func:`record_cells`, :func:`record_page`, :func:`record_pages`,
+  :func:`record_probe`)
   costs one ``is None`` check while no recorder is installed, so the
   index/storage layers stay within the metrics-off overhead contract;
 * :func:`shard_scope` — a ``contextvars`` scope entered around each
@@ -47,6 +48,7 @@ __all__ = [
     "get_recorder",
     "record_cells",
     "record_page",
+    "record_pages",
     "record_probe",
     "recording",
     "shard_scope",
@@ -245,40 +247,9 @@ class AccessRecorder:
     def record_cells(
         self, cell_ids: "Iterable[int]", shard: "Optional[int]" = None
     ) -> None:
-        """Count one query's candidate cells against the heatmap.
-
-        This hook fires once per query with dozens of cells, so the
-        sketch update is inlined per key (a few dict operations each)
-        instead of composed from :meth:`TopKSketch.hit` calls.
-        """
-        if isinstance(cell_ids, np.ndarray):
-            keys = cell_ids.tolist()
-        else:
-            keys = [int(cell_id) for cell_id in cell_ids]
-        n = len(keys)
-        if not n:
-            return
+        """Count one query's candidate cells against the heatmap."""
         with self._lock:
-            sketch = self.cells
-            tracked = sketch._counts
-            capacity = sketch.capacity
-            sketch._hits += n
-            for key in keys:
-                existing = tracked.get(key)
-                if existing is not None:
-                    tracked[key] = existing + 1.0
-                elif len(tracked) < capacity:
-                    tracked[key] = 1.0
-                else:
-                    victim = min(tracked, key=tracked.__getitem__)
-                    tracked[key] = tracked.pop(victim) + 1.0
-                    sketch._evictions += 1
-            key = UNSHARDED if shard is None else int(shard)
-            tally = self._shards.get(key)
-            if tally is None:
-                tally = self._shards[key] = _ShardTally()
-            tally.cells += n
-            self._tick(n)
+            self._count_cells(cell_ids, shard)
 
     def record_page(
         self,
@@ -287,41 +258,91 @@ class AccessRecorder:
         hit: "Optional[bool]" = None,
         shard: "Optional[int]" = None,
     ) -> None:
-        """Count one page read; ``hit`` attributes the cache outcome.
-
-        This is the hottest hook (one call per page read), so the
-        sketch update, shard tally and decay tick are inlined into one
-        locked block instead of composed from the granular methods.
-        """
-        key = UNSHARDED if shard is None else int(shard)
-        pid = int(page_id)
+        """Count one page read; ``hit`` attributes the cache outcome."""
         with self._lock:
-            tally = self._shards.get(key)
-            if tally is None:
-                tally = self._shards[key] = _ShardTally()
-            tally.pages += 1
-            tally.blocks += int(n_blocks)
+            tally = self._count_pages((int(page_id),), (int(n_blocks),), shard)
             if hit is True:
                 tally.cache_hits += 1
             elif hit is False:
                 tally.cache_misses += 1
-            sketch = self.pages
-            counts = sketch._counts
-            sketch._hits += 1
-            existing = counts.get(pid)
+
+    def record_pages(
+        self,
+        page_ids: "Iterable[int]",
+        blocks: "Iterable[int]",
+        shard: "Optional[int]" = None,
+    ) -> None:
+        """Count the pages of a cell-tree walk, each as
+        :meth:`record_page` would with no cache outcome (the walk reads
+        a snapshot, not the buffer pool)."""
+        with self._lock:
+            self._count_pages(page_ids, blocks, shard)
+
+    def record_access(
+        self,
+        cell_ids: "Optional[Iterable[int]]",
+        page_ids: "Iterable[int]",
+        blocks: "Iterable[int]",
+        shard: "Optional[int]" = None,
+    ) -> None:
+        """One answered query's (or batch's) accesses under one lock:
+        the pages its walks read, then its candidate cells (``None`` on
+        the fallback path)."""
+        with self._lock:
+            self._count_pages(page_ids, blocks, shard)
+            if cell_ids is not None:
+                self._count_cells(cell_ids, shard)
+
+    def _count_cells(
+        self, cell_ids: "Iterable[int]", shard: "Optional[int]"
+    ) -> None:
+        """The cell update (lock held).  It runs once per query with
+        dozens of cells, so the sketch update is inlined per key (a few
+        dict operations each) instead of composed from
+        :meth:`TopKSketch.hit` calls."""
+        if isinstance(cell_ids, np.ndarray):
+            keys = cell_ids.tolist()
+        else:
+            keys = [int(cell_id) for cell_id in cell_ids]
+        n = len(keys)
+        if not n:
+            return
+        sketch = self.cells
+        tracked = sketch._counts
+        capacity = sketch.capacity
+        sketch._hits += n
+        for key in keys:
+            existing = tracked.get(key)
             if existing is not None:
-                counts[pid] = existing + 1.0
-            elif len(counts) < sketch.capacity:
-                counts[pid] = 1.0
+                tracked[key] = existing + 1.0
+            elif len(tracked) < capacity:
+                tracked[key] = 1.0
             else:
-                victim = min(counts, key=counts.__getitem__)
-                counts[pid] = counts.pop(victim) + 1.0
+                victim = min(tracked, key=tracked.__getitem__)
+                tracked[key] = tracked.pop(victim) + 1.0
                 sketch._evictions += 1
-            self._events_since_decay += 1
-            if self._events_since_decay >= self.decay_every:
-                self._events_since_decay = 0
-                self.cells.decay(self.decay_factor)
-                self.pages.decay(self.decay_factor)
+        self._tally(shard).cells += n
+        self._tick(n)
+
+    def _count_pages(
+        self,
+        page_ids: "Iterable[int]",
+        blocks: "Iterable[int]",
+        shard: "Optional[int]",
+    ) -> _ShardTally:
+        """The page update (lock held), one page at a time, decay ticks
+        included; returns the shard's tally."""
+        if isinstance(page_ids, np.ndarray):
+            page_ids = page_ids.tolist()
+        if isinstance(blocks, np.ndarray):
+            blocks = blocks.tolist()
+        tally = self._tally(shard)
+        for page_id, n_blocks in zip(page_ids, blocks):
+            tally.pages += 1
+            tally.blocks += n_blocks
+            self.pages.hit(page_id)
+            self._tick()
+        return tally
 
     def record_probe(self, shard: "Optional[int]" = None) -> None:
         """Count one query probe against ``shard``'s load share."""
@@ -522,6 +543,14 @@ def record_page(
     if recorder is None:
         return
     recorder.record_page(page_id, n_blocks, hit, _shard_scope.get())
+
+
+def record_pages(page_ids: "Iterable[int]", blocks: "Iterable[int]") -> None:
+    """Hook: count the pages of one cell-tree walk (no-op when off)."""
+    recorder = _recorder
+    if recorder is None:
+        return
+    recorder.record_pages(page_ids, blocks, _shard_scope.get())
 
 
 def record_probe(shard: int) -> None:

@@ -22,9 +22,11 @@ shape.
 This module also *publishes* each answered query: the query paths fill
 their ``QueryInfo``/``BatchQueryInfo`` and make one call,
 :func:`record_query` or :func:`record_batch`, which feeds every sink
-that is on — the ``query.*``/``shard.*`` metrics and windows (one
-registry lock acquisition), the cell heatmap (one analytics lock
-acquisition), the ``query``/``batch`` event and the capture.  A query
+that is on — the ``query.*``/``shard.*`` and ``storage.*`` metrics and
+windows (one registry lock acquisition), the page and cell heatmaps (one
+analytics lock acquisition), the ``query``/``batch`` event and the
+capture.  The cell-tree walk reads a snapshot, not a page manager, so
+its pages reach ``storage.*`` and the page heatmap only here.  A query
 run inside a shard probe (:func:`repro.obs.analytics.shard_scope`)
 counts its cells against that shard and is not captured: the outer
 sharded query is the workload, not its per-shard fan-out.
@@ -36,7 +38,7 @@ import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -320,6 +322,33 @@ def get_recorder() -> "Optional[WorkloadRecorder]":
     return _recorder
 
 
+def _storage_counters(reads) -> "List[tuple]":
+    """The ``storage.*`` updates of the cell-tree walks ``reads``."""
+    blocks = sum(walk.pages for walk in reads)
+    if not blocks:
+        return []
+    return [
+        ("storage.logical_reads", blocks),
+        ("storage.physical_reads", blocks),
+    ]
+
+
+def _record_access(shard, cells, reads) -> None:
+    """Count the walks' pages, then ``cells``, on the access heatmaps."""
+    access = analytics.get_recorder()
+    if access is None:
+        return
+    if not reads:
+        if cells is not None:
+            access.record_cells(cells, shard)
+        return
+    page_ids = [walk.page_ids() for walk in reads]
+    blocks = [walk.blocks() for walk in reads]
+    access.record_access(
+        cells, np.concatenate(page_ids), np.concatenate(blocks), shard
+    )
+
+
 def record_query(
     query: "np.ndarray",
     point_id: int,
@@ -327,14 +356,17 @@ def record_query(
     info,
     cells: "Optional[np.ndarray]" = None,
     started: float = 0.0,
+    reads: "Sequence" = (),
 ) -> None:
     """Publish one answered query to every sink that is on.
 
     ``info`` is its :class:`~repro.core.nncell_index.QueryInfo`.  A
     sharded query (``info.shards_answered`` set) updates
     ``shard.query.*``.  An unsharded one updates the ``query.*``
-    metrics, counts ``cells`` (its candidate cells) on the heatmap and
-    emits a ``query`` event timed from ``started`` (a
+    metrics, adds the pages of ``reads`` (its cell-tree walks, each a
+    :class:`~repro.index.packed.Walk`) to ``storage.*``, counts the
+    pages they touched and then ``cells`` (its candidate cells) on the
+    heatmaps and emits a ``query`` event timed from ``started`` (a
     :func:`time.perf_counter` reading).  Either is captured unless it
     runs inside a shard probe.
     """
@@ -350,7 +382,9 @@ def record_query(
     else:
         source = "fallback" if info.fallback else "cell"
         if registry is not None:
-            counters = [("query.atol_retries", 1.0)] if info.retried_atol else []
+            counters = _storage_counters(reads)
+            if info.retried_atol:
+                counters.append(("query.atol_retries", 1.0))
             if info.fallback:
                 registry.apply(counters + [("query.fallbacks", 1.0)])
             else:
@@ -361,9 +395,7 @@ def record_query(
                         ("query.pages", info.pages),
                     ],
                 )
-        access = analytics.get_recorder()
-        if access is not None and cells is not None:
-            access.record_cells(cells, shard)
+        _record_access(shard, cells, reads)
         if events.enabled():
             # Imported here: repro.core imports this module.
             from ..core.nncell_index import fallback_reason
@@ -391,6 +423,7 @@ def record_batch(
     cells: "Optional[np.ndarray]" = None,
     candidates: "Optional[np.ndarray]" = None,
     started: float = 0.0,
+    reads: "Sequence" = (),
 ) -> None:
     """Publish one answered batch to every sink that is on.
 
@@ -399,8 +432,9 @@ def record_batch(
     An unsharded one updates the ``query.*`` metrics — one
     ``query.fallbacks`` per fallback and one ``query.candidates`` per
     query with candidates (``candidates`` holds the per-query counts) —
-    counts ``cells`` on the heatmap and emits a ``batch`` event timed
-    from ``started``.  Outside a shard probe every query is captured,
+    and ``storage.*`` with ``reads``, counts the walks' pages and then
+    ``cells`` on the heatmaps and emits a ``batch`` event timed from
+    ``started``.  Outside a shard probe every query is captured,
     the first ``pages % n`` with one page more than ``pages // n``, so
     the captured pages add up to the batch's pages.
     """
@@ -415,7 +449,9 @@ def record_batch(
             )
     else:
         if registry is not None:
-            counters = [("query.batch.count", 1.0), ("query.batch.queries", m)]
+            counters = _storage_counters(reads) + [
+                ("query.batch.count", 1.0), ("query.batch.queries", m),
+            ]
             if info.retried_atol:
                 counters.append(("query.atol_retries", info.retried_atol))
             histograms = [("query.batch_size", m)]
@@ -428,9 +464,7 @@ def record_batch(
                 counters + [("query.fallbacks", 1.0)] * info.fallbacks,
                 histograms + [("query.batch.pages", info.pages)],
             )
-        access = analytics.get_recorder()
-        if access is not None and cells is not None:
-            access.record_cells(cells, shard)
+        _record_access(shard, cells, reads)
         if events.enabled():
             events.emit(
                 "batch",

@@ -10,7 +10,10 @@ simulates that storage layer:
   (:mod:`repro.storage.cache`) so cache hits can be separated from physical
   accesses — the paper grants each index "the same amount of cache";
 * :class:`AccessStats` is the counter bundle the evaluation harness
-  snapshots around each query.
+  snapshots around each query;
+* :func:`chaos_read` and :func:`record_reads` are the page hooks of a
+  read made outside a :class:`PageManager`: the packed cell-tree walk
+  (:mod:`repro.index.packed`) counts its own pages and calls them.
 
 Pages store opaque Python payloads; *capacity* questions (how many entries
 fit in a node) are answered by :meth:`PageManager.entries_per_page` from
@@ -23,12 +26,76 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from ..obs import analytics, metrics
 from .cache import LRUCache
 
-__all__ = ["AccessStats", "PageManager", "DEFAULT_PAGE_SIZE"]
+__all__ = [
+    "AccessStats",
+    "PageManager",
+    "DEFAULT_PAGE_SIZE",
+    "FLAKY_READ_RETRIES",
+    "chaos_read",
+    "entries_per_page",
+    "record_reads",
+]
 
 DEFAULT_PAGE_SIZE = 4096  # bytes; the paper uses 4 KByte blocks
+
+#: Transient-read retry budget: a chaos-injected
+#: :class:`~repro.chaos.faults.FlakyPageRead` is re-attempted this many
+#: times before propagating to the caller (and, in a sharded deployment,
+#: failing that probe attempt).
+FLAKY_READ_RETRIES = 3
+
+
+def entries_per_page(
+    page_size: int, entry_bytes: int, header_bytes: int = 32
+) -> int:
+    """How many fixed-size entries fit in one page (at least 2, so tree
+    nodes always admit a legal split)."""
+    if entry_bytes <= 0:
+        raise ValueError("entry_bytes must be positive")
+    return max(2, (page_size - header_bytes) // entry_bytes)
+
+
+def chaos_read(injector, page_id: int) -> None:
+    """Run ``injector.page_read(page_id)`` with the flaky-read retries.
+
+    ``injector`` duck-types :class:`repro.chaos.ChaosInjector`.  Each
+    :class:`~repro.chaos.faults.FlakyPageRead` counts
+    ``storage.flaky_reads`` and is retried up to
+    :data:`FLAKY_READ_RETRIES` times before it propagates.
+    """
+    from ..chaos.faults import FlakyPageRead  # stdlib-only module
+
+    last: "Optional[BaseException]" = None
+    for __ in range(FLAKY_READ_RETRIES + 1):
+        try:
+            injector.page_read(page_id)
+            return
+        except FlakyPageRead as err:
+            metrics.inc("storage.flaky_reads")
+            last = err
+    raise last
+
+
+def record_reads(page_ids: np.ndarray, blocks: np.ndarray) -> None:
+    """Publish page reads made outside a :class:`PageManager`.
+
+    Adds the blocks to ``storage.logical_reads`` and
+    ``storage.physical_reads`` (such reads bypass the buffer pool) and
+    counts each page on the access heatmap with no cache outcome.  The
+    query record (:mod:`repro.obs.workload`) does the same inside its own
+    update; this is for the paths without one (``explain``,
+    ``k_nearest``).
+    """
+    total = int(np.sum(blocks))
+    if total:
+        metrics.inc("storage.logical_reads", total)
+        metrics.inc("storage.physical_reads", total)
+    analytics.record_pages(page_ids, blocks)
 
 
 @dataclass
@@ -80,12 +147,6 @@ class PageManager:
     caching so every logical read is also a physical read.
     """
 
-    #: Transient-read retry budget: a chaos-injected
-    #: :class:`~repro.chaos.faults.FlakyPageRead` is re-attempted this
-    #: many times before propagating to the caller (and, in a sharded
-    #: deployment, failing that probe attempt).
-    FLAKY_READ_RETRIES = 3
-
     def __init__(
         self,
         page_size: int = DEFAULT_PAGE_SIZE,
@@ -110,10 +171,7 @@ class PageManager:
     def entries_per_page(self, entry_bytes: int, header_bytes: int = 32) -> int:
         """How many fixed-size entries fit in one page (at least 2, so tree
         nodes always admit a legal split)."""
-        if entry_bytes <= 0:
-            raise ValueError("entry_bytes must be positive")
-        usable = self.page_size - header_bytes
-        return max(2, usable // entry_bytes)
+        return entries_per_page(self.page_size, entry_bytes, header_bytes)
 
     # ------------------------------------------------------------------
     # Page lifecycle
@@ -133,27 +191,10 @@ class PageManager:
     def set_chaos(self, injector) -> None:
         """Install (or, with ``None``, remove) a read-fault injector.
 
-        ``injector`` duck-types :class:`repro.chaos.ChaosInjector`: its
-        ``page_read(page_id)`` runs per read attempt and may raise
-        :class:`~repro.chaos.faults.FlakyPageRead`.  Reads retry up to
-        :attr:`FLAKY_READ_RETRIES` times (counting
-        ``storage.flaky_reads``) before the fault propagates.  A single
+        Every read runs it through :func:`chaos_read`.  A single
         ``is None`` check when disabled — clean reads pay nothing.
         """
         self._chaos = injector
-
-    def _chaos_read(self, page_id: int) -> None:
-        from ..chaos.faults import FlakyPageRead  # stdlib-only module
-
-        last: "Optional[BaseException]" = None
-        for __ in range(self.FLAKY_READ_RETRIES + 1):
-            try:
-                self._chaos.page_read(page_id)
-                return
-            except FlakyPageRead as err:
-                metrics.inc("storage.flaky_reads")
-                last = err
-        raise last
 
     def read(self, page_id: int) -> Any:
         """Fetch a page payload, counting the access."""
@@ -161,7 +202,7 @@ class PageManager:
         if page is None:
             raise KeyError(f"page {page_id} does not exist")
         if self._chaos is not None:
-            self._chaos_read(page_id)
+            chaos_read(self._chaos, page_id)
         self.stats.logical_reads += page.n_blocks
         metrics.inc("storage.logical_reads", page.n_blocks)
         if self._cache is None:
@@ -219,6 +260,16 @@ class PageManager:
     def n_blocks_of(self, page_id: int) -> int:
         """Disk blocks occupied by ``page_id``."""
         return self._pages[page_id].n_blocks
+
+    def peek(self, page_id: int) -> Any:
+        """A page payload, without counting an access: for copying a
+        tree into a read snapshot, which is not a modelled read."""
+        return self._pages[page_id].payload
+
+    @property
+    def next_page_id(self) -> int:
+        """The id the next :meth:`allocate` returns."""
+        return self._next_id
 
     # ------------------------------------------------------------------
     # Introspection

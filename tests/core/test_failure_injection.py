@@ -27,6 +27,7 @@ class TestSafetyNets:
         for pid in list(index.active_ids):
             index._replace_cell_in_tree(int(pid), [])
             index._cell_rects[int(pid)] = []
+        index._publish()  # queries read the snapshot a write publishes
         for __ in range(20):
             q = rng.uniform(size=3)
             pid, dist, info = index.nearest(q)

@@ -113,21 +113,20 @@ class TestValidation:
 class TestBatchedPointQuery:
     def test_matches_point_query_per_row(self, index):
         queries = query_points(20, 3, seed=13)
-        pair_q, pair_owner = batched_point_query(
-            index.cell_tree, queries, atol=index.config.query_atol
+        walk = batched_point_query(
+            index.snapshot, queries, atol=index.config.query_atol
         )
         for j, q in enumerate(queries):
             expected = np.unique(
                 index.cell_tree.point_query(q, atol=index.config.query_atol)
             )
-            got = np.unique(pair_owner[pair_q == j])
+            got = np.unique(walk.owner[walk.query == j])
             assert np.array_equal(got, expected)
 
     def test_empty_query_set(self, index):
-        pair_q, pair_owner = batched_point_query(
-            index.cell_tree, np.zeros((0, 3))
-        )
-        assert pair_q.size == 0 and pair_owner.size == 0
+        walk = batched_point_query(index.snapshot, np.zeros((0, 3)))
+        assert walk.query.size == 0 and walk.owner.size == 0
+        assert walk.pages == 0 and walk.page_ids().size == 0
 
 
 class TestObservability:
