@@ -46,7 +46,7 @@ from ..geometry.mbr import MBR
 from ..index.bulk import bulk_load, str_layout
 from ..index.nnsearch import hs_k_nearest, rkv_nearest
 from ..index.packed import PackedTree, Walk, batched_point_query
-from ..index.rstar import RStarTree, node_shape
+from ..index.rstar import RStarTree
 from ..index.xtree import XTree
 from ..obs import analytics, metrics, workload
 from ..obs.tracing import span
@@ -242,18 +242,6 @@ def make_tree(dim: int, config: BuildConfig, leaf_entry_bytes: int) -> RStarTree
     )
 
 
-def cell_entry_bytes(dim: int) -> int:
-    """On-disk size of one cell-tree leaf entry: the cell rectangle plus
-    its owner's coordinates (3d values and an id) — the paper's "twice
-    the size of the database"."""
-    return 3 * 8 * dim + 8
-
-
-#: The page a fresh tree's bulk load starts allocating on: the empty
-#: root takes page 0 when the tree is made, and the load frees it.
-_FIRST_BULK_PAGE = 1
-
-
 def load_data_tree(
     tree: RStarTree, points: np.ndarray, config: BuildConfig
 ) -> RStarTree:
@@ -296,7 +284,7 @@ def _publish_walks(walks: "List[Walk]") -> None:
     """Publish the pages of walks no query record carries."""
     record_reads(
         np.concatenate([w.page_ids() for w in walks]),
-        np.concatenate([w.blocks() for w in walks]),
+        sum(w.pages for w in walks),
     )
 
 
@@ -337,7 +325,8 @@ class NNCellIndex:
         self.snapshot: "Optional[PackedTree]" = None
         self._cell_tree: "Optional[RStarTree]" = None
         #: The ``(lows, highs, owners)`` the snapshot was laid out from,
-        #: which :attr:`cell_tree` bulk-loads when first needed.
+        #: which :attr:`cell_tree` bulk-loads into the empty tree when
+        #: first needed; ``None`` once loaded.
         self._entries: "Optional[Tuple[np.ndarray, ...]]" = None
         self._selector: "Optional[CandidateSelector]" = None
         self._chaos = None  # page-read fault injector (repro.chaos)
@@ -462,28 +451,24 @@ class NNCellIndex:
         """Index every cell rectangle: build :attr:`snapshot`.
 
         Several rectangles with ``bulk`` are laid out by STR, as a bulk
-        load would pack them, and kept for :attr:`cell_tree`; otherwise
-        they are inserted one by one into the mutable tree, which is
-        then frozen.
+        load of the still-empty mutable tree would pack them, and kept
+        for :attr:`cell_tree`; otherwise they are inserted one by one
+        into the mutable tree, which is then frozen.
         """
+        tree = self._cell_tree = self._new_cell_tree()
         if bulk and owners.size > 1:
-            shape = node_shape(
-                self.dim, self.config.page_size,
-                leaf_entry_bytes=cell_entry_bytes(self.dim),
-            )
-            layout = str_layout(lows, highs, owners, shape, _FIRST_BULK_PAGE)
             self._entries = (lows, highs, owners)
-            self.snapshot = PackedTree.from_layout(layout)
+            self.snapshot = PackedTree.from_layout(
+                str_layout(tree, lows, highs, owners)
+            )
             return
-        tree = self._new_cell_tree()
         for low, high, owner in zip(lows, highs, owners.tolist()):
             tree.insert(low, high, owner)
-        self._cell_tree = tree
         self.snapshot = PackedTree.freeze(tree)
 
     def _new_cell_tree(self) -> RStarTree:
         tree = make_tree(
-            self.dim, self.config, leaf_entry_bytes=cell_entry_bytes(self.dim)
+            self.dim, self.config, leaf_entry_bytes=3 * 8 * self.dim + 8
         )
         tree.pages.set_chaos(self._chaos)
         return tree
@@ -493,19 +478,19 @@ class NNCellIndex:
         """The mutable cell tree the writes maintain.
 
         Queries read :attr:`snapshot` instead.  After a bulk build or a
-        load, the first access bulk-loads this tree from the rectangles
-        the snapshot was laid out from, so the two agree node for node.
+        load the tree stays empty until its first access, which
+        bulk-loads the rectangles the snapshot was laid out from, so the
+        two agree node for node.
         """
         return self._thaw_tree()
 
     def _thaw_tree(self) -> RStarTree:
-        if self._cell_tree is None:
+        if self._entries is not None:
             with self._thaw_lock:
-                if self._cell_tree is None:
-                    tree = self._new_cell_tree()
-                    if self._entries is not None:
-                        bulk_load(tree, *self._entries)
-                    self._cell_tree = tree
+                if self._entries is not None:
+                    bulk_load(self._cell_tree, *self._entries)
+                    # Last: unlocked readers test it.
+                    self._entries = None
         return self._cell_tree
 
     def _thaw_cells(self) -> None:
@@ -542,7 +527,6 @@ class NNCellIndex:
         per-cell objects, the mutable cell tree and the selector."""
         self._thaw_cells()
         self._thaw_tree()
-        self._entries = None
         self._columns = None
         if self._selector is None:
             self._selector = CandidateSelector(
@@ -853,7 +837,7 @@ class NNCellIndex:
         walk = walks[-1]
         leaves = walk.tree.leaves
         rectangles = [
-            (owner, MBR(leaves.lows[entry], leaves.highs[entry]))
+            (owner, MBR(leaves.lows[:, entry], leaves.highs[:, entry]))
             for owner, entry in zip(walk.owner.tolist(), walk.entry.tolist())
         ]
         # np.unique sorts ids and the argsort is stable, so among

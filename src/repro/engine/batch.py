@@ -5,8 +5,8 @@ is a *point query*, and point queries over the same tree share their
 descent.  :func:`batched_point_query` (the one walk of
 :mod:`repro.index.packed`, which ``nearest`` runs as a batch of one)
 carries a whole *set* of query points down the index's packed snapshot:
-each level is one vectorised containment test of the entries of the
-nodes some query reached against every query.  Page reads (the paper's
+each level tests the entries of the nodes reached against the queries
+that reached them in one vectorised pass.  Page reads (the paper's
 cost currency) are therefore paid per *node touched by the batch*, not
 per query; the candidate distance scan at the end is likewise one NumPy
 pass over all (query, owner) pairs.
@@ -21,8 +21,8 @@ this.  Only the *accounting* differs: page counts are amortised, and
 diagnostics come back as one :class:`BatchQueryInfo` for the batch.
 
 ``batch_size`` bounds how many queries walk together (the vectorised
-containment test materialises an ``entries × queries`` mask per level);
-``None`` walks the whole batch at once.
+containment test of a level materialises a few bytes per (query,
+entry) pair tested, per axis); ``None`` walks the whole batch at once.
 """
 
 from __future__ import annotations

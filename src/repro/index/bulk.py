@@ -26,7 +26,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .node import Node
-from .rstar import NodeShape, RStarTree
+from .rstar import RStarTree
 
 __all__ = ["DEFAULT_FILL", "LayoutLevel", "bulk_load", "str_layout"]
 
@@ -52,31 +52,31 @@ class LayoutLevel:
 
 
 def str_layout(
+    tree: RStarTree,
     lows: np.ndarray,
     highs: np.ndarray,
     ids: np.ndarray,
-    shape: NodeShape,
-    first_page: int,
     fill: float = DEFAULT_FILL,
 ) -> "List[LayoutLevel]":
-    """The nodes STR packs ``n >= 1`` entries into, leaves first.
+    """The nodes STR packs ``n >= 1`` entries into, leaves first, when
+    :func:`bulk_load` fills the empty ``tree`` with them.
 
-    Node occupancy targets ``fill`` times the maximum fan-out of
-    ``shape`` but never drops below its minimum fill grade.  Pages are
-    numbered from ``first_page`` in allocation order: the leaves, then
-    each directory level; the last level holds only the root.  This is
-    the one layout :func:`bulk_load` allocates and the packed read
-    snapshot (:mod:`repro.index.packed`) copies, so the two agree node
-    for node and page for page.
+    Node occupancy targets ``fill`` times the tree's maximum fan-out but
+    never drops below its minimum fill grade.  Pages are numbered from
+    the tree's next free page in allocation order: the leaves, then each
+    directory level; the last level holds only the root.  This is the
+    one layout :func:`bulk_load` allocates and the packed read snapshot
+    (:mod:`repro.index.packed`) copies, so the two agree node for node
+    and page for page.  ``tree`` is only read.
     """
     dims = list(range(lows.shape[1]))
-    capacity = max(2, int(fill * shape.max_entries), shape.min_entries)
+    capacity = max(2, int(fill * tree.max_entries), tree.min_entries)
     leaf_capacity = max(
-        2, int(fill * shape.leaf_max_entries), shape.leaf_min_entries
+        2, int(fill * tree.leaf_max_entries), tree.leaf_min_entries
     )
     levels: "List[LayoutLevel]" = []
-    cap, min_entries = leaf_capacity, shape.leaf_min_entries
-    page = first_page
+    cap, min_entries = leaf_capacity, tree.leaf_min_entries
+    page = tree.pages.next_page_id
     while True:
         centers = (lows + highs) / 2.0
         groups = _str_groups(
@@ -92,7 +92,7 @@ def str_layout(
         node_lows = np.stack([lows[g].min(axis=0) for g in groups])
         node_highs = np.stack([highs[g].max(axis=0) for g in groups])
         lows, highs, ids = node_lows, np.maximum(node_lows, node_highs), page_ids
-        cap, min_entries = capacity, shape.min_entries
+        cap, min_entries = capacity, tree.min_entries
 
 
 def bulk_load(
@@ -123,13 +123,7 @@ def bulk_load(
     if n == 0:
         return tree
 
-    shape = NodeShape(
-        tree.max_entries, tree.min_entries,
-        tree.leaf_max_entries, tree.leaf_min_entries,
-    )
-    layout = str_layout(
-        lows, highs, ids_arr, shape, tree.pages.next_page_id, fill
-    )
+    layout = str_layout(tree, lows, highs, ids_arr, fill)
     for level, nodes in enumerate(layout):
         for group, page_id in zip(nodes.groups, nodes.page_ids.tolist()):
             node = Node(

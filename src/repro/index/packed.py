@@ -6,6 +6,8 @@ node by node pays Python and numpy call overhead per node instead.  A
 :class:`PackedTree` copies the tree into one set of arrays per level, and
 :func:`batched_point_query` answers a batch of point queries with one
 vectorised containment test per level; a single query is a batch of one.
+Entry bounds are stored axis-major, so a test reduces over ``d``
+contiguous slabs.
 
 Levels run from the root down, in breadth-first order: a level's entries
 are its nodes' entries in node order, and directory entry ``i`` points to
@@ -44,8 +46,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class PackedLevel:
     """One level of a :class:`PackedTree`."""
 
-    lows: np.ndarray  # (E, d) entry bounds
-    highs: np.ndarray  # (E, d)
+    lows: np.ndarray  # (d, E) entry bounds, axis-major
+    highs: np.ndarray  # (d, E)
     #: Child node in the next level, or (at the leaf level) owner id.
     ids: np.ndarray  # (E,)
     #: Node ``i`` holds entries ``offsets[i]:offsets[i + 1]``.
@@ -56,12 +58,14 @@ class PackedLevel:
 
     @classmethod
     def of(cls, lows, highs, ids, counts, page_ids, blocks) -> "PackedLevel":
+        """A level from entry-major ``(E, d)`` bounds and its nodes'
+        entry counts."""
         counts = np.asarray(counts, dtype=np.int64)
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(
-            _frozen(np.asarray(lows, dtype=np.float64)),
-            _frozen(np.asarray(highs, dtype=np.float64)),
+            _frozen(np.ascontiguousarray(np.transpose(lows), np.float64)),
+            _frozen(np.ascontiguousarray(np.transpose(highs), np.float64)),
             _frozen(np.asarray(ids, dtype=np.int64)),
             _frozen(offsets),
             _frozen(counts),
@@ -144,24 +148,16 @@ class Walk(NamedTuple):
     owner: np.ndarray
     #: Blocks of the nodes touched: the walk's page count.
     pages: int
-    #: Per level from the root, the nodes touched (``None``: all).
-    nodes: "Tuple[Optional[np.ndarray], ...]"
+    #: Per level from the root, the nodes touched, each once.
+    nodes: "Tuple[np.ndarray, ...]"
     tree: "Optional[PackedTree]"
 
     def page_ids(self) -> np.ndarray:
         """Pages of the nodes touched, level by level, each once."""
-        return self._per_node("page_ids")
-
-    def blocks(self) -> np.ndarray:
-        """Block count of each page of :meth:`page_ids`."""
-        return self._per_node("blocks")
-
-    def _per_node(self, field: str) -> np.ndarray:
         if not self.nodes:
             return _EMPTY
         return np.concatenate([
-            getattr(level, field) if nodes is None
-            else getattr(level, field)[nodes]
+            level.page_ids[nodes]
             for level, nodes in zip(self.tree.levels, self.nodes)
         ])
 
@@ -169,6 +165,32 @@ class Walk(NamedTuple):
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 _NO_WALK = Walk(_EMPTY, _EMPTY, _EMPTY, 0, (), None)
+_ROOT = np.zeros(1, dtype=np.int64)
+_ROOT.setflags(write=False)
+
+#: A level tests every entry of the nodes it touches against every
+#: query, by broadcasting, when that block is at most this many times
+#: the (query, entry) pairs its reached nodes hold, and those pairs alone
+#: otherwise.  Broadcasting costs a few times less per pair than
+#: gathering, and either way a level costs O(pairs reached).
+_BLOCK_SHARE = 2
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] : starts[i] + counts[i]`` for every ``i``, concatenated."""
+    skip = starts - np.cumsum(counts) + counts
+    return np.repeat(skip, counts) + np.arange(counts.sum())
+
+
+def _contains(
+    lows: np.ndarray, highs: np.ndarray, q: np.ndarray, atol: float
+) -> np.ndarray:
+    """``(E, m)``: entry ``i`` contains query ``j``.  All axis-major:
+    ``lows``/``highs`` are ``(d, E)`` and ``q`` is ``(d, m)``."""
+    q = q[:, None, :]
+    inside = lows[:, :, None] <= q + atol
+    inside &= q <= highs[:, :, None] + atol
+    return np.logical_and.reduce(inside, axis=0)
 
 
 def batched_point_query(
@@ -179,15 +201,20 @@ def batched_point_query(
 ) -> Walk:
     """Every (query, leaf entry) containment pair, in one walk.
 
-    The containment test is ``low <= q + atol`` and ``q <= high + atol``
-    per axis, the arithmetic of :meth:`RStarTree.point_query`, and an
-    entry is tested for a query only if the query reached its node, so
-    the pairs are exactly those a per-query point query finds.  Each
-    level is one vectorised test of the entries of every node some query
-    reached against every query; a node is touched once per walk however
-    many queries reach it, so a batch shares its descent.  Pairs come
-    ordered by leaf entry, then query; an owner stored under several
-    rectangles (decomposed cells) repeats.
+    The walk carries the (query, node) pairs reached from level to
+    level.  Each level tests the entries of the nodes reached against
+    the queries that reached them in one vectorised pass, with the
+    arithmetic of :meth:`RStarTree.point_query` (``low <= q + atol`` and
+    ``q <= high + atol`` per axis), so the pairs found are exactly those
+    a per-query point query finds.  Where the queries share most of the
+    nodes touched, the pass broadcasts every touched entry against every
+    query, which finds the same pairs because a parent's MBR covers its
+    entries; elsewhere it gathers the reached pairs alone
+    (:data:`_BLOCK_SHARE`).  Either way a level's work grows with the
+    (query, node) pairs reached, as it does for per-query walks.  A node
+    is touched once per walk however many queries reach it, so a batch
+    shares its descent.  A single query's pairs come in leaf-entry order;
+    an owner stored under several rectangles (decomposed cells) repeats.
 
     ``chaos`` duck-types :class:`repro.chaos.ChaosInjector`: every node
     touched is one read attempt, retried as a page manager retries.
@@ -196,46 +223,52 @@ def batched_point_query(
     m = q.shape[0]
     if m == 0:
         return _NO_WALK
-    qs = q[None]
-    qs_atol = qs + atol
-    #: reached[i, j]: query j reached node i of the level; ``None`` at
-    #: the root, which every query reaches.
-    reached: "Optional[np.ndarray]" = None
-    touched: "List[Optional[np.ndarray]]" = []
-    pages = 0
-    for level in tree.levels:
-        nodes = entries = None  # None: the whole level
-        lows, highs = level.lows, level.highs
-        if reached is not None:
-            live = reached[:, 0] if m == 1 else reached.any(axis=1)
-            nodes = np.flatnonzero(live)
-            if nodes.size == live.size:
-                nodes = None
-            else:
-                reached = reached[nodes]
-                starts = level.offsets[nodes]
-                counts = level.counts[nodes]
-                entries = np.arange(int(counts.sum()))
-                entries += np.repeat(starts - (np.cumsum(counts) - counts), counts)
-                lows, highs = lows[entries], highs[entries]
+    q = np.ascontiguousarray(q.T)  # axis-major, as the bounds
+    root = tree.levels[0]
+    touched = [_ROOT]
+    pages = int(root.blocks[0])
+    if chaos is not None:
+        chaos_read(chaos, int(root.page_ids[0]))
+    # Every query reaches the root.
+    pair_node, pair_q = np.nonzero(_contains(root.lows, root.highs, q, atol))
+    level = root
+    for level in tree.levels[1:]:
+        # Directory entry i leads to node i of this level, and one query
+        # reaches each node at most once.
+        nodes = pair_node if m == 1 else np.unique(pair_node)
         touched.append(nodes)
-        blocks = level.blocks if nodes is None else level.blocks[nodes]
-        pages += int(blocks.sum())
+        pages += int(level.blocks[nodes].sum())
         if chaos is not None:
-            ids = level.page_ids if nodes is None else level.page_ids[nodes]
-            for page_id in ids.tolist():
+            for page_id in level.page_ids[nodes].tolist():
                 chaos_read(chaos, page_id)
-        inside = (lows[:, None] <= qs_atol) & (qs <= (highs + atol)[:, None])
-        inside = inside.all(axis=2)
-        if reached is not None:
-            counts = level.counts if nodes is None else counts
-            inside &= np.repeat(reached, counts, axis=0)
-        if entries is None:
-            reached = inside
+        sizes = level.counts[nodes]
+        if m == 1 or int(sizes.sum()) * m <= _BLOCK_SHARE * int(
+            level.counts[pair_node].sum()
+        ):
+            # Parents cover their entries, so a query inside an entry
+            # is inside every MBR above it and reached the entry's node:
+            # testing every touched entry against every query finds
+            # the reached pairs only.
+            entry = _ranges(level.offsets[nodes], sizes)
+            hit = _contains(
+                np.take(level.lows, entry, axis=1),
+                np.take(level.highs, entry, axis=1),
+                q, atol,
+            )
+            rows, pair_q = np.nonzero(hit)
+            pair_node = entry[rows]
         else:
-            # Directory entry i leads to node i of the next level.
-            reached = np.zeros((level.ids.size, m), dtype=bool)
-            reached[entries] = inside
-    rows, pair_q = np.nonzero(inside)
-    entry = rows if entries is None else entries[rows]
-    return Walk(pair_q, entry, level.ids[entry], pages, tuple(touched), tree)
+            counts = level.counts[pair_node]
+            entry = _ranges(level.offsets[pair_node], counts)
+            pair_q = np.repeat(pair_q, counts)
+            hit = np.take(level.lows, entry, axis=1) <= np.take(
+                q + atol, pair_q, axis=1
+            )
+            high = np.take(level.highs, entry, axis=1)
+            high += atol
+            hit &= np.take(q, pair_q, axis=1) <= high
+            hit = np.logical_and.reduce(hit, axis=0)
+            pair_q, pair_node = pair_q[hit], entry[hit]
+    return Walk(
+        pair_q, pair_node, level.ids[pair_node], pages, tuple(touched), tree
+    )

@@ -24,55 +24,18 @@ they would on disk.
 
 from __future__ import annotations
 
-from typing import (
-    Callable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..geometry.mbr import MBR
 from ..obs import metrics
-from ..storage.page import DEFAULT_PAGE_SIZE, PageManager, entries_per_page
+from ..storage.page import DEFAULT_PAGE_SIZE, PageManager
 from .node import Node, entry_bytes
 
-__all__ = ["NodeShape", "RStarTree", "REINSERT_FRACTION", "node_shape"]
+__all__ = ["RStarTree", "REINSERT_FRACTION"]
 
 REINSERT_FRACTION = 0.3  # the R*-tree paper's p = 30 %
-
-#: fraction of the maximum fan-out used as the minimum fill grade
-MIN_FILL = 0.4
-
-
-class NodeShape(NamedTuple):
-    """Fan-out bounds of a tree's directory and leaf nodes."""
-
-    max_entries: int
-    min_entries: int
-    leaf_max_entries: int
-    leaf_min_entries: int
-
-
-def node_shape(
-    dim: int,
-    page_size: int = DEFAULT_PAGE_SIZE,
-    max_entries: "int | None" = None,
-    leaf_entry_bytes: "int | None" = None,
-) -> NodeShape:
-    """The node fan-outs of an :class:`RStarTree` built with these
-    arguments (see its constructor), without building one."""
-    if max_entries is None:
-        max_entries = entries_per_page(page_size, entry_bytes(dim))
-    max_entries = max(4, max_entries)
-    if leaf_entry_bytes is None:
-        leaf_max = max_entries
-    else:
-        leaf_max = max(4, entries_per_page(page_size, leaf_entry_bytes))
-    return NodeShape(
-        max_entries,
-        max(2, int(MIN_FILL * max_entries)),
-        leaf_max,
-        max(2, int(MIN_FILL * leaf_max)),
-    )
 
 
 class RStarTree:
@@ -83,6 +46,9 @@ class RStarTree:
     the decomposed NN-cell index stores several rectangles per cell — but
     deletion then requires the exact rectangle (:meth:`delete`).
     """
+
+    #: fraction of the maximum fan-out used as the minimum fill grade
+    MIN_FILL = 0.4
 
     def __init__(
         self,
@@ -103,12 +69,18 @@ class RStarTree:
             raise ValueError("dimension must be positive")
         self.dim = dim
         self.pages = page_manager or PageManager(page_size, cache_pages)
-        (
-            self.max_entries,
-            self.min_entries,
-            self.leaf_max_entries,
-            self.leaf_min_entries,
-        ) = node_shape(dim, self.pages.page_size, max_entries, leaf_entry_bytes)
+        if max_entries is None:
+            max_entries = self.pages.entries_per_page(entry_bytes(dim))
+        if max_entries < 4:
+            max_entries = 4
+        self.max_entries = max_entries
+        self.min_entries = max(2, int(self.MIN_FILL * max_entries))
+        if leaf_entry_bytes is None:
+            leaf_max = max_entries
+        else:
+            leaf_max = max(4, self.pages.entries_per_page(leaf_entry_bytes))
+        self.leaf_max_entries = leaf_max
+        self.leaf_min_entries = max(2, int(self.MIN_FILL * leaf_max))
         self.height = 1
         self.n_entries = 0
         self.root_id = self.pages.allocate(Node.empty(True, 0, dim))

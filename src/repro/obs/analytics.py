@@ -15,7 +15,7 @@ This module turns the raw access stream into that distribution:
   the :meth:`~AccessRecorder.report` skew document (load shares, Gini
   coefficient, cache-hit ratio by shard, partitioner-balance verdict);
 * a module-level fast path in the house style: every hot-path hook
-  (:func:`record_cells`, :func:`record_page`, :func:`record_pages`,
+  (:func:`record_cells`, :func:`record_page`, :func:`record_access`,
   :func:`record_probe`)
   costs one ``is None`` check while no recorder is installed, so the
   index/storage layers stay within the metrics-off overhead contract;
@@ -46,9 +46,9 @@ __all__ = [
     "install",
     "uninstall",
     "get_recorder",
+    "record_access",
     "record_cells",
     "record_page",
-    "record_pages",
     "record_probe",
     "recording",
     "shard_scope",
@@ -135,6 +135,24 @@ class TopKSketch:
         floor = counts.pop(victim)
         counts[key] = floor + amount
         self._evictions += 1
+
+    def hit_all(self, keys: "List[int]") -> None:
+        """:meth:`hit` each key once.  The record hooks pass a query's
+        dozens of cells or pages at a time, so the update is inlined per
+        key (a few dict operations each)."""
+        counts = self._counts
+        capacity = self.capacity
+        self._hits += len(keys)
+        for key in keys:
+            existing = counts.get(key)
+            if existing is not None:
+                counts[key] = existing + 1.0
+            elif len(counts) < capacity:
+                counts[key] = 1.0
+            else:
+                victim = min(counts, key=counts.__getitem__)
+                counts[key] = counts.pop(victim) + 1.0
+                self._evictions += 1
 
     def decay(self, factor: float) -> None:
         """Scale every counter by ``factor``, dropping near-zero keys."""
@@ -260,34 +278,25 @@ class AccessRecorder:
     ) -> None:
         """Count one page read; ``hit`` attributes the cache outcome."""
         with self._lock:
-            tally = self._count_pages((int(page_id),), (int(n_blocks),), shard)
+            self._count_pages([int(page_id)], int(n_blocks), shard)
+            tally = self._tally(shard)
             if hit is True:
                 tally.cache_hits += 1
             elif hit is False:
                 tally.cache_misses += 1
 
-    def record_pages(
-        self,
-        page_ids: "Iterable[int]",
-        blocks: "Iterable[int]",
-        shard: "Optional[int]" = None,
-    ) -> None:
-        """Count the pages of a cell-tree walk, each as
-        :meth:`record_page` would with no cache outcome (the walk reads
-        a snapshot, not the buffer pool)."""
-        with self._lock:
-            self._count_pages(page_ids, blocks, shard)
-
     def record_access(
         self,
         cell_ids: "Optional[Iterable[int]]",
         page_ids: "Iterable[int]",
-        blocks: "Iterable[int]",
+        blocks: int,
         shard: "Optional[int]" = None,
     ) -> None:
-        """One answered query's (or batch's) accesses under one lock:
-        the pages its walks read, then its candidate cells (``None`` on
-        the fallback path)."""
+        """One query's (or batch's) accesses under one lock: the pages
+        its cell-tree walks read (``blocks`` in all), each as
+        :meth:`record_page` counts one with no cache outcome (a walk
+        reads a snapshot, not the buffer pool), then its candidate cells
+        (``None``: none to count)."""
         with self._lock:
             self._count_pages(page_ids, blocks, shard)
             if cell_ids is not None:
@@ -296,53 +305,33 @@ class AccessRecorder:
     def _count_cells(
         self, cell_ids: "Iterable[int]", shard: "Optional[int]"
     ) -> None:
-        """The cell update (lock held).  It runs once per query with
-        dozens of cells, so the sketch update is inlined per key (a few
-        dict operations each) instead of composed from
-        :meth:`TopKSketch.hit` calls."""
+        """The cell update (lock held)."""
         if isinstance(cell_ids, np.ndarray):
             keys = cell_ids.tolist()
         else:
             keys = [int(cell_id) for cell_id in cell_ids]
-        n = len(keys)
-        if not n:
+        if not keys:
             return
-        sketch = self.cells
-        tracked = sketch._counts
-        capacity = sketch.capacity
-        sketch._hits += n
-        for key in keys:
-            existing = tracked.get(key)
-            if existing is not None:
-                tracked[key] = existing + 1.0
-            elif len(tracked) < capacity:
-                tracked[key] = 1.0
-            else:
-                victim = min(tracked, key=tracked.__getitem__)
-                tracked[key] = tracked.pop(victim) + 1.0
-                sketch._evictions += 1
-        self._tally(shard).cells += n
-        self._tick(n)
+        self.cells.hit_all(keys)
+        self._tally(shard).cells += len(keys)
+        self._tick(len(keys))
 
     def _count_pages(
-        self,
-        page_ids: "Iterable[int]",
-        blocks: "Iterable[int]",
-        shard: "Optional[int]",
-    ) -> _ShardTally:
-        """The page update (lock held), one page at a time, decay ticks
-        included; returns the shard's tally."""
+        self, page_ids: "Iterable[int]", blocks: int, shard: "Optional[int]"
+    ) -> None:
+        """The page update (lock held): ``page_ids`` read, ``blocks`` in
+        all."""
         if isinstance(page_ids, np.ndarray):
-            page_ids = page_ids.tolist()
-        if isinstance(blocks, np.ndarray):
-            blocks = blocks.tolist()
+            keys = page_ids.tolist()
+        else:
+            keys = [int(page_id) for page_id in page_ids]
+        if not keys:
+            return
+        self.pages.hit_all(keys)
         tally = self._tally(shard)
-        for page_id, n_blocks in zip(page_ids, blocks):
-            tally.pages += 1
-            tally.blocks += n_blocks
-            self.pages.hit(page_id)
-            self._tick()
-        return tally
+        tally.pages += len(keys)
+        tally.blocks += int(blocks)
+        self._tick(len(keys))
 
     def record_probe(self, shard: "Optional[int]" = None) -> None:
         """Count one query probe against ``shard``'s load share."""
@@ -545,12 +534,17 @@ def record_page(
     recorder.record_page(page_id, n_blocks, hit, _shard_scope.get())
 
 
-def record_pages(page_ids: "Iterable[int]", blocks: "Iterable[int]") -> None:
-    """Hook: count the pages of one cell-tree walk (no-op when off)."""
+def record_access(
+    cell_ids: "Optional[Iterable[int]]",
+    page_ids: "Iterable[int]",
+    blocks: int,
+) -> None:
+    """Hook: count a query's walk pages, then its cells (no-op when
+    off); see :meth:`AccessRecorder.record_access`."""
     recorder = _recorder
     if recorder is None:
         return
-    recorder.record_pages(page_ids, blocks, _shard_scope.get())
+    recorder.record_access(cell_ids, page_ids, blocks, _shard_scope.get())
 
 
 def record_probe(shard: int) -> None:

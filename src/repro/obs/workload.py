@@ -333,19 +333,17 @@ def _storage_counters(reads) -> "List[tuple]":
     ]
 
 
-def _record_access(shard, cells, reads) -> None:
-    """Count the walks' pages, then ``cells``, on the access heatmaps."""
-    access = analytics.get_recorder()
-    if access is None:
+def _record_access(cells, reads) -> None:
+    """Count the walks' pages, then ``cells``, on the access heatmaps.
+
+    No walk means the query went straight to the fallback: no cells.
+    """
+    if not reads or analytics.get_recorder() is None:
         return
-    if not reads:
-        if cells is not None:
-            access.record_cells(cells, shard)
-        return
-    page_ids = [walk.page_ids() for walk in reads]
-    blocks = [walk.blocks() for walk in reads]
-    access.record_access(
-        cells, np.concatenate(page_ids), np.concatenate(blocks), shard
+    analytics.record_access(
+        cells,
+        np.concatenate([walk.page_ids() for walk in reads]),
+        sum(walk.pages for walk in reads),
     )
 
 
@@ -395,7 +393,7 @@ def record_query(
                         ("query.pages", info.pages),
                     ],
                 )
-        _record_access(shard, cells, reads)
+        _record_access(cells, reads)
         if events.enabled():
             # Imported here: repro.core imports this module.
             from ..core.nncell_index import fallback_reason
@@ -464,7 +462,7 @@ def record_batch(
                 counters + [("query.fallbacks", 1.0)] * info.fallbacks,
                 histograms + [("query.batch.pages", info.pages)],
             )
-        _record_access(shard, cells, reads)
+        _record_access(cells, reads)
         if events.enabled():
             events.emit(
                 "batch",

@@ -24,9 +24,7 @@ fan-out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Any, Dict, Iterable, Optional
 
 from ..obs import analytics, metrics
 from .cache import LRUCache
@@ -37,7 +35,6 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "FLAKY_READ_RETRIES",
     "chaos_read",
-    "entries_per_page",
     "record_reads",
 ]
 
@@ -48,16 +45,6 @@ DEFAULT_PAGE_SIZE = 4096  # bytes; the paper uses 4 KByte blocks
 #: times before propagating to the caller (and, in a sharded deployment,
 #: failing that probe attempt).
 FLAKY_READ_RETRIES = 3
-
-
-def entries_per_page(
-    page_size: int, entry_bytes: int, header_bytes: int = 32
-) -> int:
-    """How many fixed-size entries fit in one page (at least 2, so tree
-    nodes always admit a legal split)."""
-    if entry_bytes <= 0:
-        raise ValueError("entry_bytes must be positive")
-    return max(2, (page_size - header_bytes) // entry_bytes)
 
 
 def chaos_read(injector, page_id: int) -> None:
@@ -81,21 +68,20 @@ def chaos_read(injector, page_id: int) -> None:
     raise last
 
 
-def record_reads(page_ids: np.ndarray, blocks: np.ndarray) -> None:
+def record_reads(page_ids: "Iterable[int]", blocks: int) -> None:
     """Publish page reads made outside a :class:`PageManager`.
 
-    Adds the blocks to ``storage.logical_reads`` and
+    Adds their ``blocks`` to ``storage.logical_reads`` and
     ``storage.physical_reads`` (such reads bypass the buffer pool) and
     counts each page on the access heatmap with no cache outcome.  The
     query record (:mod:`repro.obs.workload`) does the same inside its own
     update; this is for the paths without one (``explain``,
     ``k_nearest``).
     """
-    total = int(np.sum(blocks))
-    if total:
-        metrics.inc("storage.logical_reads", total)
-        metrics.inc("storage.physical_reads", total)
-    analytics.record_pages(page_ids, blocks)
+    if blocks:
+        metrics.inc("storage.logical_reads", blocks)
+        metrics.inc("storage.physical_reads", blocks)
+    analytics.record_access(None, page_ids, blocks)
 
 
 @dataclass
@@ -171,7 +157,10 @@ class PageManager:
     def entries_per_page(self, entry_bytes: int, header_bytes: int = 32) -> int:
         """How many fixed-size entries fit in one page (at least 2, so tree
         nodes always admit a legal split)."""
-        return entries_per_page(self.page_size, entry_bytes, header_bytes)
+        if entry_bytes <= 0:
+            raise ValueError("entry_bytes must be positive")
+        usable = self.page_size - header_bytes
+        return max(2, usable // entry_bytes)
 
     # ------------------------------------------------------------------
     # Page lifecycle

@@ -234,14 +234,14 @@ class TestLazyCellState:
         loaded.explain(q)
         loaded.k_nearest(q, 3)
         loaded.stats()  # makes the per-cell objects, not the tree
-        assert loaded._cell_tree is None and loaded._selector is None
+        assert loaded._cell_tree.n_entries == 0 and loaded._selector is None
         assert snapshots_equal(loaded.snapshot, built.snapshot)
 
     def test_thawed_tree_matches_the_snapshot(self, archive):
         __, path = archive
         loaded = load_index(path)
         snapshot = loaded.snapshot
-        assert loaded._systems is None and loaded._cell_tree is None
+        assert loaded._systems is None and loaded._cell_tree.n_entries == 0
         tree = loaded.cell_tree
         tree.validate()
         assert snapshots_equal(snapshot, PackedTree.freeze(tree))
@@ -282,6 +282,6 @@ class TestLazyCellState:
             install_page_chaos(loaded, PageLog())
             install_page_chaos(loaded, None)
             for __, shard in loaded._live_shards():
-                assert shard._cell_tree is None
+                assert shard._cell_tree.n_entries == 0
         finally:
             loaded.close()

@@ -5,14 +5,17 @@ entries, read the same pages (ids and blocks) and count the same pages
 as the logical reads of the tree walk.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan, PageFaults
 from repro.chaos.faults import FlakyPageRead
+from repro.index import packed
 from repro.index.bulk import bulk_load, str_layout
 from repro.index.packed import PackedTree, batched_point_query
-from repro.index.rstar import NodeShape, RStarTree
+from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.obs import metrics
 from repro.storage.page import FLAKY_READ_RETRIES
@@ -26,13 +29,6 @@ class PageLog:
 
     def page_read(self, page_id):
         self.pages.append(page_id)
-
-
-def shape_of(tree):
-    return NodeShape(
-        tree.max_entries, tree.min_entries,
-        tree.leaf_max_entries, tree.leaf_min_entries,
-    )
 
 
 def rectangles(rng, n, dim, spread=0.3):
@@ -76,7 +72,6 @@ def assert_walk_matches(tree, snapshot, queries, atol):
     # A batch touches each node on the union of the paths once.
     assert sorted(walk.page_ids()) == sorted(union)
     assert walk.pages == sum(tree.pages.n_blocks_of(p) for p in union)
-    assert walk.pages == int(walk.blocks().sum())
 
 
 @pytest.mark.parametrize("kind", [RStarTree, XTree])
@@ -87,9 +82,7 @@ def test_layout_snapshot_equals_frozen_bulk_load(kind, n, dim, page_size, rng):
     lows, highs = rectangles(rng, n, dim)
     owners = rng.integers(0, 40, size=n)
     tree = kind(dim, page_size=page_size, leaf_entry_bytes=3 * 8 * dim + 8)
-    layout = str_layout(
-        lows, highs, owners, shape_of(tree), tree.pages.next_page_id
-    )
+    layout = str_layout(tree, lows, highs, owners)
     bulk_load(tree, lows, highs, owners)
     tree.validate()
     laid_out = PackedTree.from_layout(layout)
@@ -112,6 +105,53 @@ def test_walk_matches_point_query_on_an_inserted_xtree(atol, rng):
     assert snapshot.total_blocks() == tree.pages.total_blocks()
     queries = rng.uniform(-0.1, 1.3, size=(30, dim))
     assert_walk_matches(tree, snapshot, queries, atol)
+
+
+@pytest.mark.parametrize("share", [0, 10**9])
+def test_block_and_pair_tests_agree(share, rng, monkeypatch):
+    """A level's broadcast block test and its pair test (forced here,
+    one each) find the tree walk's pairs and pages."""
+    monkeypatch.setattr(packed, "_BLOCK_SHARE", share)
+    dim = 3
+    tree = XTree(dim, page_size=512)
+    lows, highs = rectangles(rng, 300, dim, spread=0.2)
+    for i in range(300):
+        tree.insert(lows[i], highs[i], i)
+    queries = rng.uniform(-0.1, 1.2, size=(40, dim))
+    assert_walk_matches(tree, PackedTree.freeze(tree), queries, 1e-9)
+
+
+def test_whole_batch_on_a_large_low_dimensional_tree(rng):
+    """A whole-workload batch costs what its (query, node) pairs cost.
+
+    20,000 cell-sized rectangles in 2-d, 2,000 queries in one walk: the
+    queries touch nearly every leaf, but each reaches only a few.  The
+    pairs match the tree walk, and the walk's working memory stays far
+    below one byte per (touched leaf entry, query, axis), which a test
+    of every touched entry against every query would need.
+    """
+    n, dim, m = 20_000, 2, 2_000
+    centres = rng.uniform(size=(n, dim))
+    half = 0.6 / np.sqrt(n)
+    tree = bulk_load(
+        RStarTree(dim, leaf_entry_bytes=3 * 8 * dim + 8),
+        centres - half, centres + half, np.arange(n),
+    )
+    snapshot = PackedTree.freeze(tree)
+    queries = rng.uniform(size=(m, dim))
+    tracemalloc.start()
+    try:
+        walk = batched_point_query(snapshot, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    touched = int(snapshot.leaves.counts[walk.nodes[-1]].sum())
+    assert touched > 0.9 * n
+    assert peak < touched * m * dim / 4
+    for j in range(0, m, 50):
+        owners, reads, pages = reference(tree, queries[j], 1e-12)
+        assert sorted(walk.owner[walk.query == j]) == sorted(owners)
+        assert set(pages) <= set(walk.page_ids().tolist())
 
 
 def test_empty_tree_reads_its_root():
