@@ -3,7 +3,7 @@
 Two claims, measured rather than asserted:
 
 * **Parallel build** — the ``2d``-LP precomputation (Definition 3) is
-  embarrassingly parallel; chunking it across a process pool must cut
+  embarrassingly parallel; chunking it across worker processes must cut
   wall-clock build time on multi-core hardware.  The d=16 /
   NN-Direction configuration is the paper's high-dimensional regime,
   where per-point LP work dominates and pool overhead is noise.
@@ -48,11 +48,9 @@ def bench_parallel_build(benchmark):
 
         table = ResultTable(
             f"Parallel cell construction (n={n}, d={DIM}, nn-direction)",
-            ["workers", "executor", "build_seconds", "speedup",
-             "identical_to_serial"],
+            ["workers", "build_seconds", "speedup", "identical_to_serial"],
         )
-        table.add_row(workers=1, executor="serial",
-                      build_seconds=serial_seconds, speedup=1.0,
+        table.add_row(workers=1, build_seconds=serial_seconds, speedup=1.0,
                       identical_to_serial=True)
 
         cores = os.cpu_count() or 1
@@ -74,7 +72,6 @@ def bench_parallel_build(benchmark):
             )
             table.add_row(
                 workers=workers if workers else f"0({cores})",
-                executor="process",
                 build_seconds=seconds,
                 speedup=serial_seconds / seconds,
                 identical_to_serial=identical,

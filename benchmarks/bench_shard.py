@@ -4,8 +4,9 @@ The sharding layer trades *total work* for *latency*: every scatter
 query scans each shard's candidate set (the fleet-summed
 ``expected_candidates`` from the paper's Section 5 cost model grows
 with N because smaller shards have coarser solution spaces), but the
-per-shard walks run concurrently and per-shard builds parallelise
-almost perfectly.  This bench publishes that trade as a
+per-shard walks run concurrently, and the shards, built one after
+another, build faster than the whole because each shard's cells are
+computed against fewer points.  This bench publishes that trade as a
 machine-readable root-level ``BENCH_shard.json``:
 
 * ``shard{N}_build_seconds`` — wall time of

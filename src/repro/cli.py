@@ -157,11 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--k-max", type=int, default=100,
                        help="decomposition budget")
     build.add_argument("--workers", type=int, default=1,
-                       help="parallel cell-construction workers"
+                       help="cell-construction worker processes"
                             " (0 = all CPU cores; see docs/scaling.md)")
-    build.add_argument("--executor", choices=["process", "thread"],
-                       default="process",
-                       help="worker pool kind for --workers > 1")
     build.add_argument("--shards", type=int, default=0,
                        help="partition the index across N shards"
                             " (0 = unsharded; see docs/sharding.md)")
@@ -520,7 +517,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         decompose=args.decompose,
         decomposition=DecompositionConfig(k_max=args.k_max),
         workers=args.workers,
-        executor=args.executor,
     )
     if args.shards < 0:
         raise ValueError("--shards must be >= 0 (0 means unsharded)")

@@ -92,12 +92,10 @@ class BuildConfig:
     bulk: bool = True
     query_atol: float = 1e-9
     data_space: "MBR | None" = None
-    #: Cell-construction parallelism (repro.engine): 1 = serial (default),
-    #: 0 = one worker per CPU core, N > 1 = exactly N workers.  The built
+    #: Cell-construction worker processes (repro.engine): 1 = serial
+    #: (default), 0 = one per CPU core, N > 1 = exactly N.  The built
     #: index is identical for every value — see docs/scaling.md.
     workers: int = 1
-    executor: str = "process"  # "process" | "thread"
-    build_chunk_size: "int | None" = None  # points per work unit
 
     def __post_init__(self):
         if self.index_kind not in ("xtree", "rstar"):
@@ -106,10 +104,6 @@ class BuildConfig:
             raise ValueError("query_atol must be >= 0")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 means all CPU cores)")
-        if self.executor not in ("process", "thread"):
-            raise ValueError("executor must be 'process' or 'thread'")
-        if self.build_chunk_size is not None and self.build_chunk_size < 1:
-            raise ValueError("build_chunk_size must be >= 1")
 
     @property
     def retry_atol(self) -> float:

@@ -45,6 +45,7 @@ refused; rebuild them with ``repro build``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -67,7 +68,7 @@ __all__ = [
 
 _FORMAT_VERSION = 3
 
-_SHARD_FORMAT_VERSION = 1
+_SHARD_FORMAT_VERSION = 2
 _SHARD_MANIFEST = "manifest.json"
 _SHARD_GLOBALS = "global.npz"
 
@@ -331,6 +332,10 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 # the per-shard local→global id maps; `global.npz` carries the full
 # point array and active mask (rows of deleted points included, so
 # global ids stay stable across save/load exactly as unsharded ids do).
+# The manifest is outside input too: the load checks its version, its
+# `shard_config` keys and types, that the partitioner matches that
+# config, and that the id maps agree with the archives.  Version 1 (which
+# also kept a shard-build thread count) is refused.
 # ======================================================================
 
 def is_sharded_archive(path: "Union[str, Path]") -> bool:
@@ -364,13 +369,7 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
         "format_version": _SHARD_FORMAT_VERSION,
         "kind": "sharded-nncell",
         "dim": int(index.dim),
-        "shard_config": {
-            "n_shards": index.shard_config.n_shards,
-            "partitioner": index.shard_config.partitioner,
-            "hilbert_bits": index.shard_config.hilbert_bits,
-            "build_workers": index.shard_config.build_workers,
-            "query_workers": index.shard_config.query_workers,
-        },
+        "shard_config": dataclasses.asdict(index.shard_config),
         "partitioner": index.partitioner.to_manifest(),
         "shards": shard_entries,
     }
@@ -388,7 +387,7 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
 
 def load_sharded_index(path: "Union[str, Path]"):
     """Rebuild a sharded index saved with :func:`save_sharded_index`."""
-    from ..shard import ShardConfig, ShardedNNCellIndex, partitioner_from_manifest
+    from ..shard import ShardedNNCellIndex, partitioner_from_manifest
 
     source = Path(path)
     if not source.exists():
@@ -397,13 +396,16 @@ def load_sharded_index(path: "Union[str, Path]"):
     if not manifest_path.exists():
         raise ValueError(f"{source} is not a sharded index archive")
     manifest = json.loads(manifest_path.read_text())
-    version = int(manifest.get("format_version", -1))
-    if version != _SHARD_FORMAT_VERSION:
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path} is not a JSON object")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != _SHARD_FORMAT_VERSION:
         raise ValueError(
-            f"unsupported sharded archive version {version} "
-            f"(expected {_SHARD_FORMAT_VERSION})"
+            f"unsupported sharded archive version {version!r} "
+            f"(expected {_SHARD_FORMAT_VERSION}); rebuild the index with "
+            "`repro build --shards N`"
         )
-    shard_config = ShardConfig(**manifest["shard_config"])
+    shard_config = _read_shard_config(manifest_path, manifest.get("shard_config"))
     partitioner = partitioner_from_manifest(manifest["partitioner"])
     shards = []
     globals_ = []
@@ -429,6 +431,7 @@ def load_sharded_index(path: "Union[str, Path]"):
         active = arrays["active"]
         shard_of = arrays["shard_of"]
         local_of = arrays["local_of"]
+    _check_partitioner(manifest_path, partitioner, shard_config, points.shape[1])
     _check_id_maps(source, shards, globals_, points, active, shard_of, local_of)
     return ShardedNNCellIndex._restore(
         points=points,
@@ -441,6 +444,53 @@ def load_sharded_index(path: "Union[str, Path]"):
         shard_of=shard_of.tolist(),
         local_of=local_of.tolist(),
     )
+
+
+def _read_shard_config(manifest_path: Path, doc: Any):
+    """The manifest's ``shard_config``: exactly the
+    :class:`~repro.shard.ShardConfig` fields, each of its default's type
+    (a bool is not an int); ``ValueError`` naming the key otherwise."""
+    from ..shard import ShardConfig
+
+    where = f"{manifest_path}: shard_config"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(ShardConfig)}
+    for key in doc:
+        if key not in kinds:
+            raise ValueError(f"{where} has unknown key {key!r}")
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise ValueError(f"{where} has no key {key!r}")
+        if type(doc[key]) is not kind:
+            raise ValueError(
+                f"{where} key {key!r} is {doc[key]!r}, not {kind.__name__}"
+            )
+    return ShardConfig(**doc)
+
+
+def _check_partitioner(manifest_path: Path, partitioner, config, dim: int) -> None:
+    """Raise ``ValueError`` naming both values unless the manifest's
+    partitioner is the one its ``shard_config`` fits: same kind, same
+    shard count and, for Hilbert, the key precision ``fit`` picks."""
+    from ..shard.partition import key_bits
+
+    pairs = [
+        ("kind", partitioner.kind, "partitioner", config.partitioner),
+        ("n_shards", partitioner.n_shards, "n_shards", config.n_shards),
+    ]
+    if partitioner.kind == "hilbert":
+        pairs.append((
+            "bits", partitioner.bits,
+            f"hilbert_bits={config.hilbert_bits} at d={dim}",
+            key_bits(config.hilbert_bits, dim),
+        ))
+    for key, value, source, expected in pairs:
+        if value != expected:
+            raise ValueError(
+                f"{manifest_path}: partitioner {key} is {value!r}, but "
+                f"shard_config {source} gives {expected!r}"
+            )
 
 
 def _check_id_maps(

@@ -4,8 +4,8 @@ The layers below this one are *algorithms* (LPs, trees, cells); this
 package is about *throughput*.  It contains no new geometry — only two
 orchestrations of the existing pipeline:
 
-* :mod:`repro.engine.parallel` — cell construction fanned out over a
-  process (or thread) pool.  The paper's precomputation solves ``2d``
+* :mod:`repro.engine.parallel` — cell construction fanned out over
+  worker processes.  The paper's precomputation solves ``2d``
   linear programs per data point (Definition 3), one point independent
   of the next — embarrassingly parallel.  Workers rebuild identical
   read-only state and results merge in point-id order, so the built

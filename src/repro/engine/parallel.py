@@ -1,4 +1,4 @@
-"""Parallel cell construction: the ``2d``-LP workload across a pool.
+"""Parallel cell construction: the ``2d``-LP workload across processes.
 
 Precomputation is the expensive half of the paper's trade (Section 4
 reports build times in minutes); each point's cell is computed from
@@ -6,32 +6,29 @@ read-only state — the point set, the data tree, the selector — so the
 work chunks cleanly.  This module fans the per-point pipeline of
 :mod:`repro.core.nncell_index` (``compute_cell``: candidate selection →
 constraint system → ``2d`` LPs → optional decomposition) out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` by default.  The simplex
-is Python over tiny numpy tableaux, so an LP holds the GIL for nearly all
-of its time and threads cannot solve two at once; the thread pool is kept
-for platforms without ``fork`` and for builds whose worker spans must
-join the caller's trace.
+:class:`~concurrent.futures.ProcessPoolExecutor`.  The simplex is Python
+over tiny numpy tableaux, so an LP holds the GIL for nearly all of its
+time: only separate processes solve two LPs at once.
 
 **Determinism.**  Every worker rebuilds the same state from the same
 inputs with the same code (:class:`CellWorkshop` calls the very
 functions the serial build uses), LP solves are deterministic, and chunk
 results are merged in submission order — so the cells, and therefore the
 bulk-loaded tree, are *bit-identical* to a serial build for any worker
-count, executor, or chunk size.  ``tests/engine/test_parallel_build.py``
-asserts this.
+count.  ``tests/engine/test_parallel_build.py`` asserts this.
 
-Worker observability: child processes run with instrumentation disabled
-(metrics registries are per-process), so each chunk result carries its
-own CPU time and LP-call count; the parent re-emits them as
+Worker observability: worker processes run with instrumentation turned
+off (a forked worker's metrics, spans and events would land in copies of
+the parent's sinks that nobody reads), so each chunk result carries its
+own wall time and LP-call count; the parent re-emits them as
 ``build.worker_chunk`` spans and ``build.parallel.*`` metrics.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -47,8 +44,8 @@ from ..core.nncell_index import (
 )
 from ..geometry.halfspace import HalfspaceSystem
 from ..geometry.mbr import MBR
-from ..obs import events, metrics
-from ..obs.tracing import carrier, span
+from ..obs import analytics, events, metrics, tracing
+from ..obs.tracing import span
 
 __all__ = [
     "CellWorkshop",
@@ -60,7 +57,7 @@ __all__ = [
 
 #: Chunks per worker: >1 so a fast worker can steal the tail of the
 #: workload instead of idling behind the slowest chunk.
-DEFAULT_CHUNKS_PER_WORKER = 4
+CHUNKS_PER_WORKER = 4
 
 
 def resolve_workers(workers: int) -> int:
@@ -73,22 +70,18 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-def chunk_ids(
-    n: int, workers: int, chunk_size: "int | None" = None
-) -> "List[np.ndarray]":
-    """Contiguous point-id chunks covering ``range(n)`` in order.
+def chunk_ids(n: int, workers: int) -> "List[np.ndarray]":
+    """Contiguous point-id chunks covering ``range(n)`` in order, about
+    :data:`CHUNKS_PER_WORKER` per worker.
 
     Chunk *boundaries* depend on the worker count; the merged result
     never does, because chunks are consumed in submission order.
     """
     if n <= 0:
         return []
-    if chunk_size is None:
-        chunk_size = -(-n // (workers * DEFAULT_CHUNKS_PER_WORKER))
-    chunk_size = max(1, int(chunk_size))
+    size = -(-n // (workers * CHUNKS_PER_WORKER))
     return [
-        np.arange(start, min(start + chunk_size, n))
-        for start in range(0, n, chunk_size)
+        np.arange(start, min(start + size, n)) for start in range(0, n, size)
     ]
 
 
@@ -105,11 +98,11 @@ class ChunkResult:
 class CellWorkshop:
     """Self-contained rebuild of the read-only build state.
 
-    One lives in every worker (process or thread).  It reconstructs the
-    data tree and candidate selector exactly as ``NNCellIndex._build``
-    does — same bulk loader, same parameters — which is the determinism
-    guarantee: ``compute(i)`` here returns byte-for-byte what the serial
-    build computes for point ``i``.
+    One lives in every worker process.  It reconstructs the data tree
+    and candidate selector exactly as ``NNCellIndex._build`` does — same
+    bulk loader, same parameters — which is the determinism guarantee:
+    ``compute(i)`` here returns byte-for-byte what the serial build
+    computes for point ``i``.
     """
 
     def __init__(self, points: np.ndarray, config: BuildConfig):
@@ -138,40 +131,33 @@ class CellWorkshop:
     def compute_chunk(self, ids: Sequence[int]) -> ChunkResult:
         started = time.perf_counter()
         lp_before = lp_call_count()
-        # Worker-side span: a no-op in process workers (tracing is per
-        # process and off there), but thread workers run under the
-        # submitter's carried context, so this nests beneath
-        # `build.cells.parallel` and inherits its trace id.
-        with span(
-            "build.chunk.compute",
-            worker=_worker_label(),
-            n_points=len(ids),
-        ):
-            cells = [self.compute(int(i)) for i in ids]
+        cells = [self.compute(int(i)) for i in ids]
         return ChunkResult(
             cells=cells,
-            worker=_worker_label(),
+            worker=f"pid-{os.getpid()}",
             cpu_seconds=time.perf_counter() - started,
             lp_calls=lp_call_count() - lp_before,
         )
 
 
-def _worker_label() -> str:
-    return f"pid-{os.getpid()}/t-{threading.get_ident()}"
-
-
 # ----------------------------------------------------------------------
 # Pool plumbing.  Worker entry points must be module-level for pickling;
-# per-worker state lives in a process global (process pool) or
-# thread-local storage (thread pool).
+# each worker process keeps its workshop in a process global.
 # ----------------------------------------------------------------------
 
 _PROCESS_WORKSHOP: "CellWorkshop | None" = None
-_THREAD_LOCAL = threading.local()
 
 
 def _init_process_worker(points: np.ndarray, config: BuildConfig) -> None:
+    """Pool initializer.  A fork copies the parent's instrumentation
+    switches, and with them the sinks' locks in whatever state another
+    parent thread held them; nothing a worker records reaches the
+    parent, so turn it all off before any LP runs."""
     global _PROCESS_WORKSHOP
+    metrics.disable()
+    tracing.disable()
+    events.disable()
+    analytics.uninstall()
     _PROCESS_WORKSHOP = CellWorkshop(points, config)
 
 
@@ -179,13 +165,12 @@ def _process_chunk(ids: np.ndarray) -> ChunkResult:
     return _PROCESS_WORKSHOP.compute_chunk(ids)
 
 
-def _thread_chunk(ids: np.ndarray) -> ChunkResult:
-    return _THREAD_LOCAL.workshop.compute_chunk(ids)
-
-
 def _mp_context():
     """Prefer fork (cheap, inherits PYTHONPATH implicitly); fall back to
-    the platform default where fork is unavailable."""
+    the platform default where fork is unavailable.  There each worker
+    imports the caller's main module afresh, so a script that builds
+    with ``workers > 1`` must keep its top-level code under an
+    ``if __name__ == "__main__":`` guard."""
     import multiprocessing
 
     if "fork" in multiprocessing.get_all_start_methods():
@@ -194,64 +179,30 @@ def _mp_context():
 
 
 def parallel_cells(
-    points: np.ndarray,
-    config: BuildConfig,
-    workers: int,
-    chunk_size: "int | None" = None,
+    points: np.ndarray, config: BuildConfig, workers: int
 ) -> "List[Tuple[HalfspaceSystem, List[MBR]]]":
-    """All cells of ``points`` computed by a worker pool, in point-id
-    order — the parallel counterpart of the serial loop in
+    """All cells of ``points`` computed by a worker-process pool, in
+    point-id order — the parallel counterpart of the serial loop in
     ``NNCellIndex._build``."""
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     workers = resolve_workers(workers)
-    chunks = chunk_ids(n, workers, chunk_size or config.build_chunk_size)
+    chunks = chunk_ids(n, workers)
     metrics.inc("build.parallel.builds")
     with span(
-        "build.cells.parallel",
-        workers=workers,
-        executor=config.executor,
-        chunks=len(chunks),
+        "build.cells.parallel", workers=workers, chunks=len(chunks)
     ) as root:
-        if config.executor == "thread":
-            def _init_thread_worker() -> None:
-                _THREAD_LOCAL.workshop = CellWorkshop(pts, config)
-
-            pool = ThreadPoolExecutor(
-                max_workers=workers, initializer=_init_thread_worker
-            )
-            # Thread workers run in their own contextvars context, so
-            # spans they open would detach from this build (and from any
-            # enclosing request's trace id).  Capture the submitting
-            # context once and re-enter it around every chunk: worker
-            # spans parent under `build.cells.parallel` and carry the
-            # submitter's trace id, matching the serial span tree.
-            # (Process workers cannot share a span tree; the parent
-            # re-emits their accounting as `build.worker_chunk` below.)
-            submit_ctx = carrier()
-
-            def run_chunk(ids: np.ndarray) -> ChunkResult:
-                return submit_ctx.call(_thread_chunk, ids)
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=_mp_context(),
-                initializer=_init_process_worker,
-                initargs=(pts, config),
-            )
-            run_chunk = _process_chunk
-
         cells: "List[Tuple[HalfspaceSystem, List[MBR]]]" = []
         total_lp_calls = 0
-        lp_before = lp_call_count()
-        with pool:
-            for chunk, result in zip(chunks, pool.map(run_chunk, chunks)):
-                # Worker-side instrumentation cannot reach this process's
-                # registry; re-emit the chunk's accounting here.  (Thread
-                # workers share one process-global LP counter, so their
-                # per-chunk deltas overlap — chunk lp_calls are exact for
-                # processes, indicative for threads; the total below is
-                # exact for both.)
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=_mp_context(),
+            initializer=_init_process_worker,
+            initargs=(pts, config),
+        ) as pool:
+            for chunk, result in zip(chunks, pool.map(_process_chunk, chunks)):
+                # Worker-side instrumentation is off; re-emit the chunk's
+                # accounting here.
                 with span("build.worker_chunk", worker=result.worker) as ws:
                     ws.set("n_points", int(chunk.shape[0]))
                     ws.set("lp_calls", result.lp_calls)
@@ -268,8 +219,6 @@ def parallel_cells(
                     )
                 total_lp_calls += result.lp_calls
                 cells.extend(result.cells)
-        if config.executor == "thread":
-            total_lp_calls = lp_call_count() - lp_before
         metrics.inc("build.parallel.lp_calls", total_lp_calls)
         root.set("lp_calls", total_lp_calls)
     return cells

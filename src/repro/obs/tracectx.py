@@ -20,8 +20,8 @@ Binding uses a :class:`~contextvars.ContextVar`, so concurrent threads
 hold independent trace identities and nested binds restore the outer id
 on exit.  Crossing an executor boundary needs one explicit step — the
 submitting side captures its context and the worker re-enters it (see
-:func:`repro.obs.tracing.carrier`); :mod:`repro.engine.parallel` does
-this for its thread pools.
+:func:`repro.obs.tracing.carrier`); the shard scatter pool
+(:mod:`repro.shard.sharded`) does this for every probe.
 
 Minting an id costs one 64-bit read of the process RNG and never
 allocates beyond the 16-char hex string, so the service mints

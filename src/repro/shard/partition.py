@@ -39,6 +39,7 @@ __all__ = [
     "PARTITIONER_KINDS",
     "HashPartitioner",
     "HilbertRangePartitioner",
+    "key_bits",
     "make_partitioner",
     "partitioner_from_manifest",
 ]
@@ -119,7 +120,7 @@ class HilbertRangePartitioner:
         n, dim = pts.shape
         if n == 0:
             raise ValueError("cannot fit a partitioner to zero points")
-        bits = min(bits, max(1, 62 // dim))
+        bits = key_bits(bits, dim)
         keys = np.sort(hilbert_indices(pts, bits=bits))
         cuts = [
             keys[min(n - 1, math.ceil(n * (i + 1) / n_shards) - 1)]
@@ -152,6 +153,13 @@ class HilbertRangePartitioner:
             np.asarray(doc["uppers"], dtype=np.int64),
             int(doc["bits"]),
         )
+
+
+def key_bits(bits: int, dim: int) -> int:
+    """The per-axis precision :meth:`HilbertRangePartitioner.fit` keys
+    ``dim``-dimensional points with: ``bits``, capped so that a key fits
+    in 62 bits."""
+    return min(bits, max(1, 62 // dim))
 
 
 def make_partitioner(

@@ -29,11 +29,10 @@ sharded index are the positions in the original build array — the same
 ids the unsharded index would return.  ``insert``/``delete`` route to
 the owning shard through the (deterministic) partitioner.
 
-Construction fans per-shard builds out over a thread pool and each
-shard build honours ``BuildConfig.workers`` — i.e. the existing
-:mod:`repro.engine` pool machinery (``resolve_workers`` /
-``parallel_cells``) runs *inside* each shard, giving two composable
-axes of build parallelism (see docs/sharding.md for tuning guidance).
+Construction builds the shards one after another on the calling
+thread; each shard build honours ``BuildConfig.workers``, so the
+:mod:`repro.engine` worker processes (``parallel_cells``) run *inside*
+each shard (see docs/sharding.md for tuning guidance).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from ..core.nncell_index import (
     QueryInfo,
 )
 from ..engine.batch import BatchQueryInfo
-from ..engine.parallel import resolve_workers
 from ..geometry.mbr import MBR
 from ..obs import analytics, metrics, workload
 from ..obs.tracing import carrier, span
@@ -70,16 +68,14 @@ __all__ = ["ShardConfig", "ShardedNNCellIndex"]
 class ShardConfig:
     """Sharding parameters, orthogonal to the per-shard ``BuildConfig``.
 
-    ``build_workers`` counts *threads fanning out shard builds* (0 = one
-    per CPU core, capped at ``n_shards``); each shard build additionally
-    honours its ``BuildConfig.workers``.  ``query_workers`` sizes the
-    scatter pool (0 = one thread per shard, 1 = scatter inline/serially).
+    ``query_workers`` sizes the scatter pool (0 = one thread per shard,
+    1 = scatter inline/serially).  Build parallelism is the per-shard
+    ``BuildConfig.workers``.
     """
 
     n_shards: int = 4
     partitioner: str = "hash"  # "hash" | "hilbert"
     hilbert_bits: int = 10
-    build_workers: int = 0
     query_workers: int = 0
 
     def __post_init__(self):
@@ -91,8 +87,8 @@ class ShardConfig:
             )
         if self.hilbert_bits < 1:
             raise ValueError("hilbert_bits must be >= 1")
-        if self.build_workers < 0 or self.query_workers < 0:
-            raise ValueError("worker counts must be >= 0 (0 means auto)")
+        if self.query_workers < 0:
+            raise ValueError("query_workers must be >= 0 (0 means auto)")
 
 
 class ShardedNNCellIndex:
@@ -157,7 +153,7 @@ class ShardedNNCellIndex:
         shard_config: "ShardConfig | None" = None,
         build_config: "BuildConfig | None" = None,
     ) -> "ShardedNNCellIndex":
-        """Partition ``points`` and build every shard (in parallel)."""
+        """Partition ``points`` and build every shard."""
         return cls(points, shard_config, build_config)
 
     @classmethod
@@ -218,37 +214,18 @@ class ShardedNNCellIndex:
             for local, g in enumerate(ids):
                 self._local_of[int(g)] = local
 
-        workers = min(
-            max(1, len([m for m in members if m.size])),
-            resolve_workers(self.shard_config.build_workers),
-        )
         with span(
             "shard.build",
             n_shards=n_shards,
             partitioner=self.partitioner.kind,
-            workers=workers,
         ) as root:
-            submit_ctx = carrier()
-
-            def build_shard(s: int) -> "Optional[NNCellIndex]":
-                if members[s].size == 0:
-                    return None
-                with span("shard.build_shard", shard=s,
-                          n_points=int(members[s].size)):
-                    return NNCellIndex.build(
-                        self.points[members[s]], self._shard_build_config
+            for s, ids in enumerate(members):
+                if ids.size == 0:
+                    continue
+                with span("shard.build_shard", shard=s, n_points=int(ids.size)):
+                    self._shards[s] = NNCellIndex.build(
+                        self.points[ids], self._shard_build_config
                     )
-
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    self._shards = list(
-                        pool.map(
-                            lambda s: submit_ctx.call(build_shard, s),
-                            range(n_shards),
-                        )
-                    )
-            else:
-                self._shards = [build_shard(s) for s in range(n_shards)]
             root.set("shards_live", len(self._live_shards()))
         metrics.inc("shard.build.count")
         for s, ids in enumerate(members):

@@ -150,7 +150,6 @@ class TestObservability:
                 BuildConfig(
                     selector=SelectorKind.NN_DIRECTION,
                     workers=2,
-                    executor="thread",
                 ),
             )
         report = registry.as_dict()

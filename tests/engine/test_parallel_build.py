@@ -1,10 +1,13 @@
 """Parity suite: parallel cell construction is bit-identical to serial.
 
 The determinism guarantee of :mod:`repro.engine.parallel` — same cells,
-same constraint systems, same tree pages, for every worker count,
-executor kind and chunk size.  This is what lets ``--workers`` be a pure
+same constraint systems, same tree pages, for every worker count and
+process start method.  This is what lets ``--workers`` be a pure
 throughput knob with no semantic surface.
 """
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +15,15 @@ import pytest
 from repro.core.candidates import SelectorKind
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import uniform_points
-from repro.engine.parallel import CellWorkshop, chunk_ids, resolve_workers
+from repro.engine.parallel import (
+    CellWorkshop,
+    _init_process_worker,
+    _mp_context,
+    chunk_ids,
+    parallel_cells,
+    resolve_workers,
+)
+from repro.obs import analytics, events, metrics, tracing
 
 
 def tree_signature(tree):
@@ -74,24 +85,40 @@ class TestParity:
     def test_thread_build_identical(self):
         points = uniform_points(40, 3, seed=3)
         serial = build(points)
-        threaded = build(points, workers=2, executor="thread")
-        assert cells_signature(serial) == cells_signature(threaded)
+        parallel = build(points, workers=2)
+        assert cells_signature(serial) == cells_signature(parallel)
         assert tree_signature(serial.cell_tree) == tree_signature(
-            threaded.cell_tree
+            parallel.cell_tree
         )
 
-    def test_sphere_selector_and_chunk_size_invariance(self):
+    def test_sphere_selector_build_identical(self):
         points = uniform_points(36, 2, seed=11)
         serial = build(points, selector=SelectorKind.SPHERE)
-        for chunk_size in (1, 5, 100):
+        for workers in (2, 3):
             parallel = build(
-                points,
-                selector=SelectorKind.SPHERE,
-                workers=2,
-                executor="thread",
-                build_chunk_size=chunk_size,
+                points, selector=SelectorKind.SPHERE, workers=workers
             )
             assert cells_signature(serial) == cells_signature(parallel)
+
+    def test_spawned_workers_match_serial(self, monkeypatch):
+        # Platforms without fork start workers from a fresh import.
+        monkeypatch.setattr(
+            "repro.engine.parallel._mp_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        points = uniform_points(30, 3, seed=13)
+        serial = build(points)
+        cells = parallel_cells(points, serial.config, workers=2)
+        assert len(cells) == points.shape[0]
+        for point_id, (system, rects) in enumerate(cells):
+            expected = serial._systems[point_id]
+            assert system.a.tobytes() == expected.a.tobytes()
+            assert system.b.tobytes() == expected.b.tobytes()
+            assert system.point_ids.tobytes() == expected.point_ids.tobytes()
+            assert [(r.low.tobytes(), r.high.tobytes()) for r in rects] == [
+                (r.low.tobytes(), r.high.tobytes())
+                for r in serial._cell_rects[point_id]
+            ]
 
     def test_decomposed_build_identical(self):
         points = uniform_points(24, 2, seed=5)
@@ -136,12 +163,6 @@ class TestChunking:
         joined = np.concatenate(chunks)
         assert np.array_equal(joined, np.arange(103))
 
-    def test_explicit_chunk_size(self):
-        chunks = chunk_ids(10, workers=2, chunk_size=3)
-        assert [c.tolist() for c in chunks] == [
-            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9],
-        ]
-
     def test_empty_workload(self):
         assert chunk_ids(0, workers=2) == []
 
@@ -153,14 +174,35 @@ class TestChunking:
 
 
 class TestConfigValidation:
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError):
-            BuildConfig(executor="fiber")
-
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             BuildConfig(workers=-2)
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            BuildConfig(build_chunk_size=0)
+
+def instrumentation_switches(__):
+    return (
+        metrics.enabled(),
+        tracing.enabled(),
+        events.enabled(),
+        analytics.get_recorder() is not None,
+    )
+
+
+class TestWorkerInstrumentation:
+    def test_forked_workers_record_nothing(self):
+        # A fork copies the parent's switches; the pool initializer must
+        # turn every one off, or each worker LP updates (and locks) a
+        # copy of the parent's sinks that nobody reads.
+        points = uniform_points(8, 2, seed=1)
+        config = BuildConfig(selector=SelectorKind.NN_DIRECTION)
+        with metrics.collecting(), tracing.collecting(), \
+                events.collecting(), analytics.recording():
+            assert all(instrumentation_switches(None))
+            with ProcessPoolExecutor(
+                max_workers=2,
+                mp_context=_mp_context(),
+                initializer=_init_process_worker,
+                initargs=(points, config),
+            ) as pool:
+                reports = list(pool.map(instrumentation_switches, range(8)))
+        assert reports == [(False, False, False, False)] * 8

@@ -1,10 +1,10 @@
-"""Cross-boundary span parenting in parallel cell construction.
+"""Span parenting in parallel cell construction.
 
-Thread-pool workers run in their own contextvars context; without the
-carrier hand-off their spans would surface as unrelated roots with no
-trace id.  These tests pin the contract: worker-side spans nest under
-``build.cells.parallel`` and inherit the submitting context's trace id,
-exactly like a serial build.
+Worker processes record nothing (their instrumentation is off), so the
+parent re-emits each chunk's accounting as a ``build.worker_chunk`` span
+under ``build.cells.parallel``.  These tests pin the contract: those
+spans nest under the parallel root and carry the submitting context's
+trace id, like every span of a serial build.
 """
 
 import pytest
@@ -22,13 +22,8 @@ def clean_tracing_state():
     tracing.disable()
 
 
-def thread_build(points, **overrides):
-    config = BuildConfig(
-        selector=SelectorKind.NN_DIRECTION,
-        workers=2,
-        executor="thread",
-        **overrides,
-    )
+def parallel_build(points):
+    config = BuildConfig(selector=SelectorKind.NN_DIRECTION, workers=2)
     return NNCellIndex.build(points, config)
 
 
@@ -43,49 +38,28 @@ def collect(root, name):
 
 
 class TestThreadPoolSpanParenting:
-    def test_worker_spans_nest_under_the_parallel_root(self):
-        points = uniform_points(36, 3, seed=1)
-        with tracing.collecting() as tracer:
-            thread_build(points)
-        roots = tracer.find("build.cells.parallel")
-        assert len(roots) == 1
-        # Worker-side `build.chunk.compute` spans landed inside the
-        # parallel root's subtree, not as stray top-level roots.
-        nested = collect(roots[0], "build.chunk.compute")
-        assert nested
-        assert sum(s.attributes["n_points"] for s in nested) == (
-            points.shape[0]
-        )
-        top_level_strays = [
-            s for s in tracer.spans if s.name == "build.chunk.compute"
-        ]
-        assert top_level_strays == []
-
     def test_worker_spans_inherit_the_bound_trace_id(self):
         points = uniform_points(30, 3, seed=2)
         with tracing.collecting() as tracer:
             with tracectx.bind("beefc0de00000001"):
-                thread_build(points)
+                parallel_build(points)
         (root,) = tracer.find("build.cells.parallel")
         assert root.attributes["trace_id"] == "beefc0de00000001"
-        chunks = collect(root, "build.chunk.compute")
+        chunks = collect(root, "build.worker_chunk")
         assert chunks
         assert all(
             s.attributes["trace_id"] == "beefc0de00000001" for s in chunks
         )
 
     def test_parent_reemits_process_worker_accounting(self):
-        # Process workers cannot share a span tree; the parent re-emits
-        # one `build.worker_chunk` span per chunk instead.
         points = uniform_points(24, 3, seed=3)
         with tracing.collecting() as tracer:
-            NNCellIndex.build(
-                points,
-                BuildConfig(
-                    selector=SelectorKind.NN_DIRECTION, workers=2
-                ),
-            )
+            parallel_build(points)
         (root,) = tracer.find("build.cells.parallel")
         chunks = collect(root, "build.worker_chunk")
         assert chunks
         assert all("lp_calls" in c.attributes for c in chunks)
+        assert sum(c.attributes["n_points"] for c in chunks) == 24
+        assert sum(c.attributes["lp_calls"] for c in chunks) == (
+            root.attributes["lp_calls"]
+        )

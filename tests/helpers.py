@@ -1,6 +1,22 @@
-"""Shared reference implementations for tests (brute-force baselines)."""
+"""Shared reference implementations for tests (brute-force baselines),
+and a loader for the standalone scripts in ``tools/``."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    """Import ``tools/<name>.py`` (not a package) as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_nearest(query, points):

@@ -9,9 +9,9 @@ pre-built sharded fleet below keeps the (expensive) solution spaces the
 constant.
 
 Queries are drawn from continuous distributions, so exact distance ties
-between *distinct* points have measure zero — the one case where the
-unsharded ``k_nearest``'s unstable sort could order a tie differently
-from the sharded ``(distance, id)`` merge (see docs/sharding.md).
+between *distinct* points have measure zero here; both paths order such
+ties by ``(distance, id)``, and ``test_knn_ties.py`` checks that on a
+grid, where ties are the rule.
 """
 
 import numpy as np

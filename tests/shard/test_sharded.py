@@ -7,11 +7,16 @@ running unmodified over a sharded backend.
 """
 
 import json
+import re
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.nncell_index import NNCellIndex
+import repro.shard.sharded as sharded_module
+from helpers import load_tool
+from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.core.persistence import (
     is_sharded_archive,
     load_any_index,
@@ -43,8 +48,6 @@ class TestValidation:
             ShardConfig(partitioner="range")
         with pytest.raises(ValueError):
             ShardConfig(hilbert_bits=0)
-        with pytest.raises(ValueError):
-            ShardConfig(build_workers=-1)
         with pytest.raises(ValueError):
             ShardConfig(query_workers=-2)
 
@@ -167,6 +170,42 @@ class TestShardLifecycle:
             index.query_batch(uniform_points(5, 3, seed=2))
             assert index._pool is not None
         assert index._pool is None
+
+
+class TestShardBuild:
+    def test_shards_build_on_the_calling_thread(self, monkeypatch, points):
+        threads = []
+
+        def build(shard_points, config=None):
+            threads.append(threading.get_ident())
+            return NNCellIndex.build(shard_points, config)
+
+        monkeypatch.setattr(
+            sharded_module, "NNCellIndex", SimpleNamespace(build=build)
+        )
+        ShardedNNCellIndex.build(points, ShardConfig(n_shards=4))
+        assert threads == [threading.get_ident()] * 4
+
+    def test_worker_processes_save_the_serial_fleet(self, tmp_path):
+        pts = uniform_points(60, 3, seed=5)
+        for workers in (1, 2):
+            index = ShardedNNCellIndex.build(
+                pts,
+                ShardConfig(n_shards=4, partitioner="hilbert"),
+                BuildConfig(workers=workers),
+            )
+            save_sharded_index(index, tmp_path / f"workers{workers}")
+        serial, parallel = tmp_path / "workers1", tmp_path / "workers2"
+        archives = sorted(p.name for p in serial.glob("*.npz"))
+        assert archives == sorted(p.name for p in parallel.glob("*.npz"))
+        assert len(archives) == 5  # four shards and global.npz
+        compare = load_tool("compare_archives").compare_archives
+        for name in archives:
+            assert compare(serial / name, parallel / name) == [], name
+        manifest = "manifest.json"
+        assert (serial / manifest).read_bytes() == (
+            parallel / manifest
+        ).read_bytes()
 
 
 class TestExplain:
@@ -342,6 +381,88 @@ class TestPersistence:
         # An active id that no shard maps.
         grown = {name: np.concatenate([a, a[:1]]) for name, a in arrays.items()}
         refused("marks 49 points active, but the shards hold 48", **grown)
+
+    def test_load_cross_checks_the_partitioner(self, tmp_path, sharded):
+        def refused(error, target, partitioner):
+            manifest = json.loads((target / "manifest.json").read_text())
+            doc = dict(manifest, partitioner=partitioner)
+            (target / "manifest.json").write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=re.escape(error)):
+                load_sharded_index(target)
+
+        hashed = tmp_path / "hashed"
+        save_sharded_index(sharded, hashed)
+        # Loaded once, then the first insert raised an IndexError.
+        refused(
+            "partitioner n_shards is 8, but shard_config n_shards gives 4",
+            hashed,
+            {"kind": "hash", "n_shards": 8},
+        )
+
+        # At d=7 a Hilbert key keeps 8 of hilbert_bits=10 bits per axis
+        # (it must fit in 62 bits); such a fleet loads and takes writes.
+        fleet = ShardedNNCellIndex.build(
+            uniform_points(24, 7, seed=12),
+            ShardConfig(n_shards=2, partitioner="hilbert"),
+        )
+        hilbert = tmp_path / "hilbert"
+        save_sharded_index(fleet, hilbert)
+        loaded = load_sharded_index(hilbert)
+        assert loaded.partitioner.bits == 8
+        assert loaded.insert(np.full(7, 0.5)) == 24
+        saved = fleet.partitioner.to_manifest()
+        refused(
+            "partitioner bits is 10, but shard_config hilbert_bits=10 at "
+            "d=7 gives 8",
+            hilbert,
+            dict(saved, bits=10),
+        )
+        refused(
+            "partitioner kind is 'hash', but shard_config partitioner "
+            "gives 'hilbert'",
+            hilbert,
+            {"kind": "hash", "n_shards": 2},
+        )
+
+    def test_load_checks_the_manifest(self, tmp_path, sharded):
+        target = tmp_path / "fleet"
+        save_sharded_index(sharded, target)
+        manifest = json.loads((target / "manifest.json").read_text())
+        config = manifest["shard_config"]
+
+        def refused(error, **changes):
+            doc = dict(manifest, **changes)
+            (target / "manifest.json").write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=re.escape(error)):
+                load_sharded_index(target)
+
+        refused(
+            "shard_config has unknown key 'bogus'",
+            shard_config=dict(config, bogus=1),
+        )
+        refused(
+            "shard_config has no key 'query_workers'",
+            shard_config={k: v for k, v in config.items() if k != "query_workers"},
+        )
+        refused(
+            "shard_config key 'n_shards' is '4', not int",
+            shard_config=dict(config, n_shards="4"),
+        )
+        refused(
+            "shard_config key 'query_workers' is True, not int",
+            shard_config=dict(config, query_workers=True),
+        )
+        refused(
+            "shard_config key 'partitioner' is 1, not str",
+            shard_config=dict(config, partitioner=1),
+        )
+        refused("shard_config is not a JSON object", shard_config=[4, "hash"])
+        refused(
+            "version 1 (expected 2); rebuild the index with "
+            "`repro build --shards N`",
+            format_version=1,
+        )
+        refused("version '2'", format_version="2")
 
     def test_plain_loader_rejects_sharded_archive(
         self, tmp_path, sharded

@@ -88,7 +88,7 @@ class TestParallelAndBatch:
         code, stdout, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "2", "--out", str(parallel_out),
-            "--workers", "2", "--executor", "thread",
+            "--workers", "2",
         )
         assert code == 0
         assert "built index over 30 points" in stdout
@@ -228,6 +228,25 @@ class TestShardedCli:
         flat_rows = [l for l in flat_out.splitlines() if l.startswith("#")]
         fleet_rows = [l for l in fleet_out.splitlines() if l.startswith("#")]
         assert flat_rows == fleet_rows
+
+    def test_malformed_manifest_is_an_error(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "fleet"
+        code, __, __ = run(
+            capsys, "build", "--dataset", "uniform", "--n", "20",
+            "--dim", "2", "--out", str(out), "--shards", "2",
+        )
+        assert code == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for change in ({"bogus": 1}, {"n_shards": "2"}):
+            config = dict(doc["shard_config"], **change)
+            manifest.write_text(json.dumps(dict(doc, shard_config=config)))
+            code, __, stderr = run(capsys, "stats", str(out))
+            assert code == 1
+            assert stderr.startswith("error: ")
+            assert "shard_config" in stderr
 
     def test_build_rejects_negative_shards(self, tmp_path, capsys):
         code, __, stderr = run(

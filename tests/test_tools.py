@@ -1,38 +1,28 @@
 """Tests for the standalone CI tools in ``tools/``.
 
-``tools/compare_archives.py`` backs the build leg of ``tools/smoke.py``
-and ``tools/compare_bench.py`` backs the perf-trajectory gate; the
-comparison logic of both is unit-tested here so the CI contracts are
-exercised by the suite, not only on a runner.
+``tools/compare_archives.py`` backs the build and shard legs of
+``tools/smoke.py`` and ``tools/compare_bench.py`` backs the
+perf-trajectory gate; the comparison logic of both is unit-tested here
+so the CI contracts are exercised by the suite, not only on a runner.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "tools" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_tool
 
 
 @pytest.fixture(scope="module")
 def tool():
-    return _load_tool("compare_archives")
+    return load_tool("compare_archives")
 
 
 @pytest.fixture(scope="module")
 def bench_tool():
-    return _load_tool("compare_bench")
+    return load_tool("compare_bench")
 
 
 def save(path, **arrays):

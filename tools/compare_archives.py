@@ -2,8 +2,8 @@
 """Compare two ``.npz`` archives array-by-array.
 
 The engine layer's determinism contract says a parallel build must
-produce an archive *identical* to the serial one; the build leg of
-``tools/smoke.py`` enforces it by building twice and calling
+produce an archive *identical* to the serial one; the build and shard
+legs of ``tools/smoke.py`` enforce it by building twice and calling
 :func:`compare_archives` (the comparison logic lives here, not inline in
 the smoke script, so it is unit-tested like any other code —
 ``tests/test_tools.py``).

@@ -304,12 +304,25 @@ def leg_build(workdir: Path) -> str:
 
 
 def leg_shard(workdir: Path) -> str:
-    """A CLI-built 4-shard archive loads back, serves the 200-query loop
-    bit-identically to an unsharded index with a real fan-out, and works
-    with ``repro query`` and ``repro info``."""
+    """A CLI-built 4-shard archive is the same directory with ``--workers
+    2``, loads back, serves the 200-query loop bit-identically to an
+    unsharded index with a real fan-out, and works with ``repro query``
+    and ``repro info``."""
     fleet = workdir / "fleet"
-    build(fleet, 120, 4, "--seed", "5", "--shards", "4", "--partitioner", "hilbert")
+    flags = ("--seed", "5", "--shards", "4", "--partitioner", "hilbert")
+    build(fleet, 120, 4, *flags)
     check(is_sharded_archive(fleet), f"{fleet} is not a sharded archive")
+    parallel = build(workdir / "fleet_workers2", 120, 4, *flags, "--workers", "2")
+    archives = sorted(path.name for path in fleet.glob("*.npz"))
+    others = sorted(path.name for path in parallel.glob("*.npz"))
+    check(archives == others, f"workers=2 fleet has {others}, not {archives}")
+    for name in archives:
+        diffs = compare_archives(fleet / name, parallel / name)
+        check(not diffs, f"workers=2 {name} differs from serial: {diffs}")
+    same = (fleet / "manifest.json").read_bytes() == (
+        parallel / "manifest.json"
+    ).read_bytes()
+    check(same, "workers=2 manifest.json differs from serial")
     index = load_any_index(fleet)
     try:
         kind = type(index).__name__
@@ -329,7 +342,10 @@ def leg_shard(workdir: Path) -> str:
     check("neighbor" in out or "id" in out, f"query output: {out[:200]!r}")
     info = repro("info", fleet)
     check("sharding" in info, f"info output lacks a sharding line: {info[:300]!r}")
-    return f"0 mismatches, mean fan-out {fanout['mean']:.2f}"
+    return (
+        f"workers=2 fleet identical, 0 mismatches, mean fan-out "
+        f"{fanout['mean']:.2f}"
+    )
 
 
 def leg_chaos(workdir: Path) -> str:
