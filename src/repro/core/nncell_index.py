@@ -3,7 +3,7 @@
 This is the paper's contribution.  Build time precomputes, for every
 database point, the MBR approximation of its NN-cell (optionally
 decomposed) and stores all rectangles in a multidimensional index (the
-X-tree by default).  A nearest-neighbor query then degenerates to a *point
+X-tree).  A nearest-neighbor query then degenerates to a *point
 query*: fetch the candidate rectangles containing the query point and pick
 the closest owner — by Lemmas 1 and 2 the true nearest neighbor is always
 among the candidates.
@@ -23,16 +23,22 @@ Queries that fall outside the data space — where NN-cells are undefined —
 fall back to branch-and-bound search on the data index and are flagged in
 the returned :class:`QueryInfo`.
 
-Queries never read the mutable cell tree.  They walk :attr:`snapshot`, a
-packed immutable copy of it (:mod:`repro.index.packed`), laid out at
-build and load time by the same STR packing a bulk load allocates, and
-frozen again at the end of every write.  The mutable X-tree the writes
-maintain — and, for a loaded index, the per-cell systems and rectangles
-— are made on the first write, or the first call that needs them.
+Each live cell's constraint system and rectangles live in seven read-only
+columns, :attr:`NNCellIndex.cells` — the archive's own form
+(:mod:`repro.core.persistence`) — from build to save: a build concatenates
+its cells once, a load keeps the checked columns, and a write splices its
+changed cells into new columns.  Queries never read the mutable cell
+tree.  They walk :attr:`NNCellIndex.snapshot`, a packed immutable copy of
+it (:mod:`repro.index.packed`), laid out at build and load time by the
+STR packing a bulk load allocates, and frozen again at the end of every
+write, which publishes the columns and the snapshot together.  The
+mutable X-tree the writes maintain is bulk-loaded from the columns on the
+first write, or the first call that needs it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,7 +52,6 @@ from ..geometry.mbr import MBR
 from ..index.bulk import bulk_load, str_layout
 from ..index.nnsearch import hs_k_nearest, rkv_nearest
 from ..index.packed import PackedTree, Walk, batched_point_query
-from ..index.rstar import RStarTree
 from ..index.xtree import XTree
 from ..obs import analytics, metrics, workload
 from ..obs.tracing import span
@@ -58,15 +63,25 @@ from .decomposition import DecompositionConfig, decompose_cell
 
 __all__ = [
     "BuildConfig",
+    "CELL_COLUMNS",
     "NNCellIndex",
     "QueryExplain",
     "QueryInfo",
     "approximate_system",
+    "as_query",
     "compute_cell",
     "fallback_reason",
     "load_data_tree",
     "make_tree",
 ]
+
+#: The cell columns: each offsets array -> the columns it cuts into
+#: per-cell runs.  Cell ``i``, the ``i``-th live id, owns rows
+#: ``offsets[i]:offsets[i + 1]`` of each column.
+CELL_COLUMNS = {
+    "sys_offsets": ("sys_a", "sys_b", "sys_ids"),
+    "rect_offsets": ("rect_lows", "rect_highs"),
+}
 
 
 @dataclass(frozen=True)
@@ -77,7 +92,8 @@ class BuildConfig:
     candidate selection (the best quality-to-performance ratio for
     moderate dimensionality) with X-tree indexing of the approximations
     and no decomposition; turn ``decompose`` on for sparse or clustered
-    data (Section 3 / Figure 13).
+    data (Section 3 / Figure 13).  An archive stores every field but
+    ``data_space`` (its ``box`` member) and ``workers``.
     """
 
     selector: SelectorKind = SelectorKind.SPHERE
@@ -86,10 +102,8 @@ class BuildConfig:
     decomposition: DecompositionConfig = field(
         default_factory=DecompositionConfig
     )
-    index_kind: str = "xtree"  # "xtree" | "rstar"
     page_size: int = DEFAULT_PAGE_SIZE
     cache_pages: int = 0
-    bulk: bool = True
     query_atol: float = 1e-9
     data_space: "MBR | None" = None
     #: Cell-construction worker processes (repro.engine): 1 = serial
@@ -98,8 +112,6 @@ class BuildConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.index_kind not in ("xtree", "rstar"):
-            raise ValueError("index_kind must be 'xtree' or 'rstar'")
         if self.query_atol < 0.0:
             raise ValueError("query_atol must be >= 0")
         if self.workers < 0:
@@ -225,10 +237,9 @@ class QueryExplain:
 # which is what makes parallel construction bit-identical to serial.
 # ======================================================================
 
-def make_tree(dim: int, config: BuildConfig, leaf_entry_bytes: int) -> RStarTree:
-    """An empty index tree of the configured kind and page geometry."""
-    tree_cls = XTree if config.index_kind == "xtree" else RStarTree
-    return tree_cls(
+def make_tree(dim: int, config: BuildConfig, leaf_entry_bytes: int) -> XTree:
+    """An empty X-tree of the configured page geometry."""
+    return XTree(
         dim,
         page_size=config.page_size,
         cache_pages=config.cache_pages,
@@ -236,17 +247,9 @@ def make_tree(dim: int, config: BuildConfig, leaf_entry_bytes: int) -> RStarTree
     )
 
 
-def load_data_tree(
-    tree: RStarTree, points: np.ndarray, config: BuildConfig
-) -> RStarTree:
-    """Fill an empty data tree with ``points`` (bulk STR or insertion)."""
-    n = points.shape[0]
-    if config.bulk and n > 1:
-        bulk_load(tree, points, points, np.arange(n))
-    else:
-        for i in range(n):
-            tree.insert_point(points[i], int(i))
-    return tree
+def load_data_tree(tree: XTree, points: np.ndarray) -> XTree:
+    """Fill an empty data tree with ``points`` by STR packing."""
+    return bulk_load(tree, points, points, np.arange(points.shape[0]))
 
 
 def approximate_system(
@@ -272,6 +275,57 @@ def compute_cell(
     candidates = selector.candidates(point_id)
     system = cell_system(points, point_id, candidates, box)
     return system, approximate_system(system, points[point_id], config)
+
+
+def as_query(
+    query: Sequence[float], dim: int, batch: bool = False
+) -> np.ndarray:
+    """``query`` as float64: one ``dim``-vector or, with ``batch``, an
+    ``(m, dim)`` array of them.  Raises ``ValueError`` naming the query
+    unless the shape fits and every coordinate is finite: no cell holds
+    a NaN or an infinite point, so no path could answer it."""
+    q = np.asarray(query, dtype=np.float64)
+    if batch:
+        q = np.atleast_2d(q)
+        if q.ndim != 2 or q.shape[1] != dim:
+            raise ValueError(f"queries must be (m, {dim})")
+        if not np.isfinite(q).all():
+            row = int(np.argmin(np.isfinite(q).all(axis=1)))
+            raise ValueError(
+                f"query {row} {q[row].tolist()} has a non-finite coordinate"
+            )
+    elif q.shape != (dim,):
+        raise ValueError(f"query must be a {dim}-vector")
+    elif not all(map(math.isfinite, q.tolist())):  # cheapest for one row
+        raise ValueError(f"query {q.tolist()} has a non-finite coordinate")
+    return q
+
+
+def _cell_runs(
+    system: HalfspaceSystem, rects: "List[MBR]"
+) -> "Tuple[np.ndarray, ...]":
+    """One computed cell as its runs of the five data columns."""
+    return (
+        system.a, system.b, system.point_ids,
+        np.stack([r.low for r in rects]), np.stack([r.high for r in rects]),
+    )
+
+
+def _stack_cells(
+    runs: "Sequence[Tuple[np.ndarray, ...]]",
+) -> "Dict[str, np.ndarray]":
+    """The read-only :data:`CELL_COLUMNS` of consecutive cells, each given
+    as its runs ``(sys_a, sys_b, sys_ids, rect_lows, rect_highs)``."""
+    names = [name for columns in CELL_COLUMNS.values() for name in columns]
+    parts = dict(zip(names, zip(*runs)))
+    cells: "Dict[str, np.ndarray]" = {}
+    for offsets, columns in CELL_COLUMNS.items():
+        counts = [run.shape[0] for run in parts[columns[0]]]
+        cells[offsets] = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+        cells.update((name, np.concatenate(parts[name])) for name in columns)
+    for column in cells.values():
+        column.setflags(write=False)
+    return cells
 
 
 def _publish_walks(walks: "List[Walk]") -> None:
@@ -302,29 +356,24 @@ class NNCellIndex:
         ):
             raise ValueError("all points must lie inside the data space")
         self._active = np.ones(pts.shape[0], dtype=bool)
-        #: Per-cell systems and rectangles; both ``None`` while a loaded
-        #: index keeps them as archive columns (see :meth:`_thaw_cells`).
-        self._systems: "Optional[Dict[int, HalfspaceSystem]]" = {}
-        self._cell_rects: "Optional[Dict[int, List[MBR]]]" = {}
-        #: A loaded index's per-cell archive columns, until its first
-        #: write (``save_index`` writes them back unchanged).
-        self._columns: "Optional[Dict[str, np.ndarray]]" = None
+        #: Every live cell's system and rectangles: the read-only
+        #: :data:`CELL_COLUMNS` over the live ids in ascending order.  A
+        #: write replaces them whole, with one assignment.
+        self.cells: "Dict[str, np.ndarray]" = {}
         # Data pages hold points (d coordinates + id); solution-space
         # pages hold a cell rectangle plus its owner's coordinates.
-        self.data_tree: RStarTree = make_tree(
+        self.data_tree = make_tree(
             self.dim, self.config, leaf_entry_bytes=8 * self.dim + 8
         )
         #: What every query reads: the cell tree, packed and immutable.
         #: Writes replace it whole, with one assignment.
         self.snapshot: "Optional[PackedTree]" = None
-        self._cell_tree: "Optional[RStarTree]" = None
-        #: The ``(lows, highs, owners)`` the snapshot was laid out from,
-        #: which :attr:`cell_tree` bulk-loads into the empty tree when
-        #: first needed; ``None`` once loaded.
-        self._entries: "Optional[Tuple[np.ndarray, ...]]" = None
+        #: The mutable cell tree the writes maintain; ``None`` until
+        #: :attr:`cell_tree` first bulk-loads it from :attr:`cells`.
+        self._cell_tree: "Optional[XTree]" = None
         self._selector: "Optional[CandidateSelector]" = None
         self._chaos = None  # page-read fault injector (repro.chaos)
-        #: Makes the lazy cell state once, whoever asks for it first.
+        #: Makes the mutable cell tree once, whoever asks for it first.
         self._thaw_lock = threading.Lock()
 
     # ==================================================================
@@ -350,16 +399,13 @@ class NNCellIndex:
                   selector=self.config.selector.value,
                   workers=workers) as root:
             with span("build.data_tree"):
-                load_data_tree(self.data_tree, self.points, self.config)
+                load_data_tree(self.data_tree, self.points)
             self._selector = CandidateSelector(
                 self.points,
                 self.data_tree,
                 self.config.selector,
                 self.config.selector_params,
             )
-            all_lows: "List[np.ndarray]" = []
-            all_highs: "List[np.ndarray]" = []
-            all_ids: "List[int]" = []
             with span("build.cells", workers=workers):
                 if workers > 1:
                     from ..engine.parallel import parallel_cells
@@ -371,22 +417,13 @@ class NNCellIndex:
                     cells = (
                         self._compute_cell(int(i)) for i in range(n)
                     )
-                for point_id, (system, rects) in enumerate(cells):
-                    self._register_cell(int(point_id), system, rects)
-                    for rect in rects:
-                        all_lows.append(rect.low)
-                        all_highs.append(rect.high)
-                        all_ids.append(int(point_id))
+                self.cells = _stack_cells([_cell_runs(*c) for c in cells])
             with span("build.cell_tree"):
-                self._index_cells(
-                    np.stack(all_lows),
-                    np.stack(all_highs),
-                    np.asarray(all_ids, dtype=np.int64),
-                    bulk=self.config.bulk,
-                )
-            root.set("n_rectangles", len(all_ids))
+                self._index_cells()
+            n_rects = self.cells["rect_lows"].shape[0]
+            root.set("n_rectangles", n_rects)
         metrics.inc("build.cells", n)
-        metrics.inc("build.rectangles", len(all_ids))
+        metrics.inc("build.rectangles", n_rects)
 
     def _compute_cell(
         self, point_id: int
@@ -396,13 +433,8 @@ class NNCellIndex:
             self.points, self._selector, self.box, self.config, point_id
         )
 
-    def _approximate(
-        self, system: HalfspaceSystem, center: np.ndarray
-    ) -> "List[MBR]":
-        return approximate_system(system, center, self.config)
-
     # ------------------------------------------------------------------
-    # The cell tree: snapshot, mutable tree, per-cell objects
+    # The cell tree: snapshot and mutable tree
     # ------------------------------------------------------------------
     @classmethod
     def _restore(
@@ -410,57 +442,38 @@ class NNCellIndex:
         points: np.ndarray,
         active: np.ndarray,
         config: BuildConfig,
-        columns: "Dict[str, np.ndarray]",
+        cells: "Dict[str, np.ndarray]",
     ) -> "NNCellIndex":
         """An index over validated archive columns (``load_index``).
 
         ``points`` holds every row, deleted ones included, so stored
         point ids stay valid.  The data tree is bulk-loaded, because
         fallback queries read it; the cell tree is only laid out into
-        :attr:`snapshot`.  No per-cell object is made.
+        :attr:`snapshot`.
         """
         index = cls(points[active], config)
         index.points = points.copy()
         index._active = active.copy()
-        index._systems = index._cell_rects = None
-        index._columns = columns
+        index.cells = cells
         live = index.active_ids
-        if live.size > 1:
-            bulk_load(index.data_tree, points[live], points[live], live)
-        else:
-            index.data_tree.insert_point(points[live[0]], int(live[0]))
-        owners = np.repeat(live, np.diff(columns["rect_offsets"]))
-        index._index_cells(
-            columns["rect_lows"], columns["rect_highs"], owners, bulk=True
-        )
+        bulk_load(index.data_tree, points[live], points[live], live)
+        index._index_cells()
         return index
 
-    def _index_cells(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        owners: np.ndarray,
-        bulk: bool,
-    ) -> None:
-        """Index every cell rectangle: build :attr:`snapshot`.
+    def _index_cells(self) -> None:
+        """Lay :attr:`cells` out into :attr:`snapshot` by STR, as a bulk
+        load of the still-empty mutable tree would pack them."""
+        self.snapshot = PackedTree.from_layout(
+            str_layout(self._new_cell_tree(), *self._cell_entries())
+        )
 
-        Several rectangles with ``bulk`` are laid out by STR, as a bulk
-        load of the still-empty mutable tree would pack them, and kept
-        for :attr:`cell_tree`; otherwise they are inserted one by one
-        into the mutable tree, which is then frozen.
-        """
-        tree = self._cell_tree = self._new_cell_tree()
-        if bulk and owners.size > 1:
-            self._entries = (lows, highs, owners)
-            self.snapshot = PackedTree.from_layout(
-                str_layout(tree, lows, highs, owners)
-            )
-            return
-        for low, high, owner in zip(lows, highs, owners.tolist()):
-            tree.insert(low, high, owner)
-        self.snapshot = PackedTree.freeze(tree)
+    def _cell_entries(self) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Every cell rectangle as ``(lows, highs, owners)``."""
+        cells = self.cells
+        owners = np.repeat(self.active_ids, np.diff(cells["rect_offsets"]))
+        return cells["rect_lows"], cells["rect_highs"], owners
 
-    def _new_cell_tree(self) -> RStarTree:
+    def _new_cell_tree(self) -> XTree:
         tree = make_tree(
             self.dim, self.config, leaf_entry_bytes=3 * 8 * self.dim + 8
         )
@@ -468,60 +481,28 @@ class NNCellIndex:
         return tree
 
     @property
-    def cell_tree(self) -> RStarTree:
+    def cell_tree(self) -> XTree:
         """The mutable cell tree the writes maintain.
 
-        Queries read :attr:`snapshot` instead.  After a bulk build or a
-        load the tree stays empty until its first access, which
-        bulk-loads the rectangles the snapshot was laid out from, so the
-        two agree node for node.
+        Queries read :attr:`snapshot` instead.  The first access
+        bulk-loads the rectangles of :attr:`cells`; before any write the
+        tree agrees with the snapshot node for node.
         """
         return self._thaw_tree()
 
-    def _thaw_tree(self) -> RStarTree:
-        if self._entries is not None:
+    def _thaw_tree(self) -> XTree:
+        if self._cell_tree is None:
             with self._thaw_lock:
-                if self._entries is not None:
-                    bulk_load(self._cell_tree, *self._entries)
-                    # Last: unlocked readers test it.
-                    self._entries = None
+                if self._cell_tree is None:
+                    self._cell_tree = bulk_load(
+                        self._new_cell_tree(), *self._cell_entries()
+                    )
         return self._cell_tree
-
-    def _thaw_cells(self) -> None:
-        """Make a loaded index's per-cell systems and rectangles from
-        its archive columns, on the first call that needs them."""
-        if self._cell_rects is None:
-            with self._thaw_lock:
-                if self._cell_rects is None:
-                    self._make_cells()
-
-    def _make_cells(self) -> None:
-        columns = self._columns
-        sys_at = columns["sys_offsets"].tolist()
-        rect_at = columns["rect_offsets"].tolist()
-        sys_a, sys_b = columns["sys_a"], columns["sys_b"]
-        sys_ids = columns["sys_ids"]
-        lows, highs = columns["rect_lows"], columns["rect_highs"]
-        systems: "Dict[int, HalfspaceSystem]" = {}
-        cell_rects: "Dict[int, List[MBR]]" = {}
-        for i, pid in enumerate(self.active_ids.tolist()):
-            s0, s1 = sys_at[i], sys_at[i + 1]
-            systems[pid] = HalfspaceSystem(
-                sys_a[s0:s1], sys_b[s0:s1], self.box, sys_ids[s0:s1]
-            )
-            cell_rects[pid] = [
-                MBR(lows[r], highs[r]) for r in range(rect_at[i], rect_at[i + 1])
-            ]
-        # ``_cell_rects`` last: it is the flag unlocked readers test.
-        self._systems = systems
-        self._cell_rects = cell_rects
 
     def _prepare_write(self) -> None:
         """Make what a write changes before it changes anything: the
-        per-cell objects, the mutable cell tree and the selector."""
-        self._thaw_cells()
+        mutable cell tree and the selector."""
         self._thaw_tree()
-        self._columns = None
         if self._selector is None:
             self._selector = CandidateSelector(
                 self.points,
@@ -532,8 +513,33 @@ class NNCellIndex:
             for pid in np.flatnonzero(~self._active).tolist():
                 self._selector.set_active(pid, False)
 
-    def _publish(self) -> None:
-        """End of a write: freeze the mutable tree into a new snapshot."""
+    def _publish(
+        self,
+        active: np.ndarray,
+        changed: "Dict[int, Tuple[HalfspaceSystem, List[MBR]]]",
+    ) -> None:
+        """End of a write: splice the ``changed`` cells (id -> new system
+        and rectangles) into new columns over the live ids of ``active``,
+        the other cells' rows copied from :attr:`cells`, then publish
+        them, ``active`` and a snapshot frozen from the mutable tree."""
+        cells = self.cells
+        sys_at, rect_at = cells["sys_offsets"], cells["rect_offsets"]
+        position = {pid: i for i, pid in enumerate(self.active_ids.tolist())}
+        runs = []
+        for pid in np.flatnonzero(active).tolist():
+            if pid in changed:
+                runs.append(_cell_runs(*changed[pid]))
+                continue
+            i = position[pid]
+            rows = slice(sys_at[i], sys_at[i + 1])
+            rects = slice(rect_at[i], rect_at[i + 1])
+            runs.append((
+                cells["sys_a"][rows], cells["sys_b"][rows],
+                cells["sys_ids"][rows],
+                cells["rect_lows"][rects], cells["rect_highs"][rects],
+            ))
+        self.cells = _stack_cells(runs)
+        self._active = active
         self.snapshot = PackedTree.freeze(self._cell_tree)
 
     def set_page_chaos(self, injector) -> None:
@@ -549,27 +555,28 @@ class NNCellIndex:
         if self._cell_tree is not None:
             self._cell_tree.pages.set_chaos(injector)
 
-    # ------------------------------------------------------------------
-    # Cell bookkeeping
-    # ------------------------------------------------------------------
-    def _register_cell(
-        self, point_id: int, system: HalfspaceSystem, rects: "List[MBR]"
-    ) -> None:
-        self._systems[point_id] = system
-        self._cell_rects[point_id] = rects
-
-    def _unregister_cell(self, point_id: int) -> None:
-        del self._systems[point_id]
-        del self._cell_rects[point_id]
+    def _rows(self, point_id: int) -> "Tuple[slice, slice]":
+        """The rows of live ``point_id``'s system and rectangles in
+        :attr:`cells`."""
+        if not self._is_active(point_id):
+            raise KeyError(f"point {point_id} is not in the index")
+        i = int(np.count_nonzero(self._active[:point_id]))
+        sys_at, rect_at = self.cells["sys_offsets"], self.cells["rect_offsets"]
+        return (
+            slice(sys_at[i], sys_at[i + 1]), slice(rect_at[i], rect_at[i + 1])
+        )
 
     def _replace_cell_in_tree(
         self, point_id: int, new_rects: "List[MBR]"
     ) -> None:
         """Swap one cell's rectangles in the mutable tree (queries see
         the change once the write publishes its snapshot)."""
-        tree = self._thaw_tree()
-        for rect in self._cell_rects[point_id]:
-            removed = tree.delete(rect.low, rect.high, point_id)
+        tree = self._cell_tree
+        __, rects = self._rows(point_id)
+        for low, high in zip(
+            self.cells["rect_lows"][rects], self.cells["rect_highs"][rects]
+        ):
+            removed = tree.delete(low, high, point_id)
             if not removed:  # pragma: no cover - bookkeeping invariant
                 raise RuntimeError(
                     f"cell rectangle of point {point_id} missing from index"
@@ -590,9 +597,7 @@ class NNCellIndex:
         Outside the data space (where NN-cells are not defined) the data
         index answers via branch-and-bound, with ``info.fallback`` set.
         """
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query must be a {self.dim}-vector")
+        q = as_query(query, self.dim)
         started = time.perf_counter()
         point_id, distance, info, cells, walks = self._nearest_impl(q)
         workload.record_query(
@@ -682,9 +687,7 @@ class NNCellIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query must be a {self.dim}-vector")
+        q = as_query(query, self.dim)
         n_live = len(self)
         k_eff = min(k, n_live)
         info = QueryInfo()
@@ -800,9 +803,7 @@ class NNCellIndex:
         Surfaced as ``python -m repro explain`` and as the serve JSONL
         protocol's ``"explain": true`` request field.
         """
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query must be a {self.dim}-vector")
+        q = as_query(query, self.dim)
         atol = self.config.query_atol
         if not self.box.contains_point(q, atol=atol):
             result = rkv_nearest(self.data_tree, q)
@@ -869,24 +870,25 @@ class NNCellIndex:
         self._prepare_write()
         new_id = self.points.shape[0]
         self.points = np.vstack([self.points, p[None, :]])
-        self._active = np.append(self._active, True)
         self._selector.extend_points(p[None, :])
         self.data_tree.insert_point(p, new_id)
 
+        changed = {}
         for cell_id in self._cells_possibly_shrunk_by(p):
             a, b = bisector(self.points[cell_id], p)
-            old_system = self._systems[cell_id]
-            new_system = old_system.with_constraint(a, b, point_id=new_id)
-            rects = self._approximate(new_system, self.points[cell_id])
+            system = self.constraint_system(cell_id).with_constraint(
+                a, b, point_id=new_id
+            )
+            rects = approximate_system(
+                system, self.points[cell_id], self.config
+            )
             self._replace_cell_in_tree(cell_id, rects)
-            self._unregister_cell(cell_id)
-            self._register_cell(cell_id, new_system, rects)
+            changed[cell_id] = (system, rects)
 
-        system, rects = self._compute_cell(new_id)
-        self._register_cell(new_id, system, rects)
+        __, rects = changed[new_id] = self._compute_cell(new_id)
         for rect in rects:
             self._cell_tree.insert(rect.low, rect.high, new_id)
-        self._publish()
+        self._publish(np.append(self._active, True), changed)
         return new_id
 
     def _cells_possibly_shrunk_by(self, p: np.ndarray) -> "List[int]":
@@ -934,24 +936,25 @@ class NNCellIndex:
             raise ValueError("cannot delete the last remaining point")
         self._prepare_write()
         self._replace_cell_in_tree(point_id, [])
-        self._unregister_cell(point_id)
         removed = self.data_tree.delete(
             self.points[point_id], self.points[point_id], point_id
         )
         if not removed:  # pragma: no cover - bookkeeping invariant
             raise RuntimeError(f"point {point_id} missing from data index")
-        self._active[point_id] = False
+        active = self._active.copy()
+        active[point_id] = False
         self._selector.set_active(point_id, False)
 
-        referencing = sorted(
-            c for c, s in self._systems.items() if s.references(point_id)
-        )
-        for cell_id in referencing:
-            system, rects = self._compute_cell(cell_id)
+        # The cells whose systems hold a row of the removed point: one
+        # comparison over every row, then each row's cell by its offset.
+        cells = self.cells
+        rows = np.flatnonzero(cells["sys_ids"] == point_id)
+        at = np.searchsorted(cells["sys_offsets"], rows, side="right") - 1
+        changed = {}
+        for cell_id in np.unique(self.active_ids[at]).tolist():
+            __, rects = changed[cell_id] = self._compute_cell(cell_id)
             self._replace_cell_in_tree(cell_id, rects)
-            self._unregister_cell(cell_id)
-            self._register_cell(cell_id, system, rects)
-        self._publish()
+        self._publish(active, changed)
 
     # ==================================================================
     # Introspection
@@ -971,40 +974,39 @@ class NNCellIndex:
 
     def cell_rectangles(self, point_id: int) -> "List[MBR]":
         """The stored (decomposed) approximation of one cell."""
-        if not self._is_active(point_id):
-            raise KeyError(f"point {point_id} is not in the index")
-        self._thaw_cells()
-        return list(self._cell_rects[point_id])
+        __, rects = self._rows(point_id)
+        return [
+            MBR(low, high) for low, high in zip(
+                self.cells["rect_lows"][rects], self.cells["rect_highs"][rects]
+            )
+        ]
 
     def constraint_system(self, point_id: int) -> HalfspaceSystem:
-        """The bisector constraint system backing one cell."""
-        if not self._is_active(point_id):
-            raise KeyError(f"point {point_id} is not in the index")
-        self._thaw_cells()
-        return self._systems[point_id]
+        """The bisector constraint system backing one cell (read-only
+        views of :attr:`cells`)."""
+        rows, __ = self._rows(point_id)
+        cells = self.cells
+        return HalfspaceSystem(
+            cells["sys_a"][rows], cells["sys_b"][rows], self.box,
+            cells["sys_ids"][rows],
+        )
 
     def all_cell_rectangles(self) -> "List[Tuple[int, MBR]]":
         """Every stored rectangle as ``(owner id, rect)`` pairs."""
-        self._thaw_cells()
+        lows, highs, owners = self._cell_entries()
         return [
-            (point_id, rect)
-            for point_id in sorted(self._cell_rects)
-            for rect in self._cell_rects[point_id]
+            (owner, MBR(low, high))
+            for owner, low, high in zip(owners.tolist(), lows, highs)
         ]
 
     def stats(self) -> "Dict[str, float]":
         """Sizing diagnostics: rectangle counts, volumes, tree shape."""
-        self._thaw_cells()
-        rect_count = sum(len(r) for r in self._cell_rects.values())
-        total_volume = sum(
-            rect.volume()
-            for rects in self._cell_rects.values()
-            for rect in rects
-        )
+        lows, highs, __ = self._cell_entries()
+        total_volume = sum(np.prod(highs - lows, axis=1).tolist())
         box_volume = self.box.volume()
         return {
             "n_points": float(len(self)),
-            "n_rectangles": float(rect_count),
+            "n_rectangles": float(lows.shape[0]),
             "expected_candidates": total_volume / box_volume,
             "cell_tree_height": float(self.snapshot.height),
             "data_tree_height": float(self.data_tree.height),

@@ -8,19 +8,20 @@ rectangle approximations — into a single ``.npz`` archive.
 
 The archive stores *results*, not tree pages: the trees are rebuilt from
 the stored rectangles deterministically, keeping the format independent
-of node-layout details.  A load makes only what a query reads: it
+of node-layout details.  Its cell members are the index's own cell store
+(:attr:`NNCellIndex.cells`), which a build concatenates, a write splices
+and a save writes as it is.  A load makes only what a query reads: it
 bulk-loads the data tree (fallback queries search it) and lays the
 rectangles out, as a bulk load would, straight into the packed cell-tree
-snapshot the queries walk.  It keeps the columns; the per-cell systems
-and rectangles and the mutable cell tree are made from them on the first
-write or the first call that needs them, and a save before any write
-writes the same columns back.
+snapshot the queries walk; the mutable cell tree is made on the first
+write or the first call that needs it.
 
-Format version 3 has eleven members, whatever the number of points:
+Format version 4 has eleven members, whatever the number of points:
 
-* ``meta`` — one JSON object: ``format_version`` and the build config
-  (``selector``, ``sphere_radius_factor``, ``decompose``, ``index_kind``,
-  ``page_size``, ``cache_pages``, ``query_atol``);
+* ``meta`` — one JSON object: ``format_version`` and every
+  :class:`BuildConfig` field but ``data_space`` (stored as ``box``) and
+  ``workers`` (how the build ran, not what it made).  Nested configs
+  are JSON objects; ``selector`` is stored by its value;
 * ``points``, ``active`` — every point row (deleted points keep their
   slots) and the active mask;
 * ``box`` — the data space as one ``(2, d)`` array, ``low`` then
@@ -35,27 +36,30 @@ rows ``offsets[i]:offsets[i + 1]``.  Members are stored, not deflated:
 the float columns deflate by only a few percent, and inflating them was
 most of the cost of a load.
 
-Archives are outside input.  :func:`load_index` reads ``meta`` first and
-checks the type of every key, then checks that the columns fit together,
-that every float is finite and — over whole columns — what the per-cell
-constraint-system and rectangle constructors would check, and raises a
-``ValueError`` naming the key or field otherwise.  Versions 1 and 2 are
-refused; rebuild them with ``repro build``.
+Archives are outside input.  :func:`load_index` reads ``meta`` first
+with the checker the sharded manifest's ``shard_config`` also goes
+through (exactly the config's keys, each of its default's type, floats
+finite, enum values known, then the config's own checks), then checks
+that the columns fit together, that every float is finite and — over
+whole columns — what the per-cell constraint-system and rectangle
+constructors would check, and raises a ``ValueError`` naming the key or
+field otherwise.  Versions 1 to 3 are refused (a version-3 archive does
+not say which decomposition built it); rebuild them with ``repro build``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
 from ..geometry.mbr import MBR
-from .candidates import SelectorKind, SelectorParams
-from .nncell_index import BuildConfig, NNCellIndex
+from .nncell_index import CELL_COLUMNS, BuildConfig, NNCellIndex
 
 __all__ = [
     "is_sharded_archive",
@@ -66,33 +70,19 @@ __all__ = [
     "save_sharded_index",
 ]
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 _SHARD_FORMAT_VERSION = 2
 _SHARD_MANIFEST = "manifest.json"
 _SHARD_GLOBALS = "global.npz"
 
-#: Keys of the ``meta`` object besides ``format_version`` -> the type of
-#: its value (exactly: a bool is not an int, nor an int a float).
-_META = {
-    "selector": str,
-    "sphere_radius_factor": float,
-    "decompose": bool,
-    "index_kind": str,
-    "page_size": int,
-    "cache_pages": int,
-    "query_atol": float,
-}
-
-#: Offsets array -> the columns it partitions into per-cell runs.
-_COLUMNS = {
-    "sys_offsets": ("sys_a", "sys_b", "sys_ids"),
-    "rect_offsets": ("rect_lows", "rect_highs"),
-}
+#: The :class:`BuildConfig` fields ``meta`` leaves out.
+_UNSTORED = ("data_space", "workers")
 
 #: The per-cell members, which a loaded index keeps.
 _CELL_ARRAYS = tuple(
-    name for offsets, columns in _COLUMNS.items() for name in (offsets, *columns)
+    name for offsets, columns in CELL_COLUMNS.items()
+    for name in (offsets, *columns)
 )
 
 #: The array members besides ``meta``.
@@ -102,50 +92,18 @@ _ARRAYS = ("points", "active", "box") + _CELL_ARRAYS
 _FLOATS = ("points", "box", "sys_a", "sys_b", "rect_lows", "rect_highs")
 
 
-def _offsets(counts) -> np.ndarray:
-    """CSR offsets of consecutive runs of the given lengths."""
-    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-
-
-def _cell_columns(index: NNCellIndex) -> "Dict[str, np.ndarray]":
-    """The per-cell columns of ``index``: those it was loaded from if no
-    write has happened since, else made from its cells."""
-    if index._columns is not None:
-        return dict(index._columns)
-    active = [int(pid) for pid in index.active_ids]
-    systems = [index._systems[pid] for pid in active]
-    cell_rects = [index._cell_rects[pid] for pid in active]
-    rects = [rect for cell in cell_rects for rect in cell]
-    return {
-        "sys_offsets": _offsets([s.n_constraints for s in systems]),
-        "sys_a": np.concatenate([s.a for s in systems]),
-        "sys_b": np.concatenate([s.b for s in systems]),
-        "sys_ids": np.concatenate([s.point_ids for s in systems]),
-        "rect_offsets": _offsets([len(cell) for cell in cell_rects]),
-        "rect_lows": np.stack([r.low for r in rects]),
-        "rect_highs": np.stack([r.high for r in rects]),
-    }
-
-
 def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
     """Serialise a built index to ``path`` (a ``.npz`` archive)."""
-    config = index.config
     meta = {
         "format_version": _FORMAT_VERSION,
-        "selector": config.selector.value,
-        "sphere_radius_factor": float(config.selector_params.sphere_radius_factor),
-        "decompose": bool(config.decompose),
-        "index_kind": config.index_kind,
-        "page_size": int(config.page_size),
-        "cache_pages": int(config.cache_pages),
-        "query_atol": float(config.query_atol),
+        **_config_doc(index.config, _UNSTORED),
     }
     arrays = {
         "meta": np.bytes_(json.dumps(meta, sort_keys=True).encode()),
         "points": index.points,
         "active": index._active,
         "box": np.stack([index.box.low, index.box.high]),
-        **_cell_columns(index),
+        **index.cells,
     }
     np.savez(Path(path), **arrays)
 
@@ -153,27 +111,15 @@ def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
 def load_index(path: "Union[str, Path]") -> NNCellIndex:
     """Rebuild an index saved with :func:`save_index`."""
     with np.load(Path(path)) as archive:
-        meta = _read_meta(archive)
+        config = _read_meta(archive)
         fields = {name: archive[name] for name in _ARRAYS}
     _check_columns(fields)
     _check_cells(fields)
-    points = fields["points"]
-    active = fields["active"]
-    box = MBR(*fields["box"])
-    config = BuildConfig(
-        selector=SelectorKind(meta["selector"]),
-        selector_params=SelectorParams(
-            sphere_radius_factor=meta["sphere_radius_factor"]
-        ),
-        decompose=meta["decompose"],
-        index_kind=meta["index_kind"],
-        page_size=meta["page_size"],
-        cache_pages=meta["cache_pages"],
-        query_atol=meta["query_atol"],
-        data_space=box,
+    config = dataclasses.replace(config, data_space=MBR(*fields["box"]))
+    cells = {name: fields[name] for name in _CELL_ARRAYS}
+    return NNCellIndex._restore(
+        fields["points"], fields["active"], config, cells
     )
-    columns = {name: fields[name] for name in _CELL_ARRAYS}
-    return NNCellIndex._restore(points, active, config, columns)
 
 
 def _version_error(version: Any) -> ValueError:
@@ -183,10 +129,9 @@ def _version_error(version: Any) -> ValueError:
     )
 
 
-def _read_meta(archive) -> "Dict[str, Any]":
-    """The archive's ``meta`` object, with its version, the type of each
-    key of :data:`_META`, the finiteness of each float and the selector
-    name checked."""
+def _read_meta(archive) -> BuildConfig:
+    """The build config of the archive's ``meta`` object, its version
+    and every key checked by :func:`_read_config`."""
     if "meta" not in archive.files:
         if "format_version" not in archive.files:
             raise ValueError("not an index archive: no member 'meta'")
@@ -198,29 +143,80 @@ def _read_meta(archive) -> "Dict[str, Any]":
         meta = None
     if not isinstance(meta, dict):
         raise ValueError("index archive member 'meta' is not a JSON object")
-    version = meta.get("format_version")
+    version = meta.pop("format_version", None)
     if type(version) is not int or version != _FORMAT_VERSION:
         raise _version_error(version)
-    for key, kind in _META.items():
-        if key not in meta:
-            raise ValueError(f"index archive meta has no key {key!r}")
-        value = meta[key]
+    return _read_config(BuildConfig, meta, "index archive meta", _UNSTORED)
+
+
+def _defaults(cls, skip: "Tuple[str, ...]" = ()) -> "Dict[str, Any]":
+    """The dataclass ``cls``'s fields but ``skip`` -> their defaults."""
+    return {
+        f.name: (
+            f.default_factory() if f.default is dataclasses.MISSING
+            else f.default
+        )
+        for f in dataclasses.fields(cls)
+        if f.name not in skip
+    }
+
+
+def _config_doc(config, skip: "Tuple[str, ...]" = ()) -> "Dict[str, Any]":
+    """``config`` as the JSON object :func:`_read_config` reads back:
+    nested configs as objects, enums by value, every other field as its
+    default's type."""
+    doc: "Dict[str, Any]" = {}
+    for key, default in _defaults(type(config), skip).items():
+        value = getattr(config, key)
+        if dataclasses.is_dataclass(default):
+            doc[key] = _config_doc(value)
+        elif isinstance(default, enum.Enum):
+            doc[key] = value.value
+        else:
+            doc[key] = type(default)(value)
+    return doc
+
+
+def _read_config(cls, doc: Any, where: str, skip: "Tuple[str, ...]" = ()):
+    """The dataclass ``cls`` read from the JSON object ``doc``.
+
+    ``doc`` must hold exactly ``cls``'s fields but ``skip``, each of its
+    default's exact type (a bool is not an int, nor an int a float),
+    floats finite, enum values known and nested configs checked the same
+    way (as ``where.field``); then ``cls``'s own ``__post_init__`` runs.
+    Any failure is a ``ValueError`` naming the key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    defaults = _defaults(cls, skip)
+    for key in doc:
+        if key not in defaults:
+            raise ValueError(f"{where} has unknown key {key!r}")
+    values: "Dict[str, Any]" = {}
+    for key, default in defaults.items():
+        if key not in doc:
+            raise ValueError(f"{where} has no key {key!r}")
+        value = doc[key]
+        if dataclasses.is_dataclass(default):
+            values[key] = _read_config(type(default), value, f"{where}.{key}")
+            continue
+        is_enum = isinstance(default, enum.Enum)
+        kind = type(default.value if is_enum else default)
         if type(value) is not kind:
             raise ValueError(
-                f"index archive meta key {key!r} is {value!r}, "
-                f"not {kind.__name__}"
+                f"{where} key {key!r} is {value!r}, not {kind.__name__}"
             )
         if kind is float and not math.isfinite(value):
-            raise ValueError(
-                f"index archive meta key {key!r} is {value!r}, not finite"
-            )
-    known = [kind.value for kind in SelectorKind]
-    if meta["selector"] not in known:
-        raise ValueError(
-            f"index archive meta key 'selector' is {meta['selector']!r}, "
-            f"not one of {known}"
-        )
-    return meta
+            raise ValueError(f"{where} key {key!r} is {value!r}, not finite")
+        if is_enum:
+            known = [member.value for member in type(default)]
+            if value not in known:
+                raise ValueError(
+                    f"{where} key {key!r} is {value!r}, not one of {known}"
+                )
+            value = type(default)(value)
+        values[key] = value
+    return cls(**values)
 
 
 def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
@@ -249,7 +245,7 @@ def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
                 "values"
             )
     n_active = int(np.count_nonzero(active))
-    for offsets_name, columns in _COLUMNS.items():
+    for offsets_name, columns in CELL_COLUMNS.items():
         offsets = fields[offsets_name]
         if offsets.shape != (n_active + 1,):
             raise ValueError(
@@ -262,6 +258,7 @@ def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
                 f"index archive field {offsets_name!r} must start at 0 "
                 "and never decrease"
             )
+        offsets.setflags(write=False)
         for name in columns:
             if fields[name].shape[:1] != (offsets[-1],):
                 raise ValueError(
@@ -369,7 +366,7 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
         "format_version": _SHARD_FORMAT_VERSION,
         "kind": "sharded-nncell",
         "dim": int(index.dim),
-        "shard_config": dataclasses.asdict(index.shard_config),
+        "shard_config": _config_doc(index.shard_config),
         "partitioner": index.partitioner.to_manifest(),
         "shards": shard_entries,
     }
@@ -387,7 +384,11 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
 
 def load_sharded_index(path: "Union[str, Path]"):
     """Rebuild a sharded index saved with :func:`save_sharded_index`."""
-    from ..shard import ShardedNNCellIndex, partitioner_from_manifest
+    from ..shard import (
+        ShardConfig,
+        ShardedNNCellIndex,
+        partitioner_from_manifest,
+    )
 
     source = Path(path)
     if not source.exists():
@@ -405,7 +406,11 @@ def load_sharded_index(path: "Union[str, Path]"):
             f"(expected {_SHARD_FORMAT_VERSION}); rebuild the index with "
             "`repro build --shards N`"
         )
-    shard_config = _read_shard_config(manifest_path, manifest.get("shard_config"))
+    shard_config = _read_config(
+        ShardConfig,
+        manifest.get("shard_config"),
+        f"{manifest_path}: shard_config",
+    )
     partitioner = partitioner_from_manifest(manifest["partitioner"])
     shards = []
     globals_ = []
@@ -444,29 +449,6 @@ def load_sharded_index(path: "Union[str, Path]"):
         shard_of=shard_of.tolist(),
         local_of=local_of.tolist(),
     )
-
-
-def _read_shard_config(manifest_path: Path, doc: Any):
-    """The manifest's ``shard_config``: exactly the
-    :class:`~repro.shard.ShardConfig` fields, each of its default's type
-    (a bool is not an int); ``ValueError`` naming the key otherwise."""
-    from ..shard import ShardConfig
-
-    where = f"{manifest_path}: shard_config"
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(ShardConfig)}
-    for key in doc:
-        if key not in kinds:
-            raise ValueError(f"{where} has unknown key {key!r}")
-    for key, kind in kinds.items():
-        if key not in doc:
-            raise ValueError(f"{where} has no key {key!r}")
-        if type(doc[key]) is not kind:
-            raise ValueError(
-                f"{where} key {key!r} is {doc[key]!r}, not {kind.__name__}"
-            )
-    return ShardConfig(**doc)
 
 
 def _check_partitioner(manifest_path: Path, partitioner, config, dim: int) -> None:

@@ -33,6 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.nncell_index import as_query
 from ..index.nnsearch import rkv_nearest
 from ..index.packed import batched_point_query
 from ..obs import workload
@@ -73,9 +74,7 @@ def query_batch(
     Returns ``(ids, distances, info)``; see the module docstring for the
     equivalence guarantee with the serial :meth:`NNCellIndex.nearest`.
     """
-    qs = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if qs.ndim != 2 or qs.shape[1] != index.dim:
-        raise ValueError(f"queries must be (m, {index.dim})")
+    qs = as_query(queries, index.dim, batch=True)
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     m = qs.shape[0]

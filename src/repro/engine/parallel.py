@@ -113,7 +113,7 @@ class CellWorkshop:
         self.data_tree = make_tree(
             dim, config, leaf_entry_bytes=8 * dim + 8
         )
-        load_data_tree(self.data_tree, self.points, config)
+        load_data_tree(self.data_tree, self.points)
         self.selector = CandidateSelector(
             self.points,
             self.data_tree,

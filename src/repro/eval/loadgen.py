@@ -7,17 +7,11 @@ closed-loop client threads and reports p50/p95/p99 latency alongside
 throughput, against the one-query-at-a-time baseline (the same threads
 calling ``index.nearest`` directly, no batching).
 
-Throughput is reported twice, because the repo measures cost in two
-currencies:
-
-* ``wall`` — real queries per second of the in-process run (includes
-  GIL effects and the service's coalescing wait);
-* ``modelled`` — queries per second under the standard
-  :class:`~repro.eval.harness.CostModel`, charging each *page access*
-  the configured I/O cost.  This is the paper's total-search-time
-  currency and the regime where micro-batching pays: the service
-  amortises one tree walk (and its page reads) across every coalesced
-  batch, while the baseline pays a full walk per query.
+Throughput is real queries per second of the in-process run (``wall``,
+including GIL effects and the service's coalescing wait).  Page reads
+are reported per query: the service amortises one tree walk (and its
+page reads) across every coalesced batch, while the baseline pays a
+full walk per query.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ import numpy as np
 from ..serve.config import ServeConfig
 from ..serve.errors import ServeError
 from ..serve.service import QueryService
-from .harness import CostModel
 from .reporting import ResultTable
 
 __all__ = [
@@ -71,16 +64,6 @@ class LoadReport:
         if self.wall_seconds <= 0.0:
             return 0.0
         return len(self.latencies_ms) / self.wall_seconds
-
-    def modelled_throughput_qps(
-        self, cost_model: "CostModel | None" = None
-    ) -> float:
-        """Throughput under the page-cost model (the paper's currency)."""
-        model = cost_model or CostModel()
-        total = model.total_seconds(self.wall_seconds, self.pages)
-        if total <= 0.0:
-            return 0.0
-        return len(self.latencies_ms) / total
 
     def summary(self) -> "Dict[str, float]":
         return {
@@ -195,26 +178,21 @@ def serving_throughput_table(
     queries: np.ndarray,
     n_threads: int = 4,
     config: "ServeConfig | None" = None,
-    cost_model: "CostModel | None" = None,
 ) -> ResultTable:
     """Service vs. unbatched baseline under identical concurrent load.
 
-    One row per mode; the ``modelled_speedup`` column is the service's
-    modelled throughput over the baseline's — the number the acceptance
-    harness checks, since page amortisation is deterministic where
-    wall-clock on a loaded CI box is not.
+    One row per mode; ``pages_per_query`` shows the page amortisation of
+    the batched walk, which is deterministic where wall-clock on a
+    loaded box is not.
     """
     table = ResultTable(
         f"Serving throughput ({n_threads} client threads)",
         ["mode", "errors", "p50_ms", "p95_ms", "p99_ms", "wall_qps",
-         "pages_per_query", "modelled_qps", "mean_batch_size",
-         "modelled_speedup"],
+         "pages_per_query", "mean_batch_size"],
     )
     baseline = run_direct_load(index, queries, n_threads)
     served = run_service_load(index, queries, n_threads, config=config)
-    base_qps = baseline.modelled_throughput_qps(cost_model)
     for report in (baseline, served):
-        qps = report.modelled_throughput_qps(cost_model)
         n = max(1, len(report.latencies_ms))
         table.add_row(
             mode=report.mode,
@@ -224,8 +202,6 @@ def serving_throughput_table(
             p99_ms=report.percentile(99),
             wall_qps=report.throughput_qps(),
             pages_per_query=report.pages / n,
-            modelled_qps=qps,
             mean_batch_size=report.mean_batch_size,
-            modelled_speedup=qps / base_qps if base_qps else float("inf"),
         )
     return table

@@ -21,21 +21,28 @@ pins this down to the node bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from .node import Node
 from .rstar import RStarTree
 
-__all__ = ["DEFAULT_FILL", "LayoutLevel", "bulk_load", "str_layout"]
+__all__ = [
+    "DEFAULT_FILL",
+    "LayoutLevel",
+    "bulk_load",
+    "load_layout",
+    "pack_layout",
+    "str_layout",
+]
 
 DEFAULT_FILL = 0.75
 
 
 @dataclass(frozen=True)
 class LayoutLevel:
-    """One level of an STR layout: its entries and the nodes packing them.
+    """One level of a packed layout: its entries and the nodes packing them.
 
     At the leaf level the entries are the loaded ones; above it they are
     the MBRs of the level below's nodes, with those nodes' page ids as
@@ -61,15 +68,39 @@ def str_layout(
     """The nodes STR packs ``n >= 1`` entries into, leaves first, when
     :func:`bulk_load` fills the empty ``tree`` with them.
 
+    This is the one layout :func:`bulk_load` allocates and the packed
+    read snapshot (:mod:`repro.index.packed`) copies, so the two agree
+    node for node and page for page.  ``tree`` is only read.
+    """
+    dims = list(range(lows.shape[1]))
+
+    def tiles(level, lows, highs, capacity, min_entries):
+        centers = (lows + highs) / 2.0
+        return _str_groups(
+            centers, np.arange(lows.shape[0]), capacity, min_entries, dims
+        )
+
+    return pack_layout(tree, lows, highs, ids, fill, tiles)
+
+
+def pack_layout(
+    tree: RStarTree,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    ids: np.ndarray,
+    fill: float,
+    group: "Callable[..., List[np.ndarray]]",
+) -> "List[LayoutLevel]":
+    """The nodes ``n >= 1`` entries pack into, level by level from the
+    leaves, with ``group(level, lows, highs, capacity, min_entries)``
+    cutting one level's entries into its nodes.
+
     Node occupancy targets ``fill`` times the tree's maximum fan-out but
     never drops below its minimum fill grade.  Pages are numbered from
     the tree's next free page in allocation order: the leaves, then each
-    directory level; the last level holds only the root.  This is the
-    one layout :func:`bulk_load` allocates and the packed read snapshot
-    (:mod:`repro.index.packed`) copies, so the two agree node for node
-    and page for page.  ``tree`` is only read.
+    directory level; the last level holds only the root.  ``tree`` is
+    only read.
     """
-    dims = list(range(lows.shape[1]))
     capacity = max(2, int(fill * tree.max_entries), tree.min_entries)
     leaf_capacity = max(
         2, int(fill * tree.leaf_max_entries), tree.leaf_min_entries
@@ -78,10 +109,7 @@ def str_layout(
     cap, min_entries = leaf_capacity, tree.leaf_min_entries
     page = tree.pages.next_page_id
     while True:
-        centers = (lows + highs) / 2.0
-        groups = _str_groups(
-            centers, np.arange(ids.shape[0]), cap, min_entries, dims
-        )
+        groups = group(len(levels), lows, highs, cap, min_entries)
         page_ids = np.arange(page, page + len(groups), dtype=np.int64)
         page += len(groups)
         levels.append(LayoutLevel(lows, highs, ids, groups, page_ids))
@@ -108,11 +136,26 @@ def bulk_load(
     :func:`str_layout`, so the result satisfies every structural
     invariant of :meth:`RStarTree.validate`.
     """
+    return load_layout(tree, str_layout, lows, highs, ids, fill)
+
+
+def load_layout(
+    tree: RStarTree,
+    layout: "Callable[..., List[LayoutLevel]]",
+    lows: np.ndarray,
+    highs: np.ndarray,
+    ids: Sequence[int],
+    fill: float = DEFAULT_FILL,
+    **options,
+) -> RStarTree:
+    """Fill an *empty* tree with the nodes ``layout(tree, lows, highs,
+    ids, fill, **options)`` packs the entries into, allocating them in
+    the layout's page order; returns the tree."""
     lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
     ids_arr = np.asarray(ids, dtype=np.int64)
     if tree.n_entries != 0:
-        raise ValueError("bulk_load requires an empty tree")
+        raise ValueError("bulk loading requires an empty tree")
     if lows.shape != highs.shape or lows.shape[0] != ids_arr.shape[0]:
         raise ValueError("lows, highs and ids must agree in length")
     if lows.shape[1] != tree.dim:
@@ -123,8 +166,8 @@ def bulk_load(
     if n == 0:
         return tree
 
-    layout = str_layout(tree, lows, highs, ids_arr, fill)
-    for level, nodes in enumerate(layout):
+    levels = layout(tree, lows, highs, ids_arr, fill, **options)
+    for level, nodes in enumerate(levels):
         for group, page_id in zip(nodes.groups, nodes.page_ids.tolist()):
             node = Node(
                 level == 0, level,
@@ -140,8 +183,8 @@ def bulk_load(
                 )
 
     tree.pages.free(tree.root_id)
-    tree.root_id = int(layout[-1].page_ids[0])
-    tree.height = len(layout)
+    tree.root_id = int(levels[-1].page_ids[0])
+    tree.height = len(levels)
     tree.n_entries = n
     return tree
 

@@ -18,11 +18,16 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .bulk import DEFAULT_FILL, _balanced_chunks
-from .node import Node
+from .bulk import (
+    DEFAULT_FILL,
+    LayoutLevel,
+    _balanced_chunks,
+    load_layout,
+    pack_layout,
+)
 from .rstar import RStarTree
 
-__all__ = ["hilbert_indices", "hilbert_bulk_load"]
+__all__ = ["hilbert_bulk_load", "hilbert_indices", "hilbert_layout"]
 
 
 def hilbert_indices(points: np.ndarray, bits: int = 10) -> np.ndarray:
@@ -82,6 +87,30 @@ def _hilbert_key(coords: "List[int]", bits: int) -> int:
     return key
 
 
+def hilbert_layout(
+    tree: RStarTree,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    ids: np.ndarray,
+    fill: float = DEFAULT_FILL,
+    bits: int = 10,
+) -> "List[LayoutLevel]":
+    """The nodes of the Hilbert packing: runs of leaves in the curve
+    order of the entries' centres, then consecutive runs of nodes."""
+    bits = min(bits, max(1, 62 // lows.shape[1]))
+
+    def runs(level, lows, highs, capacity, min_entries):
+        if level:  # children are already in curve order
+            order = np.arange(lows.shape[0])
+        else:
+            centers = (lows + highs) / 2.0
+            keys = hilbert_indices(centers, bits=bits)
+            order = np.argsort(keys, kind="stable")
+        return _balanced_chunks(order, capacity, min_entries)
+
+    return pack_layout(tree, lows, highs, ids, fill, runs)
+
+
 def hilbert_bulk_load(
     tree: RStarTree,
     lows: np.ndarray,
@@ -91,54 +120,4 @@ def hilbert_bulk_load(
     bits: int = 10,
 ) -> RStarTree:
     """Fill an empty tree with entries packed in Hilbert order."""
-    lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
-    highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    if tree.n_entries != 0:
-        raise ValueError("hilbert_bulk_load requires an empty tree")
-    if lows.shape != highs.shape or lows.shape[0] != ids_arr.shape[0]:
-        raise ValueError("lows, highs and ids must agree in length")
-    if not 0.0 < fill <= 1.0:
-        raise ValueError("fill must be within (0, 1]")
-    n = lows.shape[0]
-    if n == 0:
-        return tree
-    bits = min(bits, max(1, 62 // lows.shape[1]))
-
-    centers = (lows + highs) / 2.0
-    order = np.argsort(hilbert_indices(centers, bits=bits), kind="stable")
-
-    leaf_capacity = max(2, int(fill * tree.leaf_max_entries))
-    leaf_capacity = max(leaf_capacity, tree.leaf_min_entries)
-    groups = _balanced_chunks(order, leaf_capacity, tree.leaf_min_entries)
-    level_nodes = [Node(True, 0, lows[g], highs[g], ids_arr[g]) for g in groups]
-    level_ids = [
-        tree.pages.allocate(node, n_blocks=tree._blocks_for(node))
-        for node in level_nodes
-    ]
-
-    capacity = max(2, int(fill * tree.max_entries))
-    capacity = max(capacity, tree.min_entries)
-    level = 0
-    while len(level_nodes) > 1:
-        level += 1
-        mbr_lows = np.stack([node.mbr().low for node in level_nodes])
-        mbr_highs = np.stack([node.mbr().high for node in level_nodes])
-        child_ids = np.asarray(level_ids, dtype=np.int64)
-        # Children are already in curve order: consecutive runs suffice.
-        order = np.arange(len(level_nodes))
-        groups = _balanced_chunks(order, capacity, tree.min_entries)
-        level_nodes = [
-            Node(False, level, mbr_lows[g], mbr_highs[g], child_ids[g])
-            for g in groups
-        ]
-        level_ids = [
-            tree.pages.allocate(node, n_blocks=tree._blocks_for(node))
-            for node in level_nodes
-        ]
-
-    tree.pages.free(tree.root_id)
-    tree.root_id = level_ids[0]
-    tree.height = level + 1
-    tree.n_entries = n
-    return tree
+    return load_layout(tree, hilbert_layout, lows, highs, ids, fill, bits=bits)

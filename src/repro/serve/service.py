@@ -44,6 +44,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
+from ..core.nncell_index import as_query
 from ..index.linear_scan import LinearScan
 from ..obs import events, metrics, tracectx, tracestore, tracing
 from ..obs.metrics import labeled
@@ -317,13 +318,13 @@ class QueryService:
     ) -> PendingResult:
         """Enqueue one query; returns a :class:`PendingResult` handle.
 
-        Admission control runs here: with a full queue, policy
-        ``"reject"`` raises :class:`ServiceOverloaded` immediately and
-        ``"block"`` waits for space (bounded by the request deadline).
+        Admission control runs here: a point of the wrong shape or with
+        a non-finite coordinate raises ``ValueError``, so it never rides
+        (and fails) a flush; with a full queue, policy ``"reject"``
+        raises :class:`ServiceOverloaded` immediately and ``"block"``
+        waits for space (bounded by the request deadline).
         """
-        q = np.asarray(point, dtype=np.float64)
-        if q.shape != (self.index.dim,):
-            raise ValueError(f"query must be a {self.index.dim}-vector")
+        q = as_query(point, self.index.dim)
         if timeout_ms is None:
             timeout_ms = self.config.default_timeout_ms
         elif timeout_ms <= 0:

@@ -48,6 +48,7 @@ from ..core.nncell_index import (
     NNCellIndex,
     QueryExplain,
     QueryInfo,
+    as_query,
 )
 from ..engine.batch import BatchQueryInfo
 from ..geometry.mbr import MBR
@@ -387,9 +388,7 @@ class ShardedNNCellIndex:
         unsharded index over the same points; ``info`` sums the
         per-shard traffic (``fallback``/``retried_atol`` are ORs).
         """
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query must be a {self.dim}-vector")
+        q = as_query(query, self.dim)
         info = QueryInfo()
         with span("shard.nearest", dim=self.dim) as root:
             gathered, report = self._scatter(lambda shard: shard.nearest(q))
@@ -432,9 +431,7 @@ class ShardedNNCellIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query must be a {self.dim}-vector")
+        q = as_query(query, self.dim)
         k_eff = min(k, len(self))
         info = QueryInfo()
         with span("shard.k_nearest", dim=self.dim, k=k_eff) as root:
@@ -487,9 +484,7 @@ class ShardedNNCellIndex:
         traffic — ``pages`` is the sum over shards (each shard walks
         its own tree).
         """
-        qs = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if qs.ndim != 2 or qs.shape[1] != self.dim:
-            raise ValueError(f"queries must be (m, {self.dim})")
+        qs = as_query(queries, self.dim, batch=True)
         m = qs.shape[0]
         info = BatchQueryInfo(n_queries=m)
         ids = np.full(m, -1, dtype=np.int64)
@@ -541,9 +536,7 @@ class ShardedNNCellIndex:
         come from the shard that produced the winning answer.  The
         answer fields agree with :meth:`nearest`.
         """
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query must be a {self.dim}-vector")
+        q = as_query(query, self.dim)
         gathered, report = self._scatter(lambda shard: shard.explain(q))
         best: "Optional[Tuple[float, int, QueryExplain]]" = None
         rectangles = []

@@ -15,6 +15,7 @@ from helpers import brute_nearest
 from repro.core.candidates import SelectorKind
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import diagonal_points, uniform_points
+from repro.index.packed import PackedTree
 
 
 class TestSafetyNets:
@@ -24,10 +25,10 @@ class TestSafetyNets:
         on the data index and stay exact."""
         points = uniform_points(40, 3, seed=171)
         index = NNCellIndex.build(points)
-        for pid in list(index.active_ids):
-            index._replace_cell_in_tree(int(pid), [])
-            index._cell_rects[int(pid)] = []
-        index._publish()  # queries read the snapshot a write publishes
+        tree = index.cell_tree
+        for pid, rect in index.all_cell_rectangles():
+            assert tree.delete(rect.low, rect.high, pid)
+        index.snapshot = PackedTree.freeze(tree)  # what queries read
         for __ in range(20):
             q = rng.uniform(size=3)
             pid, dist, info = index.nearest(q)

@@ -1,5 +1,6 @@
 """Tests for saving/loading NN-cell indexes."""
 
+import dataclasses
 import json
 import zipfile
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_nearest
-from repro.core.candidates import SelectorKind
+from repro.core.candidates import SelectorKind, SelectorParams
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.core.persistence import (
@@ -19,6 +20,7 @@ from repro.core.persistence import (
     save_sharded_index,
 )
 from repro.data import uniform_points
+from repro.geometry.mbr import MBR
 from repro.shard import ShardConfig, ShardedNNCellIndex
 
 
@@ -93,11 +95,23 @@ def read_meta(path):
 
 
 def rewrite_meta(path, drop=(), **changes):
-    """Replace or ``drop`` keys of the archive's ``meta`` object."""
+    """Replace or ``drop`` keys of the archive's ``meta`` object; a
+    dotted key names a key of a nested object."""
     meta = read_meta(path)
-    meta.update(changes)
+
+    def parent(key):
+        *outer, last = key.split(".")
+        doc = meta
+        for name in outer:
+            doc = doc[name]
+        return doc, last
+
+    for key, value in changes.items():
+        doc, last = parent(key)
+        doc[last] = value
     for key in drop:
-        del meta[key]
+        doc, last = parent(key)
+        del doc[last]
     rewrite(path, meta=np.bytes_(json.dumps(meta).encode()))
 
 
@@ -174,8 +188,10 @@ class TestRoundtrip:
         assert loaded.config.cache_pages == 16
 
     def test_version_guard(self, archive_path):
+        # Version 3 kept only part of the build config (no decomposition
+        # budget or strategy), so it cannot say which cells it holds.
         index = NNCellIndex.build(uniform_points(10, 2, seed=116))
-        for version in (1, 2, 99, "3"):
+        for version in (1, 2, 3, 99, "4"):
             save_index(index, archive_path)
             rewrite_meta(archive_path, format_version=version)
             with pytest.raises(ValueError, match="repro build"):
@@ -236,6 +252,20 @@ class TestColumnarArchive:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
         assert_cells_identical(index, loaded)
+
+    def test_build_load_and_write_keep_read_only_columns(self, archive_path):
+        built = NNCellIndex.build(uniform_points(20, 2, seed=117))
+        save_index(built, archive_path)
+        written = load_index(archive_path)
+        written.insert([0.3, 0.6])
+        written.delete(4)
+        for index in (built, load_index(archive_path), written):
+            assert list(index.cells) == [
+                "sys_offsets", "sys_a", "sys_b", "sys_ids",
+                "rect_offsets", "rect_lows", "rect_highs",
+            ]
+            for name, column in index.cells.items():
+                assert not column.flags.writeable, name
 
     @pytest.mark.parametrize(
         "error, corrupt",
@@ -339,10 +369,35 @@ class TestColumnarArchive:
             ("'page_size' is '4096', not int", {"page_size": "4096"}),
             ("'cache_pages' is True, not int", {"cache_pages": True}),
             ("'decompose' is 1, not bool", {"decompose": 1}),
-            ("'index_kind' is 2, not str", {"index_kind": 2}),
             ("'query_atol' is nan, not finite", {"query_atol": float("nan")}),
-            ("'sphere_radius_factor' is 2, not float", {"sphere_radius_factor": 2}),
-            ("index_kind must be", {"index_kind": "kd-tree"}),
+            (
+                "'sphere_radius_factor' is 2, not float",
+                {"selector_params.sphere_radius_factor": 2},
+            ),
+            ("meta has unknown key 'bogus'", {"bogus": "xtree"}),
+            ("meta has no key 'decomposition'", {"drop": ("decomposition",)}),
+            (
+                "meta.decomposition has no key 'k_max'",
+                {"drop": ("decomposition.k_max",)},
+            ),
+            (
+                "meta.decomposition has unknown key 'bogus'",
+                {"decomposition.bogus": 1},
+            ),
+            (
+                "meta.decomposition key 'k_max' is '8', not int",
+                {"decomposition.k_max": "8"},
+            ),
+            (
+                "meta.decomposition key 'min_extent' is inf, not finite",
+                {"decomposition.min_extent": float("inf")},
+            ),
+            (
+                "meta.selector_params key 'min_candidates' is 1.0, not int",
+                {"selector_params.min_candidates": 1.0},
+            ),
+            ("meta.decomposition is not a JSON object", {"decomposition": 8}),
+            ("strategy must be", {"decomposition.strategy": "spiral"}),
         ],
     )
     def test_malformed_meta_rejected(self, archive_path, error, changes):
@@ -370,6 +425,71 @@ class TestColumnarArchive:
         members += " rect_offsets rect_lows rect_highs"
         with np.load(archives[0]) as archive:
             assert sorted(archive.files) == sorted(members.split())
+
+
+_CONFIGS = st.builds(
+    BuildConfig,
+    selector=st.sampled_from(SelectorKind),
+    selector_params=st.builds(
+        SelectorParams,
+        sphere_radius_factor=st.floats(0.5, 4.0),
+        min_candidates=st.integers(1, 4),
+    ),
+    decompose=st.booleans(),
+    decomposition=st.builds(
+        DecompositionConfig,
+        k_max=st.integers(1, 8),
+        max_dims=st.integers(1, 4),
+        heuristic=st.sampled_from(["extent", "trial"]),
+        strategy=st.sampled_from(["grid", "greedy"]),
+        min_extent=st.floats(0.0, 1e-3),
+    ),
+    page_size=st.integers(256, 8192),
+    cache_pages=st.integers(0, 32),
+    query_atol=st.floats(0.0, 1e-6),
+    data_space=st.sampled_from([None, MBR([-1.0, -0.5], [2.0, 1.5])]),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(config=_CONFIGS)
+def test_reload_keeps_the_whole_build_config(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("config") / "index.npz"
+    save_index(NNCellIndex.build(uniform_points(6, 2, seed=3), config), path)
+    loaded = load_index(path).config
+    for name in (
+        "selector", "selector_params", "decompose", "decomposition",
+        "page_size", "cache_pages", "query_atol",
+    ):
+        assert getattr(loaded, name) == getattr(config, name), name
+    with np.load(path) as archive:
+        assert loaded.data_space == MBR(*archive["box"])
+    assert loaded.workers == 1  # how a build ran is not stored
+
+
+def test_reload_writes_the_cells_the_build_writes(archive_path):
+    # A reload that fell back to the default decomposition budget gave a
+    # written cell 100 rectangles where the built index gave it 4.
+    config = BuildConfig(
+        selector_params=SelectorParams(min_candidates=5),
+        decompose=True,
+        decomposition=DecompositionConfig(k_max=4, strategy="greedy"),
+    )
+    built = NNCellIndex.build(uniform_points(40, 3, seed=3), config)
+    save_index(built, archive_path)
+    loaded = load_index(archive_path)
+    expected = dataclasses.replace(built.config, data_space=built.box)
+    assert loaded.config == expected
+    rng = np.random.default_rng(3)
+    for index in (built, loaded):
+        for point in rng.uniform(size=(2, 3)):
+            index.insert(point)
+        index.delete(7)
+        index.delete(40)
+        rng = np.random.default_rng(3)
+    assert_cells_identical(built, loaded)
+    for name, column in built.cells.items():
+        assert_same_bytes(column, loaded.cells[name])
 
 
 @settings(max_examples=8, deadline=None)

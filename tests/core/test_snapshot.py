@@ -5,9 +5,8 @@ Checked here, query by query, against the walk they replace
 (``RStarTree.point_query`` on the mutable tree and its logical reads):
 the pages of ``nearest``, ``query_batch``, ``explain`` and ``k_nearest``
 on built, loaded and written indexes, X-tree supernodes included.  Also
-that a load makes no per-cell object and no mutable cell tree, that the
-tree made later matches the snapshot, and that a load then a save writes
-the same archive.
+that a load makes no mutable cell tree, that the tree made later matches
+the snapshot, and that a load then a save writes the same archive.
 """
 
 import importlib.util
@@ -170,10 +169,11 @@ def snapshots_equal(a, b):
 
 @pytest.fixture()
 def supernode_index():
-    """An insertion-built X-tree: its root is a supernode."""
+    """An X-tree whose first insert splits into a supernode."""
     index = NNCellIndex.build(
-        uniform_points(60, 4, seed=3), BuildConfig(bulk=False, page_size=256)
+        uniform_points(20, 4, seed=3), BuildConfig(page_size=256)
     )
+    index.insert(np.full(4, 0.5))
     assert max(int(level.blocks.max()) for level in index.snapshot.levels) > 1
     return index
 
@@ -233,15 +233,16 @@ class TestLazyCellState:
         loaded.query_batch(rng.uniform(size=(5, 4)))
         loaded.explain(q)
         loaded.k_nearest(q, 3)
-        loaded.stats()  # makes the per-cell objects, not the tree
-        assert loaded._cell_tree.n_entries == 0 and loaded._selector is None
+        loaded.stats()
+        loaded.constraint_system(3)
+        assert loaded._cell_tree is None and loaded._selector is None
         assert snapshots_equal(loaded.snapshot, built.snapshot)
 
     def test_thawed_tree_matches_the_snapshot(self, archive):
         __, path = archive
         loaded = load_index(path)
         snapshot = loaded.snapshot
-        assert loaded._systems is None and loaded._cell_tree.n_entries == 0
+        assert loaded._cell_tree is None
         tree = loaded.cell_tree
         tree.validate()
         assert snapshots_equal(snapshot, PackedTree.freeze(tree))
@@ -269,7 +270,7 @@ class TestLazyCellState:
         loaded = load_index(path)
         save_index(loaded, tmp_path / "again.npz")
         assert tool.compare_archives(path, tmp_path / "again.npz") == []
-        loaded.constraint_system(3)  # per-cell objects made, no write
+        loaded.cell_tree.validate()  # the mutable tree made, no write
         save_index(loaded, tmp_path / "thawed.npz")
         assert tool.compare_archives(path, tmp_path / "thawed.npz") == []
 
@@ -282,6 +283,6 @@ class TestLazyCellState:
             install_page_chaos(loaded, PageLog())
             install_page_chaos(loaded, None)
             for __, shard in loaded._live_shards():
-                assert shard._cell_tree.n_entries == 0
+                assert shard._cell_tree is None
         finally:
             loaded.close()

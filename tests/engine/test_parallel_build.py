@@ -46,19 +46,23 @@ def tree_signature(tree):
 
 
 def cells_signature(index):
-    """Byte-exact record of every cell: system rows, ids, rectangles."""
-    signature = []
-    for point_id in sorted(index._cell_rects):
-        system = index._systems[point_id]
-        rects = index._cell_rects[point_id]
-        signature.append((
-            point_id,
-            system.a.tobytes(),
-            system.b.tobytes(),
-            system.point_ids.tobytes(),
-            tuple((r.low.tobytes(), r.high.tobytes()) for r in rects),
-        ))
-    return signature
+    """Byte-exact record of every cell: the index's cell columns."""
+    return {
+        name: (column.dtype.str, column.shape, column.tobytes())
+        for name, column in index.cells.items()
+    }
+
+
+def assert_cell_matches(index, point_id, system, rects):
+    """``(system, rects)`` is, to the byte, the index's cell ``point_id``."""
+    expected = index.constraint_system(point_id)
+    assert system.a.tobytes() == expected.a.tobytes()
+    assert system.b.tobytes() == expected.b.tobytes()
+    assert system.point_ids.tobytes() == expected.point_ids.tobytes()
+    assert [(r.low.tobytes(), r.high.tobytes()) for r in rects] == [
+        (r.low.tobytes(), r.high.tobytes())
+        for r in index.cell_rectangles(point_id)
+    ]
 
 
 def build(points, **overrides):
@@ -111,14 +115,7 @@ class TestParity:
         cells = parallel_cells(points, serial.config, workers=2)
         assert len(cells) == points.shape[0]
         for point_id, (system, rects) in enumerate(cells):
-            expected = serial._systems[point_id]
-            assert system.a.tobytes() == expected.a.tobytes()
-            assert system.b.tobytes() == expected.b.tobytes()
-            assert system.point_ids.tobytes() == expected.point_ids.tobytes()
-            assert [(r.low.tobytes(), r.high.tobytes()) for r in rects] == [
-                (r.low.tobytes(), r.high.tobytes())
-                for r in serial._cell_rects[point_id]
-            ]
+            assert_cell_matches(serial, point_id, system, rects)
 
     def test_decomposed_build_identical(self):
         points = uniform_points(24, 2, seed=5)
@@ -147,14 +144,7 @@ class TestWorkshop:
         workshop = CellWorkshop(points, serial.config)
         for point_id in range(points.shape[0]):
             system, rects = workshop.compute(point_id)
-            expected = serial._systems[point_id]
-            assert np.array_equal(system.a, expected.a)
-            assert np.array_equal(system.b, expected.b)
-            assert np.array_equal(system.point_ids, expected.point_ids)
-            assert len(rects) == len(serial._cell_rects[point_id])
-            for got, want in zip(rects, serial._cell_rects[point_id]):
-                assert np.array_equal(got.low, want.low)
-                assert np.array_equal(got.high, want.high)
+            assert_cell_matches(serial, point_id, system, rects)
 
 
 class TestChunking:

@@ -77,6 +77,30 @@ class TestBatchingLoop:
         for q, result in zip(queries[1:], results):
             assert result.point_id == index.nearest(q)[0]
 
+    def test_non_finite_point_refused_at_admission(self, index):
+        """A refused point never joins a flush, so its batch-mates stay
+        on the batch rung (a NaN in the batch used to push all of them
+        to the serial rung and answer itself from the scan rung)."""
+        stall = _Stall(index)
+        config = ServeConfig(max_batch_size=16, max_wait_ms=0.0)
+        queries = query_points(8, 3, seed=4)
+        with QueryService(index, config, batch_fn=stall) as service:
+            head = service.submit_async(queries[0])
+            assert stall.entered.wait(5.0)
+            pending = [service.submit_async(q) for q in queries[1:]]
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="non-finite"):
+                    service.submit_async([0.5, bad, 0.5])
+            stall.release.set()
+            head.result()
+            results = [p.result() for p in pending]
+            stats = service.stats()
+        assert [r.source for r in results] == ["batch"] * 7
+        assert stats["fallback_batch"] == stats["fallback_serial"] == 0
+        assert stats["submitted"] == 8
+        for q, result in zip(queries[1:], results):
+            assert result.point_id == index.nearest(q)[0]
+
     def test_max_batch_size_bounds_one_flush(self, index):
         queries = query_points(10, 3, seed=2)
         stall = _Stall(index)

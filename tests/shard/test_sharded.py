@@ -65,6 +65,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             sharded.explain([0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, sharded, bad):
+        q = [0.5, bad, 0.5]
+        calls = [
+            lambda: sharded.nearest(q),
+            lambda: sharded.k_nearest(q, 2),
+            lambda: sharded.explain(q),
+            lambda: sharded.query_batch([[0.5, 0.5, 0.5], q]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"query .*non-finite"):
+                call()
+
     def test_k_must_be_positive(self, sharded):
         with pytest.raises(ValueError):
             sharded.k_nearest([0.5, 0.5, 0.5], 0)

@@ -386,6 +386,22 @@ class TestServeCommand:
         assert responses[1]["id"] == 2
         assert "3-element" in responses[1]["message"]
 
+    def test_non_finite_point_is_a_bad_request(
+        self, monkeypatch, capsys, index_path
+    ):
+        code, responses, __ = self.serve(
+            monkeypatch, capsys, index_path,
+            '{"id": "q1", "point": [NaN, 0.5, 0.5]}\n'
+            '{"id": 5, "point": [0.5, -Infinity, 0.5]}\n'
+            "[0.4, 0.4, 0.4]\n",
+        )
+        assert code == 0
+        assert [r["ok"] for r in responses] == [False, False, True]
+        assert [r["error"] for r in responses[:2]] == ["bad_request"] * 2
+        assert [r["id"] for r in responses[:2]] == ["q1", 5]
+        assert "non-finite" in responses[0]["message"]
+        assert responses[2]["source"] == "batch"
+
     def test_blank_lines_skipped_and_stats_flag(
         self, monkeypatch, capsys, index_path
     ):

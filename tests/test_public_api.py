@@ -30,7 +30,6 @@ class TestPublicSurface:
     def test_default_build_config(self):
         config = repro.BuildConfig()
         assert config.selector is repro.SelectorKind.SPHERE
-        assert config.index_kind == "xtree"
         assert not config.decompose
 
     def test_baselines_available(self):

@@ -83,6 +83,32 @@ class TestCompareArchives:
         assert tool.main([str(a), str(b)]) == 1
         assert "meta.cache_pages: 0 != 16" in capsys.readouterr().out
 
+    def test_nested_meta_listed_leaf_by_leaf(self, tool, tmp_path):
+        from repro.core.decomposition import DecompositionConfig
+        from repro.core.nncell_index import BuildConfig, NNCellIndex
+        from repro.core.persistence import save_index
+        from repro.data import uniform_points
+
+        # Undecomposed, so the budget changes the meta and nothing else.
+        points = uniform_points(12, 2, seed=5)
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        config = BuildConfig(decomposition=DecompositionConfig(k_max=4))
+        save_index(NNCellIndex.build(points, config), a)
+        save_index(NNCellIndex.build(points), b)
+        assert tool.compare_archives(a, b) == [
+            "meta.decomposition.k_max: 4 != 100"
+        ]
+
+        def meta(**fields):
+            return np.bytes_(json.dumps(fields).encode())
+
+        a = save(tmp_path / "a.npz", meta=meta(c={"x": 1, "y": {"z": 2}}))
+        b = save(tmp_path / "b.npz", meta=meta(c={"x": 1, "w": 3}))
+        assert tool.compare_archives(a, b) == [
+            f"meta.c.w: only in {b}",
+            f"meta.c.y.z: only in {a}",
+        ]
+
     def test_meta_keys_only_on_one_side_and_non_json(self, tool, tmp_path):
         def meta(**fields):
             return np.bytes_(json.dumps(fields).encode())

@@ -15,8 +15,9 @@ Usage::
 Exit status 0 when every array matches (same key set, same dtype, same
 shape, equal bytes); 1 otherwise, listing each difference.  An index
 archive keeps its format version and build config in one JSON member,
-``meta``; when two ``meta`` members differ, each differing key is listed
-on its own line.
+``meta``; when two ``meta`` members differ, each differing leaf is listed
+on its own line by its dotted path, for example
+``meta.decomposition.k_max: 4 != 100``.
 """
 
 from __future__ import annotations
@@ -64,23 +65,36 @@ def compare_archives(path_a: "str | Path", path_b: "str | Path") -> "List[str]":
 
 
 def _meta_diffs(left, right, path_a, path_b) -> "List[str]":
-    """Key-by-key differences of two ``meta`` members; empty when either
-    side is not a JSON object or no key's encoding differs."""
+    """Leaf-by-leaf differences of two ``meta`` members; empty when
+    either side is not a JSON object or no leaf's encoding differs."""
     try:
         a, b = (json.loads(side.item()) for side in (left, right))
     except (TypeError, ValueError):
         return []
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return []
+    a, b = _leaves(a, "meta"), _leaves(b, "meta")
     diffs: "List[str]" = []
     for key in sorted(a.keys() | b.keys()):
         if key not in b:
-            diffs.append(f"meta.{key}: only in {path_a}")
+            diffs.append(f"{key}: only in {path_a}")
         elif key not in a:
-            diffs.append(f"meta.{key}: only in {path_b}")
+            diffs.append(f"{key}: only in {path_b}")
         elif json.dumps(a[key]) != json.dumps(b[key]):
-            diffs.append(f"meta.{key}: {a[key]!r} != {b[key]!r}")
+            diffs.append(f"{key}: {a[key]!r} != {b[key]!r}")
     return diffs
+
+
+def _leaves(doc: dict, path: str) -> dict:
+    """Every non-object value below the JSON object ``doc``, by its
+    dotted path from ``path`` (an empty object is a leaf)."""
+    leaves = {}
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            leaves.update(_leaves(value, f"{path}.{key}"))
+        else:
+            leaves[f"{path}.{key}"] = value
+    return leaves
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:

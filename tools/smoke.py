@@ -285,12 +285,20 @@ def leg_serve(workdir: Path) -> str:
 
 
 def leg_build(workdir: Path) -> str:
-    """A ``--workers 2`` build writes the serial archive's bytes, and a
-    ``--profile`` build documents its cells and ``build.nncell`` span."""
-    serial = build(workdir / "serial.npz", 60, 3)
-    parallel = build(workdir / "parallel.npz", 60, 3, "--workers", "2")
+    """A decomposed ``--workers 2`` build writes the serial archive's
+    bytes, the archive loads back with the build config it was made
+    with, and a ``--profile`` build documents its cells and
+    ``build.nncell`` span."""
+    flags = ("--decompose", "--k-max", "8")
+    serial = build(workdir / "serial.npz", 60, 3, *flags)
+    parallel = build(workdir / "parallel.npz", 60, 3, *flags, "--workers", "2")
     diffs = compare_archives(serial, parallel)
     check(not diffs, f"workers=2 archive differs from serial: {diffs}")
+    config = load_any_index(serial).config
+    check(
+        config.decompose and config.decomposition.k_max == 8,
+        f"reloaded build config is not the one built: {config}",
+    )
 
     # The telemetry leg serves this archive (same dataset, n, dim, seed).
     profile = workdir / "profile.json"
@@ -300,7 +308,7 @@ def leg_build(workdir: Path) -> str:
     check(cells == 40, f"profile counts build.cells={cells}, not 40")
     names = [span["name"] for span in document["trace"]]
     check("build.nncell" in names, f"no build.nncell span: {names}")
-    return "workers=2 archive identical, profile OK"
+    return "workers=2 archive identical, build config reloaded, profile OK"
 
 
 def leg_shard(workdir: Path) -> str:
