@@ -195,7 +195,7 @@ def measure_serve_windows(index, queries) -> dict:
         try:
             report = run_service_load(
                 index, queries, n_threads=4,
-                config=ServeConfig(max_batch_size=64, max_wait_ms=2.0),
+                config=ServeConfig(max_batch_size=64),
             )
             window = timeseries.window(registry, 60).get("serve.latency_ms")
         finally:

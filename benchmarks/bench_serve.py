@@ -29,7 +29,7 @@ def bench_serve_throughput(benchmark):
             index,
             queries,
             n_threads=4,
-            config=ServeConfig(max_batch_size=64, max_wait_ms=5.0),
+            config=ServeConfig(max_batch_size=64),
         )
         return table
 

@@ -164,10 +164,7 @@ def run_drill(
         install_page_chaos(index, injector)
     try:
         with metrics.collecting(fresh=True) as registry:
-            config = serve_config or ServeConfig(
-                max_batch_size=32, max_wait_ms=5.0
-            )
-            with QueryService(index, config) as service:
+            with QueryService(index, serve_config) as service:
                 def client(thread_idx: int) -> None:
                     for i in range(thread_idx, n_queries, n_threads):
                         try:

@@ -203,9 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             " with their built shard count)")
     serve.add_argument("--max-batch-size", type=int, default=32,
                        help="most queries one flush may coalesce")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="longest a queued query waits for the batch"
-                            " to fill before flushing anyway")
     serve.add_argument("--queue-depth", type=int, default=1024,
                        help="admission-control bound on pending queries"
                             " (0 = unbounded)")
@@ -259,9 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo", action="store_true",
                        help="run the SLO burn-rate watchdog (alert state"
                             " on /telemetry, 503 /healthz while paging)")
-    serve.add_argument("--slo-degrade", action="store_true",
-                       help="let a paging SLO shed the micro-batching"
-                            " delay (QueryService degraded mode)")
     serve.add_argument("--analytics", action="store_true",
                        help="record cell/page access heatmaps and"
                             " per-shard load shares; the skew report is"
@@ -723,8 +717,7 @@ def _serve_telemetry(args: argparse.Namespace) -> "TelemetrySession | None":
         events_path=str(args.events) if args.events is not None else None,
         events_sample=args.events_sample,
         tracing=args.tracing,
-        slo=args.slo or args.slo_degrade,
-        slo_degrade=args.slo_degrade,
+        slo=args.slo,
         analytics=args.analytics,
         capture_path=(
             str(args.capture) if args.capture is not None else None
@@ -774,7 +767,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         index.set_resilience(resilience)
     config = ServeConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         max_queue_depth=args.queue_depth or None,
         admission=args.admission,
         default_timeout_ms=args.timeout_ms,
@@ -789,8 +781,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pipeline: "deque" = deque()
     try:
         with QueryService(index, config) as service:
-            if telemetry is not None:
-                telemetry.set_degrade_target(service)
             for line in sys.stdin:
                 line = line.strip()
                 if not line:

@@ -8,10 +8,10 @@ throughput, against the one-query-at-a-time baseline (the same threads
 calling ``index.nearest`` directly, no batching).
 
 Throughput is real queries per second of the in-process run (``wall``,
-including GIL effects and the service's coalescing wait).  Page reads
-are reported per query: the service amortises one tree walk (and its
-page reads) across every coalesced batch, while the baseline pays a
-full walk per query.
+including GIL effects and the hand-off to the service's flush thread).
+Page reads are reported per query: the service amortises one tree walk
+(and its page reads) across every coalesced batch, while the baseline
+pays a full walk per query.
 """
 
 from __future__ import annotations

@@ -24,17 +24,14 @@ seconds rather than minutes.
 :class:`SLOWatchdog` evaluates a registry's windows
 (:mod:`repro.obs.timeseries`) periodically, publishes ``serve.slo.*`` gauges,
 emits an event-log record on every state transition, and exposes its
-state for ``/healthz`` (503 while paging) and ``/telemetry``.  An
-optional ``on_change`` hook receives the aggregate paging flag so the
-serving layer can shed its batching delay while the budget burns (see
-``QueryService.set_degraded``).
+state for ``/healthz`` (503 while paging) and ``/telemetry``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import events, metrics
 from .metrics import MetricsRegistry
@@ -189,9 +186,6 @@ class SLOWatchdog:
 
     One evaluation is cheap (two window merges per objective), so the
     default 1 s cadence adds nothing measurable to a serving process.
-    ``on_change`` is called with the aggregate paging flag whenever it
-    flips; exceptions from the hook are swallowed (alerting must never
-    take the service down).
     """
 
     def __init__(
@@ -201,7 +195,6 @@ class SLOWatchdog:
         page_burn: float = DEFAULT_PAGE_BURN,
         warn_burn: float = DEFAULT_WARN_BURN,
         alert_windows: "Tuple[int, int]" = DEFAULT_ALERT_WINDOWS,
-        on_change: "Optional[Callable[[bool], None]]" = None,
     ):
         if page_burn <= 0 or warn_burn <= 0:
             raise ValueError("burn thresholds must be > 0")
@@ -215,7 +208,6 @@ class SLOWatchdog:
         self.page_burn = float(page_burn)
         self.warn_burn = float(warn_burn)
         self.alert_windows = (int(short), int(long_))
-        self._on_change = on_change
         self._lock = threading.Lock()
         self._statuses: "Dict[str, SLOStatus]" = {
             slo.name: SLOStatus(slo) for slo in self.slos
@@ -263,11 +255,9 @@ class SLOWatchdog:
                 metrics.set_gauge(
                     f"serve.slo.{slo.name}.state", _STATE_CODE[state]
                 )
-            paging = any(
+            self._paging = any(
                 s.state == STATE_PAGE for s in self._statuses.values()
             )
-            paging_flipped = paging != self._paging
-            self._paging = paging
             statuses = list(self._statuses.values())
         for previous, state, status in changed:
             events.emit(
@@ -279,11 +269,6 @@ class SLOWatchdog:
                 burn_long=status.burn.get(long_, 0.0),
                 bad_fraction=status.bad_fraction,
             )
-        if paging_flipped and self._on_change is not None:
-            try:
-                self._on_change(paging)
-            except Exception:  # alerting must never break serving
-                pass
         return statuses
 
     # ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Concurrent serving layer: micro-batched queries over a built index.
 
 ``QueryService`` turns concurrent single-query submissions into
-:meth:`NNCellIndex.query_batch` calls (flush on ``max_batch_size`` or
-``max_wait_ms``), bounds its queue with an admission controller, honours
-per-request deadlines, and degrades gracefully through a
-batch -> serial -> linear-scan fallback ladder.  See ``docs/serving.md``.
+:meth:`NNCellIndex.query_batch` calls (whenever the flusher is free it
+takes up to ``max_batch_size`` queued requests), bounds its queue with
+an admission controller, honours per-request deadlines, and degrades
+gracefully through a batch -> serial -> linear-scan fallback ladder.
+See ``docs/serving.md``.
 """
 
 from .config import ServeConfig, TelemetryConfig

@@ -3,11 +3,10 @@
 The three knobs mirror the three subsystems of ``QueryService`` (see
 ``docs/serving.md`` for the operational guidance):
 
-* **Micro-batching** — ``max_batch_size`` / ``max_wait_ms`` bound how
-  many queries one flush coalesces and how long the first request in a
-  batch may wait for company.  A flush fires on whichever bound is hit
-  first, so an idle service adds at most ``max_wait_ms`` of latency and
-  a busy one flushes full batches back to back.
+* **Micro-batching** — ``max_batch_size`` bounds how many queries one
+  flush coalesces.  The flusher never waits for company: it takes what
+  queued while the previous flush ran, so a lone caller is answered at
+  once and a busy service flushes full batches back to back.
 * **Admission control** — ``max_queue_depth`` bounds the pending queue;
   ``admission`` picks what happens to a submission that finds it full:
   ``"reject"`` raises :class:`~repro.serve.errors.ServiceOverloaded`
@@ -15,15 +14,39 @@ The three knobs mirror the three subsystems of ``QueryService`` (see
   wait for space (keep work, transfer the queueing upstream).
 * **Deadlines** — ``default_timeout_ms`` applies to submissions that do
   not carry their own timeout; expired requests are cancelled rather
-  than computed.
+  than computed.  :func:`check_timeout_ms` is the one rule every
+  timeout passes.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ServeConfig", "TelemetryConfig"]
+__all__ = ["ServeConfig", "TelemetryConfig", "check_timeout_ms"]
+
+
+def check_timeout_ms(value: object, name: str = "timeout_ms") -> float:
+    """``value`` as a timeout in milliseconds, or ``ValueError``.
+
+    A timeout is a real number, not a bool, finite and > 0.  Timeouts
+    arrive from outside the program (a JSONL request, a CLI flag); a
+    string or an infinite one would crash a wait, and a NaN would expire
+    its request at once.
+    """
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"{name} must be a finite number of milliseconds > 0,"
+            f" got {value!r}"
+        )
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -32,11 +55,6 @@ class ServeConfig:
 
     #: Most queries one flush may coalesce into a single batched walk.
     max_batch_size: int = 32
-    #: How long (milliseconds) the oldest queued request may wait for the
-    #: batch to fill before the flush fires anyway.  ``0`` flushes
-    #: opportunistically: whatever accumulated while the previous batch
-    #: was being computed goes out immediately.
-    max_wait_ms: float = 2.0
     #: Pending-queue bound for admission control; ``None`` = unbounded
     #: (no backpressure — only sensible for trusted in-process callers).
     max_queue_depth: "int | None" = 1024
@@ -50,14 +68,12 @@ class ServeConfig:
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0.0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 or None")
         if self.admission not in ("reject", "block"):
             raise ValueError("admission must be 'reject' or 'block'")
-        if self.default_timeout_ms is not None and self.default_timeout_ms <= 0:
-            raise ValueError("default_timeout_ms must be > 0 or None")
+        if self.default_timeout_ms is not None:
+            check_timeout_ms(self.default_timeout_ms, "default_timeout_ms")
 
 
 @dataclass(frozen=True)
@@ -98,10 +114,6 @@ class TelemetryConfig:
     slo: bool = False
     #: Watchdog evaluation cadence, seconds.
     slo_interval_s: float = 1.0
-    #: Let a paging watchdog flip the service's degradation ladder
-    #: (``QueryService.set_degraded``): shed the batching delay while an
-    #: objective burns its budget.
-    slo_degrade: bool = False
     #: Run the workload-analytics access recorder (cell/page heatmaps,
     #: per-shard load shares, ``GET /analytics``, ``repro analyze``).
     analytics: bool = False

@@ -7,10 +7,11 @@ across a whole workload.  What is missing between "many concurrent
 callers" and that batched primitive is an *operational* layer, and that
 is this module:
 
-* **Micro-batching** — a single flush loop drains the submission queue,
-  coalescing up to ``max_batch_size`` requests or waiting at most
-  ``max_wait_ms`` for the batch to fill (whichever first), and answers
-  the whole batch through one ``query_batch`` walk.
+* **Micro-batching** — a single flush loop drains the submission queue:
+  whenever it is free it takes up to ``max_batch_size`` of the requests
+  that queued while the previous flush ran, and answers them through one
+  ``query_batch`` walk.  It never waits for company, so a lone caller is
+  not delayed and batches form only from concurrent demand.
 * **Admission control** — the queue is bounded; a submission that finds
   it full is either rejected with
   :class:`~repro.serve.errors.ServiceOverloaded` or blocks until space
@@ -49,7 +50,7 @@ from ..index.linear_scan import LinearScan
 from ..obs import events, metrics, tracectx, tracestore, tracing
 from ..obs.metrics import labeled
 from ..obs.tracing import Span, span
-from .config import ServeConfig
+from .config import ServeConfig, check_timeout_ms
 from .errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
 
 __all__ = ["PendingResult", "QueryResult", "QueryService"]
@@ -104,16 +105,15 @@ class _Request:
     """Internal per-submission record shared by caller and flush loop."""
 
     __slots__ = (
-        "point", "deadline", "enqueued_at", "enqueued_pc", "event",
+        "point", "deadline", "enqueued_pc", "event",
         "result", "error", "state", "trace_id",
     )
 
     def __init__(self, point: np.ndarray, deadline: "float | None"):
         self.point = point
+        # Deadlines, the enqueue stamp, latency and spans all read the
+        # perf_counter clock.
         self.deadline = deadline
-        self.enqueued_at = time.monotonic()
-        # perf_counter twin of enqueued_at: span timestamps use the
-        # perf_counter clock, so the queue-wait span must too.
         self.enqueued_pc = time.perf_counter()
         self.event = threading.Event()
         self.result: "Optional[QueryResult]" = None
@@ -152,12 +152,13 @@ class PendingResult:
         (if any) still applies and the earlier of the two wins.  A wait
         that times out *cancels* the request: a late answer from the
         flush loop is discarded, so one submission never yields two
-        outcomes.
+        outcomes.  A ``timeout_ms`` that is not a finite number > 0
+        raises ``ValueError``.
         """
         req = self._request
         budget = _remaining(req.deadline)
         if timeout_ms is not None:
-            wait = timeout_ms / 1000.0
+            wait = _capped(check_timeout_ms(timeout_ms) / 1000.0)
             budget = wait if budget is None else min(budget, wait)
         if not req.event.wait(budget):
             self._service._expire(req)
@@ -167,11 +168,17 @@ class PendingResult:
         return req.result
 
 
+def _capped(seconds: float) -> float:
+    """``seconds`` clipped to the longest wait ``threading`` accepts, so
+    a finite but huge timeout waits instead of overflowing."""
+    return min(seconds, threading.TIMEOUT_MAX)
+
+
 def _remaining(deadline: "float | None") -> "float | None":
-    """Seconds until ``deadline`` (monotonic), floored at zero."""
+    """Seconds until ``deadline`` (perf_counter), in [0, TIMEOUT_MAX]."""
     if deadline is None:
         return None
-    return max(0.0, deadline - time.monotonic())
+    return _capped(max(0.0, deadline - time.perf_counter()))
 
 
 def _failure(error: Exception, request: _Request) -> Exception:
@@ -274,7 +281,6 @@ class QueryService:
         self._cond = threading.Condition()
         self._queue: "deque[_Request]" = deque()
         self._closed = False
-        self._degraded = False
         self._scan: "Optional[LinearScan]" = None
         self._scan_ids: "Optional[np.ndarray]" = None
         self._stats: "Dict[str, float]" = {
@@ -319,19 +325,20 @@ class QueryService:
         """Enqueue one query; returns a :class:`PendingResult` handle.
 
         Admission control runs here: a point of the wrong shape or with
-        a non-finite coordinate raises ``ValueError``, so it never rides
-        (and fails) a flush; with a full queue, policy ``"reject"``
-        raises :class:`ServiceOverloaded` immediately and ``"block"``
-        waits for space (bounded by the request deadline).
+        a non-finite coordinate, or a ``timeout_ms`` that is not a finite
+        number > 0, raises ``ValueError``, so it never rides (and fails)
+        a flush; with a full queue, policy ``"reject"`` raises
+        :class:`ServiceOverloaded` immediately and ``"block"`` waits for
+        space (bounded by the request deadline).
         """
         q = as_query(point, self.index.dim)
         if timeout_ms is None:
             timeout_ms = self.config.default_timeout_ms
-        elif timeout_ms <= 0:
-            raise ValueError("timeout_ms must be > 0 or None")
+        else:
+            timeout_ms = check_timeout_ms(timeout_ms)
         deadline = (
             None if timeout_ms is None
-            else time.monotonic() + timeout_ms / 1000.0
+            else time.perf_counter() + timeout_ms / 1000.0
         )
         request = _Request(q, deadline)
         depth_cap = self.config.max_queue_depth
@@ -365,7 +372,6 @@ class QueryService:
                     raise _failure(
                         ServiceClosed("service is closed"), request
                     )
-            request.enqueued_at = time.monotonic()
             request.enqueued_pc = time.perf_counter()
             self._queue.append(request)
             self._stats["submitted"] += 1
@@ -413,31 +419,18 @@ class QueryService:
             self._process(batch)
 
     def _next_batch(self) -> "Optional[list]":
-        """Block until a batch is due, pop it; ``None`` = shut down.
+        """Pop the next batch; ``None`` once closed and drained.
 
-        The micro-batching policy: the flush fires when the queue holds
-        ``max_batch_size`` requests or the oldest one has waited
-        ``max_wait_ms``, whichever happens first.  During shutdown the
-        wait is skipped so the queue drains immediately.
+        Work-conserving: block only while the queue is empty, then take
+        up to ``max_batch_size`` of what is queued.  Requests that
+        arrive during a flush ride the next one.
         """
-        cfg = self.config
         with self._cond:
             while not self._queue:
                 if self._closed:
                     return None
                 self._cond.wait()
-            if cfg.max_wait_ms > 0 and not self._degraded:
-                flush_at = self._queue[0].enqueued_at + cfg.max_wait_ms / 1e3
-                while (
-                    not self._closed
-                    and not self._degraded
-                    and len(self._queue) < cfg.max_batch_size
-                ):
-                    remaining = flush_at - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-            take = min(len(self._queue), cfg.max_batch_size)
+            take = min(len(self._queue), self.config.max_batch_size)
             batch = [self._queue.popleft() for __ in range(take)]
             depth = len(self._queue)
             self._cond.notify_all()  # admission waiters: space freed
@@ -446,7 +439,7 @@ class QueryService:
 
     def _process(self, batch: "list[_Request]") -> None:
         """Answer one popped batch through the fallback ladder."""
-        now = time.monotonic()
+        pickup_pc = time.perf_counter()
         # Trace capture is on when spans are recorded *and* a store is
         # installed to keep them; identity (trace ids) flows regardless.
         store = tracestore.get_store() if tracing.enabled() else None
@@ -457,7 +450,10 @@ class QueryService:
             for request in batch:
                 if request.state != _PENDING:
                     continue  # caller already timed out and cancelled
-                if request.deadline is not None and now > request.deadline:
+                if (
+                    request.deadline is not None
+                    and pickup_pc > request.deadline
+                ):
                     request.state = _FAILED
                     request.error = _failure(
                         DeadlineExceeded(
@@ -475,7 +471,6 @@ class QueryService:
         if expired:
             metrics.inc("serve.deadline_missed", expired)
             if store is not None:
-                pickup_pc = time.perf_counter()
                 for request in expired_requests:
                     store.add_trace(
                         _request_trace(
@@ -492,7 +487,6 @@ class QueryService:
         # bidirectional causality ISSUE 6 asks for).  As a root span in
         # this thread it flows into the store via the tracer sink.
         flush_tid = tracectx.new_trace_id() if store is not None else None
-        pickup_pc = time.perf_counter()
         with tracectx.bind(flush_tid):
             with span("serve.flush", n_requests=len(live)) as flush:
                 if flush_tid is not None:
@@ -503,7 +497,6 @@ class QueryService:
                 flush.set("pages", pages)
                 flush.set("sources", sorted({r.source for r in results}))
         flush_end_pc = time.perf_counter()
-        done = time.monotonic()
         delivered = 0
         degraded_delivered = 0
         with self._cond:
@@ -518,7 +511,7 @@ class QueryService:
                     result.point_id,
                     result.distance,
                     result.source,
-                    latency_ms=1e3 * (done - request.enqueued_at),
+                    latency_ms=1e3 * (flush_end_pc - request.enqueued_pc),
                     trace_id=request.trace_id,
                     degraded=result.degraded,
                     failed_shards=result.failed_shards,
@@ -562,7 +555,7 @@ class QueryService:
                 expired=expired,
                 pages=pages,
                 sources=sources,
-                duration_ms=1e3 * (done - now),
+                duration_ms=1e3 * (flush_end_pc - pickup_pc),
             )
             if degraded_delivered:
                 fields["degraded_answers"] = degraded_delivered
@@ -686,26 +679,6 @@ class QueryService:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def set_degraded(self, degraded: bool) -> None:
-        """Latency-shedding hook for the SLO watchdog.
-
-        While degraded, :meth:`_next_batch` skips the ``max_wait_ms``
-        batching delay and flushes whatever is queued immediately —
-        trading batching efficiency for lower queue-wait latency while
-        an objective is burning its budget.  Idempotent and safe from
-        any thread.
-        """
-        with self._cond:
-            if self._degraded == bool(degraded):
-                return
-            self._degraded = bool(degraded)
-            self._cond.notify_all()
-        metrics.set_gauge("serve.degraded", 1.0 if degraded else 0.0)
-
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
 
     def queue_depth(self) -> int:
         """Current number of pending (not yet flushed) requests."""

@@ -67,7 +67,6 @@ class TelemetrySession:
         self.watchdog: "Optional[slo_mod.SLOWatchdog]" = None
         self.analytics: "Optional[analytics_mod.AccessRecorder]" = None
         self.workload: "Optional[workload_mod.WorkloadRecorder]" = None
-        self._degrade_target = None
         self._prev_tracer = None
         self._stop = threading.Event()
         self._printer: "Optional[threading.Thread]" = None
@@ -90,9 +89,7 @@ class TelemetrySession:
             self._prev_tracer = tracing.get_tracer()
             tracing.enable(self.tracestore)
         if self.config.slo:
-            self.watchdog = slo_mod.SLOWatchdog(
-                self.registry, on_change=self._on_slo_change
-            )
+            self.watchdog = slo_mod.SLOWatchdog(self.registry)
             self.watchdog.start(self.config.slo_interval_s)
         if self.config.analytics:
             self.analytics = analytics_mod.install()
@@ -122,20 +119,6 @@ class TelemetrySession:
         """The scrape endpoint's bound port (``None`` without one)."""
         return self.server.port if self.server is not None else None
 
-    def set_degrade_target(self, service) -> None:
-        """Let the SLO watchdog nudge ``service``'s degradation ladder.
-
-        ``service`` must expose ``set_degraded(bool)``
-        (:class:`~repro.serve.service.QueryService` does).  Only takes
-        effect when the config enables both ``slo`` and ``slo_degrade``.
-        """
-        self._degrade_target = service
-
-    def _on_slo_change(self, paging: bool) -> None:
-        target = self._degrade_target
-        if self.config.slo_degrade and target is not None:
-            target.set_degraded(paging)
-
     def dashboard_line(self, seconds: int = 10) -> str:
         """The current windowed dashboard line (see ``timeseries``)."""
         return dashboard_line(self.registry, seconds)
@@ -160,8 +143,6 @@ class TelemetrySession:
             self.server.close()
         if self.watchdog is not None:
             self.watchdog.stop()
-            if self._degrade_target is not None and self.config.slo_degrade:
-                self._degrade_target.set_degraded(False)
         if self.workload is not None:
             workload_mod.uninstall()
             self.workload.close()

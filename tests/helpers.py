@@ -1,7 +1,9 @@
 """Shared reference implementations for tests (brute-force baselines),
-and a loader for the standalone scripts in ``tools/``."""
+a batch function that holds a service's flush, and a loader for the
+standalone scripts in ``tools/``."""
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,26 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class Stall:
+    """A ``QueryService`` batch function that holds each flush until the
+    test sets ``release``; ``entered`` is set once a flush is held.
+
+    Submissions made while the head request's flush is held stay queued,
+    so a test can build a batch, overflow the queue or let a deadline
+    lapse without depending on how fast the flusher runs.
+    """
+
+    def __init__(self, index):
+        self.index = index
+        self.release = threading.Event()
+        self.entered = threading.Event()
+
+    def __call__(self, points, batch_size=None):
+        self.entered.set()
+        assert self.release.wait(10.0), "stalled batch never released"
+        return self.index.query_batch(points, batch_size=batch_size)
 
 
 def brute_nearest(query, points):

@@ -175,32 +175,6 @@ class TestWatchdogStates:
         )
         assert gauges["serve.slo.latency_p99.state"] == 2.0
 
-    def test_on_change_fires_on_paging_flips_only(self, ts, clock):
-        flips = []
-        dog = SLOWatchdog(
-            ts, slos=[latency_slo()], on_change=flips.append
-        )
-        dog.evaluate()
-        assert flips == []  # ok -> ok is not a flip
-        for __ in range(20):
-            ts.observe("serve.latency_ms", 100.0)
-        dog.evaluate()
-        dog.evaluate()
-        assert flips == [True]
-        clock.now += 120.0
-        dog.evaluate()
-        assert flips == [True, False]
-
-    def test_on_change_exceptions_are_swallowed(self, ts):
-        def explode(paging):
-            raise RuntimeError("hook bug")
-
-        dog = SLOWatchdog(ts, slos=[latency_slo()], on_change=explode)
-        for __ in range(20):
-            ts.observe("serve.latency_ms", 100.0)
-        dog.evaluate()  # must not raise
-        assert dog.paging
-
 
 class TestWatchdogStatus:
     def test_status_reports_worst_state_and_objectives(self, ts):

@@ -1,5 +1,7 @@
 """Tests of the concurrent load-generator harness (`repro.eval.loadgen`)."""
 
+import time
+
 import pytest
 
 from repro.core.nncell_index import NNCellIndex
@@ -47,7 +49,7 @@ class TestDirectBaseline:
 
 class TestServiceLoad:
     def test_zero_errors_and_batching_observed(self, index, queries):
-        config = ServeConfig(max_batch_size=32, max_wait_ms=5.0)
+        config = ServeConfig(max_batch_size=32)
         report = run_service_load(
             index, queries, n_threads=4, config=config
         )
@@ -56,15 +58,22 @@ class TestServiceLoad:
         assert report.mean_batch_size > 1.0
 
     def test_serving_errors_are_counted_not_raised(self, index, queries):
-        def broken(points, batch_size=None):
-            raise RuntimeError("induced failure")
+        # A flush holds until the service has rejected a submission:
+        # behind the held first flush, a depth-1 queue under 4 threads
+        # overflows, and the report must absorb the rejections.
+        def hold_until_rejected(points, batch_size=None):
+            give_up = time.monotonic() + 10.0
+            while (
+                not service.stats()["rejected"]
+                and time.monotonic() < give_up
+            ):
+                time.sleep(0.001)
+            return index.query_batch(points, batch_size=batch_size)
 
-        # A stalling service with queue depth 1 under 4 threads: some
-        # submissions must be rejected, and the report must absorb them.
         service = QueryService(
             index,
-            ServeConfig(max_wait_ms=20.0, max_queue_depth=1,
-                        admission="reject"),
+            ServeConfig(max_queue_depth=1, admission="reject"),
+            batch_fn=hold_until_rejected,
         )
         try:
             report = run_service_load(
@@ -73,8 +82,8 @@ class TestServiceLoad:
         finally:
             service.close()
         assert report.errors + len(report.latencies_ms) == 60
-        if report.errors:
-            assert "ServiceOverloaded" in report.error_samples
+        assert report.errors > 0
+        assert "ServiceOverloaded" in report.error_samples
 
 
 class TestThroughputTable:
@@ -83,7 +92,7 @@ class TestThroughputTable:
         per query than the one-at-a-time baseline."""
         table = serving_throughput_table(
             index, queries, n_threads=4,
-            config=ServeConfig(max_batch_size=64, max_wait_ms=5.0),
+            config=ServeConfig(max_batch_size=64),
         )
         rows = {row["mode"]: row for row in table.rows}
         assert set(rows) == {"direct", "service"}

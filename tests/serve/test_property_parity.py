@@ -33,10 +33,7 @@ def workloads(draw):
     # fallback path must satisfy the same parity contract).
     queries = rng.uniform(-0.1, 1.1, size=(n_queries, 3))
     n_threads = draw(st.integers(1, 6))
-    config = ServeConfig(
-        max_batch_size=draw(st.integers(1, 16)),
-        max_wait_ms=draw(st.sampled_from([0.0, 0.5, 2.0])),
-    )
+    config = ServeConfig(max_batch_size=draw(st.integers(1, 16)))
     return queries, n_threads, config
 
 

@@ -1,15 +1,16 @@
 """End-to-end request tracing through the serving layer.
 
-The causal chain ISSUE 6 pins down: an id minted at admission rides the
-response, the stored request trace, the flush trace it links to, the
-latency exemplars, and the event log — and the SLO watchdog can nudge
-the service's degradation ladder.
+The causal chain: an id minted at admission rides the response, the
+stored request trace, the flush trace it links to, the latency
+exemplars, and the event log.
 """
 
 import re
 import threading
+import time
 
 import pytest
+from helpers import Stall
 
 from repro.core.nncell_index import NNCellIndex
 from repro.data import query_points, uniform_points
@@ -18,7 +19,6 @@ from repro.obs.tracestore import critical_path
 from repro.serve import (
     DeadlineExceeded,
     QueryService,
-    ServeConfig,
     TelemetryConfig,
     TelemetrySession,
 )
@@ -88,10 +88,16 @@ class TestResponseIdentity:
         assert len(set(ids)) == len(ids) == 16
 
     def test_deadline_error_carries_the_request_trace_id(self, index):
-        config = ServeConfig(max_wait_ms=50.0, max_batch_size=64)
-        with QueryService(index, config) as service:
+        stall = Stall(index)
+        with QueryService(index, batch_fn=stall) as service:
+            head = service.submit_async([0.25, 0.25, 0.25])
+            assert stall.entered.wait(5.0)
+            # Queued behind the held flush, the request cannot be answered
+            # within its deadline.
             with pytest.raises(DeadlineExceeded) as err:
                 service.submit([0.5, 0.5, 0.5], timeout_ms=1.0)
+            stall.release.set()
+            head.result()
         assert re.fullmatch(r"[0-9a-f]{16}", err.value.trace_id)
 
 
@@ -136,13 +142,19 @@ class TestStoredTraces:
                 assert "queue_wait" in path.stages
 
     def test_expired_request_is_stored_as_error_trace(self, index):
-        config = ServeConfig(max_wait_ms=80.0, max_batch_size=64)
+        stall = Stall(index)
         with traced_session() as session:
-            with QueryService(index, config) as service:
-                with pytest.raises(DeadlineExceeded) as err:
-                    # Expires while queued: the flush loop cancels it.
-                    service.submit([0.5, 0.5, 0.5], timeout_ms=5.0)
-                service.submit([0.1, 0.1, 0.1])  # force a later flush
+            with QueryService(index, batch_fn=stall) as service:
+                head = service.submit_async([0.25, 0.25, 0.25])
+                assert stall.entered.wait(5.0)
+                doomed = service.submit_async([0.5, 0.5, 0.5], timeout_ms=5.0)
+                time.sleep(0.05)  # let the deadline lapse while queued
+                stall.release.set()
+                head.result()
+            # Closing drained the queue, so the flush loop has already
+            # cancelled the doomed request; the caller only reads it.
+            with pytest.raises(DeadlineExceeded, match="while queued") as err:
+                doomed.result()
             store = session.tracestore
             trace = store.get(err.value.trace_id)
         assert trace is not None
@@ -179,45 +191,3 @@ class TestStoredTraces:
             with QueryService(index) as service:
                 result = service.submit([0.5, 0.5, 0.5])
         assert result.trace_id  # identity still flows
-
-
-class TestDegradationHook:
-    def test_set_degraded_skips_the_batching_delay(self, index):
-        config = ServeConfig(max_wait_ms=500.0, max_batch_size=1024)
-        with QueryService(index, config) as service:
-            service.set_degraded(True)
-            assert service.degraded
-            # With the delay active this would block ~500 ms; degraded
-            # mode must answer immediately (submit blocks until then).
-            result = service.submit([0.5, 0.5, 0.5])
-            assert result.latency_ms < 400.0
-            service.set_degraded(False)
-            assert not service.degraded
-
-    def test_watchdog_nudges_the_service_when_configured(self, index):
-        config = TelemetryConfig(
-            tracing=True, slo=True, slo_degrade=True
-        )
-        with TelemetrySession(config) as session:
-            with QueryService(index) as service:
-                session.set_degrade_target(service)
-                # Hammer the budget: synthetic latency far above the
-                # 50 ms objective makes every window page.
-                for __ in range(50):
-                    session.registry.observe("serve.latency_ms", 500.0)
-                session.watchdog.evaluate()
-                assert session.watchdog.paging
-                assert service.degraded
-            # Teardown restores the service to the normal ladder.
-        assert not service.degraded
-
-    def test_watchdog_without_degrade_flag_leaves_service_alone(self, index):
-        config = TelemetryConfig(slo=True)
-        with TelemetrySession(config) as session:
-            with QueryService(index) as service:
-                session.set_degrade_target(service)
-                for __ in range(50):
-                    session.registry.observe("serve.latency_ms", 500.0)
-                session.watchdog.evaluate()
-                assert session.watchdog.paging
-                assert not service.degraded

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import Stall
 
 from repro.core.nncell_index import NNCellIndex
 from repro.data import query_points, uniform_points
@@ -35,23 +36,9 @@ def registry():
         yield reg
 
 
-class _Stall:
-    """A batch function that blocks until released (queue-buildup tool)."""
-
-    def __init__(self, index):
-        self.index = index
-        self.release = threading.Event()
-        self.entered = threading.Event()
-
-    def __call__(self, points, batch_size=None):
-        self.entered.set()
-        assert self.release.wait(10.0), "stalled batch never released"
-        return self.index.query_batch(points, batch_size=batch_size)
-
-
 class TestBatchingLoop:
     def test_single_submission_round_trip(self, index):
-        with QueryService(index, ServeConfig(max_wait_ms=0.0)) as service:
+        with QueryService(index) as service:
             result = service.submit([0.5, 0.5, 0.5])
         expected_id, expected_dist, __ = index.nearest([0.5, 0.5, 0.5])
         assert result.point_id == expected_id
@@ -61,8 +48,8 @@ class TestBatchingLoop:
 
     def test_coalesces_queued_submissions_into_one_flush(self, index):
         """Requests parked behind a stalled flush ride the next one."""
-        stall = _Stall(index)
-        config = ServeConfig(max_batch_size=16, max_wait_ms=0.0)
+        stall = Stall(index)
+        config = ServeConfig(max_batch_size=16)
         queries = query_points(8, 3, seed=1)
         with QueryService(index, config, batch_fn=stall) as service:
             first = service.submit_async(queries[0])
@@ -81,8 +68,8 @@ class TestBatchingLoop:
         """A refused point never joins a flush, so its batch-mates stay
         on the batch rung (a NaN in the batch used to push all of them
         to the serial rung and answer itself from the scan rung)."""
-        stall = _Stall(index)
-        config = ServeConfig(max_batch_size=16, max_wait_ms=0.0)
+        stall = Stall(index)
+        config = ServeConfig(max_batch_size=16)
         queries = query_points(8, 3, seed=4)
         with QueryService(index, config, batch_fn=stall) as service:
             head = service.submit_async(queries[0])
@@ -103,10 +90,9 @@ class TestBatchingLoop:
 
     def test_max_batch_size_bounds_one_flush(self, index):
         queries = query_points(10, 3, seed=2)
-        stall = _Stall(index)
+        stall = Stall(index)
         with QueryService(
-            index, ServeConfig(max_batch_size=4, max_wait_ms=0.0),
-            batch_fn=stall,
+            index, ServeConfig(max_batch_size=4), batch_fn=stall
         ) as service:
             head = service.submit_async(queries[0])
             assert stall.entered.wait(5.0)
@@ -120,18 +106,8 @@ class TestBatchingLoop:
         assert stats["flushes"] >= 4
         assert stats["batched_requests"] == 10
 
-    def test_max_wait_flushes_partial_batch(self, index):
-        config = ServeConfig(max_batch_size=1024, max_wait_ms=5.0)
-        with QueryService(index, config) as service:
-            started = time.perf_counter()
-            result = service.submit([0.25, 0.25, 0.25])
-            elapsed = time.perf_counter() - started
-        assert result.source == "batch"
-        # Flushed by the wait timer (batch never filled), not starved.
-        assert elapsed < 2.0
-
     def test_results_observed_in_metrics(self, index, registry):
-        with QueryService(index, ServeConfig(max_wait_ms=0.0)) as service:
+        with QueryService(index) as service:
             service.submit([0.1, 0.2, 0.3])
         counters = registry.as_dict()["counters"]
         assert counters["serve.submitted"] == 1
@@ -144,7 +120,7 @@ class TestBatchingLoop:
         from repro.obs import tracing
 
         with tracing.collecting() as tracer:
-            with QueryService(index, ServeConfig(max_wait_ms=0.0)) as svc:
+            with QueryService(index) as svc:
                 svc.submit([0.5, 0.5, 0.5])
         flushes = tracer.find("serve.flush")
         assert flushes, "no serve.flush span recorded"
@@ -164,10 +140,8 @@ class TestBatchingLoop:
 
 class TestAdmissionControl:
     def test_reject_policy_raises_and_counts(self, index, registry):
-        stall = _Stall(index)
-        config = ServeConfig(
-            max_wait_ms=0.0, max_queue_depth=2, admission="reject"
-        )
+        stall = Stall(index)
+        config = ServeConfig(max_queue_depth=2, admission="reject")
         with QueryService(index, config, batch_fn=stall) as service:
             head = service.submit_async([0.5, 0.5, 0.5])
             assert stall.entered.wait(5.0)
@@ -190,10 +164,8 @@ class TestAdmissionControl:
         assert stats["completed"] == 3  # nothing accepted was lost
 
     def test_block_policy_waits_for_space(self, index):
-        stall = _Stall(index)
-        config = ServeConfig(
-            max_wait_ms=0.0, max_queue_depth=1, admission="block"
-        )
+        stall = Stall(index)
+        config = ServeConfig(max_queue_depth=1, admission="block")
         with QueryService(index, config, batch_fn=stall) as service:
             head = service.submit_async([0.5, 0.5, 0.5])
             assert stall.entered.wait(5.0)
@@ -216,10 +188,8 @@ class TestAdmissionControl:
         assert unblocked[0].point_id == index.nearest([0.2, 0.2, 0.2])[0]
 
     def test_block_policy_honours_deadline(self, index, registry):
-        stall = _Stall(index)
-        config = ServeConfig(
-            max_wait_ms=0.0, max_queue_depth=1, admission="block"
-        )
+        stall = Stall(index)
+        config = ServeConfig(max_queue_depth=1, admission="block")
         with QueryService(index, config, batch_fn=stall) as service:
             head = service.submit_async([0.5, 0.5, 0.5])
             assert stall.entered.wait(5.0)
@@ -236,17 +206,14 @@ class TestDeadlines:
     def test_expired_while_queued_is_cancelled_not_computed(
         self, index, registry
     ):
-        stall = _Stall(index)
+        stall = Stall(index)
         calls = []
 
         def counting_stall(points, batch_size=None):
             calls.append(points.shape[0])
             return stall(points, batch_size)
 
-        with QueryService(
-            index, ServeConfig(max_wait_ms=0.0),
-            batch_fn=counting_stall,
-        ) as service:
+        with QueryService(index, batch_fn=counting_stall) as service:
             head = service.submit_async([0.5, 0.5, 0.5])
             assert stall.entered.wait(5.0)
             doomed = service.submit_async([0.4, 0.4, 0.4], timeout_ms=10.0)
@@ -263,10 +230,8 @@ class TestDeadlines:
         assert calls and all(n == 1 for n in calls)
 
     def test_caller_side_timeout_discards_late_answer(self, index):
-        stall = _Stall(index)
-        with QueryService(
-            index, ServeConfig(max_wait_ms=0.0), batch_fn=stall
-        ) as service:
+        stall = Stall(index)
+        with QueryService(index, batch_fn=stall) as service:
             pending = service.submit_async([0.5, 0.5, 0.5])
             assert stall.entered.wait(5.0)
             with pytest.raises(DeadlineExceeded):
@@ -280,8 +245,8 @@ class TestDeadlines:
         assert stats_done["deadline_missed"] == 1
 
     def test_default_timeout_from_config(self, index):
-        stall = _Stall(index)
-        config = ServeConfig(max_wait_ms=0.0, default_timeout_ms=20.0)
+        stall = Stall(index)
+        config = ServeConfig(default_timeout_ms=20.0)
         with QueryService(index, config, batch_fn=stall) as service:
             pending = service.submit_async([0.5, 0.5, 0.5])
             with pytest.raises(DeadlineExceeded):
@@ -289,14 +254,42 @@ class TestDeadlines:
             stall.release.set()
 
 
+class TestTimeoutValidation:
+    """A timeout is a finite number > 0, wherever it comes from: ``"5"``
+    would fail a comparison, ``inf`` overflow the wait, ``nan`` expire at
+    once and ``True`` mean 1 ms."""
+
+    @pytest.mark.parametrize("timeout_ms", [
+        "5", [1], True, float("nan"), float("inf"), -float("inf"),
+    ])
+    def test_malformed_timeout_refused_at_admission(self, index, timeout_ms):
+        with QueryService(index) as service:
+            with pytest.raises(ValueError, match="timeout_ms"):
+                service.submit_async([0.5, 0.5, 0.5], timeout_ms=timeout_ms)
+            assert service.stats()["submitted"] == 0
+
+    def test_huge_finite_timeout_waits_instead_of_overflowing(self, index):
+        expected = index.nearest([0.5, 0.5, 0.5])[0]
+        with QueryService(index) as service:
+            result = service.submit([0.5, 0.5, 0.5], timeout_ms=1e300)
+            pending = service.submit_async([0.5, 0.5, 0.5])
+            late = pending.result(timeout_ms=1e300)
+        assert result.point_id == late.point_id == expected
+
+    def test_result_refuses_an_infinite_wait(self, index):
+        with QueryService(index) as service:
+            pending = service.submit_async([0.5, 0.5, 0.5])
+            with pytest.raises(ValueError, match="timeout_ms"):
+                pending.result(timeout_ms=float("inf"))
+            assert pending.result().source == "batch"
+
+
 class TestFallbackLadder:
     def test_batch_failure_degrades_to_serial(self, index, registry):
         def broken(points, batch_size=None):
             raise RuntimeError("induced LP failure")
 
-        with QueryService(
-            index, ServeConfig(max_wait_ms=0.0), batch_fn=broken
-        ) as service:
+        with QueryService(index, batch_fn=broken) as service:
             result = service.submit([0.5, 0.5, 0.5])
         expected_id, expected_dist, __ = index.nearest([0.5, 0.5, 0.5])
         assert (result.point_id, result.distance) == (
@@ -317,9 +310,7 @@ class TestFallbackLadder:
             lambda q: (_ for _ in ()).throw(RuntimeError("serial down")),
         )
         q = np.asarray([0.5, 0.5, 0.5])
-        with QueryService(
-            index, ServeConfig(max_wait_ms=0.0), batch_fn=broken
-        ) as service:
+        with QueryService(index, batch_fn=broken) as service:
             result = service.submit(q)
         # The scan answer is still the exact nearest neighbor.
         brute = int(np.argmin(np.linalg.norm(index.points - q, axis=1)))
@@ -336,10 +327,9 @@ class TestFallbackLadder:
             raise RuntimeError("induced LP failure")
 
         queries = query_points(6, 3, seed=3)
-        stall = _Stall(index)
+        stall = Stall(index)
         with QueryService(
-            index, ServeConfig(max_wait_ms=0.0, max_batch_size=16),
-            batch_fn=stall,
+            index, ServeConfig(max_batch_size=16), batch_fn=stall
         ) as service:
             head = service.submit_async(queries[0])
             assert stall.entered.wait(5.0)
@@ -355,10 +345,8 @@ class TestFallbackLadder:
 
 class TestLifecycle:
     def test_close_drains_accepted_requests(self, index):
-        stall = _Stall(index)
-        with QueryService(
-            index, ServeConfig(max_wait_ms=0.0), batch_fn=stall
-        ) as service:
+        stall = Stall(index)
+        with QueryService(index, batch_fn=stall) as service:
             head = service.submit_async([0.5, 0.5, 0.5])
             assert stall.entered.wait(5.0)
             parked = [
@@ -371,10 +359,8 @@ class TestLifecycle:
                 assert p.result().point_id >= 0
 
     def test_close_without_drain_fails_pending(self, index):
-        stall = _Stall(index)
-        service = QueryService(
-            index, ServeConfig(max_wait_ms=0.0), batch_fn=stall
-        )
+        stall = Stall(index)
+        service = QueryService(index, batch_fn=stall)
         head = service.submit_async([0.5, 0.5, 0.5])
         assert stall.entered.wait(5.0)
         parked = service.submit_async([0.4, 0.4, 0.4])
@@ -406,7 +392,7 @@ class TestLifecycle:
         service.close()
 
     def test_stats_shape(self, index):
-        with QueryService(index, ServeConfig(max_wait_ms=0.0)) as service:
+        with QueryService(index) as service:
             service.submit([0.5, 0.5, 0.5])
             stats = service.stats()
         for key in ("submitted", "completed", "rejected", "deadline_missed",
@@ -421,10 +407,13 @@ class TestLifecycle:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_batch_size": 0},
-        {"max_wait_ms": -1.0},
         {"max_queue_depth": 0},
         {"admission": "drop"},
         {"default_timeout_ms": 0.0},
+        {"default_timeout_ms": float("nan")},
+        {"default_timeout_ms": float("inf")},
+        {"default_timeout_ms": -float("inf")},
+        {"default_timeout_ms": True},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -132,7 +132,7 @@ class TestWindowedStatsAgainstGroundTruth:
         with TelemetrySession() as session:
             report = run_service_load(
                 index, queries, n_threads=4,
-                config=ServeConfig(max_batch_size=32, max_wait_ms=2.0),
+                config=ServeConfig(max_batch_size=32),
             )
             window = timeseries.window(session.registry, 60).get("serve.latency_ms")
         assert report.errors == 0
@@ -157,7 +157,7 @@ class TestWindowedStatsAgainstGroundTruth:
         with TelemetrySession() as session:
             run_service_load(
                 index, queries, n_threads=4,
-                config=ServeConfig(max_batch_size=16, max_wait_ms=1.0),
+                config=ServeConfig(max_batch_size=16),
             )
             snapshot = timeseries.window(session.registry, 60)
         assert snapshot.get("serve.queue.depth") is not None

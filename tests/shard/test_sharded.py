@@ -26,7 +26,7 @@ from repro.core.persistence import (
     save_sharded_index,
 )
 from repro.data import uniform_points
-from repro.serve import QueryService, ServeConfig
+from repro.serve import QueryService
 from repro.shard import ShardConfig, ShardedNNCellIndex
 
 
@@ -239,9 +239,7 @@ class TestServeIntegration:
     def test_query_service_over_sharded_backend(self, points, sharded):
         flat = NNCellIndex.build(points)
         queries = uniform_points(20, 3, seed=13)
-        with QueryService(
-            sharded, ServeConfig(max_wait_ms=0.0)
-        ) as service:
+        with QueryService(sharded) as service:
             for q in queries:
                 result = service.submit(q)
                 gid, dist, __ = flat.nearest(q)

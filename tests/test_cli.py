@@ -402,6 +402,46 @@ class TestServeCommand:
         assert "non-finite" in responses[0]["message"]
         assert responses[2]["source"] == "batch"
 
+    @pytest.mark.parametrize(
+        "timeout", ['"5"', "[1]", "Infinity", "NaN", "true"]
+    )
+    def test_malformed_timeout_is_a_bad_request(
+        self, monkeypatch, capsys, index_path, timeout
+    ):
+        """A bad ``timeout_ms`` is answered and the next line served: one
+        request must not take the process down."""
+        code, responses, __ = self.serve(
+            monkeypatch, capsys, index_path,
+            f'{{"id": 1, "point": [0.5, 0.5, 0.5], "timeout_ms": {timeout}}}\n'
+            '{"id": 2, "point": [0.4, 0.4, 0.4]}\n',
+        )
+        assert code == 0
+        assert [r["ok"] for r in responses] == [False, True]
+        assert responses[0]["error"] == "bad_request"
+        assert "timeout_ms" in responses[0]["message"]
+        assert [r["id"] for r in responses] == [1, 2]
+
+    def test_huge_finite_timeout_is_answered(
+        self, monkeypatch, capsys, index_path
+    ):
+        code, responses, __ = self.serve(
+            monkeypatch, capsys, index_path,
+            '{"id": 1, "point": [0.5, 0.5, 0.5], "timeout_ms": 1e300}\n',
+        )
+        assert code == 0
+        assert responses[0]["ok"] and responses[0]["id"] == 1
+
+    def test_non_finite_default_timeout_is_an_error(
+        self, monkeypatch, capsys, index_path
+    ):
+        code, responses, stderr = self.serve(
+            monkeypatch, capsys, index_path, "[0.5, 0.5, 0.5]\n",
+            "--timeout-ms", "nan",
+        )
+        assert code == 1
+        assert responses == []
+        assert "error: default_timeout_ms" in stderr
+
     def test_blank_lines_skipped_and_stats_flag(
         self, monkeypatch, capsys, index_path
     ):
@@ -824,7 +864,7 @@ class TestServeTracingProtocol:
     ):
         code, responses, __ = self.serve(
             monkeypatch, capsys, index_path,
-            "[0.5, 0.5, 0.5]\n", "--tracing", "--slo", "--slo-degrade",
+            "[0.5, 0.5, 0.5]\n", "--tracing", "--slo",
         )
         assert code == 0
         assert responses[0]["ok"]

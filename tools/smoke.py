@@ -202,8 +202,7 @@ def served_parity(index, reference) -> dict:
     queries = query_points(N_QUERIES, index.dim, seed=13)
     results: list = [None] * N_QUERIES
     errors: list = []
-    config = ServeConfig(max_batch_size=32, max_wait_ms=5.0)
-    with QueryService(index, config) as service:
+    with QueryService(index) as service:
 
         def client(first: int) -> None:
             for i in range(first, N_QUERIES, N_THREADS):
@@ -231,7 +230,8 @@ def served_parity(index, reference) -> dict:
 def leg_serve(workdir: Path) -> str:
     """Served answers equal serial ``nearest`` and really batch; a
     failing batch engine and a full queue degrade into typed, counted
-    outcomes; ``repro serve --stats`` round-trips JSONL."""
+    outcomes; ``repro serve --stats`` round-trips JSONL, answering a
+    malformed timeout ``bad_request`` without going down."""
     index = NNCellIndex.build(uniform_points(120, 4, seed=5))
     mid = np.full(index.dim, 0.5)
     with metrics.collecting(fresh=True) as registry:
@@ -244,8 +244,7 @@ def leg_serve(workdir: Path) -> str:
         def broken_batch(points, batch_size=None):
             raise RuntimeError("induced LP failure")
 
-        config = ServeConfig(max_wait_ms=0.0)
-        with QueryService(index, config, batch_fn=broken_batch) as service:
+        with QueryService(index, batch_fn=broken_batch) as service:
             result = service.submit(mid)
         same = (result.point_id, result.distance) == index.nearest(mid)[:2]
         check(same, "fallback answer differs from serial nearest")
@@ -259,7 +258,7 @@ def leg_serve(workdir: Path) -> str:
             stall.wait(5.0)
             return index.query_batch(points)
 
-        config = ServeConfig(max_wait_ms=0.0, max_queue_depth=1, admission="reject")
+        config = ServeConfig(max_queue_depth=1, admission="reject")
         rejected = 0
         with QueryService(index, config, batch_fn=stalled_batch) as service:
             handles = [service.submit_async(mid)]
@@ -275,12 +274,21 @@ def leg_serve(workdir: Path) -> str:
         counted = registry.counter("serve.rejected").value
         check(counted == rejected, f"serve.rejected {counted:.0f} != {rejected}")
 
+    # A malformed timeout is answered bad_request; the process serves on.
     archive = build(workdir / "serve50.npz", 50, 3)
-    requests = '[0.5, 0.5, 0.5]\n{"id": 1, "point": [0.1, 0.2, 0.3]}\n'
+    requests = (
+        "[0.5, 0.5, 0.5]\n"
+        '{"id": 2, "point": [0.5, 0.5, 0.5], "timeout_ms": "5"}\n'
+        '{"id": 3, "point": [0.5, 0.5, 0.5], "timeout_ms": Infinity}\n'
+        '{"id": 1, "point": [0.1, 0.2, 0.3]}\n'
+    )
     out = repro("serve", archive, "--stats", stdin=requests)
     lines = [json.loads(line) for line in out.splitlines()]
-    check(len(lines) == 2 and all(r["ok"] for r in lines), f"JSONL: {lines}")
-    check(lines[1]["id"] == 1, f"request id not echoed: {lines[1]}")
+    oks = [r["ok"] for r in lines]
+    check(oks == [True, False, False, True], f"JSONL: {lines}")
+    bad = [(r["id"], r["error"]) for r in lines[1:3]]
+    check(bad == [(2, "bad_request"), (3, "bad_request")], f"JSONL: {lines}")
+    check(lines[3]["id"] == 1, f"request id not echoed: {lines[3]}")
     return f"mean batch {stats['mean_batch_size']:.2f}, {rejected} rejections"
 
 
