@@ -70,7 +70,9 @@ def main() -> None:
     print(f"final registry: {len(index)} sensors, "
           f"{int(stats['n_rectangles'])} cell rectangles, "
           f"expected candidates {stats['expected_candidates']:.2f}")
-    index.cell_tree.validate()
+    # The snapshot queries read holds exactly the cells' rectangles.
+    owners = [owner for owner, __ in index.all_cell_rectangles()]
+    assert sorted(index.snapshot.leaves.ids.tolist()) == sorted(owners)
     index.data_tree.validate()
     print("index structural invariants: OK")
 

@@ -124,7 +124,7 @@ class DrillReport:
 
 def install_page_chaos(index, injector: "Optional[ChaosInjector]") -> None:
     """Hook (or unhook, with ``None``) every live shard's page reads:
-    its cell-tree walk and its page managers."""
+    its cell-tree walk and its data tree's page manager."""
     for __, shard in index._live_shards():
         shard.set_page_chaos(injector)
 

@@ -630,6 +630,8 @@ def _query_batch_file(args: argparse.Namespace, index) -> int:
 def _parse_serve_request(line: str, dim: int):
     """``(point, request_id, timeout_ms, explain)`` from one JSONL line.
 
+    Each coordinate must be a JSON number a float can hold (not a bool
+    or a string), and ``explain``, when present, ``true`` or ``false``.
     Parse errors are raised as :class:`ValueError` with a ``request_id``
     attribute (when the request carried one), so the error response can
     still be correlated with the request that caused it.
@@ -644,7 +646,7 @@ def _parse_serve_request(line: str, dim: int):
     if isinstance(payload, dict):
         request_id = payload.get("id")
         timeout_ms = payload.get("timeout_ms")
-        explain = bool(payload.get("explain", False))
+        explain = payload.get("explain", False)
         payload = payload.get("point")
 
     def bail(message: str) -> "ValueError":
@@ -652,12 +654,19 @@ def _parse_serve_request(line: str, dim: int):
         err.request_id = request_id
         return err
 
+    if not isinstance(explain, bool):
+        raise bail("explain must be true or false")
     if not isinstance(payload, list) or len(payload) != dim:
         raise bail(f"point must be a {dim}-element array")
+    if not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in payload
+    ):
+        raise bail("point coordinates must be numbers")
     try:
         point = [float(v) for v in payload]
-    except (TypeError, ValueError):
-        raise bail("point coordinates must be numbers") from None
+    except OverflowError:
+        raise bail("point coordinate is too large for a float") from None
     return point, request_id, timeout_ms, explain
 
 

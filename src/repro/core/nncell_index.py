@@ -11,9 +11,10 @@ among the candidates.
 The index is dynamic (Section 2, "the dynamic case"):
 
 * :meth:`insert` — existing cells can only *shrink*.  Affected cells are
-  found by a pruned traversal of the solution-space index (a conservative
-  superset of the cells the paper finds with its sphere query), their
-  systems gain the new point's bisector, and they are re-approximated.
+  found by one vectorised test of every stored rectangle against its
+  owner's bisector with the new point (a conservative superset of the
+  cells the paper finds with its sphere query), their systems gain that
+  bisector, and they are re-approximated.
 * :meth:`delete` — cells whose constraint system referenced the removed
   point can only *grow*; they are recomputed from fresh candidate sets
   (the approach Roos' dynamic Voronoi algorithms make exact; recomputing
@@ -27,27 +28,23 @@ Each live cell's constraint system and rectangles live in seven read-only
 columns, :attr:`NNCellIndex.cells` — the archive's own form
 (:mod:`repro.core.persistence`) — from build to save: a build concatenates
 its cells once, a load keeps the checked columns, and a write splices its
-changed cells into new columns.  Queries never read the mutable cell
-tree.  They walk :attr:`NNCellIndex.snapshot`, a packed immutable copy of
-it (:mod:`repro.index.packed`), laid out at build and load time by the
-STR packing a bulk load allocates, and frozen again at the end of every
-write, which publishes the columns and the snapshot together.  The
-mutable X-tree the writes maintain is bulk-loaded from the columns on the
-first write, or the first call that needs it.
+changed cells into new columns.  Queries walk :attr:`NNCellIndex.snapshot`,
+the immutable packed cell tree (:mod:`repro.index.packed`), which build,
+load and every write lay out from the columns by the same STR packing; a
+write publishes its columns, live mask and snapshot together.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.distance import distances_to_points
-from ..geometry.halfspace import HalfspaceSystem, bisector, box_inside_halfspace
+from ..geometry.halfspace import HalfspaceSystem, bisector
 from ..geometry.mbr import MBR
 from ..index.bulk import bulk_load, str_layout
 from ..index.nnsearch import hs_k_nearest, rkv_nearest
@@ -365,16 +362,11 @@ class NNCellIndex:
         self.data_tree = make_tree(
             self.dim, self.config, leaf_entry_bytes=8 * self.dim + 8
         )
-        #: What every query reads: the cell tree, packed and immutable.
-        #: Writes replace it whole, with one assignment.
+        #: What every query reads: the cell tree, packed and immutable,
+        #: laid out from :attr:`cells`.  A write replaces it whole.
         self.snapshot: "Optional[PackedTree]" = None
-        #: The mutable cell tree the writes maintain; ``None`` until
-        #: :attr:`cell_tree` first bulk-loads it from :attr:`cells`.
-        self._cell_tree: "Optional[XTree]" = None
         self._selector: "Optional[CandidateSelector]" = None
         self._chaos = None  # page-read fault injector (repro.chaos)
-        #: Makes the mutable cell tree once, whoever asks for it first.
-        self._thaw_lock = threading.Lock()
 
     # ==================================================================
     # Construction
@@ -400,12 +392,7 @@ class NNCellIndex:
                   workers=workers) as root:
             with span("build.data_tree"):
                 load_data_tree(self.data_tree, self.points)
-            self._selector = CandidateSelector(
-                self.points,
-                self.data_tree,
-                self.config.selector,
-                self.config.selector_params,
-            )
+            self._make_selector()
             with span("build.cells", workers=workers):
                 if workers > 1:
                     from ..engine.parallel import parallel_cells
@@ -419,7 +406,7 @@ class NNCellIndex:
                     )
                 self.cells = _stack_cells([_cell_runs(*c) for c in cells])
             with span("build.cell_tree"):
-                self._index_cells()
+                self.snapshot = self._index_cells(self.cells, self.active_ids)
             n_rects = self.cells["rect_lows"].shape[0]
             root.set("n_rectangles", n_rects)
         metrics.inc("build.cells", n)
@@ -434,7 +421,7 @@ class NNCellIndex:
         )
 
     # ------------------------------------------------------------------
-    # The cell tree: snapshot and mutable tree
+    # The cell tree's read snapshot
     # ------------------------------------------------------------------
     @classmethod
     def _restore(
@@ -457,15 +444,22 @@ class NNCellIndex:
         index.cells = cells
         live = index.active_ids
         bulk_load(index.data_tree, points[live], points[live], live)
-        index._index_cells()
+        index.snapshot = index._index_cells(cells, live)
         return index
 
-    def _index_cells(self) -> None:
-        """Lay :attr:`cells` out into :attr:`snapshot` by STR, as a bulk
-        load of the still-empty mutable tree would pack them."""
-        self.snapshot = PackedTree.from_layout(
-            str_layout(self._new_cell_tree(), *self._cell_entries())
+    def _index_cells(
+        self, cells: "Dict[str, np.ndarray]", live: np.ndarray
+    ) -> PackedTree:
+        """The snapshot of the cell columns ``cells`` over the live ids
+        ``live``, laid out by STR as a bulk load would pack them; build,
+        load and every write make theirs here."""
+        tree = make_tree(  # read for its page geometry only
+            self.dim, self.config, leaf_entry_bytes=3 * 8 * self.dim + 8
         )
+        owners = np.repeat(live, np.diff(cells["rect_offsets"]))
+        return PackedTree.from_layout(str_layout(
+            tree, cells["rect_lows"], cells["rect_highs"], owners
+        ))
 
     def _cell_entries(self) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Every cell rectangle as ``(lows, highs, owners)``."""
@@ -473,36 +467,9 @@ class NNCellIndex:
         owners = np.repeat(self.active_ids, np.diff(cells["rect_offsets"]))
         return cells["rect_lows"], cells["rect_highs"], owners
 
-    def _new_cell_tree(self) -> XTree:
-        tree = make_tree(
-            self.dim, self.config, leaf_entry_bytes=3 * 8 * self.dim + 8
-        )
-        tree.pages.set_chaos(self._chaos)
-        return tree
-
-    @property
-    def cell_tree(self) -> XTree:
-        """The mutable cell tree the writes maintain.
-
-        Queries read :attr:`snapshot` instead.  The first access
-        bulk-loads the rectangles of :attr:`cells`; before any write the
-        tree agrees with the snapshot node for node.
-        """
-        return self._thaw_tree()
-
-    def _thaw_tree(self) -> XTree:
-        if self._cell_tree is None:
-            with self._thaw_lock:
-                if self._cell_tree is None:
-                    self._cell_tree = bulk_load(
-                        self._new_cell_tree(), *self._cell_entries()
-                    )
-        return self._cell_tree
-
-    def _prepare_write(self) -> None:
-        """Make what a write changes before it changes anything: the
-        mutable cell tree and the selector."""
-        self._thaw_tree()
+    def _make_selector(self) -> None:
+        """Make the candidate selector over the live points, once: a
+        build makes it first, a loaded index on its first write."""
         if self._selector is None:
             self._selector = CandidateSelector(
                 self.points,
@@ -520,13 +487,15 @@ class NNCellIndex:
     ) -> None:
         """End of a write: splice the ``changed`` cells (id -> new system
         and rectangles) into new columns over the live ids of ``active``,
-        the other cells' rows copied from :attr:`cells`, then publish
-        them, ``active`` and a snapshot frozen from the mutable tree."""
+        the other cells' rows copied from :attr:`cells`, lay them out into
+        a snapshot, then publish the columns, ``active`` and the snapshot
+        together."""
         cells = self.cells
         sys_at, rect_at = cells["sys_offsets"], cells["rect_offsets"]
         position = {pid: i for i, pid in enumerate(self.active_ids.tolist())}
+        live = np.flatnonzero(active)
         runs = []
-        for pid in np.flatnonzero(active).tolist():
+        for pid in live.tolist():
             if pid in changed:
                 runs.append(_cell_runs(*changed[pid]))
                 continue
@@ -538,22 +507,20 @@ class NNCellIndex:
                 cells["sys_ids"][rows],
                 cells["rect_lows"][rects], cells["rect_highs"][rects],
             ))
-        self.cells = _stack_cells(runs)
-        self._active = active
-        self.snapshot = PackedTree.freeze(self._cell_tree)
+        cells = _stack_cells(runs)
+        snapshot = self._index_cells(cells, live)
+        self.cells, self._active, self.snapshot = cells, active, snapshot
 
     def set_page_chaos(self, injector) -> None:
         """Install (or, with ``None``, remove) a page-read fault injector.
 
         ``injector`` duck-types :class:`repro.chaos.ChaosInjector`.  The
-        cell-tree walk runs it for every node it touches, and both trees'
-        page managers for every read, each with the flaky-read retries of
-        :func:`repro.storage.page.chaos_read`.
+        cell-tree walk runs it for every node it touches, and the data
+        tree's page manager for every read, each with the flaky-read
+        retries of :func:`repro.storage.page.chaos_read`.
         """
         self._chaos = injector
         self.data_tree.pages.set_chaos(injector)
-        if self._cell_tree is not None:
-            self._cell_tree.pages.set_chaos(injector)
 
     def _rows(self, point_id: int) -> "Tuple[slice, slice]":
         """The rows of live ``point_id``'s system and rectangles in
@@ -565,24 +532,6 @@ class NNCellIndex:
         return (
             slice(sys_at[i], sys_at[i + 1]), slice(rect_at[i], rect_at[i + 1])
         )
-
-    def _replace_cell_in_tree(
-        self, point_id: int, new_rects: "List[MBR]"
-    ) -> None:
-        """Swap one cell's rectangles in the mutable tree (queries see
-        the change once the write publishes its snapshot)."""
-        tree = self._cell_tree
-        __, rects = self._rows(point_id)
-        for low, high in zip(
-            self.cells["rect_lows"][rects], self.cells["rect_highs"][rects]
-        ):
-            removed = tree.delete(low, high, point_id)
-            if not removed:  # pragma: no cover - bookkeeping invariant
-                raise RuntimeError(
-                    f"cell rectangle of point {point_id} missing from index"
-                )
-        for rect in new_rects:
-            tree.insert(rect.low, rect.high, point_id)
 
     # ==================================================================
     # Queries
@@ -867,7 +816,7 @@ class NNCellIndex:
             raise ValueError(f"point must be a {self.dim}-vector")
         if not self.box.contains_point(p, atol=1e-12):
             raise ValueError("point lies outside the data space")
-        self._prepare_write()
+        self._make_selector()
         new_id = self.points.shape[0]
         self.points = np.vstack([self.points, p[None, :]])
         self._selector.extend_points(p[None, :])
@@ -879,52 +828,32 @@ class NNCellIndex:
             system = self.constraint_system(cell_id).with_constraint(
                 a, b, point_id=new_id
             )
-            rects = approximate_system(
-                system, self.points[cell_id], self.config
+            changed[cell_id] = (
+                system,
+                approximate_system(system, self.points[cell_id], self.config),
             )
-            self._replace_cell_in_tree(cell_id, rects)
-            changed[cell_id] = (system, rects)
-
-        __, rects = changed[new_id] = self._compute_cell(new_id)
-        for rect in rects:
-            self._cell_tree.insert(rect.low, rect.high, new_id)
+        changed[new_id] = self._compute_cell(new_id)
         self._publish(np.append(self._active, True), changed)
         return new_id
 
     def _cells_possibly_shrunk_by(self, p: np.ndarray) -> "List[int]":
-        """Owners whose stored approximation may intersect the region now
-        claimed by ``p``.
+        """Owners, ascending, whose stored rectangles may reach into the
+        region now claimed by ``p``.
 
-        A cell entry ``r`` owned by ``c`` is certainly unaffected when
-        ``r`` lies inside the half-space of points closer to ``c`` than to
-        ``p``.  Whole subtrees are pruned with the weaker but
-        owner-independent test ``mindist(region, p) >= diam(region)``
-        (every owner lives inside its own rectangle, hence inside the
-        region, so no point of the region can prefer ``p``).
+        A rectangle ``r`` owned by ``c`` is certainly unaffected when
+        ``r`` lies inside the half-space of points closer to ``c`` than
+        to ``p`` (:func:`repro.geometry.halfspace.box_inside_halfspace`'s
+        corner test).  One test covers every rectangle at once.  Nothing
+        is pruned by position: a decomposed piece need not contain its
+        owner, so no bound on where an owner's pieces lie holds.
         """
-        affected: "Set[int]" = set()
-        tree = self._cell_tree
-        stack = [tree.root_id]
-        while stack:
-            node = tree._read(stack.pop())
-            if node.n_entries == 0:
-                continue
-            region = node.mbr()
-            nearest = np.clip(p, region.low, region.high)
-            mindist_sq = float(np.sum((nearest - p) ** 2))
-            diam_sq = float(np.sum(region.extents ** 2))
-            if mindist_sq >= diam_sq:
-                continue
-            if node.is_leaf:
-                for low, high, owner in node.entries():
-                    if owner in affected:
-                        continue
-                    a, b = bisector(self.points[owner], p)
-                    if not box_inside_halfspace(MBR(low, high), a, b):
-                        affected.add(owner)
-            else:
-                stack.extend(int(i) for i in node.ids)
-        return sorted(affected)
+        lows, highs, owners = self._cell_entries()
+        sites = self.points[owners]
+        # bisector(sites[i], p) for every row i: a . x <= b.
+        a = 2.0 * (p - sites)
+        b = float(np.dot(p, p)) - np.einsum("ij,ij->i", sites, sites)
+        worst = np.einsum("ij,ij->i", np.where(a > 0.0, highs, lows), a)
+        return np.unique(owners[worst > b + 1e-9]).tolist()
 
     def delete(self, point_id: int) -> None:
         """Remove a point; the cells that referenced it are recomputed
@@ -934,8 +863,7 @@ class NNCellIndex:
             raise KeyError(f"point {point_id} is not in the index")
         if int(np.sum(self._active)) == 1:
             raise ValueError("cannot delete the last remaining point")
-        self._prepare_write()
-        self._replace_cell_in_tree(point_id, [])
+        self._make_selector()
         removed = self.data_tree.delete(
             self.points[point_id], self.points[point_id], point_id
         )
@@ -950,10 +878,10 @@ class NNCellIndex:
         cells = self.cells
         rows = np.flatnonzero(cells["sys_ids"] == point_id)
         at = np.searchsorted(cells["sys_offsets"], rows, side="right") - 1
-        changed = {}
-        for cell_id in np.unique(self.active_ids[at]).tolist():
-            __, rects = changed[cell_id] = self._compute_cell(cell_id)
-            self._replace_cell_in_tree(cell_id, rects)
+        changed = {
+            cell_id: self._compute_cell(cell_id)
+            for cell_id in np.unique(self.active_ids[at]).tolist()
+        }
         self._publish(active, changed)
 
     # ==================================================================

@@ -13,8 +13,8 @@ of node-layout details.  Its cell members are the index's own cell store
 and a save writes as it is.  A load makes only what a query reads: it
 bulk-loads the data tree (fallback queries search it) and lays the
 rectangles out, as a bulk load would, straight into the packed cell-tree
-snapshot the queries walk; the mutable cell tree is made on the first
-write or the first call that needs it.
+snapshot the queries walk, the snapshot a build or a write lays out from
+the same columns.
 
 Format version 4 has eleven members, whatever the number of points:
 

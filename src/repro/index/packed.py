@@ -1,26 +1,28 @@
 """Packed read snapshots of an R-tree-family index, and the walk over them.
 
 A point query on the solution space is the whole of an NN-cell query, so
-it should cost what its containment tests cost.  Walking the mutable tree
+it should cost what its containment tests cost.  Walking a mutable tree
 node by node pays Python and numpy call overhead per node instead.  A
-:class:`PackedTree` copies the tree into one set of arrays per level, and
+:class:`PackedTree` holds the tree as one set of arrays per level, and
 :func:`batched_point_query` answers a batch of point queries with one
 vectorised containment test per level; a single query is a batch of one.
 Entry bounds are stored axis-major, so a test reduces over ``d``
 contiguous slabs.
 
-Levels run from the root down, in breadth-first order: a level's entries
-are its nodes' entries in node order, and directory entry ``i`` points to
-node ``i`` of the level below.  That order depends only on the tree's
-shape, so the snapshot laid out from :func:`repro.index.bulk.str_layout`
-and the one frozen from the tree :func:`~repro.index.bulk.bulk_load`
-builds from the same layout are equal array for array.
+A snapshot is laid out straight from the nodes
+:func:`repro.index.bulk.str_layout` packs, one block per node, without
+building the tree.  Levels run from the root down, in breadth-first
+order: a level's entries are its nodes' entries in node order, and
+directory entry ``i`` points to node ``i`` of the level below.  The page
+ids are the ones :func:`~repro.index.bulk.bulk_load` would allocate from
+the same layout, so the walk reads the pages the bulk-loaded tree's
+point query reads.
 
-The snapshot is immutable: a writer freezes a new one and publishes it
+The snapshot is immutable: a writer lays out a new one and publishes it
 with one attribute assignment, and a reader keeps the one it started
-with.  The walk counts its own pages — the blocks of the nodes it
-touches, each once per walk — and returns the page ids, instead of
-reading through a :class:`~repro.storage.page.PageManager`.
+with.  The walk counts its own pages — one per node it touches, each
+once per walk — and returns the page ids, instead of reading through a
+:class:`~repro.storage.page.PageManager`.
 """
 
 from __future__ import annotations
@@ -32,14 +34,8 @@ import numpy as np
 
 from ..storage.page import chaos_read
 from .bulk import LayoutLevel
-from .rstar import RStarTree
 
 __all__ = ["PackedLevel", "PackedTree", "Walk", "batched_point_query"]
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 @dataclass(frozen=True)
@@ -53,30 +49,12 @@ class PackedLevel:
     #: Node ``i`` holds entries ``offsets[i]:offsets[i + 1]``.
     offsets: np.ndarray  # (N + 1,)
     counts: np.ndarray  # (N,) entries per node
-    page_ids: np.ndarray  # (N,)
-    blocks: np.ndarray  # (N,) blocks per node (X-tree supernodes > 1)
-
-    @classmethod
-    def of(cls, lows, highs, ids, counts, page_ids, blocks) -> "PackedLevel":
-        """A level from entry-major ``(E, d)`` bounds and its nodes'
-        entry counts."""
-        counts = np.asarray(counts, dtype=np.int64)
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(
-            _frozen(np.ascontiguousarray(np.transpose(lows), np.float64)),
-            _frozen(np.ascontiguousarray(np.transpose(highs), np.float64)),
-            _frozen(np.asarray(ids, dtype=np.int64)),
-            _frozen(offsets),
-            _frozen(counts),
-            _frozen(np.asarray(page_ids, dtype=np.int64)),
-            _frozen(np.asarray(blocks, dtype=np.int64)),
-        )
+    page_ids: np.ndarray  # (N,) one block each
 
 
 @dataclass(frozen=True)
 class PackedTree:
-    """An immutable copy of a tree: its levels, root first."""
+    """An immutable packed tree: its levels, root first."""
 
     levels: "Tuple[PackedLevel, ...]"
 
@@ -89,8 +67,9 @@ class PackedTree:
         return len(self.levels)
 
     def total_blocks(self) -> int:
-        """Blocks over all nodes — the tree's on-disk footprint."""
-        return int(sum(int(level.blocks.sum()) for level in self.levels))
+        """Blocks over all nodes, one per node — the tree's on-disk
+        footprint."""
+        return sum(level.page_ids.size for level in self.levels)
 
     @classmethod
     def from_layout(cls, layout: "List[LayoutLevel]") -> "PackedTree":
@@ -102,39 +81,24 @@ class PackedTree:
             groups = [level.groups[i] for i in order.tolist()]
             entries = np.concatenate(groups)
             is_leaf = depth == len(layout) - 1
-            levels.append(PackedLevel.of(
-                level.lows[entries],
-                level.highs[entries],
-                level.ids[entries] if is_leaf else np.arange(entries.size),
-                [g.size for g in groups],
-                level.page_ids[order],
-                np.ones(order.size, dtype=np.int64),
-            ))
+            counts = np.array([g.size for g in groups], dtype=np.int64)
+            arrays = (
+                np.ascontiguousarray(level.lows[entries].T, np.float64),
+                np.ascontiguousarray(level.highs[entries].T, np.float64),
+                np.asarray(
+                    level.ids[entries] if is_leaf else np.arange(entries.size),
+                    dtype=np.int64,
+                ),
+                np.concatenate([[0], np.cumsum(counts)]),
+                counts,
+                np.asarray(level.page_ids[order], dtype=np.int64),
+            )
+            for array in arrays:
+                array.setflags(write=False)
+            levels.append(PackedLevel(*arrays))
             # Above the leaves, entry i of a level is node i below it.
             order = entries
         return cls(tuple(levels))
-
-    @classmethod
-    def freeze(cls, tree: RStarTree) -> "PackedTree":
-        """The snapshot of ``tree`` as it is now (uncounted reads)."""
-        pages = tree.pages
-        levels: "List[PackedLevel]" = []
-        order = [tree.root_id]
-        while True:
-            nodes = [pages.peek(page_id) for page_id in order]
-            is_leaf = nodes[0].is_leaf
-            ids = np.concatenate([node.ids for node in nodes])
-            levels.append(PackedLevel.of(
-                np.concatenate([node.lows for node in nodes]),
-                np.concatenate([node.highs for node in nodes]),
-                ids if is_leaf else np.arange(ids.size),
-                [node.n_entries for node in nodes],
-                order,
-                [pages.n_blocks_of(page_id) for page_id in order],
-            ))
-            if is_leaf:
-                return cls(tuple(levels))
-            order = ids.tolist()
 
 
 class Walk(NamedTuple):
@@ -146,7 +110,7 @@ class Walk(NamedTuple):
     entry: np.ndarray
     #: The entry's id (the owner, for a cell tree).
     owner: np.ndarray
-    #: Blocks of the nodes touched: the walk's page count.
+    #: Nodes touched, one page each: the walk's page count.
     pages: int
     #: Per level from the root, the nodes touched, each once.
     nodes: "Tuple[np.ndarray, ...]"
@@ -226,7 +190,7 @@ def batched_point_query(
     q = np.ascontiguousarray(q.T)  # axis-major, as the bounds
     root = tree.levels[0]
     touched = [_ROOT]
-    pages = int(root.blocks[0])
+    pages = 1
     if chaos is not None:
         chaos_read(chaos, int(root.page_ids[0]))
     # Every query reaches the root.
@@ -237,7 +201,7 @@ def batched_point_query(
         # reaches each node at most once.
         nodes = pair_node if m == 1 else np.unique(pair_node)
         touched.append(nodes)
-        pages += int(level.blocks[nodes].sum())
+        pages += int(nodes.size)
         if chaos is not None:
             for page_id in level.page_ids[nodes].tolist():
                 chaos_read(chaos, page_id)

@@ -250,11 +250,6 @@ class PageManager:
         """Disk blocks occupied by ``page_id``."""
         return self._pages[page_id].n_blocks
 
-    def peek(self, page_id: int) -> Any:
-        """A page payload, without counting an access: for copying a
-        tree into a read snapshot, which is not a modelled read."""
-        return self._pages[page_id].payload
-
     @property
     def next_page_id(self) -> int:
         """The id the next :meth:`allocate` returns."""

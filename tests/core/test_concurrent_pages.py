@@ -4,8 +4,8 @@ Every query path counts the pages it reads itself — the cell-tree walk,
 the branch-and-bound fallbacks and the k-NN sphere refinement — instead
 of taking a delta of the tree's shared access counters, which another
 thread's reads move in between.  Threads switching as often as the
-interpreter allows must see exactly the serial page counts, and a loaded
-index's lazily made cell tree must be made once.
+interpreter allows must see exactly the serial page counts, and the
+systems they read from a loaded index's cell columns must be equal.
 """
 
 import sys
@@ -77,13 +77,12 @@ def test_lazy_cell_state_is_made_once(tmp_path, index):
     seen = [None] * 4
 
     def run(slot):
-        seen[slot] = (loaded.cell_tree, loaded.constraint_system(0))
+        seen[slot] = loaded.constraint_system(0)
 
     run_threads(run, len(seen))
-    assert all(tree is seen[0][0] for tree, __ in seen)
     # Systems are views of the cell columns, made per call: equal, not one.
-    first = seen[0][1]
-    for __, system in seen:
+    first = seen[0]
+    for system in seen:
         assert system.a.tobytes() == first.a.tobytes()
         assert system.b.tobytes() == first.b.tobytes()
         assert system.point_ids.tobytes() == first.point_ids.tobytes()

@@ -13,6 +13,7 @@ from repro.core.candidates import SelectorKind
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import uniform_points
+from repro.geometry.halfspace import bisector, box_inside_halfspace
 
 
 def check_queries(index, rng, n_queries=30):
@@ -23,6 +24,53 @@ def check_queries(index, rng, n_queries=30):
         pid, dist, __ = index.nearest(q)
         __, true_dist = brute_nearest(q, live_points)
         assert dist == pytest.approx(true_dist), f"query {q} wrong"
+
+
+def assert_snapshot_holds_the_columns(index):
+    """The snapshot's leaves hold each rectangle of the cell columns once,
+    under its owner, and each directory entry is the bounding box of the
+    node it leads to."""
+    lows, highs, owners = index._cell_entries()
+    leaves = index.snapshot.leaves
+    assert sorted(zip(
+        leaves.ids.tolist(), leaves.lows.T.tolist(), leaves.highs.T.tolist()
+    )) == sorted(zip(owners.tolist(), lows.tolist(), highs.tolist()))
+    levels = index.snapshot.levels
+    for parent, child in zip(levels, levels[1:]):
+        assert parent.ids.tolist() == list(range(child.counts.size))
+        for entry, node in enumerate(parent.ids.tolist()):
+            rows = slice(child.offsets[node], child.offsets[node + 1])
+            assert np.array_equal(
+                parent.lows[:, entry], child.lows[:, rows].min(axis=1)
+            )
+            assert np.array_equal(
+                parent.highs[:, entry], child.highs[:, rows].max(axis=1)
+            )
+
+
+def assert_insert_refreshes_what_it_shrinks(index, p):
+    """``index.insert(p)`` leaves no cell stale: every other live cell has
+    all its rectangles on its own side of its bisector with ``p``, or a
+    system row of the new point."""
+    new = index.insert(p)
+    for cell in index.active_ids.tolist():
+        if cell == new:
+            continue
+        a, b = bisector(index.points[cell], p)
+        inside = all(
+            box_inside_halfspace(rect, a, b)
+            for rect in index.cell_rectangles(cell)
+        )
+        assert inside or new in index.constraint_system(cell).point_ids, (
+            f"insert of {p.tolist()} left cell {cell} stale"
+        )
+
+
+DECOMPOSED = BuildConfig(
+    page_size=256,
+    decompose=True,
+    decomposition=DecompositionConfig(k_max=12, strategy="grid"),
+)
 
 
 class TestInsert:
@@ -88,6 +136,28 @@ class TestInsert:
             index.insert(rng.uniform(size=3))
         check_queries(index, rng, n_queries=20)
 
+    def test_decomposed_piece_away_from_its_owner_is_refreshed(self):
+        """A decomposed cell's pieces cover it with boxes, and a piece
+        need not contain the cell's owner: here the insert shrinks cell
+        2, whose pieces a bound on where the owner lies would skip."""
+        points = np.array([
+            [0.07492076, 0.21611435], [0.1903842, 0.27977152],
+            [0.01185755, 0.2505271], [0.14897911, 0.13144539],
+            [0.14537565, 0.04050228],
+        ])
+        index = NNCellIndex.build(points, DECOMPOSED)
+        assert_insert_refreshes_what_it_shrinks(
+            index, np.array([0.2825789563922496, 0.7783516288617264])
+        )
+
+    def test_decomposed_clustered_inserts_refresh_what_they_shrink(self):
+        for seed in (0, 2, 4):
+            rng = np.random.default_rng(seed)
+            n = rng.integers(4, 12)
+            index = NNCellIndex.build(rng.random((n, 2)) * 0.3, DECOMPOSED)
+            for __ in range(3):
+                assert_insert_refreshes_what_it_shrinks(index, rng.random(2))
+
 
 class TestDelete:
     def test_delete_then_query(self, rng):
@@ -152,7 +222,7 @@ class TestMixedWorkload:
             else:
                 check_queries(index, rng, n_queries=3)
         check_queries(index, rng, n_queries=20)
-        index.cell_tree.validate()
+        assert_snapshot_holds_the_columns(index)
         index.data_tree.validate()
 
     def test_reinsert_after_delete_same_location(self, rng):

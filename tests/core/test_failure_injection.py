@@ -13,8 +13,9 @@ import pytest
 
 from helpers import brute_nearest
 from repro.core.candidates import SelectorKind
-from repro.core.nncell_index import BuildConfig, NNCellIndex
+from repro.core.nncell_index import BuildConfig, NNCellIndex, make_tree
 from repro.data import diagonal_points, uniform_points
+from repro.index.bulk import str_layout
 from repro.index.packed import PackedTree
 
 
@@ -25,10 +26,13 @@ class TestSafetyNets:
         on the data index and stay exact."""
         points = uniform_points(40, 3, seed=171)
         index = NNCellIndex.build(points)
-        tree = index.cell_tree
-        for pid, rect in index.all_cell_rectangles():
-            assert tree.delete(rect.low, rect.high, pid)
-        index.snapshot = PackedTree.freeze(tree)  # what queries read
+        lows, highs, owners = index._cell_entries()
+        # Every rectangle moved outside the data space: no query inside
+        # it finds a candidate.
+        index.snapshot = PackedTree.from_layout(str_layout(
+            make_tree(3, index.config, 3 * 8 * 3 + 8),
+            lows + 10.0, highs + 10.0, owners,
+        ))
         for __ in range(20):
             q = rng.uniform(size=3)
             pid, dist, info = index.nearest(q)

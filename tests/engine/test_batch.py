@@ -9,6 +9,7 @@ reading strictly fewer pages than the per-query walks combined.
 import numpy as np
 import pytest
 
+from helpers import cell_tree
 from repro.core.candidates import SelectorKind
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import query_points, uniform_points
@@ -116,9 +117,10 @@ class TestBatchedPointQuery:
         walk = batched_point_query(
             index.snapshot, queries, atol=index.config.query_atol
         )
+        tree = cell_tree(index)
         for j, q in enumerate(queries):
             expected = np.unique(
-                index.cell_tree.point_query(q, atol=index.config.query_atol)
+                tree.point_query(q, atol=index.config.query_atol)
             )
             got = np.unique(walk.owner[walk.query == j])
             assert np.array_equal(got, expected)

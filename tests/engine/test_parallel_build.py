@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from helpers import snapshots_equal
 from repro.core.candidates import SelectorKind
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import uniform_points
@@ -79,9 +80,7 @@ class TestParity:
         serial = build(points)
         parallel = build(points, workers=workers)
         assert cells_signature(serial) == cells_signature(parallel)
-        assert tree_signature(serial.cell_tree) == tree_signature(
-            parallel.cell_tree
-        )
+        assert snapshots_equal(serial.snapshot, parallel.snapshot)
         assert tree_signature(serial.data_tree) == tree_signature(
             parallel.data_tree
         )
@@ -91,9 +90,7 @@ class TestParity:
         serial = build(points)
         parallel = build(points, workers=2)
         assert cells_signature(serial) == cells_signature(parallel)
-        assert tree_signature(serial.cell_tree) == tree_signature(
-            parallel.cell_tree
-        )
+        assert snapshots_equal(serial.snapshot, parallel.snapshot)
 
     def test_sphere_selector_build_identical(self):
         points = uniform_points(36, 2, seed=11)
@@ -122,9 +119,7 @@ class TestParity:
         serial = build(points, decompose=True)
         parallel = build(points, decompose=True, workers=2)
         assert cells_signature(serial) == cells_signature(parallel)
-        assert tree_signature(serial.cell_tree) == tree_signature(
-            parallel.cell_tree
-        )
+        assert snapshots_equal(serial.snapshot, parallel.snapshot)
 
     def test_parallel_index_answers_queries(self):
         points = uniform_points(50, 3, seed=2)

@@ -1,6 +1,6 @@
-"""Shared reference implementations for tests (brute-force baselines),
-a batch function that holds a service's flush, and a loader for the
-standalone scripts in ``tools/``."""
+"""Shared reference implementations for tests (brute-force baselines,
+the cell tree a snapshot packs), a batch function that holds a service's
+flush, and a loader for the standalone scripts in ``tools/``."""
 
 import importlib.util
 import threading
@@ -39,6 +39,31 @@ class Stall:
         self.entered.set()
         assert self.release.wait(10.0), "stalled batch never released"
         return self.index.query_batch(points, batch_size=batch_size)
+
+
+def cell_tree(index):
+    """The cell tree STR packs from ``index``'s current columns, bulk
+    loaded: the oracle of the packed walk.  Its ``point_query`` finds the
+    owners the walk of ``index.snapshot`` finds and reads, as logical
+    reads, the pages that walk counts."""
+    from repro.core.nncell_index import make_tree
+    from repro.index.bulk import bulk_load
+
+    dim = index.dim
+    tree = make_tree(dim, index.config, 3 * 8 * dim + 8)
+    return bulk_load(tree, *index._cell_entries())
+
+
+def snapshots_equal(a, b):
+    """Two packed snapshots hold the same arrays, byte for byte."""
+    if a.height != b.height:
+        return False
+    return all(
+        getattr(x, f).dtype == getattr(y, f).dtype
+        and getattr(x, f).tobytes() == getattr(y, f).tobytes()
+        for x, y in zip(a.levels, b.levels)
+        for f in ("lows", "highs", "ids", "offsets", "counts", "page_ids")
+    )
 
 
 def brute_nearest(query, points):

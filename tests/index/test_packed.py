@@ -1,8 +1,10 @@
-"""The packed read snapshot and its walk, against the mutable tree.
+"""The packed read snapshot and its walk, against the bulk-loaded tree.
 
-``RStarTree.point_query`` is the oracle: the walk must find the same
-entries, read the same pages (ids and blocks) and count the same pages
-as the logical reads of the tree walk.
+A snapshot is laid out from :func:`~repro.index.bulk.str_layout`; the
+tree :func:`~repro.index.bulk.bulk_load` builds from the same layout is
+the oracle.  Its nodes are the snapshot's, and its ``point_query`` finds
+the entries the walk finds, reads the pages the walk reads and counts
+them as logical reads.
 """
 
 import tracemalloc
@@ -36,14 +38,31 @@ def rectangles(rng, n, dim, spread=0.3):
     return lows, lows + rng.uniform(0.0, spread, size=(n, dim))
 
 
-def assert_same_snapshot(a, b):
-    assert a.height == b.height
-    for level_a, level_b in zip(a.levels, b.levels):
-        for field in ("lows", "highs", "ids", "offsets", "counts",
-                      "page_ids", "blocks"):
-            x, y = getattr(level_a, field), getattr(level_b, field)
-            assert x.dtype == y.dtype and x.shape == y.shape, field
-            assert x.tobytes() == y.tobytes(), field
+def packed_and_loaded(tree, lows, highs, ids):
+    """The snapshot laid out for the empty ``tree``, and the tree bulk
+    loaded from the same layout."""
+    snapshot = PackedTree.from_layout(str_layout(tree, lows, highs, ids))
+    return snapshot, bulk_load(tree, lows, highs, ids)
+
+
+def assert_nodes_match(snapshot, tree):
+    """Node ``i`` of each snapshot level is the tree node on page
+    ``page_ids[i]``: the same bounds, and the same owners (leaves) or
+    children (directory levels), in the same order."""
+    assert snapshot.levels[0].page_ids.tolist() == [tree.root_id]
+    for depth, level in enumerate(snapshot.levels):
+        for i, page_id in enumerate(level.page_ids.tolist()):
+            node = tree.pages.read(page_id)
+            rows = slice(level.offsets[i], level.offsets[i + 1])
+            assert np.array_equal(level.lows[:, rows].T, node.lows)
+            assert np.array_equal(level.highs[:, rows].T, node.highs)
+            if node.is_leaf:
+                assert depth == snapshot.height - 1
+                assert np.array_equal(level.ids[rows], node.ids)
+            else:
+                below = snapshot.levels[depth + 1].page_ids
+                assert np.array_equal(below[level.ids[rows]], node.ids)
+    assert snapshot.total_blocks() == tree.pages.total_blocks()
 
 
 def reference(tree, query, atol):
@@ -71,7 +90,7 @@ def assert_walk_matches(tree, snapshot, queries, atol):
         union.update(pages)
     # A batch touches each node on the union of the paths once.
     assert sorted(walk.page_ids()) == sorted(union)
-    assert walk.pages == sum(tree.pages.n_blocks_of(p) for p in union)
+    assert walk.pages == len(union)
 
 
 @pytest.mark.parametrize("kind", [RStarTree, XTree])
@@ -82,28 +101,34 @@ def test_layout_snapshot_equals_frozen_bulk_load(kind, n, dim, page_size, rng):
     lows, highs = rectangles(rng, n, dim)
     owners = rng.integers(0, 40, size=n)
     tree = kind(dim, page_size=page_size, leaf_entry_bytes=3 * 8 * dim + 8)
-    layout = str_layout(tree, lows, highs, owners)
-    bulk_load(tree, lows, highs, owners)
+    snapshot, tree = packed_and_loaded(tree, lows, highs, owners)
     tree.validate()
-    laid_out = PackedTree.from_layout(layout)
-    assert_same_snapshot(laid_out, PackedTree.freeze(tree))
-    assert laid_out.total_blocks() == tree.pages.total_blocks()
-    assert_walk_matches(tree, laid_out, rng.uniform(size=(15, dim)), 1e-9)
+    assert_nodes_match(snapshot, tree)
+    assert_walk_matches(tree, snapshot, rng.uniform(size=(15, dim)), 1e-9)
 
 
 @pytest.mark.parametrize("atol", [0.0, 1e-9, 0.05])
 def test_walk_matches_point_query_on_an_inserted_xtree(atol, rng):
+    """The walk's pairs depend on the entries only: a snapshot laid out
+    from an insertion-built X-tree's entries (supernodes and all) finds
+    what that tree's point query finds, at any tolerance."""
     dim = 4
-    tree = XTree(dim, page_size=256)
+    inserted = XTree(dim, page_size=256)
     lows, highs = rectangles(rng, 150, dim, spread=0.6)
     for i in range(150):
-        tree.insert(lows[i], highs[i], i)
+        inserted.insert(lows[i], highs[i], i)
+    kept = np.array([i for i in range(150) if i % 7])
     for i in range(0, 150, 7):
-        assert tree.delete(lows[i], highs[i], i)
-    snapshot = PackedTree.freeze(tree)
-    assert max(int(level.blocks.max()) for level in snapshot.levels) > 1
-    assert snapshot.total_blocks() == tree.pages.total_blocks()
+        assert inserted.delete(lows[i], highs[i], i)
+    assert inserted.pages.total_blocks() > inserted.pages.n_pages
+    snapshot, tree = packed_and_loaded(
+        XTree(dim, page_size=256), lows[kept], highs[kept], kept
+    )
     queries = rng.uniform(-0.1, 1.3, size=(30, dim))
+    walk = batched_point_query(snapshot, queries, atol)
+    for j, q in enumerate(queries):
+        expected = sorted(inserted.point_query(q, atol))
+        assert sorted(walk.owner[walk.query == j]) == expected
     assert_walk_matches(tree, snapshot, queries, atol)
 
 
@@ -113,12 +138,13 @@ def test_block_and_pair_tests_agree(share, rng, monkeypatch):
     one each) find the tree walk's pairs and pages."""
     monkeypatch.setattr(packed, "_BLOCK_SHARE", share)
     dim = 3
-    tree = XTree(dim, page_size=512)
     lows, highs = rectangles(rng, 300, dim, spread=0.2)
-    for i in range(300):
-        tree.insert(lows[i], highs[i], i)
+    snapshot, tree = packed_and_loaded(
+        XTree(dim, page_size=512), lows, highs, np.arange(300)
+    )
+    assert snapshot.height > 2
     queries = rng.uniform(-0.1, 1.2, size=(40, dim))
-    assert_walk_matches(tree, PackedTree.freeze(tree), queries, 1e-9)
+    assert_walk_matches(tree, snapshot, queries, 1e-9)
 
 
 def test_whole_batch_on_a_large_low_dimensional_tree(rng):
@@ -133,11 +159,10 @@ def test_whole_batch_on_a_large_low_dimensional_tree(rng):
     n, dim, m = 20_000, 2, 2_000
     centres = rng.uniform(size=(n, dim))
     half = 0.6 / np.sqrt(n)
-    tree = bulk_load(
+    snapshot, tree = packed_and_loaded(
         RStarTree(dim, leaf_entry_bytes=3 * 8 * dim + 8),
         centres - half, centres + half, np.arange(n),
     )
-    snapshot = PackedTree.freeze(tree)
     queries = rng.uniform(size=(m, dim))
     tracemalloc.start()
     try:
@@ -155,29 +180,37 @@ def test_whole_batch_on_a_large_low_dimensional_tree(rng):
 
 
 def test_empty_tree_reads_its_root():
-    tree = RStarTree(3)
-    snapshot = PackedTree.freeze(tree)
+    empty = np.zeros((0, 3))
+    snapshot = PackedTree.from_layout(
+        str_layout(RStarTree(3), empty, empty, np.zeros(0, dtype=np.int64))
+    )
     walk = batched_point_query(snapshot, np.zeros((2, 3)))
     assert walk.owner.size == 0
-    assert walk.pages == 1 and walk.page_ids().tolist() == [tree.root_id]
+    assert walk.pages == 1
+    assert walk.page_ids().tolist() == snapshot.levels[0].page_ids.tolist()
     assert batched_point_query(snapshot, np.zeros((0, 3))).pages == 0
 
 
 def test_snapshot_is_immutable(rng):
     lows, highs = rectangles(rng, 50, 2)
-    tree = bulk_load(RStarTree(2), lows, highs, np.arange(50))
-    snapshot = PackedTree.freeze(tree)
+    ids = np.arange(50)
+    snapshot = PackedTree.from_layout(
+        str_layout(RStarTree(2), lows, highs, ids)
+    )
     with pytest.raises(ValueError, match="read-only"):
         snapshot.leaves.lows[0, 0] = 1.0
-    tree.insert(lows[0], highs[0], 99)  # the tree moves on; the copy not
+    ids[:] = 99  # the inputs move on; the snapshot not
+    lows[:] = 5.0
     assert 99 not in snapshot.leaves.ids
+    assert snapshot.leaves.lows.max() < 5.0
 
 
 class TestChaos:
     def test_every_touched_node_is_one_read_attempt(self, rng):
         lows, highs = rectangles(rng, 200, 3)
-        tree = bulk_load(RStarTree(3), lows, highs, np.arange(200))
-        snapshot = PackedTree.freeze(tree)
+        snapshot = PackedTree.from_layout(
+            str_layout(RStarTree(3), lows, highs, np.arange(200))
+        )
         log = PageLog()
         walk = batched_point_query(snapshot, rng.uniform(size=(8, 3)),
                                    chaos=log)
@@ -185,8 +218,9 @@ class TestChaos:
 
     def test_flaky_reads_retry_then_propagate(self, rng):
         lows, highs = rectangles(rng, 30, 2)
-        tree = bulk_load(RStarTree(2), lows, highs, np.arange(30))
-        snapshot = PackedTree.freeze(tree)
+        snapshot = PackedTree.from_layout(
+            str_layout(RStarTree(2), lows, highs, np.arange(30))
+        )
         q = rng.uniform(size=(1, 2))
         clean = batched_point_query(snapshot, q)
         with metrics.collecting(fresh=True) as registry:

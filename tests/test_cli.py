@@ -421,6 +421,44 @@ class TestServeCommand:
         assert "timeout_ms" in responses[0]["message"]
         assert [r["id"] for r in responses] == [1, 2]
 
+    @pytest.mark.parametrize("point, word", [
+        ("[1" + "0" * 400 + ", 0.5, 0.5]", "too large"),
+        ("[true, 0.5, 0.5]", "numbers"),
+        ('["0.5", 0.5, 0.5]', "numbers"),
+    ], ids=["huge_int", "bool", "string"])
+    def test_malformed_coordinate_is_a_bad_request(
+        self, monkeypatch, capsys, index_path, point, word
+    ):
+        """A coordinate that is not a number a float can hold -- a bool,
+        a string, or an integer past the float range -- is answered and
+        the next line served."""
+        code, responses, __ = self.serve(
+            monkeypatch, capsys, index_path,
+            f'{{"id": 1, "point": {point}}}\n'
+            '{"id": 2, "point": [0.4, 0.4, 0.4]}\n',
+        )
+        assert code == 0
+        assert [r["ok"] for r in responses] == [False, True]
+        assert responses[0]["error"] == "bad_request"
+        assert word in responses[0]["message"]
+        assert [r["id"] for r in responses] == [1, 2]
+
+    @pytest.mark.parametrize("explain", ['"no"', "1", "0", "null", "[]"])
+    def test_malformed_explain_is_a_bad_request(
+        self, monkeypatch, capsys, index_path, explain
+    ):
+        code, responses, __ = self.serve(
+            monkeypatch, capsys, index_path,
+            f'{{"id": 1, "point": [0.5, 0.5, 0.5], "explain": {explain}}}\n'
+            '{"id": 2, "point": [0.4, 0.4, 0.4], "explain": false}\n',
+        )
+        assert code == 0
+        assert [r["ok"] for r in responses] == [False, True]
+        assert responses[0]["error"] == "bad_request"
+        assert "explain" in responses[0]["message"]
+        assert [r["id"] for r in responses] == [1, 2]
+        assert "explain" not in responses[1]
+
     def test_huge_finite_timeout_is_answered(
         self, monkeypatch, capsys, index_path
     ):

@@ -231,7 +231,8 @@ def leg_serve(workdir: Path) -> str:
     """Served answers equal serial ``nearest`` and really batch; a
     failing batch engine and a full queue degrade into typed, counted
     outcomes; ``repro serve --stats`` round-trips JSONL, answering a
-    malformed timeout ``bad_request`` without going down."""
+    malformed timeout and an integer coordinate past the float range
+    ``bad_request`` without going down."""
     index = NNCellIndex.build(uniform_points(120, 4, seed=5))
     mid = np.full(index.dim, 0.5)
     with metrics.collecting(fresh=True) as registry:
@@ -274,21 +275,26 @@ def leg_serve(workdir: Path) -> str:
         counted = registry.counter("serve.rejected").value
         check(counted == rejected, f"serve.rejected {counted:.0f} != {rejected}")
 
-    # A malformed timeout is answered bad_request; the process serves on.
+    # A malformed timeout or coordinate is answered bad_request; the
+    # process serves on.
     archive = build(workdir / "serve50.npz", 50, 3)
     requests = (
         "[0.5, 0.5, 0.5]\n"
         '{"id": 2, "point": [0.5, 0.5, 0.5], "timeout_ms": "5"}\n'
         '{"id": 3, "point": [0.5, 0.5, 0.5], "timeout_ms": Infinity}\n'
+        f'{{"id": 4, "point": [1{"0" * 400}, 0.5, 0.5]}}\n'
         '{"id": 1, "point": [0.1, 0.2, 0.3]}\n'
     )
     out = repro("serve", archive, "--stats", stdin=requests)
     lines = [json.loads(line) for line in out.splitlines()]
     oks = [r["ok"] for r in lines]
-    check(oks == [True, False, False, True], f"JSONL: {lines}")
-    bad = [(r["id"], r["error"]) for r in lines[1:3]]
-    check(bad == [(2, "bad_request"), (3, "bad_request")], f"JSONL: {lines}")
-    check(lines[3]["id"] == 1, f"request id not echoed: {lines[3]}")
+    check(oks == [True, False, False, False, True], f"JSONL: {lines}")
+    bad = [(r["id"], r["error"]) for r in lines[1:4]]
+    check(
+        bad == [(2, "bad_request"), (3, "bad_request"), (4, "bad_request")],
+        f"JSONL: {lines}",
+    )
+    check(lines[4]["id"] == 1, f"request id not echoed: {lines[4]}")
     return f"mean batch {stats['mean_batch_size']:.2f}, {rejected} rejections"
 
 
