@@ -68,7 +68,7 @@ def main() -> None:
         catalogue, BuildConfig(selector=SelectorKind.NN_DIRECTION)
     )
     with tempfile.TemporaryDirectory() as tmp:
-        archive = Path(tmp) / "catalogue_index.npz"
+        archive = Path(tmp) / "catalogue_index.nnc"
         save_index(plain, archive)
         restored = load_index(archive)
         a = plain.nearest(query)[0]

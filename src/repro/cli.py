@@ -37,21 +37,21 @@ batched index walk instead of one walk per query (docs/scaling.md).
 
 Examples::
 
-    python -m repro build --dataset uniform --n 500 --dim 6 --out idx.npz
+    python -m repro build --dataset uniform --n 500 --dim 6 --out idx.nnc
     python -m repro build --dataset uniform --n 2000 --dim 16 \
-        --selector nn-direction --workers 0 --out idx.npz
-    python -m repro query idx.npz --point 0.5,0.5,0.5,0.5,0.5,0.5 -k 3
-    python -m repro query idx.npz --batch queries.npy
-    echo '[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]' | python -m repro serve idx.npz
-    python -m repro serve idx.npz --metrics-port 9100 --stats-interval 5
-    python -m repro explain idx.npz --point 0.5,0.5,0.5,0.5,0.5,0.5
-    python -m repro info idx.npz
-    python -m repro stats idx.npz --live
-    python -m repro stats idx.npz --watch --duration 10
+        --selector nn-direction --workers 0 --out idx.nnc
+    python -m repro query idx.nnc --point 0.5,0.5,0.5,0.5,0.5,0.5 -k 3
+    python -m repro query idx.nnc --batch queries.npy
+    echo '[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]' | python -m repro serve idx.nnc
+    python -m repro serve idx.nnc --metrics-port 9100 --stats-interval 5
+    python -m repro explain idx.nnc --point 0.5,0.5,0.5,0.5,0.5,0.5
+    python -m repro info idx.nnc
+    python -m repro stats idx.nnc --live
+    python -m repro stats idx.nnc --watch --duration 10
     python -m repro analyze fleet --workload capture.jsonl --json
     python -m repro replay fleet --workload capture.jsonl --mode batch
     python -m repro build --dataset uniform --n 200 --dim 4 \
-        --out idx.npz --profile build_profile.json
+        --out idx.nnc --profile build_profile.json
     python -m repro experiment figure4 --param dims=2,4 --param n_points=50
 """
 
@@ -166,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="hash",
                        help="point-to-shard routing policy (with --shards)")
     build.add_argument("--out", type=Path, required=True,
-                       help="output .npz archive (a directory with"
-                            " --shards)")
+                       help="output archive file, written at exactly this"
+                            " path (a directory with --shards)")
     _add_profile_argument(build)
     build.set_defaults(handler=_cmd_build)
 

@@ -4,11 +4,11 @@ Precomputing the solution space is the expensive step of the paper's
 approach (thousands of LPs), so a production deployment computes it once
 and reuses it.  This module serialises everything the precomputation
 produced — the points, each cell's constraint system and its (decomposed)
-rectangle approximations — into a single ``.npz`` archive.
+rectangle approximations — into a single archive file.
 
 The archive stores *results*, not tree pages: the trees are rebuilt from
 the stored rectangles deterministically, keeping the format independent
-of node-layout details.  Its cell members are the index's own cell store
+of node-layout details.  Its cell columns are the index's own cell store
 (:attr:`NNCellIndex.cells`), which a build concatenates, a write splices
 and a save writes as it is.  A load makes only what a query reads: it
 bulk-loads the data tree (fallback queries search it) and lays the
@@ -16,12 +16,22 @@ rectangles out, as a bulk load would, straight into the packed cell-tree
 snapshot the queries walk, the snapshot a build or a write lays out from
 the same columns.
 
-Format version 4 has eleven members, whatever the number of points:
+Format version 5 is one file in three parts:
 
-* ``meta`` — one JSON object: ``format_version`` and every
-  :class:`BuildConfig` field but ``data_space`` (stored as ``box``) and
-  ``workers`` (how the build ran, not what it made).  Nested configs
-  are JSON objects; ``selector`` is stored by its value;
+* a 24-byte preamble: the magic ``b"\\x93NNCELL\\0"``, the length of the
+  header and a ``zlib.crc32`` of every byte after the preamble, the
+  last two as little-endian u64;
+* the header: one UTF-8 JSON object with sorted keys, padded with
+  spaces to a multiple of 8 bytes.  ``format_version`` is 5; ``meta``
+  holds every :class:`BuildConfig` field but ``data_space`` (stored as
+  the ``box`` column) and ``workers`` (how the build ran, not what it
+  made), nested configs as JSON objects and ``selector`` by its value;
+  ``columns`` lists one ``[name, dtype, shape]`` entry per column;
+* the columns' little-endian C-order bytes in table order, each
+  zero-padded to a multiple of 8 bytes so that every column is aligned.
+
+An index archive has ten columns, whatever the number of points:
+
 * ``points``, ``active`` — every point row (deleted points keep their
   slots) and the active mask;
 * ``box`` — the data space as one ``(2, d)`` array, ``low`` then
@@ -32,19 +42,26 @@ Format version 4 has eleven members, whatever the number of points:
 
 Each per-cell field is one column concatenated over the active cells in
 id order, with CSR offsets: cell ``i`` (the ``i``-th active id) owns
-rows ``offsets[i]:offsets[i + 1]``.  Members are stored, not deflated:
-the float columns deflate by only a few percent, and inflating them was
-most of the cost of a load.
+rows ``offsets[i]:offsets[i + 1]``.  A save streams the header and each
+column's own buffer, so two saves of one index are the same bytes; a
+load reads the file with one read into one read-only buffer, verifies
+the checksum, parses the header and takes every column as a view of
+that buffer.
 
-Archives are outside input.  :func:`load_index` reads ``meta`` first
-with the checker the sharded manifest's ``shard_config`` also goes
-through (exactly the config's keys, each of its default's type, floats
-finite, enum values known, then the config's own checks), then checks
-that the columns fit together, that every float is finite and — over
-whole columns — what the per-cell constraint-system and rectangle
-constructors would check, and raises a ``ValueError`` naming the key or
-field otherwise.  Versions 1 to 3 are refused (a version-3 archive does
-not say which decomposition built it); rebuild them with ``repro build``.
+Archives are outside input.  The container holds only ``<f8``, ``<i8``
+and ``|b1`` columns (nothing is unpickled), every shape is a list of
+non-negative ints and the columns end exactly at the end of the file.
+:func:`load_index` requires exactly its ten columns, each of its dtype;
+reads ``meta`` with the checker the sharded manifest's ``shard_config``
+also goes through (exactly the config's keys, each of its default's
+type, floats finite, enum values known, then the config's own checks);
+then checks that the columns fit together, that every float is finite
+and — over whole columns — what the per-cell constraint-system and
+rectangle constructors would check.  Any failure, a damaged or truncated
+file included, is a ``ValueError`` naming the key or column.  A file
+without the magic is refused, every ``.npz`` archive of versions 1 to 4
+included, and so is any other header version: rebuild the index with
+``repro build``.
 """
 
 from __future__ import annotations
@@ -53,6 +70,8 @@ import dataclasses
 import enum
 import json
 import math
+import struct
+import zlib
 from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
@@ -70,49 +89,77 @@ __all__ = [
     "save_sharded_index",
 ]
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
-_SHARD_FORMAT_VERSION = 2
+#: Magic, header length and the crc32 of every byte after the preamble.
+_PREAMBLE = struct.Struct("<8sQQ")
+_MAGIC = b"\x93NNCELL\0"
+
+#: The header and every column start at a multiple of this many bytes.
+_ALIGN = 8
+
+#: The column dtypes an archive may hold.
+_DTYPES = ("<f8", "<i8", "|b1")
+
+_SHARD_FORMAT_VERSION = 3
 _SHARD_MANIFEST = "manifest.json"
-_SHARD_GLOBALS = "global.npz"
+_SHARD_GLOBALS = "global.nnc"
 
 #: The :class:`BuildConfig` fields ``meta`` leaves out.
 _UNSTORED = ("data_space", "workers")
 
-#: The per-cell members, which a loaded index keeps.
+#: An index archive's columns, in file order, and their dtypes.
+_COLUMNS = {
+    "points": "<f8",
+    "active": "|b1",
+    "box": "<f8",
+    "sys_offsets": "<i8",
+    "sys_a": "<f8",
+    "sys_b": "<f8",
+    "sys_ids": "<i8",
+    "rect_offsets": "<i8",
+    "rect_lows": "<f8",
+    "rect_highs": "<f8",
+}
+
+#: The columns of a sharded archive's global member and their dtypes.
+_GLOBAL_COLUMNS = {
+    "points": "<f8",
+    "active": "|b1",
+    "shard_of": "<i8",
+    "local_of": "<i8",
+}
+
+#: The per-cell columns, which a loaded index keeps.
 _CELL_ARRAYS = tuple(
     name for offsets, columns in CELL_COLUMNS.items()
     for name in (offsets, *columns)
 )
 
-#: The array members besides ``meta``.
-_ARRAYS = ("points", "active", "box") + _CELL_ARRAYS
-
-#: The float members; every value in them must be finite.
-_FLOATS = ("points", "box", "sys_a", "sys_b", "rect_lows", "rect_highs")
+#: The float columns; every value in them must be finite.
+_FLOATS = tuple(name for name, dtype in _COLUMNS.items() if dtype == "<f8")
 
 
 def save_index(index: NNCellIndex, path: "Union[str, Path]") -> None:
-    """Serialise a built index to ``path`` (a ``.npz`` archive)."""
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        **_config_doc(index.config, _UNSTORED),
-    }
-    arrays = {
-        "meta": np.bytes_(json.dumps(meta, sort_keys=True).encode()),
+    """Serialise a built index to the file ``path``, exactly that path."""
+    columns = {
         "points": index.points,
         "active": index._active,
         "box": np.stack([index.box.low, index.box.high]),
         **index.cells,
     }
-    np.savez(Path(path), **arrays)
+    _write_archive(
+        path,
+        _config_doc(index.config, _UNSTORED),
+        {name: columns[name] for name in _COLUMNS},
+    )
 
 
 def load_index(path: "Union[str, Path]") -> NNCellIndex:
     """Rebuild an index saved with :func:`save_index`."""
-    with np.load(Path(path)) as archive:
-        config = _read_meta(archive)
-        fields = {name: archive[name] for name in _ARRAYS}
+    meta, fields = _read_archive(path)
+    _require_columns(fields, _COLUMNS, f"index archive {path}")
+    config = _read_config(BuildConfig, meta, "index archive meta", _UNSTORED)
     _check_columns(fields)
     _check_cells(fields)
     config = dataclasses.replace(config, data_space=MBR(*fields["box"]))
@@ -122,31 +169,169 @@ def load_index(path: "Union[str, Path]") -> NNCellIndex:
     )
 
 
-def _version_error(version: Any) -> ValueError:
-    return ValueError(
-        f"unsupported index archive version {version} "
-        f"(expected {_FORMAT_VERSION}); rebuild the index with `repro build`"
-    )
+def _write_archive(
+    path: "Union[str, Path]",
+    meta: "Dict[str, Any]",
+    columns: "Dict[str, np.ndarray]",
+) -> None:
+    """Write the JSON object ``meta`` and ``columns`` to the file
+    ``path`` as a format-5 archive.
+
+    Each (contiguous) column's own buffer is written and fed to the
+    checksum in turn, never copied or joined; the checksum goes into the
+    preamble last.
+    """
+    for name, column in columns.items():
+        if column.dtype.str not in _DTYPES:
+            raise ValueError(
+                f"column {name!r} has dtype {column.dtype.str!r}, not one "
+                f"of {list(_DTYPES)}"
+            )
+    header = json.dumps(
+        {
+            "columns": [
+                [name, column.dtype.str, list(column.shape)]
+                for name, column in columns.items()
+            ],
+            "format_version": _FORMAT_VERSION,
+            "meta": meta,
+        },
+        sort_keys=True,
+    ).encode()
+    header += b" " * _padding(len(header))
+    chunks = [header]
+    for column in columns.values():
+        chunks += [
+            column.reshape(-1).view(np.uint8), bytes(_padding(column.nbytes))
+        ]
+    checksum = 0
+    with open(path, "wb") as out:
+        out.seek(_PREAMBLE.size)
+        for chunk in chunks:
+            out.write(chunk)
+            checksum = zlib.crc32(chunk, checksum)
+        out.seek(0)
+        out.write(_PREAMBLE.pack(_MAGIC, len(header), checksum))
 
 
-def _read_meta(archive) -> BuildConfig:
-    """The build config of the archive's ``meta`` object, its version
-    and every key checked by :func:`_read_config`."""
-    if "meta" not in archive.files:
-        if "format_version" not in archive.files:
-            raise ValueError("not an index archive: no member 'meta'")
-        # Versions 1 and 2 kept the version in a member of its own.
-        raise _version_error(int(archive["format_version"]))
+def _padding(size: int) -> int:
+    """The zero bytes that take ``size`` to a multiple of ``_ALIGN``."""
+    return -size % _ALIGN
+
+
+def _read_archive(
+    path: "Union[str, Path]",
+) -> "Tuple[Dict[str, Any], Dict[str, np.ndarray]]":
+    """The ``meta`` object and the columns of the archive at ``path``.
+
+    The file is read with one read into one read-only buffer, and every
+    column is a view of it.  Raises ``ValueError`` naming the problem
+    unless the file has the magic and its checksum, a format-5 header
+    whose column table is well formed, and columns that end exactly at
+    the end of the file.
+    """
+    where = f"index archive {path}"
+    data = np.fromfile(Path(path), dtype=np.uint8)
+    data.setflags(write=False)
+    if data[:len(_MAGIC)].tobytes() != _MAGIC:
+        raise ValueError(
+            f"{path} is not an index archive (archives of format 4 and "
+            "older are .npz files); rebuild the index with `repro build`"
+        )
+    if data.size < _PREAMBLE.size:
+        raise ValueError(
+            f"{where} is truncated: {data.size} bytes, shorter than its "
+            f"{_PREAMBLE.size}-byte preamble"
+        )
+    __, size, checksum = _PREAMBLE.unpack(data[:_PREAMBLE.size].tobytes())
+    body = data[_PREAMBLE.size:]
+    if zlib.crc32(body) != checksum:
+        raise ValueError(
+            f"{where} fails its checksum: the file is truncated or damaged"
+        )
+    if size > body.size:
+        raise ValueError(
+            f"{where}: header length {size} runs past the end of the file"
+        )
     try:
-        meta = json.loads(archive["meta"].item())
-    except (TypeError, ValueError):
-        meta = None
-    if not isinstance(meta, dict):
-        raise ValueError("index archive member 'meta' is not a JSON object")
-    version = meta.pop("format_version", None)
+        header = json.loads(body[:size].tobytes().decode())
+    except (ValueError, RecursionError):
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError(f"{where}: header is not a JSON object")
+    version = header.get("format_version")
     if type(version) is not int or version != _FORMAT_VERSION:
-        raise _version_error(version)
-    return _read_config(BuildConfig, meta, "index archive meta", _UNSTORED)
+        raise ValueError(
+            f"unsupported index archive version {version} (expected "
+            f"{_FORMAT_VERSION}); rebuild the index with `repro build`"
+        )
+    odd = sorted(header.keys() ^ {"columns", "format_version", "meta"})
+    if odd:
+        state = "unknown" if odd[0] in header else "no"
+        raise ValueError(f"{where}: header has {state} key {odd[0]!r}")
+    meta, table = header["meta"], header["columns"]
+    if not isinstance(meta, dict):
+        raise ValueError(f"{where}: header key 'meta' is not a JSON object")
+    if not isinstance(table, list):
+        raise ValueError(f"{where}: header key 'columns' is not a list")
+    columns: "Dict[str, np.ndarray]" = {}
+    offset, last = size, "its header"
+    for entry in table:
+        if not (
+            isinstance(entry, list) and len(entry) == 3
+            and isinstance(entry[0], str)
+        ):
+            raise ValueError(
+                f"{where}: column entry {entry!r} is not [name, dtype, shape]"
+            )
+        name, dtype, shape = entry
+        if name in columns:
+            raise ValueError(f"{where}: column {name!r} appears twice")
+        if dtype not in _DTYPES:
+            raise ValueError(
+                f"{where}: column {name!r} has dtype {dtype!r}, not one of "
+                f"{list(_DTYPES)}"
+            )
+        if not (
+            isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise ValueError(
+                f"{where}: column {name!r} has shape {shape!r}, not a list "
+                "of non-negative ints"
+            )
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if offset + nbytes + _padding(nbytes) > body.size:
+            raise ValueError(
+                f"{where}: column {name!r} runs past the end of the file"
+            )
+        columns[name] = body[offset:offset + nbytes].view(dtype).reshape(shape)
+        offset += nbytes + _padding(nbytes)
+        last = f"column {name!r}"
+    if offset != body.size:
+        raise ValueError(
+            f"{where}: {body.size - offset} bytes follow {last}, where the "
+            "file should end"
+        )
+    return meta, columns
+
+
+def _require_columns(
+    columns: "Dict[str, np.ndarray]", expected: "Dict[str, str]", where: str
+) -> None:
+    """Raise ``ValueError`` naming the column unless ``columns`` are
+    exactly those of ``expected``, each of its dtype."""
+    for name in columns:
+        if name not in expected:
+            raise ValueError(f"{where} has unknown column {name!r}")
+    for name, dtype in expected.items():
+        if name not in columns:
+            raise ValueError(f"{where} has no column {name!r}")
+        if columns[name].dtype.str != dtype:
+            raise ValueError(
+                f"{where} column {name!r} has dtype "
+                f"{columns[name].dtype.str!r}, not {dtype!r}"
+            )
 
 
 def _defaults(cls, skip: "Tuple[str, ...]" = ()) -> "Dict[str, Any]":
@@ -220,12 +405,10 @@ def _read_config(cls, doc: Any, where: str, skip: "Tuple[str, ...]" = ()):
 
 
 def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
-    """Raise ``ValueError`` naming the field unless the members fit
-    together and every float in them is finite, and make the columns
-    read-only: cells share the column buffers, so an in-place write to
-    one cell's slice must not reach another."""
+    """Raise ``ValueError`` naming the field unless the columns fit
+    together and every float in them is finite."""
     points, active = fields["points"], fields["active"]
-    if points.ndim != 2 or active.shape != points.shape[:1] or active.dtype != bool:
+    if points.ndim != 2 or active.shape != points.shape[:1]:
         raise ValueError(
             f"index archive fields 'points' {points.shape} and 'active' "
             f"{active.shape} {active.dtype} must be an (n, d) array and a "
@@ -238,8 +421,7 @@ def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
             f"expected (2, {dim})"
         )
     for name in _FLOATS:
-        column = fields[name]
-        if column.dtype != np.float64 or not np.isfinite(column).all():
+        if not np.isfinite(fields[name]).all():
             raise ValueError(
                 f"index archive field {name!r} must hold finite float64 "
                 "values"
@@ -258,7 +440,6 @@ def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
                 f"index archive field {offsets_name!r} must start at 0 "
                 "and never decrease"
             )
-        offsets.setflags(write=False)
         for name in columns:
             if fields[name].shape[:1] != (offsets[-1],):
                 raise ValueError(
@@ -266,7 +447,6 @@ def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
                     f"{offsets[-1]}, but {name!r} has shape "
                     f"{fields[name].shape}"
                 )
-            fields[name].setflags(write=False)
     if np.any(np.diff(fields["rect_offsets"]) == 0):
         raise ValueError(
             "index archive field 'rect_offsets' gives a cell no rectangle"
@@ -282,7 +462,8 @@ def _check_cells(fields: "Dict[str, np.ndarray]") -> None:
     """What the per-cell ``HalfspaceSystem`` and ``MBR`` constructors
     would check, over whole columns, so that making the cells later
     cannot fail; and their clamp of the rectangles' tiny negative
-    extents (``rect_highs`` is replaced by the clamped copy)."""
+    extents (``rect_highs`` is replaced by a clamped copy if it has
+    any)."""
     dim = fields["points"].shape[1]
     sys_a, sys_b, ids = fields["sys_a"], fields["sys_b"], fields["sys_ids"]
     if sys_a.ndim != 2 or (sys_a.shape[0] and sys_a.shape[1] != dim):
@@ -296,8 +477,6 @@ def _check_cells(fields: "Dict[str, np.ndarray]") -> None:
                 f"index archive field {name!r} has shape {column.shape}; "
                 "expected one value per constraint row"
             )
-    if ids.dtype != np.int64:
-        fields["sys_ids"] = _read_only(ids.astype(np.int64))
     lows, highs = fields["rect_lows"], fields["rect_highs"]
     for name, column in (("rect_lows", lows), ("rect_highs", highs)):
         if column.ndim != 2 or column.shape[1] != dim:
@@ -311,28 +490,28 @@ def _check_cells(fields: "Dict[str, np.ndarray]") -> None:
             f"index archive fields 'rect_lows' and 'rect_highs': rectangle "
             f"{int(bad[0])} has low > high"
         )
-    fields["rect_highs"] = _read_only(np.maximum(lows, highs))
-
-
-def _read_only(column: np.ndarray) -> np.ndarray:
-    column.setflags(write=False)
-    return column
+    if np.any(lows > highs):
+        highs = np.maximum(lows, highs)
+        highs.setflags(write=False)
+        fields["rect_highs"] = highs
 
 
 # ======================================================================
 # Sharded archives: one directory, one sub-archive per live shard
 #
 # A sharded index persists as a *directory* so each shard stays an
-# ordinary `save_index` .npz that loads independently — a deployment can
-# ship shards to different hosts and only the manifest needs global
-# knowledge.  `manifest.json` carries the shard/partitioner config and
-# the per-shard local→global id maps; `global.npz` carries the full
-# point array and active mask (rows of deleted points included, so
-# global ids stay stable across save/load exactly as unsharded ids do).
-# The manifest is outside input too: the load checks its version, its
-# `shard_config` keys and types, that the partitioner matches that
-# config, and that the id maps agree with the archives.  Version 1 (which
-# also kept a shard-build thread count) is refused.
+# ordinary `save_index` archive, `shard_<s>.nnc`, that loads
+# independently — a deployment can ship shards to different hosts and
+# only the manifest needs global knowledge.  `manifest.json` carries the
+# shard/partitioner config and the per-shard local→global id maps;
+# `global.nnc`, an archive of the same format with an empty `meta`,
+# carries the full point array and active mask (rows of deleted points
+# included, so global ids stay stable across save/load exactly as
+# unsharded ids do) and the `shard_of`/`local_of` routes.  The manifest
+# is outside input too: the load checks its version, its `shard_config`
+# keys and types, that the partitioner matches that config, and that the
+# id maps agree with the archives.  Versions 1 and 2 (whose members were
+# `.npz` files) are refused.
 # ======================================================================
 
 def is_sharded_archive(path: "Union[str, Path]") -> bool:
@@ -357,7 +536,7 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
                 {"archive": None, "global_ids": list(index._globals[s])}
             )
             continue
-        name = f"shard_{s}.npz"
+        name = f"shard_{s}.nnc"
         save_index(shard, target / name)
         shard_entries.append(
             {"archive": name, "global_ids": list(index._globals[s])}
@@ -373,13 +552,12 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
     (target / _SHARD_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    np.savez(
-        target / _SHARD_GLOBALS,
-        points=index.points,
-        active=index._active,
-        shard_of=np.asarray(index._shard_of, dtype=np.int64),
-        local_of=np.asarray(index._local_of, dtype=np.int64),
-    )
+    _write_archive(target / _SHARD_GLOBALS, {}, {
+        "points": index.points,
+        "active": index._active,
+        "shard_of": np.asarray(index._shard_of, dtype=np.int64),
+        "local_of": np.asarray(index._local_of, dtype=np.int64),
+    })
 
 
 def load_sharded_index(path: "Union[str, Path]"):
@@ -431,11 +609,16 @@ def load_sharded_index(path: "Union[str, Path]"):
             f"{source}: manifest lists {len(shards)} shards, but its "
             f"shard_config has n_shards={shard_config.n_shards}"
         )
-    with np.load(source / _SHARD_GLOBALS) as arrays:
-        points = np.asarray(arrays["points"], dtype=np.float64)
-        active = arrays["active"]
-        shard_of = arrays["shard_of"]
-        local_of = arrays["local_of"]
+    where = f"index archive {source / _SHARD_GLOBALS}"
+    arrays = _read_archive(source / _SHARD_GLOBALS)[1]
+    _require_columns(arrays, _GLOBAL_COLUMNS, where)
+    points, shard_of, local_of = (
+        arrays[name] for name in ("points", "shard_of", "local_of")
+    )
+    if points.ndim != 2:
+        raise ValueError(f"{where}: 'points' must be an (n, d) array")
+    # The fleet marks deleted points in place.
+    active = arrays["active"].copy()
     _check_partitioner(manifest_path, partitioner, shard_config, points.shape[1])
     _check_id_maps(source, shards, globals_, points, active, shard_of, local_of)
     return ShardedNNCellIndex._restore(
@@ -479,7 +662,7 @@ def _check_id_maps(
     source: Path, shards, globals_, points, active, shard_of, local_of
 ) -> None:
     """Raise ``ValueError`` naming the shard unless the manifest's id
-    maps, ``global.npz`` and the shard archives agree.
+    maps, ``global.nnc`` and the shard archives agree.
 
     Each live shard's rows are the global rows its map names, bit for
     bit, and ``shard_of``/``local_of`` route each of those ids back to
@@ -494,7 +677,7 @@ def _check_id_maps(
         ("shard_of", shard_of, "int"),
         ("local_of", local_of, "int"),
     ):
-        if column.shape != (n,) or column.dtype.kind != kind[0]:
+        if column.shape != (n,):
             raise ValueError(
                 f"{source / _SHARD_GLOBALS}: {name!r} must hold one {kind} "
                 f"per point ({n})"

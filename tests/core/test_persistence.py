@@ -2,7 +2,7 @@
 
 import dataclasses
 import json
-import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +14,10 @@ from repro.core.candidates import SelectorKind, SelectorParams
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.core.persistence import (
+    _MAGIC,
+    _PREAMBLE,
+    _read_archive,
+    _write_archive,
     load_index,
     load_sharded_index,
     save_index,
@@ -26,7 +30,7 @@ from repro.shard import ShardConfig, ShardedNNCellIndex
 
 @pytest.fixture
 def archive_path(tmp_path):
-    return tmp_path / "index.npz"
+    return tmp_path / "index.nnc"
 
 
 def assert_same_bytes(x, y):
@@ -81,38 +85,52 @@ def assert_equivalent(a, b, rng, dim):
     assert_answers_identical(a, b, queries_for(rng, dim))
 
 
-def rewrite(path, **changes):
-    """Replace members of the archive at ``path``."""
-    with np.load(path) as archive:
-        data = dict(archive)
-    data.update(changes)
-    np.savez(path, **data)
-
-
-def read_meta(path):
-    with np.load(path) as archive:
-        return json.loads(archive["meta"].item())
-
-
-def rewrite_meta(path, drop=(), **changes):
-    """Replace or ``drop`` keys of the archive's ``meta`` object; a
-    dotted key names a key of a nested object."""
-    meta = read_meta(path)
+def rewrite(path, columns=(), meta=None, drop=(), **changes):
+    """Rewrite the archive at ``path`` through the writer, so that its
+    checksum stays valid.  ``columns`` replaces or adds columns, ``meta``
+    replaces the whole ``meta`` object, and each of ``changes`` (``drop``)
+    sets (deletes) one of its keys; a dotted key names a key of a nested
+    object."""
+    doc, fields = _read_archive(path)
+    doc = doc if meta is None else meta
 
     def parent(key):
         *outer, last = key.split(".")
-        doc = meta
+        inner = doc
         for name in outer:
-            doc = doc[name]
-        return doc, last
+            inner = inner[name]
+        return inner, last
 
     for key, value in changes.items():
-        doc, last = parent(key)
-        doc[last] = value
+        inner, last = parent(key)
+        inner[last] = value
     for key in drop:
-        doc, last = parent(key)
-        del doc[last]
-    rewrite(path, meta=np.bytes_(json.dumps(meta).encode()))
+        inner, last = parent(key)
+        del inner[last]
+    _write_archive(path, doc, {**fields, **dict(columns)})
+
+
+def reseal(path, edit=None, header=None, tail=b""):
+    """Rewrite the archive at ``path`` as no writer would, under a valid
+    checksum: its header object passed through ``edit`` (or replaced by
+    the raw bytes ``header``) and ``tail`` appended to its columns."""
+    data = path.read_bytes()
+    __, size, __ = _PREAMBLE.unpack_from(data)
+    start = _PREAMBLE.size
+    if header is None:
+        doc = json.loads(data[start:start + size])
+        edit(doc)
+        header = json.dumps(doc).encode()
+    header += b" " * (-len(header) % 8)
+    payload = header + data[start + size:] + tail
+    path.write_bytes(
+        _PREAMBLE.pack(_MAGIC, len(header), zlib.crc32(payload)) + payload
+    )
+
+
+def column_entry(doc, name):
+    """The column table entry ``[name, dtype, shape]`` of ``name``."""
+    return next(entry for entry in doc["columns"] if entry[0] == name)
 
 
 class TestRoundtrip:
@@ -191,38 +209,57 @@ class TestRoundtrip:
         # Version 3 kept only part of the build config (no decomposition
         # budget or strategy), so it cannot say which cells it holds.
         index = NNCellIndex.build(uniform_points(10, 2, seed=116))
-        for version in (1, 2, 3, 99, "4"):
+        for version in (1, 2, 3, 4, 99, "5", None):
             save_index(index, archive_path)
-            rewrite_meta(archive_path, format_version=version)
-            with pytest.raises(ValueError, match="repro build"):
+            reseal(archive_path, lambda doc: doc.update(format_version=version))
+            with pytest.raises(ValueError, match="version .*repro build"):
                 load_index(archive_path)
 
     def test_version_2_layout_refused(self, archive_path):
-        # Version 2: the version, the box and each config key were
-        # members of their own, deflated, and there was no `meta`.
+        # Version 2 was a deflated .npz: the version, the box and each
+        # config key were members of their own, and there was no `meta`.
         index = NNCellIndex.build(uniform_points(10, 2, seed=116))
         save_index(index, archive_path)
-        with np.load(archive_path) as archive:
-            data = dict(archive)
-        meta = json.loads(data.pop("meta").item())
+        meta, data = _read_archive(archive_path)
         meta["format_version"] = 2
         low, high = data.pop("box")
-        data.update(box_low=low, box_high=high)
+        data = dict(data, box_low=low, box_high=high)
         for key, value in meta.items():
             data[key] = (
                 np.bytes_(value.encode())
                 if isinstance(value, str)
                 else np.asarray(value)
             )
-        assert len(data) == 19
-        np.savez_compressed(archive_path, **data)
-        with pytest.raises(ValueError, match="version 2 .*repro build"):
+        with open(archive_path, "wb") as out:
+            np.savez_compressed(out, **data)
+        with pytest.raises(ValueError, match="not an index archive.*repro build"):
+            load_index(archive_path)
+
+    def test_format_4_npz_refused(self, archive_path):
+        # Format 4 was a stored .npz: a JSON `meta` member and the ten
+        # columns as members of their own.
+        index = NNCellIndex.build(uniform_points(10, 2, seed=116))
+        save_index(index, archive_path)
+        meta, data = _read_archive(archive_path)
+        meta["format_version"] = 4
+        with open(archive_path, "wb") as out:
+            np.savez(out, meta=np.bytes_(json.dumps(meta).encode()), **data)
+        with pytest.raises(ValueError, match="not an index archive.*repro build"):
             load_index(archive_path)
 
     def test_foreign_archive_refused(self, archive_path):
-        np.savez(archive_path, points=np.eye(2))
+        with open(archive_path, "wb") as out:
+            np.savez(out, points=np.eye(2))
         with pytest.raises(ValueError, match="not an index archive"):
             load_index(archive_path)
+
+    def test_path_without_suffix_is_written_as_given(self, tmp_path, rng):
+        # The archive is written at exactly the given path: a writer
+        # that appends a suffix leaves that path missing.
+        index = NNCellIndex.build(uniform_points(20, 2, seed=116))
+        save_index(index, tmp_path / "foo")
+        assert [p.name for p in tmp_path.iterdir()] == ["foo"]
+        assert_equivalent(index, load_index(tmp_path / "foo"), rng, 2)
 
     def test_single_point_roundtrip(self, archive_path, rng):
         index = NNCellIndex.build(np.array([[0.4, 0.6]]))
@@ -237,10 +274,9 @@ class TestColumnarArchive:
     def test_member_count_does_not_grow_with_n(self, tmp_path):
         counts = []
         for n in (5, 40):
-            path = tmp_path / f"index_{n}.npz"
+            path = tmp_path / f"index_{n}.nnc"
             save_index(NNCellIndex.build(uniform_points(n, 2, seed=118)), path)
-            with np.load(path) as archive:
-                counts.append(len(archive.files))
+            counts.append(len(_read_archive(path)[1]))
         assert counts[0] == counts[1]
 
     def test_loaded_cells_are_read_only(self, archive_path):
@@ -347,16 +383,14 @@ class TestColumnarArchive:
     def test_malformed_columns_rejected(self, archive_path, error, corrupt):
         index = NNCellIndex.build(uniform_points(5, 2, seed=120))
         save_index(index, archive_path)
-        with np.load(archive_path) as archive:
-            changes = corrupt(dict(archive))
-        rewrite(archive_path, **changes)
+        rewrite(archive_path, corrupt(_read_archive(archive_path)[1]))
         with pytest.raises(ValueError, match=error):
             load_index(archive_path)
 
-    @pytest.mark.parametrize("meta", [b"{not json", b"[3]", b"\xff"])
+    @pytest.mark.parametrize("meta", ["{not json", "[3]", "\xff", [3], 3])
     def test_meta_not_an_object_rejected(self, archive_path, meta):
         save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
-        rewrite(archive_path, meta=np.bytes_(meta))
+        rewrite(archive_path, meta=meta)
         with pytest.raises(ValueError, match="'meta' is not a JSON object"):
             load_index(archive_path)
 
@@ -402,29 +436,185 @@ class TestColumnarArchive:
     )
     def test_malformed_meta_rejected(self, archive_path, error, changes):
         save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
-        rewrite_meta(archive_path, **changes)
+        rewrite(archive_path, **changes)
         with pytest.raises(ValueError, match=error):
             load_index(archive_path)
 
     def test_every_member_is_stored(self, tmp_path):
-        # Stored members are read without inflating them: a return to
-        # `savez_compressed` here, in a shard or in global.npz fails.
+        # Every column is stored raw: a file is its preamble, its padded
+        # header and each column's bytes padded to 8, nothing more.  A
+        # compressed or otherwise wrapped column, here, in a shard or in
+        # global.nnc, fails.
         points = uniform_points(30, 2, seed=121)
-        save_index(NNCellIndex.build(points), tmp_path / "index.npz")
+        save_index(NNCellIndex.build(points), tmp_path / "index.nnc")
         with ShardedNNCellIndex.build(points, ShardConfig(n_shards=2)) as fleet:
             save_sharded_index(fleet, tmp_path / "fleet")
-        archives = [tmp_path / "index.npz", *sorted((tmp_path / "fleet").glob("*.npz"))]
+        archives = [tmp_path / "index.nnc", *sorted((tmp_path / "fleet").glob("*.nnc"))]
         assert [p.name for p in archives] == [
-            "index.npz", "global.npz", "shard_0.npz", "shard_1.npz"
+            "index.nnc", "global.nnc", "shard_0.nnc", "shard_1.nnc"
         ]
         for path in archives:
-            with zipfile.ZipFile(path) as zipped:
-                kinds = {info.compress_type for info in zipped.infolist()}
-            assert kinds == {zipfile.ZIP_STORED}, path.name
-        members = "meta points active box sys_offsets sys_a sys_b sys_ids"
+            data = path.read_bytes()
+            magic, size, __ = _PREAMBLE.unpack_from(data)
+            assert magic == _MAGIC and size % 8 == 0, path.name
+            columns = _read_archive(path)[1].values()
+            raw = sum(column.nbytes + -column.nbytes % 8 for column in columns)
+            assert len(data) == _PREAMBLE.size + size + raw, path.name
+        members = "points active box sys_offsets sys_a sys_b sys_ids"
         members += " rect_offsets rect_lows rect_highs"
-        with np.load(archives[0]) as archive:
-            assert sorted(archive.files) == sorted(members.split())
+        assert list(_read_archive(archives[0])[1]) == members.split()
+
+    def test_saves_are_byte_identical(self, tmp_path):
+        built = NNCellIndex.build(uniform_points(30, 3, seed=122))
+        built.insert([0.3, 0.6, 0.2])
+        built.delete(4)
+        paths = [tmp_path / name for name in ("a.nnc", "b.nnc", "c.nnc")]
+        save_index(built, paths[0])
+        save_index(built, paths[1])
+        save_index(load_index(paths[0]), paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        meta, columns = _read_archive(paths[0])
+        stored = dict(
+            built.cells, points=built.points, active=built._active,
+            box=np.stack([built.box.low, built.box.high]),
+        )
+        assert sorted(columns) == sorted(stored)
+        for name, column in columns.items():
+            assert not column.flags.writeable, name
+            assert_same_bytes(column, stored[name])
+
+    @pytest.mark.parametrize(
+        "error, changes",
+        [
+            ("has unknown column 'bogus'", {"bogus": np.zeros(3)}),
+            (
+                "column 'active' has dtype '<i8', not '|b1'",
+                {"active": np.ones(5, np.int64)},
+            ),
+            (
+                "column 'sys_ids' has dtype '<f8', not '<i8'",
+                {"sys_ids": np.zeros(4)},
+            ),
+            (
+                "column 'rect_lows' has dtype '<i8', not '<f8'",
+                {"rect_lows": np.zeros((5, 2), np.int64)},
+            ),
+        ],
+    )
+    def test_column_set_and_dtypes_required(self, archive_path, error, changes):
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        rewrite(archive_path, changes)
+        with pytest.raises(ValueError, match=error):
+            load_index(archive_path)
+
+    def test_tiny_negative_extent_clamped_on_load(self, archive_path):
+        # As the MBR constructor clamps it, within its 1e-12 tolerance.
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        lows, highs = (_read_archive(archive_path)[1][name] for name in (
+            "rect_lows", "rect_highs"
+        ))
+        rewrite(archive_path, {"rect_highs": poisoned(highs, lows[0, 0] - 1e-13)})
+        loaded = load_index(archive_path)
+        assert loaded.cells["rect_highs"][0, 0] == lows[0, 0]
+        assert not loaded.cells["rect_highs"].flags.writeable
+        assert_same_bytes(loaded.cells["rect_highs"][1:], highs[1:])
+
+    def test_missing_column_rejected(self, archive_path):
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        meta, columns = _read_archive(archive_path)
+        del columns["sys_a"]
+        _write_archive(archive_path, meta, columns)
+        with pytest.raises(ValueError, match="has no column 'sys_a'"):
+            load_index(archive_path)
+
+    @pytest.mark.parametrize(
+        "error, edit, tail",
+        [
+            ("column 'points' has dtype '|O', not one of",
+             lambda d: column_entry(d, "points").__setitem__(1, "|O"), b""),
+            ("column 'sys_a' has dtype '<f4', not one of",
+             lambda d: column_entry(d, "sys_a").__setitem__(1, "<f4"), b""),
+            ("column 'box' has shape \\[-2, 2\\], not a list of non-negative",
+             lambda d: column_entry(d, "box").__setitem__(2, [-2, 2]), b""),
+            ("column 'box' has shape \\[2.0, 2\\], not a list of non-negative",
+             lambda d: column_entry(d, "box").__setitem__(2, [2.0, 2]), b""),
+            ("'points' .* must be an \\(n, d\\) array",
+             lambda d: column_entry(d, "points").__setitem__(2, [10]), b""),
+            ("'sys_b' has shape .* one value per constraint row",
+             lambda d: column_entry(d, "sys_b").__setitem__(
+                 2, [column_entry(d, "sys_b")[2][0], 1]), b""),
+            ("column 'rect_highs' runs past the end of the file",
+             lambda d: column_entry(d, "rect_highs").__setitem__(2, [6, 2]), b""),
+            ("8 bytes follow column 'rect_highs'", lambda d: None, bytes(8)),
+            ("column 'bogus' runs past the end of the file",
+             lambda d: d["columns"].append(["bogus", "<f8", [1]]), b""),
+            ("column 'points' appears twice",
+             lambda d: d["columns"].append(["points", "<f8", [0]]), b""),
+            ("column entry 'points' is not \\[name, dtype, shape\\]",
+             lambda d: d["columns"].__setitem__(0, "points"), b""),
+            ("header key 'columns' is not a list",
+             lambda d: d.update(columns={"points": "<f8"}), b""),
+            ("header has unknown key 'extra'", lambda d: d.update(extra=1), b""),
+            ("header has no key 'columns'", lambda d: d.pop("columns"), b""),
+            ("header has no key 'meta'", lambda d: d.pop("meta"), b""),
+        ],
+    )
+    def test_malformed_header_rejected(self, archive_path, error, edit, tail):
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        reseal(archive_path, edit, tail=tail)
+        with pytest.raises(ValueError, match=error):
+            load_index(archive_path)
+
+    @pytest.mark.parametrize(
+        "header", [b"{not json", b"[3]", b"\xff", b"", b"[" * 100_000]
+    )
+    def test_header_not_an_object_rejected(self, archive_path, header):
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        reseal(archive_path, header=header)
+        with pytest.raises(ValueError, match="header is not a JSON object"):
+            load_index(archive_path)
+
+    def test_header_length_past_the_end_rejected(self, archive_path):
+        save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
+        data = archive_path.read_bytes()
+        magic, __, checksum = _PREAMBLE.unpack_from(data)
+        preamble = _PREAMBLE.pack(magic, len(data), checksum)
+        archive_path.write_bytes(preamble + data[_PREAMBLE.size:])
+        with pytest.raises(ValueError, match="header length .* runs past the end"):
+            load_index(archive_path)
+
+
+def damaged_copies(data, seed, flips=200):
+    """Every truncation of ``data``, then ``flips`` seeded copies with
+    one byte changed."""
+    rng = np.random.default_rng(seed)
+    for size in range(len(data)):
+        yield data[:size]
+    for __ in range(flips):
+        copy = bytearray(data)
+        copy[rng.integers(len(data))] ^= int(rng.integers(1, 256))
+        yield bytes(copy)
+
+
+@pytest.mark.parametrize("member", ["index.nnc", "shard_0.nnc", "global.nnc"])
+def test_damaged_archive_raises_value_error(tmp_path, member):
+    # No damaged copy may load, nor raise anything but the documented
+    # ValueError, which the CLI prints as one `error:` line.
+    points = uniform_points(20, 2, seed=123)
+    if member == "index.nnc":
+        save_index(NNCellIndex.build(points), tmp_path / member)
+        target, load = tmp_path / member, load_index
+    else:
+        with ShardedNNCellIndex.build(points, ShardConfig(n_shards=2)) as fleet:
+            save_sharded_index(fleet, tmp_path / "fleet")
+        target, load = tmp_path / "fleet" / member, load_sharded_index
+    original = target.read_bytes()
+    seed = sum(member.encode())
+    for data in damaged_copies(original, seed):
+        target.write_bytes(data)
+        with pytest.raises(ValueError):
+            load(target if load is load_index else target.parent)
 
 
 _CONFIGS = st.builds(
@@ -454,7 +644,7 @@ _CONFIGS = st.builds(
 @settings(max_examples=12, deadline=None)
 @given(config=_CONFIGS)
 def test_reload_keeps_the_whole_build_config(tmp_path_factory, config):
-    path = tmp_path_factory.mktemp("config") / "index.npz"
+    path = tmp_path_factory.mktemp("config") / "index.nnc"
     save_index(NNCellIndex.build(uniform_points(6, 2, seed=3), config), path)
     loaded = load_index(path).config
     for name in (
@@ -462,8 +652,7 @@ def test_reload_keeps_the_whole_build_config(tmp_path_factory, config):
         "page_size", "cache_pages", "query_atol",
     ):
         assert getattr(loaded, name) == getattr(config, name), name
-    with np.load(path) as archive:
-        assert loaded.data_space == MBR(*archive["box"])
+    assert loaded.data_space == MBR(*_read_archive(path)[1]["box"])
     assert loaded.workers == 1  # how a build ran is not stored
 
 
@@ -500,7 +689,7 @@ def test_reload_writes_the_cells_the_build_writes(archive_path):
 def test_delete_recomputes_same_cells_after_reload(tmp_path_factory, seed, victims):
     points = uniform_points(12, 2, seed=seed)
     built = NNCellIndex.build(points)
-    path = tmp_path_factory.mktemp("delete") / "index.npz"
+    path = tmp_path_factory.mktemp("delete") / "index.nnc"
     save_index(built, path)
     loaded = load_index(path)
     for victim in victims:

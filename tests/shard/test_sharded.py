@@ -18,6 +18,8 @@ import repro.shard.sharded as sharded_module
 from helpers import load_tool
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.core.persistence import (
+    _read_archive,
+    _write_archive,
     is_sharded_archive,
     load_any_index,
     load_index,
@@ -209,9 +211,9 @@ class TestShardBuild:
             )
             save_sharded_index(index, tmp_path / f"workers{workers}")
         serial, parallel = tmp_path / "workers1", tmp_path / "workers2"
-        archives = sorted(p.name for p in serial.glob("*.npz"))
-        assert archives == sorted(p.name for p in parallel.glob("*.npz"))
-        assert len(archives) == 5  # four shards and global.npz
+        archives = sorted(p.name for p in serial.glob("*.nnc"))
+        assert archives == sorted(p.name for p in parallel.glob("*.nnc"))
+        assert len(archives) == 5  # four shards and global.nnc
         compare = load_tool("compare_archives").compare_archives
         for name in archives:
             assert compare(serial / name, parallel / name) == [], name
@@ -298,10 +300,10 @@ class TestPersistence:
 
     def test_load_any_index_dispatches(self, tmp_path, points, sharded):
         flat = NNCellIndex.build(points)
-        save_index(flat, tmp_path / "flat.npz")
+        save_index(flat, tmp_path / "flat.nnc")
         save_sharded_index(sharded, tmp_path / "fleet")
         assert isinstance(
-            load_any_index(tmp_path / "flat.npz"), NNCellIndex
+            load_any_index(tmp_path / "flat.nnc"), NNCellIndex
         )
         assert isinstance(
             load_any_index(tmp_path / "fleet"), ShardedNNCellIndex
@@ -327,16 +329,15 @@ class TestPersistence:
         target = tmp_path / "fleet"
         save_sharded_index(sharded, target)
         manifest = json.loads((target / "manifest.json").read_text())
-        with np.load(target / "global.npz") as archive:
-            arrays = dict(archive)
+        meta, arrays = _read_archive(target / "global.nnc")
         ids = [entry["global_ids"] for entry in manifest["shards"]]
 
         def refused(error, entries=None, **changes):
             """Load the fleet with ``entries`` as its manifest's shards
-            and ``changes`` to its global.npz; expect ``error``."""
+            and ``changes`` to its global.nnc; expect ``error``."""
             doc = dict(manifest, shards=entries or manifest["shards"])
             (target / "manifest.json").write_text(json.dumps(doc))
-            np.savez(target / "global.npz", **{**arrays, **changes})
+            _write_archive(target / "global.nnc", meta, {**arrays, **changes})
             with pytest.raises(ValueError, match=error):
                 load_sharded_index(target)
 
@@ -386,8 +387,12 @@ class TestPersistence:
             local_of=arrays["local_of"][:-1],
         )
         refused(
-            "'shard_of' must hold one int per point",
+            "column 'shard_of' has dtype '<f8', not '<i8'",
             shard_of=arrays["shard_of"].astype(np.float64),
+        )
+        refused(
+            r"global.nnc: 'points' must be an \(n, d\) array",
+            points=arrays["points"].reshape(-1),
         )
         # An active id that no shard maps.
         grown = {name: np.concatenate([a, a[:1]]) for name, a in arrays.items()}
@@ -468,12 +473,14 @@ class TestPersistence:
             shard_config=dict(config, partitioner=1),
         )
         refused("shard_config is not a JSON object", shard_config=[4, "hash"])
-        refused(
-            "version 1 (expected 2); rebuild the index with "
-            "`repro build --shards N`",
-            format_version=1,
-        )
-        refused("version '2'", format_version="2")
+        # Version 2 named its members shard_<s>.npz and global.npz.
+        for version in (1, 2):
+            refused(
+                f"version {version} (expected 3); rebuild the index with "
+                "`repro build --shards N`",
+                format_version=version,
+            )
+        refused("version '3'", format_version="3")
 
     def test_plain_loader_rejects_sharded_archive(
         self, tmp_path, sharded

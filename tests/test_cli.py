@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import load_tool
 from repro.cli import main
 from repro.obs.export import load_profile
 
@@ -15,7 +16,7 @@ def run(capsys, *argv):
 
 class TestBuildAndQuery:
     def test_build_query_info_roundtrip(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, stdout, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "40",
             "--dim", "3", "--out", str(out),
@@ -45,7 +46,7 @@ class TestBuildAndQuery:
         points = rng.uniform(size=(25, 3))
         npy = tmp_path / "points.npy"
         np.save(npy, points)
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, stdout, __ = run(
             capsys, "build", "--points", str(npy), "--out", str(out),
             "--selector", "nn-direction",
@@ -56,7 +57,7 @@ class TestBuildAndQuery:
     def test_build_from_csv(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"
         csv.write_text("0.1,0.2\n0.7,0.8\n0.4,0.5\n")
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--points", str(csv), "--out", str(out),
         )
@@ -68,7 +69,7 @@ class TestBuildAndQuery:
         assert "point 1" in stdout
 
     def test_build_with_decomposition(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, stdout, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "20",
             "--dim", "2", "--out", str(out), "--decompose", "--k-max", "4",
@@ -78,8 +79,8 @@ class TestBuildAndQuery:
 
 class TestParallelAndBatch:
     def test_build_with_workers_matches_serial(self, tmp_path, capsys):
-        serial_out = tmp_path / "serial.npz"
-        parallel_out = tmp_path / "parallel.npz"
+        serial_out = tmp_path / "serial.nnc"
+        parallel_out = tmp_path / "parallel.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "2", "--out", str(serial_out),
@@ -92,13 +93,11 @@ class TestParallelAndBatch:
         )
         assert code == 0
         assert "built index over 30 points" in stdout
-        with np.load(serial_out) as serial, np.load(parallel_out) as parallel:
-            assert sorted(serial.files) == sorted(parallel.files)
-            for name in serial.files:
-                assert np.array_equal(serial[name], parallel[name]), name
+        compare = load_tool("compare_archives").compare_archives
+        assert compare(serial_out, parallel_out) == []
 
     def test_query_batch_file(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "40",
             "--dim", "3", "--out", str(out))
         rng = np.random.default_rng(77)
@@ -114,7 +113,7 @@ class TestParallelAndBatch:
         assert "batch: 25 queries" in stdout
 
     def test_batch_rejects_k(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "10",
             "--dim", "2", "--out", str(out))
         batch = tmp_path / "q.npy"
@@ -126,7 +125,7 @@ class TestParallelAndBatch:
         assert "-k must be 1" in stderr
 
     def test_batch_rejects_wrong_shape(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "10",
             "--dim", "2", "--out", str(out))
         batch = tmp_path / "q.npy"
@@ -138,7 +137,7 @@ class TestParallelAndBatch:
         assert "batch file" in stderr
 
     def test_batch_profile_document(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         profile = tmp_path / "batch_profile.json"
         run(capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "2", "--out", str(out))
@@ -156,16 +155,51 @@ class TestParallelAndBatch:
 
 
 class TestErrorHandling:
+    def test_out_without_suffix_is_written_as_given(self, tmp_path, capsys):
+        # The build writes exactly the `--out` path it prints, which a
+        # query then loads.
+        out = tmp_path / "idx"
+        code, stdout, __ = run(
+            capsys, "build", "--dataset", "uniform", "--n", "30",
+            "--dim", "3", "--out", str(out),
+        )
+        assert code == 0
+        assert f"-> {out}\n" in stdout
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+        code, stdout, stderr = run(
+            capsys, "query", str(out), "--point", "0.5,0.5,0.5",
+        )
+        assert (code, stderr) == (0, "")
+        assert "#1  point" in stdout
+
+    def test_truncated_archive_is_an_error_line(self, tmp_path, capsys):
+        # `main` prints a ValueError as one `error:` line; a damaged
+        # archive must raise nothing else.
+        out = tmp_path / "idx.nnc"
+        code, __, __ = run(
+            capsys, "build", "--dataset", "uniform", "--n", "30",
+            "--dim", "3", "--out", str(out),
+        )
+        assert code == 0
+        out.write_bytes(out.read_bytes()[:-100])
+        for command in ("query", "explain"):
+            code, __, stderr = run(
+                capsys, command, str(out), "--point", "0.5,0.5,0.5",
+            )
+            assert code == 1
+            assert stderr.startswith("error:")
+            assert "Traceback" not in stderr
+
     def test_missing_point_file(self, tmp_path, capsys):
         code, __, stderr = run(
             capsys, "build", "--points", str(tmp_path / "nope.npy"),
-            "--out", str(tmp_path / "o.npz"),
+            "--out", str(tmp_path / "o.nnc"),
         )
         assert code == 1
         assert "error" in stderr
 
     def test_wrong_query_dim(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "10",
             "--dim", "3", "--out", str(out))
         code, __, stderr = run(capsys, "query", str(out), "--point", "0.5")
@@ -173,7 +207,7 @@ class TestErrorHandling:
         assert "3-d" in stderr
 
     def test_unparseable_point(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "10",
             "--dim", "2", "--out", str(out))
         code, __, stderr = run(capsys, "query", str(out), "--point", "a,b")
@@ -210,7 +244,7 @@ class TestShardedCli:
         assert "3 shards (hilbert partitioner)" in stdout
 
     def test_sharded_query_matches_unsharded(self, tmp_path, capsys):
-        flat = tmp_path / "idx.npz"
+        flat = tmp_path / "idx.nnc"
         fleet = tmp_path / "fleet"
         for target, extra in ((flat, []), (fleet, ["--shards", "4"])):
             code, __, __ = run(
@@ -259,7 +293,7 @@ class TestShardedCli:
 class TestStatsCommand:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "3", "--out", str(out),
@@ -296,7 +330,7 @@ class TestStatsCommand:
 
 class TestProfileFlag:
     def test_build_profile_document(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         profile = tmp_path / "build_profile.json"
         code, stdout, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
@@ -311,7 +345,7 @@ class TestProfileFlag:
         assert "build.nncell" in root_names
 
     def test_query_profile_has_nested_spans(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         profile = tmp_path / "query_profile.json"
         run(capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "3", "--out", str(out))
@@ -332,7 +366,7 @@ class TestProfileFlag:
 class TestServeCommand:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "3", "--out", str(out),
@@ -497,7 +531,7 @@ class TestServeCommand:
 class TestExplainCommand:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "3", "--out", str(out),
@@ -553,7 +587,7 @@ class TestExplainCommand:
 class TestServeTelemetry:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "3", "--out", str(out),
@@ -647,7 +681,7 @@ class TestServeTelemetry:
 class TestStatsWatch:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "25",
             "--dim", "3", "--out", str(out),
@@ -706,7 +740,7 @@ class TestExperimentCommand:
 class TestTraceCommand:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "3", "--out", str(out),
@@ -789,7 +823,7 @@ class TestTraceCommand:
 class TestWatchAndServeTracing:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "20",
             "--dim", "3", "--out", str(out))
         return out
@@ -838,7 +872,7 @@ class TestWatchAndServeTracing:
 class TestServeTracingProtocol:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "30",
             "--dim", "3", "--out", str(out))
         return out
@@ -912,7 +946,7 @@ class TestServeTracingProtocol:
 class TestChaosAndResilience:
     @pytest.fixture()
     def index_path(self, tmp_path, capsys):
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.nnc"
         run(capsys, "build", "--dataset", "uniform", "--n", "40",
             "--dim", "3", "--out", str(out))
         return out
@@ -998,7 +1032,7 @@ class TestAnalyzeAndReplayCommands:
         from repro.core.persistence import load_any_index
         from repro.obs import workload as obs_workload
 
-        index_path = tmp_path / "idx.npz"
+        index_path = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "60",
             "--dim", "3", "--out", str(index_path),
@@ -1084,7 +1118,7 @@ class TestAnalyzeAndReplayCommands:
     ):
         import io
 
-        index_path = tmp_path / "idx.npz"
+        index_path = tmp_path / "idx.nnc"
         code, __, __ = run(
             capsys, "build", "--dataset", "uniform", "--n", "40",
             "--dim", "3", "--out", str(index_path),

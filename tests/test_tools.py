@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import load_tool
+from repro.core.persistence import _write_archive
 
 
 @pytest.fixture(scope="module")
@@ -25,43 +26,44 @@ def bench_tool():
     return load_tool("compare_bench")
 
 
-def save(path, **arrays):
-    np.savez(path, **arrays)
+def save(path, meta=None, **columns):
+    """An archive of ``columns`` and the JSON object ``meta``."""
+    _write_archive(path, meta or {}, columns)
     return path
 
 
 class TestCompareArchives:
     def test_identical_archives_have_no_diffs(self, tool, tmp_path):
         data = {"ids": np.arange(5), "points": np.eye(3)}
-        a = save(tmp_path / "a.npz", **data)
-        b = save(tmp_path / "b.npz", **data)
+        a = save(tmp_path / "a.nnc", **data)
+        b = save(tmp_path / "b.nnc", **data)
         assert tool.compare_archives(a, b) == []
 
     def test_nan_bytes_compare_equal(self, tool, tmp_path):
         # The contract is "same bytes", so NaN == NaN here even though
         # IEEE comparison says otherwise.
         values = np.array([1.0, np.nan, 3.0])
-        a = save(tmp_path / "a.npz", values=values)
-        b = save(tmp_path / "b.npz", values=values.copy())
+        a = save(tmp_path / "a.nnc", values=values)
+        b = save(tmp_path / "b.nnc", values=values.copy())
         assert tool.compare_archives(a, b) == []
 
     def test_missing_key_reported_for_each_side(self, tool, tmp_path):
-        a = save(tmp_path / "a.npz", x=np.zeros(2), only_a=np.ones(1))
-        b = save(tmp_path / "b.npz", x=np.zeros(2), only_b=np.ones(1))
+        a = save(tmp_path / "a.nnc", x=np.zeros(2), only_a=np.ones(1))
+        b = save(tmp_path / "b.nnc", x=np.zeros(2), only_b=np.ones(1))
         diffs = tool.compare_archives(a, b)
         assert any("only_a" in d and str(a) in d for d in diffs)
         assert any("only_b" in d and str(b) in d for d in diffs)
 
     def test_dtype_shape_and_value_diffs(self, tool, tmp_path):
         a = save(
-            tmp_path / "a.npz",
+            tmp_path / "a.nnc",
             d=np.zeros(3, dtype=np.float64),
             s=np.zeros((2, 2)),
             v=np.array([1.0, 2.0]),
         )
         b = save(
-            tmp_path / "b.npz",
-            d=np.zeros(3, dtype=np.float32),
+            tmp_path / "b.nnc",
+            d=np.zeros(3, dtype=np.int64),
             s=np.zeros((2, 3)),
             v=np.array([1.0, 2.5]),
         )
@@ -76,7 +78,7 @@ class TestCompareArchives:
         from repro.data import uniform_points
 
         points = uniform_points(12, 2, seed=5)
-        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        a, b = tmp_path / "a.nnc", tmp_path / "b.nnc"
         save_index(NNCellIndex.build(points), a)
         save_index(NNCellIndex.build(points, BuildConfig(cache_pages=16)), b)
         assert tool.compare_archives(a, b) == ["meta.cache_pages: 0 != 16"]
@@ -91,7 +93,7 @@ class TestCompareArchives:
 
         # Undecomposed, so the budget changes the meta and nothing else.
         points = uniform_points(12, 2, seed=5)
-        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        a, b = tmp_path / "a.nnc", tmp_path / "b.nnc"
         config = BuildConfig(decomposition=DecompositionConfig(k_max=4))
         save_index(NNCellIndex.build(points, config), a)
         save_index(NNCellIndex.build(points), b)
@@ -99,52 +101,52 @@ class TestCompareArchives:
             "meta.decomposition.k_max: 4 != 100"
         ]
 
-        def meta(**fields):
-            return np.bytes_(json.dumps(fields).encode())
-
-        a = save(tmp_path / "a.npz", meta=meta(c={"x": 1, "y": {"z": 2}}))
-        b = save(tmp_path / "b.npz", meta=meta(c={"x": 1, "w": 3}))
+        a = save(tmp_path / "a.nnc", meta={"c": {"x": 1, "y": {"z": 2}}})
+        b = save(tmp_path / "b.nnc", meta={"c": {"x": 1, "w": 3}})
         assert tool.compare_archives(a, b) == [
             f"meta.c.w: only in {b}",
             f"meta.c.y.z: only in {a}",
         ]
 
-    def test_meta_keys_only_on_one_side_and_non_json(self, tool, tmp_path):
-        def meta(**fields):
-            return np.bytes_(json.dumps(fields).encode())
-
-        a = save(tmp_path / "a.npz", meta=meta(k=1, only_a=0))
-        b = save(tmp_path / "b.npz", meta=meta(k=1.0, only_b=0))
+    def test_meta_keys_only_on_one_side_and_non_json(
+        self, tool, tmp_path, capsys
+    ):
+        a = save(tmp_path / "a.nnc", meta={"k": 1, "only_a": 0})
+        b = save(tmp_path / "b.nnc", meta={"k": 1.0, "only_b": 0})
         assert tool.compare_archives(a, b) == [
             "meta.k: 1 != 1.0",
             f"meta.only_a: only in {a}",
             f"meta.only_b: only in {b}",
         ]
-        a = save(tmp_path / "a.npz", meta=np.bytes_(b"not json"))
-        b = save(tmp_path / "b.npz", meta=np.bytes_(b"not json!"))
-        assert tool.compare_archives(a, b) == ["meta: dtype |S8 != |S9"]
+        # A file that is not an archive, say a JSON document, is an
+        # error of the persistence reader, not a difference.
+        b.write_text(json.dumps({"k": 1}))
+        with pytest.raises(ValueError, match="not an index archive"):
+            tool.compare_archives(a, b)
+        assert tool.main([str(a), str(b)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestMain:
     def test_exit_zero_and_summary_on_parity(self, tool, tmp_path, capsys):
-        a = save(tmp_path / "a.npz", x=np.arange(4), y=np.ones(2))
-        b = save(tmp_path / "b.npz", x=np.arange(4), y=np.ones(2))
+        a = save(tmp_path / "a.nnc", x=np.arange(4), y=np.ones(2))
+        b = save(tmp_path / "b.nnc", x=np.arange(4), y=np.ones(2))
         assert tool.main([str(a), str(b)]) == 0
         assert "parity OK: 2 arrays identical" in capsys.readouterr().out
 
     def test_exit_one_lists_differences(self, tool, tmp_path, capsys):
-        a = save(tmp_path / "a.npz", x=np.arange(4))
-        b = save(tmp_path / "b.npz", x=np.arange(1, 5))
+        a = save(tmp_path / "a.nnc", x=np.arange(4))
+        b = save(tmp_path / "b.nnc", x=np.arange(1, 5))
         assert tool.main([str(a), str(b)]) == 1
         out = capsys.readouterr().out
         assert "x: values differ" in out
         assert "1 difference(s)" in out
 
     def test_usage_and_missing_file_exit_two(self, tool, tmp_path, capsys):
-        assert tool.main(["just-one.npz"]) == 2
+        assert tool.main(["just-one.nnc"]) == 2
         assert "usage" in capsys.readouterr().err
-        a = save(tmp_path / "a.npz", x=np.arange(2))
-        assert tool.main([str(a), str(tmp_path / "nope.npz")]) == 2
+        a = save(tmp_path / "a.nnc", x=np.arange(2))
+        assert tool.main([str(a), str(tmp_path / "nope.nnc")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
 

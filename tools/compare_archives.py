@@ -1,23 +1,25 @@
 #!/usr/bin/env python
-"""Compare two ``.npz`` archives array-by-array.
+"""Compare two index archives column by column.
 
 The engine layer's determinism contract says a parallel build must
 produce an archive *identical* to the serial one; the build and shard
 legs of ``tools/smoke.py`` enforce it by building twice and calling
 :func:`compare_archives` (the comparison logic lives here, not inline in
 the smoke script, so it is unit-tested like any other code —
-``tests/test_tools.py``).
+``tests/test_tools.py``).  Archives are read through
+:mod:`repro.core.persistence`, the one module that knows their format.
 
 Usage::
 
-    python tools/compare_archives.py serial.npz parallel.npz
+    python tools/compare_archives.py serial.nnc parallel.nnc
 
-Exit status 0 when every array matches (same key set, same dtype, same
-shape, equal bytes); 1 otherwise, listing each difference.  An index
-archive keeps its format version and build config in one JSON member,
-``meta``; when two ``meta`` members differ, each differing leaf is listed
-on its own line by its dotted path, for example
-``meta.decomposition.k_max: 4 != 100``.
+Exit status 0 when every column matches (same name set, same dtype,
+same shape, equal bytes) and so does the ``meta`` object; 1 otherwise,
+listing each difference; 2 when a file is missing or is not an index
+archive.  An archive keeps its build config in the JSON object
+``meta``; when two differ, each differing leaf is listed on its own
+line by its dotted path, for example ``meta.decomposition.k_max: 4 !=
+100``, before the columns' differences.
 """
 
 from __future__ import annotations
@@ -27,52 +29,45 @@ import sys
 from pathlib import Path
 from typing import List, Sequence
 
-import numpy as np
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+if str(REPO_SRC) not in sys.path:  # allow running without installation
+    sys.path.insert(0, str(REPO_SRC))
+
+from repro.core.persistence import _read_archive  # noqa: E402
 
 __all__ = ["compare_archives", "main"]
 
 
 def compare_archives(path_a: "str | Path", path_b: "str | Path") -> "List[str]":
-    """Differences between two ``.npz`` archives; empty = identical.
+    """Differences between two index archives; empty = identical.
 
-    Each entry is a human-readable line naming the array and the way it
-    differs (missing, dtype, shape, or values).  NaNs are treated as
-    equal to themselves — the contract is "same bytes", not IEEE ``==``.
+    Each entry is a human-readable line naming the ``meta`` leaf or the
+    column and the way it differs (missing, dtype, shape, or values).
+    NaNs are treated as equal to themselves — the contract is "same
+    bytes", not IEEE ``==``.  Raises ``ValueError`` if either file is not
+    an index archive.
     """
-    with np.load(path_a) as a, np.load(path_b) as b:
-        diffs: "List[str]" = []
-        keys_a, keys_b = set(a.files), set(b.files)
-        for key in sorted(keys_a - keys_b):
-            diffs.append(f"{key}: only in {path_a}")
-        for key in sorted(keys_b - keys_a):
-            diffs.append(f"{key}: only in {path_b}")
-        for key in sorted(keys_a & keys_b):
-            left, right = a[key], b[key]
-            fields = _meta_diffs(left, right, path_a, path_b) if key == "meta" else []
-            if fields:
-                diffs.extend(fields)
-            elif left.dtype != right.dtype:
-                diffs.append(
-                    f"{key}: dtype {left.dtype} != {right.dtype}"
-                )
-            elif left.shape != right.shape:
-                diffs.append(
-                    f"{key}: shape {left.shape} != {right.shape}"
-                )
-            elif left.tobytes() != right.tobytes():
-                diffs.append(f"{key}: values differ")
-        return diffs
+    meta_a, a = _read_archive(path_a)
+    meta_b, b = _read_archive(path_b)
+    diffs = _meta_diffs(meta_a, meta_b, path_a, path_b)
+    for key in sorted(a.keys() - b.keys()):
+        diffs.append(f"{key}: only in {path_a}")
+    for key in sorted(b.keys() - a.keys()):
+        diffs.append(f"{key}: only in {path_b}")
+    for key in sorted(a.keys() & b.keys()):
+        left, right = a[key], b[key]
+        if left.dtype != right.dtype:
+            diffs.append(f"{key}: dtype {left.dtype} != {right.dtype}")
+        elif left.shape != right.shape:
+            diffs.append(f"{key}: shape {left.shape} != {right.shape}")
+        elif left.tobytes() != right.tobytes():
+            diffs.append(f"{key}: values differ")
+    return diffs
 
 
-def _meta_diffs(left, right, path_a, path_b) -> "List[str]":
-    """Leaf-by-leaf differences of two ``meta`` members; empty when
-    either side is not a JSON object or no leaf's encoding differs."""
-    try:
-        a, b = (json.loads(side.item()) for side in (left, right))
-    except (TypeError, ValueError):
-        return []
-    if not (isinstance(a, dict) and isinstance(b, dict)):
-        return []
+def _meta_diffs(a: dict, b: dict, path_a, path_b) -> "List[str]":
+    """Leaf-by-leaf differences of two ``meta`` objects: a leaf on one
+    side only, or one whose JSON encoding differs."""
     a, b = _leaves(a, "meta"), _leaves(b, "meta")
     diffs: "List[str]" = []
     for key in sorted(a.keys() | b.keys()):
@@ -101,7 +96,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     if len(args) != 2:
         print(
-            "usage: python tools/compare_archives.py A.npz B.npz",
+            "usage: python tools/compare_archives.py A.nnc B.nnc",
             file=sys.stderr,
         )
         return 2
@@ -110,14 +105,17 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if not path.exists():
             print(f"error: {path} does not exist", file=sys.stderr)
             return 2
-    diffs = compare_archives(path_a, path_b)
+    try:
+        diffs = compare_archives(path_a, path_b)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if diffs:
         for line in diffs:
             print(line)
         print(f"{len(diffs)} difference(s) between {path_a} and {path_b}")
         return 1
-    with np.load(path_a) as archive:
-        n_arrays = len(archive.files)
+    n_arrays = len(_read_archive(path_a)[1])
     print(f"parity OK: {n_arrays} arrays identical")
     return 0
 

@@ -100,6 +100,13 @@ def check(condition: bool, message: str) -> None:
 def repro(*args: object, status: int = 0, stdin: str = "") -> str:
     """Run ``python -m repro ARGS``; fail unless it exits ``status``.
     Returns its stdout."""
+    return repro_run(*args, status=status, stdin=stdin).stdout
+
+
+def repro_run(
+    *args: object, status: int = 0, stdin: str = ""
+) -> subprocess.CompletedProcess:
+    """As :func:`repro`, but returns the finished process."""
     argv = [str(arg) for arg in args]
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *argv],
@@ -113,7 +120,7 @@ def repro(*args: object, status: int = 0, stdin: str = "") -> str:
         f"`repro {' '.join(argv)}` exited {proc.returncode}, expected {status}:"
         f" {proc.stderr.strip()[-500:]}",
     )
-    return proc.stdout
+    return proc
 
 
 def build(out: Path, n: int, dim: int, *flags: str) -> Path:
@@ -277,7 +284,7 @@ def leg_serve(workdir: Path) -> str:
 
     # A malformed timeout or coordinate is answered bad_request; the
     # process serves on.
-    archive = build(workdir / "serve50.npz", 50, 3)
+    archive = build(workdir / "serve50.nnc", 50, 3)
     requests = (
         "[0.5, 0.5, 0.5]\n"
         '{"id": 2, "point": [0.5, 0.5, 0.5], "timeout_ms": "5"}\n'
@@ -301,11 +308,12 @@ def leg_serve(workdir: Path) -> str:
 def leg_build(workdir: Path) -> str:
     """A decomposed ``--workers 2`` build writes the serial archive's
     bytes, the archive loads back with the build config it was made
-    with, and a ``--profile`` build documents its cells and
+    with, a truncated copy is refused with an ``error:`` line and no
+    traceback, and a ``--profile`` build documents its cells and
     ``build.nncell`` span."""
     flags = ("--decompose", "--k-max", "8")
-    serial = build(workdir / "serial.npz", 60, 3, *flags)
-    parallel = build(workdir / "parallel.npz", 60, 3, *flags, "--workers", "2")
+    serial = build(workdir / "serial.nnc", 60, 3, *flags)
+    parallel = build(workdir / "parallel.nnc", 60, 3, *flags, "--workers", "2")
     diffs = compare_archives(serial, parallel)
     check(not diffs, f"workers=2 archive differs from serial: {diffs}")
     config = load_any_index(serial).config
@@ -313,16 +321,26 @@ def leg_build(workdir: Path) -> str:
         config.decompose and config.decomposition.k_max == 8,
         f"reloaded build config is not the one built: {config}",
     )
+    damaged = workdir / "truncated.nnc"
+    damaged.write_bytes(serial.read_bytes()[:-100])
+    stderr = repro_run("query", damaged, "--point", "0.5,0.5,0.5", status=1).stderr
+    check(
+        stderr.startswith("error:") and "Traceback" not in stderr,
+        f"`repro query` on a truncated archive printed: {stderr.strip()[-500:]}",
+    )
 
     # The telemetry leg serves this archive (same dataset, n, dim, seed).
     profile = workdir / "profile.json"
-    build(workdir / "idx40.npz", 40, 3, "--profile", str(profile))
+    build(workdir / "idx40.nnc", 40, 3, "--profile", str(profile))
     document = load_profile(profile)
     cells = document["metrics"]["counters"].get("build.cells")
     check(cells == 40, f"profile counts build.cells={cells}, not 40")
     names = [span["name"] for span in document["trace"]]
     check("build.nncell" in names, f"no build.nncell span: {names}")
-    return "workers=2 archive identical, build config reloaded, profile OK"
+    return (
+        "workers=2 archive identical, build config reloaded, truncated "
+        "archive refused, profile OK"
+    )
 
 
 def leg_shard(workdir: Path) -> str:
@@ -335,8 +353,9 @@ def leg_shard(workdir: Path) -> str:
     build(fleet, 120, 4, *flags)
     check(is_sharded_archive(fleet), f"{fleet} is not a sharded archive")
     parallel = build(workdir / "fleet_workers2", 120, 4, *flags, "--workers", "2")
-    archives = sorted(path.name for path in fleet.glob("*.npz"))
-    others = sorted(path.name for path in parallel.glob("*.npz"))
+    archives = sorted(path.name for path in fleet.glob("*.nnc"))
+    others = sorted(path.name for path in parallel.glob("*.nnc"))
+    check("global.nnc" in archives, f"fleet has no global.nnc: {archives}")
     check(archives == others, f"workers=2 fleet has {others}, not {archives}")
     for name in archives:
         diffs = compare_archives(fleet / name, parallel / name)
@@ -412,7 +431,7 @@ def leg_chaos(workdir: Path) -> str:
         scraped, seen = metrics.sum_labeled(samples, sample), counters.get(counter)
         check(scraped == seen, f"{sample}={scraped} on /metrics, drill saw {seen}")
 
-    archive = build(workdir / "chaos200.npz", 200, 4)
+    archive = build(workdir / "chaos200.nnc", 200, 4)
     repro(
         *["chaos", archive, "--shards", "4"],
         *["--slow-shard", "0", "--slow-p", "0.3", "--slow-ms", "20"],
@@ -430,7 +449,7 @@ def leg_telemetry(workdir: Path) -> str:
     under ``--tracing --slo`` every response carries a distinct trace id
     and every latency exemplar resolves with >= 95% critical-path
     coverage; ``repro trace export`` writes Chrome trace-event JSON."""
-    index = workdir / "idx40.npz"  # built by the build leg
+    index = workdir / "idx40.nnc"  # built by the build leg
     with serving(index) as (proc, url):
         # Responses stream once decided, at the latest on stdin EOF, so
         # the scrapes below see the traffic while the process serves.
