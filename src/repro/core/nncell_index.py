@@ -24,14 +24,18 @@ Queries that fall outside the data space — where NN-cells are undefined —
 fall back to branch-and-bound search on the data index and are flagged in
 the returned :class:`QueryInfo`.
 
-Each live cell's constraint system and rectangles live in seven read-only
+Each live cell's constraint system and rectangles live in six read-only
 columns, :attr:`NNCellIndex.cells` — the archive's own form
 (:mod:`repro.core.persistence`) — from build to save: a build concatenates
 its cells once, a load keeps the checked columns, and a write splices its
-changed cells into new columns.  Queries walk :attr:`NNCellIndex.snapshot`,
-the immutable packed cell tree (:mod:`repro.index.packed`), which build,
-load and every write lay out from the columns by the same STR packing; a
-write publishes its columns, live mask and snapshot together.
+changed cells into new columns.  A constraint row is stored as its
+opponent's id and its right-hand side ``b``: the row's normal is the
+bisector's ``2 (p_j - p_i)`` (Definition 2), which
+:meth:`NNCellIndex.constraint_system` derives from the two points.
+Queries walk :attr:`NNCellIndex.snapshot`, the immutable packed cell tree
+(:mod:`repro.index.packed`), which build, load and every write lay out
+from the columns by the same STR packing; a write publishes its columns,
+live mask and snapshot together.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ __all__ = [
 #: per-cell runs.  Cell ``i``, the ``i``-th live id, owns rows
 #: ``offsets[i]:offsets[i + 1]`` of each column.
 CELL_COLUMNS = {
-    "sys_offsets": ("sys_a", "sys_b", "sys_ids"),
+    "sys_offsets": ("sys_b", "sys_ids"),
     "rect_offsets": ("rect_lows", "rect_highs"),
 }
 
@@ -301,9 +305,10 @@ def as_query(
 def _cell_runs(
     system: HalfspaceSystem, rects: "List[MBR]"
 ) -> "Tuple[np.ndarray, ...]":
-    """One computed cell as its runs of the five data columns."""
+    """One computed cell as its runs of the four data columns; the
+    system's normals are left out, as its opponents' ids fix them."""
     return (
-        system.a, system.b, system.point_ids,
+        system.b, system.point_ids,
         np.stack([r.low for r in rects]), np.stack([r.high for r in rects]),
     )
 
@@ -312,7 +317,7 @@ def _stack_cells(
     runs: "Sequence[Tuple[np.ndarray, ...]]",
 ) -> "Dict[str, np.ndarray]":
     """The read-only :data:`CELL_COLUMNS` of consecutive cells, each given
-    as its runs ``(sys_a, sys_b, sys_ids, rect_lows, rect_highs)``."""
+    as its runs ``(sys_b, sys_ids, rect_lows, rect_highs)``."""
     names = [name for columns in CELL_COLUMNS.values() for name in columns]
     parts = dict(zip(names, zip(*runs)))
     cells: "Dict[str, np.ndarray]" = {}
@@ -397,14 +402,14 @@ class NNCellIndex:
                 if workers > 1:
                     from ..engine.parallel import parallel_cells
 
-                    cells = parallel_cells(
+                    runs = parallel_cells(
                         self.points, self.config, workers=workers
                     )
                 else:
-                    cells = (
-                        self._compute_cell(int(i)) for i in range(n)
-                    )
-                self.cells = _stack_cells([_cell_runs(*c) for c in cells])
+                    runs = [
+                        _cell_runs(*self._compute_cell(i)) for i in range(n)
+                    ]
+                self.cells = _stack_cells(runs)
             with span("build.cell_tree"):
                 self.snapshot = self._index_cells(self.cells, self.active_ids)
             n_rects = self.cells["rect_lows"].shape[0]
@@ -503,8 +508,7 @@ class NNCellIndex:
             rows = slice(sys_at[i], sys_at[i + 1])
             rects = slice(rect_at[i], rect_at[i + 1])
             runs.append((
-                cells["sys_a"][rows], cells["sys_b"][rows],
-                cells["sys_ids"][rows],
+                cells["sys_b"][rows], cells["sys_ids"][rows],
                 cells["rect_lows"][rects], cells["rect_highs"][rects],
             ))
         cells = _stack_cells(runs)
@@ -910,14 +914,17 @@ class NNCellIndex:
         ]
 
     def constraint_system(self, point_id: int) -> HalfspaceSystem:
-        """The bisector constraint system backing one cell (read-only
-        views of :attr:`cells`)."""
+        """The bisector constraint system backing one cell, read-only.
+
+        ``b`` and the opponents' ids are views of :attr:`cells`; each
+        row's normal ``2 (p_j - p_i)`` is computed here from the points,
+        exactly as the build and the writes computed it.
+        """
         rows, __ = self._rows(point_id)
-        cells = self.cells
-        return HalfspaceSystem(
-            cells["sys_a"][rows], cells["sys_b"][rows], self.box,
-            cells["sys_ids"][rows],
-        )
+        ids = self.cells["sys_ids"][rows]
+        a = 2.0 * (self.points[ids] - self.points[point_id])
+        a.setflags(write=False)
+        return HalfspaceSystem(a, self.cells["sys_b"][rows], self.box, ids)
 
     def all_cell_rectangles(self) -> "List[Tuple[int, MBR]]":
         """Every stored rectangle as ``(owner id, rect)`` pairs."""

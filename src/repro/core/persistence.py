@@ -16,13 +16,13 @@ rectangles out, as a bulk load would, straight into the packed cell-tree
 snapshot the queries walk, the snapshot a build or a write lays out from
 the same columns.
 
-Format version 5 is one file in three parts:
+Format version 6 is one file in three parts:
 
 * a 24-byte preamble: the magic ``b"\\x93NNCELL\\0"``, the length of the
   header and a ``zlib.crc32`` of every byte after the preamble, the
   last two as little-endian u64;
 * the header: one UTF-8 JSON object with sorted keys, padded with
-  spaces to a multiple of 8 bytes.  ``format_version`` is 5; ``meta``
+  spaces to a multiple of 8 bytes.  ``format_version`` is 6; ``meta``
   holds every :class:`BuildConfig` field but ``data_space`` (stored as
   the ``box`` column) and ``workers`` (how the build ran, not what it
   made), nested configs as JSON objects and ``selector`` by its value;
@@ -30,15 +30,25 @@ Format version 5 is one file in three parts:
 * the columns' little-endian C-order bytes in table order, each
   zero-padded to a multiple of 8 bytes so that every column is aligned.
 
-An index archive has ten columns, whatever the number of points:
+An index archive has nine columns, whatever the number of points:
 
 * ``points``, ``active`` — every point row (deleted points keep their
   slots) and the active mask;
 * ``box`` — the data space as one ``(2, d)`` array, ``low`` then
   ``high``;
-* ``sys_offsets``, ``sys_a``, ``sys_b``, ``sys_ids`` — the constraint
-  systems (``A x <= b`` rows and the point that generated each row);
+* ``sys_offsets``, ``sys_b``, ``sys_ids`` — the constraint systems: each
+  ``a . x <= b`` row as its ``b`` and its opponent, the point whose
+  bisector with the cell's own point it is;
 * ``rect_offsets``, ``rect_lows``, ``rect_highs`` — the rectangles.
+
+A row's normal is not stored.  It is ``a = 2 (p_j - p_i)`` for the
+cell's point ``p_i`` and the opponent ``p_j`` (Definition 2), so the
+opponent's id fixes it, and :meth:`NNCellIndex.constraint_system`
+derives it bit for bit as a build or a write computes it; storing it
+would take ``8d`` of a row's ``8d + 16`` bytes.  ``b`` is stored: a
+build computes it as ``|p_j|^2 - |p_i|^2`` over a vectorised dot product
+and an insert as a difference of two scalar ones, which can differ in
+the last bit.
 
 Each per-cell field is one column concatenated over the active cells in
 id order, with CSR offsets: cell ``i`` (the ``i``-th active id) owns
@@ -51,7 +61,7 @@ that buffer.
 Archives are outside input.  The container holds only ``<f8``, ``<i8``
 and ``|b1`` columns (nothing is unpickled), every shape is a list of
 non-negative ints and the columns end exactly at the end of the file.
-:func:`load_index` requires exactly its ten columns, each of its dtype;
+:func:`load_index` requires exactly its nine columns, each of its dtype;
 reads ``meta`` with the checker the sharded manifest's ``shard_config``
 also goes through (exactly the config's keys, each of its default's
 type, floats finite, enum values known, then the config's own checks);
@@ -60,8 +70,8 @@ and — over whole columns — what the per-cell constraint-system and
 rectangle constructors would check.  Any failure, a damaged or truncated
 file included, is a ``ValueError`` naming the key or column.  A file
 without the magic is refused, every ``.npz`` archive of versions 1 to 4
-included, and so is any other header version: rebuild the index with
-``repro build``.
+included, and so is any other header version, format 5 (which stored
+the normals) included: rebuild the index with ``repro build``.
 """
 
 from __future__ import annotations
@@ -73,7 +83,7 @@ import math
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -89,7 +99,7 @@ __all__ = [
     "save_sharded_index",
 ]
 
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 #: Magic, header length and the crc32 of every byte after the preamble.
 _PREAMBLE = struct.Struct("<8sQQ")
@@ -114,7 +124,6 @@ _COLUMNS = {
     "active": "|b1",
     "box": "<f8",
     "sys_offsets": "<i8",
-    "sys_a": "<f8",
     "sys_b": "<f8",
     "sys_ids": "<i8",
     "rect_offsets": "<i8",
@@ -175,7 +184,7 @@ def _write_archive(
     columns: "Dict[str, np.ndarray]",
 ) -> None:
     """Write the JSON object ``meta`` and ``columns`` to the file
-    ``path`` as a format-5 archive.
+    ``path`` as a format-6 archive.
 
     Each (contiguous) column's own buffer is written and fed to the
     checksum in turn, never copied or joined; the checksum goes into the
@@ -226,7 +235,7 @@ def _read_archive(
 
     The file is read with one read into one read-only buffer, and every
     column is a view of it.  Raises ``ValueError`` naming the problem
-    unless the file has the magic and its checksum, a format-5 header
+    unless the file has the magic and its checksum, a format-6 header
     whose column table is well formed, and columns that end exactly at
     the end of the file.
     """
@@ -451,10 +460,11 @@ def _check_columns(fields: "Dict[str, np.ndarray]") -> None:
         raise ValueError(
             "index archive field 'rect_offsets' gives a cell no rectangle"
         )
+    # Every row's normal is derived from its opponent's point.
     ids = fields["sys_ids"]
-    if ids.size and (ids.min() < -1 or ids.max() >= n_points):
+    if ids.size and (ids.min() < 0 or ids.max() >= n_points):
         raise ValueError(
-            f"index archive field 'sys_ids' must lie in [-1, {n_points})"
+            f"index archive field 'sys_ids' must lie in [0, {n_points})"
         )
 
 
@@ -465,13 +475,8 @@ def _check_cells(fields: "Dict[str, np.ndarray]") -> None:
     extents (``rect_highs`` is replaced by a clamped copy if it has
     any)."""
     dim = fields["points"].shape[1]
-    sys_a, sys_b, ids = fields["sys_a"], fields["sys_b"], fields["sys_ids"]
-    if sys_a.ndim != 2 or (sys_a.shape[0] and sys_a.shape[1] != dim):
-        raise ValueError(
-            f"index archive field 'sys_a' has shape {sys_a.shape}; "
-            f"expected (rows, {dim})"
-        )
-    for name, column in (("sys_b", sys_b), ("sys_ids", ids)):
+    for name in ("sys_b", "sys_ids"):
+        column = fields[name]
         if column.ndim != 1:
             raise ValueError(
                 f"index archive field {name!r} has shape {column.shape}; "
@@ -509,9 +514,10 @@ def _check_cells(fields: "Dict[str, np.ndarray]") -> None:
 # included, so global ids stay stable across save/load exactly as
 # unsharded ids do) and the `shard_of`/`local_of` routes.  The manifest
 # is outside input too: the load checks its version, its `shard_config`
-# keys and types, that the partitioner matches that config, and that the
-# id maps agree with the archives.  Versions 1 and 2 (whose members were
-# `.npz` files) are refused.
+# keys and types, that the partitioner is an object matching that config,
+# that each `shards` entry names its own `shard_<s>.nnc` (or none) and
+# lists int ids, and that the id maps agree with the archives.  Versions
+# 1 and 2 (whose members were `.npz` files) are refused.
 # ======================================================================
 
 def is_sharded_archive(path: "Union[str, Path]") -> bool:
@@ -589,16 +595,20 @@ def load_sharded_index(path: "Union[str, Path]"):
         manifest.get("shard_config"),
         f"{manifest_path}: shard_config",
     )
+    if not isinstance(manifest.get("partitioner"), dict):
+        raise ValueError(
+            f"{manifest_path}: key 'partitioner' is not a JSON object"
+        )
     partitioner = partitioner_from_manifest(manifest["partitioner"])
     shards = []
     globals_ = []
     build_config = None
-    for entry in manifest["shards"]:
-        globals_.append([int(g) for g in entry["global_ids"]])
-        if entry["archive"] is None:
+    for archive, ids in _shard_entries(manifest_path, manifest.get("shards")):
+        globals_.append(ids)
+        if archive is None:
             shards.append(None)
             continue
-        shard = load_index(source / entry["archive"])
+        shard = load_index(source / archive)
         if build_config is None:
             build_config = shard.config
         shards.append(shard)
@@ -632,6 +642,40 @@ def load_sharded_index(path: "Union[str, Path]"):
         shard_of=shard_of.tolist(),
         local_of=local_of.tolist(),
     )
+
+
+def _shard_entries(
+    manifest_path: Path, shards: Any
+) -> "List[Tuple[Optional[str], List[int]]]":
+    """The manifest's ``shards`` as ``(archive, global_ids)`` pairs.
+
+    Raises ``ValueError`` naming the key unless ``shards`` is a list of
+    objects with exactly the keys ``archive`` — ``null`` or, for entry
+    ``s``, the ``shard_<s>.nnc`` that :func:`save_sharded_index` writes,
+    so that a manifest cannot send the load outside its directory — and
+    ``global_ids``, a list of ints (a bool or a float is not an id).
+    """
+    if not isinstance(shards, list):
+        raise ValueError(f"{manifest_path}: key 'shards' is not a list")
+    pairs = []
+    for s, entry in enumerate(shards):
+        where = f"{manifest_path}: shards[{s}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is not a JSON object")
+        odd = sorted(entry.keys() ^ {"archive", "global_ids"})
+        if odd:
+            state = "unknown" if odd[0] in entry else "no"
+            raise ValueError(f"{where} has {state} key {odd[0]!r}")
+        archive, ids = entry["archive"], entry["global_ids"]
+        if archive is not None and archive != f"shard_{s}.nnc":
+            raise ValueError(
+                f"{where} key 'archive' is {archive!r}, not null or "
+                f"'shard_{s}.nnc'"
+            )
+        if not (isinstance(ids, list) and all(type(g) is int for g in ids)):
+            raise ValueError(f"{where} key 'global_ids' is not a list of ints")
+        pairs.append((archive, ids))
+    return pairs
 
 
 def _check_partitioner(manifest_path: Path, partitioner, config, dim: int) -> None:

@@ -8,7 +8,10 @@ work chunks cleanly.  This module fans the per-point pipeline of
 constraint system → ``2d`` LPs → optional decomposition) out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  The simplex is Python
 over tiny numpy tableaux, so an LP holds the GIL for nearly all of its
-time: only separate processes solve two LPs at once.
+time: only separate processes solve two LPs at once.  A worker sends
+back each cell as its runs of the index's cell columns (``b``, the
+opponents' ids and the rectangles), not as a constraint system: the
+normals follow from the ids, so the parent never needs them.
 
 **Determinism.**  Every worker rebuilds the same state from the same
 inputs with the same code (:class:`CellWorkshop` calls the very
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -38,6 +40,7 @@ from ..core.approximation import lp_call_count
 from ..core.candidates import CandidateSelector
 from ..core.nncell_index import (
     BuildConfig,
+    _cell_runs,
     compute_cell,
     load_data_tree,
     make_tree,
@@ -87,9 +90,10 @@ def chunk_ids(n: int, workers: int) -> "List[np.ndarray]":
 
 @dataclass
 class ChunkResult:
-    """One chunk's cells plus the worker-side cost accounting."""
+    """One chunk's cells, as their column runs, plus the worker-side cost
+    accounting."""
 
-    cells: "List[Tuple[HalfspaceSystem, List[MBR]]]"
+    cells: "List[Tuple[np.ndarray, ...]]"
     worker: str
     cpu_seconds: float
     lp_calls: int
@@ -131,7 +135,7 @@ class CellWorkshop:
     def compute_chunk(self, ids: Sequence[int]) -> ChunkResult:
         started = time.perf_counter()
         lp_before = lp_call_count()
-        cells = [self.compute(int(i)) for i in ids]
+        cells = [_cell_runs(*self.compute(int(i))) for i in ids]
         return ChunkResult(
             cells=cells,
             worker=f"pid-{os.getpid()}",
@@ -180,10 +184,14 @@ def _mp_context():
 
 def parallel_cells(
     points: np.ndarray, config: BuildConfig, workers: int
-) -> "List[Tuple[HalfspaceSystem, List[MBR]]]":
+) -> "List[Tuple[np.ndarray, ...]]":
     """All cells of ``points`` computed by a worker-process pool, in
-    point-id order — the parallel counterpart of the serial loop in
-    ``NNCellIndex._build``."""
+    point-id order, each as its runs of the cell columns — the parallel
+    counterpart of the serial loop in ``NNCellIndex._build``."""
+    # Imported here, so that a process that never builds in parallel
+    # never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     workers = resolve_workers(workers)
@@ -192,7 +200,7 @@ def parallel_cells(
     with span(
         "build.cells.parallel", workers=workers, chunks=len(chunks)
     ) as root:
-        cells: "List[Tuple[HalfspaceSystem, List[MBR]]]" = []
+        cells: "List[Tuple[np.ndarray, ...]]" = []
         total_lp_calls = 0
         with ProcessPoolExecutor(
             max_workers=workers,

@@ -116,9 +116,12 @@ def pack_layout(
         if len(groups) == 1:
             return levels
         # The next level's entries are these nodes' MBRs, computed as
-        # Node.mbr() does (the same reduction, then the same clamp).
-        node_lows = np.stack([lows[g].min(axis=0) for g in groups])
-        node_highs = np.stack([highs[g].max(axis=0) for g in groups])
+        # Node.mbr() does (the same reduction over each node's entries in
+        # the same order, then the same clamp), for every node at once.
+        order = np.concatenate(groups)
+        starts = np.cumsum([0] + [g.shape[0] for g in groups[:-1]])
+        node_lows = np.minimum.reduceat(lows[order], starts, axis=0)
+        node_highs = np.maximum.reduceat(highs[order], starts, axis=0)
         lows, highs, ids = node_lows, np.maximum(node_lows, node_highs), page_ids
         cap, min_entries = capacity, tree.min_entries
 
@@ -231,4 +234,12 @@ def _balanced_chunks(
     # Shrinking the chunk count keeps every balanced chunk >= min_entries.
     while n_chunks > 1 and n // n_chunks < min_entries:
         n_chunks -= 1
-    return [chunk for chunk in np.array_split(order, n_chunks) if chunk.size]
+    # As np.array_split cuts them: the first n % n_chunks chunks take one
+    # entry more than the rest.
+    size, extra = divmod(n, n_chunks)
+    chunks, start = [], 0
+    for i in range(n_chunks):
+        stop = start + size + (i < extra)
+        chunks.append(order[start:stop])
+        start = stop
+    return chunks

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from .metrics import (
@@ -344,6 +343,10 @@ class MetricsServer:
         objective pages.  ``analytics`` (a
         :class:`~repro.obs.analytics.AccessRecorder`) adds
         ``GET /analytics`` — the live workload-skew report as JSON."""
+        # Imported here: a process that serves no metrics never loads
+        # http.server (nor the email, http.client and ssl modules it pulls in).
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self.registry = registry  # None = the process-wide registry
         self.tracestore = tracestore
         self.watchdog = watchdog

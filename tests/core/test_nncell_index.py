@@ -8,6 +8,7 @@ from repro.core.candidates import SelectorKind
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import clustered_points, grid_points, uniform_points
+from repro.geometry.halfspace import bisector, bisectors_from_points
 from repro.geometry.mbr import MBR
 
 ALL_SELECTORS = list(SelectorKind)
@@ -228,3 +229,53 @@ class TestQueryEdgeCases:
             index.cell_rectangles(9999)
         with pytest.raises(KeyError):
             index.constraint_system(9999)
+
+
+DECOMPOSITIONS = {
+    "none": {},
+    "grid": dict(decompose=True, decomposition=DecompositionConfig(k_max=8)),
+    "greedy": dict(
+        decompose=True,
+        decomposition=DecompositionConfig(k_max=4, strategy="greedy"),
+    ),
+}
+
+
+def assert_normals_are_bisectors(index):
+    """Every live cell's derived normals are, bit for bit, the rows that
+    ``bisectors_from_points`` (build, delete) and ``bisector`` (insert)
+    compute against its opponents, and each stored ``b`` is the one of
+    the two computations that made its row."""
+    for pid in index.active_ids.tolist():
+        system = index.constraint_system(pid)
+        assert not system.a.flags.writeable
+        site, opponents = index.points[pid], index.points[system.point_ids]
+        a_vec, b_vec = bisectors_from_points(site, opponents)
+        rows = [bisector(site, opponent) for opponent in opponents]
+        a_row = np.array([a for a, __ in rows]).reshape(system.a.shape)
+        b_row = np.array([b for __, b in rows])
+        assert system.a.tobytes() == a_vec.tobytes()
+        assert system.a.tobytes() == a_row.tobytes()
+        assert np.all((system.b == b_vec) | (system.b == b_row))
+
+
+class TestDerivedNormals:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("decomposition", list(DECOMPOSITIONS))
+    @pytest.mark.parametrize("selector", ALL_SELECTORS)
+    def test_normals_match_bisectors_before_and_after_writes(
+        self, selector, decomposition, workers
+    ):
+        seed = 40 + ALL_SELECTORS.index(selector)
+        points = uniform_points(14, 2, seed=seed)
+        config = BuildConfig(
+            selector=selector, workers=workers, **DECOMPOSITIONS[decomposition]
+        )
+        index = NNCellIndex.build(points, config)
+        assert_normals_are_bisectors(index)
+        rng = np.random.default_rng(seed)
+        for __ in range(2):
+            index.insert(rng.uniform(size=2))
+            assert_normals_are_bisectors(index)
+            index.delete(int(rng.choice(index.active_ids)))
+            assert_normals_are_bisectors(index)

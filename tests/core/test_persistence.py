@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_nearest
+from helpers import brute_nearest, write_format_5
 from repro.core.candidates import SelectorKind, SelectorParams
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
@@ -25,6 +25,7 @@ from repro.core.persistence import (
 )
 from repro.data import uniform_points
 from repro.geometry.mbr import MBR
+from repro.index.linear_scan import LinearScan
 from repro.shard import ShardConfig, ShardedNNCellIndex
 
 
@@ -209,7 +210,7 @@ class TestRoundtrip:
         # Version 3 kept only part of the build config (no decomposition
         # budget or strategy), so it cannot say which cells it holds.
         index = NNCellIndex.build(uniform_points(10, 2, seed=116))
-        for version in (1, 2, 3, 4, 99, "5", None):
+        for version in (1, 2, 3, 4, 5, 99, "6", None):
             save_index(index, archive_path)
             reseal(archive_path, lambda doc: doc.update(format_version=version))
             with pytest.raises(ValueError, match="version .*repro build"):
@@ -245,6 +246,22 @@ class TestRoundtrip:
         with open(archive_path, "wb") as out:
             np.savez(out, meta=np.bytes_(json.dumps(meta).encode()), **data)
         with pytest.raises(ValueError, match="not an index archive.*repro build"):
+            load_index(archive_path)
+
+    def test_format_5_refused(self, archive_path):
+        # Format 5 stored each constraint row's normal as the column
+        # `sys_a`; there is no reader for it.
+        index = NNCellIndex.build(uniform_points(10, 2, seed=116))
+        write_format_5(index, archive_path)
+        with pytest.raises(
+            ValueError,
+            match=r"version 5 \(expected 6\); rebuild the index with `repro build`",
+        ):
+            load_index(archive_path)
+        # The version refuses it: the same file as version 6 loads up to
+        # its extra column.
+        reseal(archive_path, lambda doc: doc.update(format_version=6))
+        with pytest.raises(ValueError, match="has unknown column 'sys_a'"):
             load_index(archive_path)
 
     def test_foreign_archive_refused(self, archive_path):
@@ -297,7 +314,7 @@ class TestColumnarArchive:
         written.delete(4)
         for index in (built, load_index(archive_path), written):
             assert list(index.cells) == [
-                "sys_offsets", "sys_a", "sys_b", "sys_ids",
+                "sys_offsets", "sys_b", "sys_ids",
                 "rect_offsets", "rect_lows", "rect_highs",
             ]
             for name, column in index.cells.items():
@@ -315,8 +332,8 @@ class TestColumnarArchive:
                 lambda d: {"rect_offsets": d["rect_offsets"][[0, 2, 1, 3, 4, 5]]},
             ),
             (
-                "'sys_offsets' ends at .* 'sys_a'",
-                lambda d: {"sys_a": d["sys_a"][:-1]},
+                "'sys_offsets' ends at .* 'sys_b'",
+                lambda d: {"sys_b": d["sys_b"][:-1]},
             ),
             (
                 "'sys_offsets' ends at .* 'sys_ids'",
@@ -347,6 +364,11 @@ class TestColumnarArchive:
                 lambda d: {"sys_ids": np.r_[-2, d["sys_ids"][1:]]},
             ),
             (
+                # A row without an opponent has no normal to derive.
+                "'sys_ids' must lie in \\[0, 5\\)",
+                lambda d: {"sys_ids": np.r_[-1, d["sys_ids"][1:]]},
+            ),
+            (
                 "'points' .* 'active' .* bool mask of n entries",
                 lambda d: {"active": d["active"][:-1]},
             ),
@@ -363,8 +385,8 @@ class TestColumnarArchive:
                 lambda d: {"box": poisoned(d["box"], -np.inf)},
             ),
             (
-                "'sys_a' must hold finite",
-                lambda d: {"sys_a": poisoned(d["sys_a"], np.nan)},
+                "archive field 'sys_b' must hold finite float64",
+                lambda d: {"sys_b": poisoned(d["sys_b"], np.nan)},
             ),
             (
                 "'sys_b' must hold finite",
@@ -460,7 +482,7 @@ class TestColumnarArchive:
             columns = _read_archive(path)[1].values()
             raw = sum(column.nbytes + -column.nbytes % 8 for column in columns)
             assert len(data) == _PREAMBLE.size + size + raw, path.name
-        members = "points active box sys_offsets sys_a sys_b sys_ids"
+        members = "points active box sys_offsets sys_b sys_ids"
         members += " rect_offsets rect_lows rect_highs"
         assert list(_read_archive(archives[0])[1]) == members.split()
 
@@ -523,9 +545,9 @@ class TestColumnarArchive:
     def test_missing_column_rejected(self, archive_path):
         save_index(NNCellIndex.build(uniform_points(5, 2, seed=120)), archive_path)
         meta, columns = _read_archive(archive_path)
-        del columns["sys_a"]
+        del columns["sys_b"]
         _write_archive(archive_path, meta, columns)
-        with pytest.raises(ValueError, match="has no column 'sys_a'"):
+        with pytest.raises(ValueError, match="has no column 'sys_b'"):
             load_index(archive_path)
 
     @pytest.mark.parametrize(
@@ -533,8 +555,8 @@ class TestColumnarArchive:
         [
             ("column 'points' has dtype '|O', not one of",
              lambda d: column_entry(d, "points").__setitem__(1, "|O"), b""),
-            ("column 'sys_a' has dtype '<f4', not one of",
-             lambda d: column_entry(d, "sys_a").__setitem__(1, "<f4"), b""),
+            ("column 'sys_b' has dtype '<f4', not one of",
+             lambda d: column_entry(d, "sys_b").__setitem__(1, "<f4"), b""),
             ("column 'box' has shape \\[-2, 2\\], not a list of non-negative",
              lambda d: column_entry(d, "box").__setitem__(2, [-2, 2]), b""),
             ("column 'box' has shape \\[2.0, 2\\], not a list of non-negative",
@@ -654,6 +676,70 @@ def test_reload_keeps_the_whole_build_config(tmp_path_factory, config):
         assert getattr(loaded, name) == getattr(config, name), name
     assert loaded.data_space == MBR(*_read_archive(path)[1]["box"])
     assert loaded.workers == 1  # how a build ran is not stored
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        BuildConfig(),
+        BuildConfig(
+            selector=SelectorKind.CORRECT,
+            decompose=True,
+            decomposition=DecompositionConfig(k_max=4, strategy="greedy"),
+        ),
+    ],
+    ids=["default", "decomposed"],
+)
+def test_loaded_index_writes_the_bytes_a_built_one_writes(tmp_path, config):
+    # build -> save, save -> load -> save, and load -> write -> save
+    # against build -> write -> save: the derived normals must give a
+    # written cell the rows and rectangles it has on the built index.
+    built = NNCellIndex.build(uniform_points(25, 3, seed=124), config)
+    path = {
+        name: tmp_path / f"{name}.nnc"
+        for name in ("built", "reloaded", "built_written", "loaded_written")
+    }
+    save_index(built, path["built"])
+    loaded = load_index(path["built"])
+    save_index(loaded, path["reloaded"])
+    assert path["reloaded"].read_bytes() == path["built"].read_bytes()
+    rng = np.random.default_rng(124)
+    writes = [
+        ("insert", rng.uniform(size=3)), ("delete", 6),
+        ("insert", rng.uniform(size=3)), ("delete", 25),
+    ]
+    for index, name in ((built, "built_written"), (loaded, "loaded_written")):
+        for method, argument in writes:
+            getattr(index, method)(argument)
+        save_index(index, path[name])
+    assert (
+        path["loaded_written"].read_bytes() == path["built_written"].read_bytes()
+    )
+
+
+def test_lemma_1_on_a_loaded_then_written_index(archive_path):
+    # Every query's true nearest neighbour, by a linear scan, is among
+    # the owners of the cell rectangles that contain it.
+    config = BuildConfig(
+        decompose=True, decomposition=DecompositionConfig(k_max=4)
+    )
+    save_index(NNCellIndex.build(uniform_points(30, 3, seed=125), config), archive_path)
+    index = load_index(archive_path)
+    rng = np.random.default_rng(125)
+    for __ in range(3):
+        index.insert(rng.uniform(size=3))
+        index.delete(int(rng.choice(index.active_ids)))
+    live = index.active_ids
+    scan = LinearScan(index.points[live])
+    for q in rng.uniform(size=(200, 3)):
+        truth = scan.nearest(q)
+        explained = index.explain(q)
+        assert explained.path == "cell"
+        owners = [owner for owner, __ in explained.candidates]
+        assert live[truth.ids[0]] in owners
+        pid, dist, __ = index.nearest(q)
+        assert pid == live[truth.ids[0]]
+        assert dist == pytest.approx(truth.nearest_distance)
 
 
 def test_reload_writes_the_cells_the_build_writes(archive_path):

@@ -66,6 +66,18 @@ def assert_cell_matches(index, point_id, system, rects):
     ]
 
 
+def assert_runs_match(index, point_id, runs):
+    """A worker's column runs ``(b, ids, lows, highs)`` are, to the
+    byte, the index's cell ``point_id``."""
+    b, ids, lows, highs = runs
+    expected = index.constraint_system(point_id)
+    assert b.tobytes() == expected.b.tobytes()
+    assert ids.tobytes() == expected.point_ids.tobytes()
+    rects = index.cell_rectangles(point_id)
+    assert lows.tobytes() == np.stack([r.low for r in rects]).tobytes()
+    assert highs.tobytes() == np.stack([r.high for r in rects]).tobytes()
+
+
 def build(points, **overrides):
     defaults = dict(selector=SelectorKind.NN_DIRECTION)
     defaults.update(overrides)
@@ -111,8 +123,8 @@ class TestParity:
         serial = build(points)
         cells = parallel_cells(points, serial.config, workers=2)
         assert len(cells) == points.shape[0]
-        for point_id, (system, rects) in enumerate(cells):
-            assert_cell_matches(serial, point_id, system, rects)
+        for point_id, runs in enumerate(cells):
+            assert_runs_match(serial, point_id, runs)
 
     def test_decomposed_build_identical(self):
         points = uniform_points(24, 2, seed=5)

@@ -1,9 +1,12 @@
 """Shared reference implementations for tests (brute-force baselines,
-the cell tree a snapshot packs), a batch function that holds a service's
+the HiGHS LP oracle, the cell tree a snapshot packs), a writer of the
+retired archive format 5, a batch function that holds a service's
 flush, and a loader for the standalone scripts in ``tools/``."""
 
 import importlib.util
+import json
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,61 @@ def highs_maximize(c, a_ub, b_ub, lb, ub):
     if res.status == 3:
         return LPResult("unbounded", None, float("nan"))
     raise RuntimeError(f"scipy linprog failed: {res.message}")
+
+
+def highs_least_violation(a_ub, b_ub, lb, ub):
+    """The least ``v >= 0`` for which some ``x`` in the box holds every
+    row of ``a_ub x <= b_ub + v``, by HiGHS: the optimum of the phase-1
+    LP, which the simplex compares with its ``_INFEASIBLE`` band."""
+    from scipy.optimize import linprog
+
+    a_ub = np.asarray(a_ub, dtype=np.float64)
+    m, d = a_ub.shape
+    res = linprog(
+        np.r_[np.zeros(d), 1.0],
+        A_ub=np.hstack([a_ub, -np.ones((m, 1))]),
+        b_ub=np.asarray(b_ub, dtype=np.float64),
+        bounds=[*zip(lb, ub), (0.0, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"scipy linprog failed: {res.message}")
+    return float(res.fun)
+
+
+def write_format_5(index, path):
+    """Write ``index`` to ``path`` as archive format 5 did: the same
+    preamble, header and columns, plus each constraint row's normal as
+    the column ``sys_a`` after ``sys_offsets``, and ``format_version``
+    5, under a valid checksum."""
+    from repro.core.persistence import (
+        _MAGIC,
+        _PREAMBLE,
+        _read_archive,
+        _write_archive,
+        save_index,
+    )
+
+    save_index(index, path)
+    meta, columns = _read_archive(path)
+    owners = np.repeat(index.active_ids, np.diff(columns["sys_offsets"]))
+    ids = columns["sys_ids"]
+    ordered = {}
+    for name, column in columns.items():
+        ordered[name] = column
+        if name == "sys_offsets":
+            ordered["sys_a"] = 2.0 * (index.points[ids] - index.points[owners])
+    _write_archive(path, meta, ordered)
+    data = Path(path).read_bytes()
+    __, size, __ = _PREAMBLE.unpack_from(data)
+    doc = json.loads(data[_PREAMBLE.size:_PREAMBLE.size + size])
+    doc["format_version"] = 5
+    header = json.dumps(doc, sort_keys=True).encode()
+    header += b" " * (-len(header) % 8)
+    payload = header + data[_PREAMBLE.size + size:]
+    Path(path).write_bytes(
+        _PREAMBLE.pack(_MAGIC, len(header), zlib.crc32(payload)) + payload
+    )
 
 
 def highs_mbr(system):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import brute_nearest
 from repro.data import uniform_points
-from repro.index.bulk import bulk_load
+from repro.index.bulk import _balanced_chunks, bulk_load, str_layout
 from repro.index.nnsearch import rkv_nearest
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
@@ -91,3 +91,38 @@ class TestBulkLoad:
             1 for __, node in sparse.iter_nodes() if node.is_leaf
         )
         assert dense_leaves < sparse_leaves
+
+
+class TestLayoutReference:
+    """The STR layout against the per-node loops it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, dim", [(1, 2), (9, 1), (100, 6), (1000, 3), (2500, 2)]
+    )
+    def test_node_bounds_are_each_nodes_reduction(self, n, dim, rng):
+        lows = rng.uniform(size=(n, dim))
+        highs = lows + rng.uniform(0.0, 0.1, size=(n, dim))
+        lows[::7] = np.round(lows[::7], 1)  # ties along the sort axes
+        levels = str_layout(XTree(dim, page_size=512), lows, highs, np.arange(n))
+        for below, above in zip(levels, levels[1:]):
+            entries = np.sort(np.concatenate(below.groups))
+            assert np.array_equal(entries, np.arange(below.ids.shape[0]))
+            for k, group in enumerate(below.groups):
+                low = below.lows[group].min(axis=0)
+                high = np.maximum(low, below.highs[group].max(axis=0))
+                assert above.lows[k].tobytes() == low.tobytes()
+                assert above.highs[k].tobytes() == high.tobytes()
+
+    def test_balanced_chunks_cut_as_array_split(self):
+        order = np.arange(1000)[::-1]
+        for n in (1, 2, 5, 17, 100, 999):
+            for capacity in (2, 3, 7, 50, 1000):
+                for min_entries in (1, 2, 3, 6):
+                    n_chunks = -(-n // capacity)
+                    while n_chunks > 1 and n // n_chunks < min_entries:
+                        n_chunks -= 1
+                    expected = np.array_split(order[:n], n_chunks)
+                    chunks = _balanced_chunks(order[:n], capacity, min_entries)
+                    assert [c.tolist() for c in chunks] == [
+                        c.tolist() for c in expected if c.size
+                    ]

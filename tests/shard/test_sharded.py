@@ -398,6 +398,61 @@ class TestPersistence:
         grown = {name: np.concatenate([a, a[:1]]) for name, a in arrays.items()}
         refused("marks 49 points active, but the shards hold 48", **grown)
 
+    def test_load_type_checks_the_shard_entries(self, tmp_path, sharded):
+        target = tmp_path / "fleet"
+        save_sharded_index(sharded, target)
+        manifest = json.loads((target / "manifest.json").read_text())
+        entries = manifest["shards"]
+
+        def refused(error, **changes):
+            doc = dict(manifest, **changes)
+            (target / "manifest.json").write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=re.escape(error)):
+                load_sharded_index(target)
+
+        def entry(s, **changes):
+            """The shard entries with entry ``s`` changed."""
+            edited = [dict(e) for e in entries]
+            edited[s].update(changes)
+            return edited
+
+        ids = entries[1]["global_ids"]
+        refused("shards[0] is not a JSON object", shards=[3, *entries[1:]])
+        refused("key 'shards' is not a list", shards={"0": entries[0]})
+        # int() took 1.5 and true as ids.
+        refused(
+            "shards[1] key 'global_ids' is not a list of ints",
+            shards=entry(1, global_ids=[float(ids[0]) + 0.5, *ids[1:]]),
+        )
+        refused(
+            "shards[1] key 'global_ids' is not a list of ints",
+            shards=entry(1, global_ids=[True, *ids[1:]]),
+        )
+        refused(
+            "shards[1] key 'global_ids' is not a list of ints",
+            shards=entry(1, global_ids=" ".join(map(str, ids))),
+        )
+        # A path that leaves the fleet's directory, even to a valid shard.
+        outside = str((target / "shard_0.nnc").resolve())
+        refused(
+            f"shards[0] key 'archive' is {outside!r}, not null or 'shard_0.nnc'",
+            shards=entry(0, archive=outside),
+        )
+        refused(
+            "shards[1] key 'archive' is 'shard_0.nnc', not null or "
+            "'shard_1.nnc'",
+            shards=entry(1, archive="shard_0.nnc"),
+        )
+        refused("shards[2] has unknown key 'bogus'", shards=entry(2, bogus=1))
+        refused(
+            "shards[3] has no key 'global_ids'",
+            shards=[*entries[:3], {"archive": "shard_3.nnc"}],
+        )
+        refused(
+            "key 'partitioner' is not a JSON object",
+            partitioner=["hash", 4],
+        )
+
     def test_load_cross_checks_the_partitioner(self, tmp_path, sharded):
         def refused(error, target, partitioner):
             manifest = json.loads((target / "manifest.json").read_text())

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import load_tool
+from helpers import load_tool, write_format_5
 from repro.cli import main
+from repro.core.nncell_index import NNCellIndex
+from repro.data import uniform_points
 from repro.obs.export import load_profile
 
 
@@ -190,6 +192,17 @@ class TestErrorHandling:
             assert stderr.startswith("error:")
             assert "Traceback" not in stderr
 
+    def test_format_5_archive_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "idx.nnc"
+        write_format_5(NNCellIndex.build(uniform_points(20, 3, seed=5)), out)
+        code, __, stderr = run(
+            capsys, "query", str(out), "--point", "0.5,0.5,0.5",
+        )
+        assert code == 1
+        assert stderr.startswith("error:")
+        assert "version 5" in stderr and "repro build" in stderr
+        assert "Traceback" not in stderr
+
     def test_missing_point_file(self, tmp_path, capsys):
         code, __, stderr = run(
             capsys, "build", "--points", str(tmp_path / "nope.npy"),
@@ -281,6 +294,28 @@ class TestShardedCli:
             assert code == 1
             assert stderr.startswith("error: ")
             assert "shard_config" in stderr
+
+    def test_manifest_shard_entry_not_an_object_is_an_error(
+        self, tmp_path, capsys
+    ):
+        # A shard entry replaced by a number gave a TypeError traceback.
+        import json
+
+        out = tmp_path / "fleet"
+        code, __, __ = run(
+            capsys, "build", "--dataset", "uniform", "--n", "20",
+            "--dim", "2", "--out", str(out), "--shards", "2",
+        )
+        assert code == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["shards"][0] = 3
+        manifest.write_text(json.dumps(doc))
+        code, __, stderr = run(capsys, "query", str(out), "--point", "0.5,0.5")
+        assert code == 1
+        assert stderr.startswith("error: ")
+        assert "shards[0] is not a JSON object" in stderr
+        assert "Traceback" not in stderr
 
     def test_build_rejects_negative_shards(self, tmp_path, capsys):
         code, __, stderr = run(

@@ -42,6 +42,20 @@ def test_checker_flags_dangling_path_mention(checker, tmp_path):
     assert checker.main([str(bad)]) == 1
 
 
+def test_checker_resolves_skill_paths_whole(checker, tmp_path, capsys):
+    # A skill note's path was read as a root-level SKILL.md, and flagged.
+    skill = next(p for p in checker.default_targets() if p.name == "SKILL.md")
+    mention = skill.relative_to(REPO_ROOT).as_posix()
+    ok = tmp_path / "ok.md"
+    ok.write_text(f"Notes live in `{mention}`.\n")
+    assert checker.main([str(ok)]) == 0
+    missing = mention.replace(skill.parent.name, "no-such-skill")
+    bad = tmp_path / "bad.md"
+    bad.write_text(f"Notes live in `{missing}`.\n")
+    assert checker.main([str(bad)]) == 1
+    assert missing in capsys.readouterr().err
+
+
 def test_checker_skips_external_and_anchor_links(checker, tmp_path, capsys):
     ok = tmp_path / "ok.md"
     ok.write_text(

@@ -37,20 +37,37 @@ assert "scipy" not in sys.modules, "a runtime path imported scipy"
 """
 
 
-def test_runtime_paths_never_import_scipy():
-    """Build (serial and two workers), save, load, query, insert,
-    delete and serve one request without importing scipy."""
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter with ``src`` on its path."""
     path = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )
-    run = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_runtime_paths_never_import_scipy():
+    """Build (serial and two workers), save, load, query, insert,
+    delete and serve one request without importing scipy."""
+    run = run_fresh(_SCRIPT)
     assert run.returncode == 0, run.stderr
+
+
+def test_import_loads_no_http_server_or_process_pool():
+    """The metrics endpoint imports http.server and a parallel build its
+    process pool where each starts, so ``import repro`` loads neither."""
+    run = run_fresh(
+        "import sys, repro; "
+        "print([m for m in ('http.server', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_no_source_file_imports_scipy():

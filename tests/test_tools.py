@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import load_tool
-from repro.core.persistence import _write_archive
+from helpers import load_tool, write_format_5
+from repro.core.nncell_index import NNCellIndex
+from repro.core.persistence import _write_archive, save_index
+from repro.data import uniform_points
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "x: values differ" in out
         assert "1 difference(s)" in out
+
+    def test_format_5_archive_exit_two(self, tool, tmp_path, capsys):
+        a = tmp_path / "a.nnc"
+        b = tmp_path / "b.nnc"
+        index = NNCellIndex.build(uniform_points(10, 2, seed=6))
+        save_index(index, a)
+        write_format_5(index, b)
+        assert tool.main([str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "version 5" in err
 
     def test_usage_and_missing_file_exit_two(self, tool, tmp_path, capsys):
         assert tool.main(["just-one.nnc"]) == 2

@@ -37,10 +37,12 @@ _INLINE_LINK = re.compile(r"\[[^\]]*\]\(\s*([^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 
 #: Repo-relative file paths mentioned in prose or code spans:
 #: ``docs/x.md``, ``examples/y.py``, ``benchmarks/z.py``, ``tools/w.py``,
-#: ``src/repro/...py`` and root-level ``UPPERCASE.md`` files.
+#: ``src/repro/...py``, paths inside a dot-directory (the skill notes) and
+#: root-level ``UPPERCASE.md`` files.  A dot-directory path is checked
+#: whole, not as the root-level file its last part would name.
 _PATH_MENTION = re.compile(
-    r"\b((?:docs|examples|benchmarks|tools|tests|src)/[\w./-]+\.(?:md|py)"
-    r"|[A-Z][A-Z_]+\.md)\b"
+    r"((?:\b(?:docs|examples|benchmarks|tools|tests|src)/|(?<![\w./-])\.\w+/)"
+    r"[\w./-]+\.(?:md|py)|\b[A-Z][A-Z_]+\.md)\b"
 )
 
 _SKIP_SCHEMES = ("http://", "https://", "mailto:")

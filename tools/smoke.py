@@ -36,7 +36,11 @@ from compare_archives import compare_archives  # noqa: E402
 
 from repro import NNCellIndex  # noqa: E402
 from repro.chaos import FaultPlan, ShardFaults, run_drill  # noqa: E402
-from repro.core.persistence import is_sharded_archive, load_any_index  # noqa: E402
+from repro.core.persistence import (  # noqa: E402
+    is_sharded_archive,
+    load_any_index,
+    save_index,
+)
 from repro.data import query_points, uniform_points  # noqa: E402
 from repro.eval.replay import replay  # noqa: E402
 from repro.obs import metrics  # noqa: E402
@@ -308,19 +312,33 @@ def leg_serve(workdir: Path) -> str:
 def leg_build(workdir: Path) -> str:
     """A decomposed ``--workers 2`` build writes the serial archive's
     bytes, the archive loads back with the build config it was made
-    with, a truncated copy is refused with an ``error:`` line and no
-    traceback, and a ``--profile`` build documents its cells and
-    ``build.nncell`` span."""
+    with and saves the same bytes again, an insert into the loaded index
+    saves what the same insert into a fresh build saves (a loaded
+    index's constraint normals are derived from the points), a
+    truncated copy is refused with an ``error:`` line and no traceback,
+    and a ``--profile`` build documents its cells and ``build.nncell``
+    span."""
     flags = ("--decompose", "--k-max", "8")
     serial = build(workdir / "serial.nnc", 60, 3, *flags)
     parallel = build(workdir / "parallel.nnc", 60, 3, *flags, "--workers", "2")
     diffs = compare_archives(serial, parallel)
     check(not diffs, f"workers=2 archive differs from serial: {diffs}")
-    config = load_any_index(serial).config
+    loaded = load_any_index(serial)
+    config = loaded.config
     check(
         config.decompose and config.decomposition.k_max == 8,
         f"reloaded build config is not the one built: {config}",
     )
+    save_index(loaded, workdir / "resaved.nnc")
+    diffs = compare_archives(serial, workdir / "resaved.nnc")
+    check(not diffs, f"a load then a save changed the archive: {diffs}")
+    built_insert, loaded_insert = workdir / "built+1.nnc", workdir / "loaded+1.nnc"
+    fresh = NNCellIndex.build(loaded.points, config)
+    for index, path in ((fresh, built_insert), (loaded, loaded_insert)):
+        index.insert([0.31, 0.62, 0.47])
+        save_index(index, path)
+    diffs = compare_archives(built_insert, loaded_insert)
+    check(not diffs, f"an insert saves other cells loaded than built: {diffs}")
     damaged = workdir / "truncated.nnc"
     damaged.write_bytes(serial.read_bytes()[:-100])
     stderr = repro_run("query", damaged, "--point", "0.5,0.5,0.5", status=1).stderr
@@ -338,8 +356,8 @@ def leg_build(workdir: Path) -> str:
     names = [span["name"] for span in document["trace"]]
     check("build.nncell" in names, f"no build.nncell span: {names}")
     return (
-        "workers=2 archive identical, build config reloaded, truncated "
-        "archive refused, profile OK"
+        "workers=2 archive identical, build config reloaded, reload and "
+        "insert archives identical, truncated archive refused, profile OK"
     )
 
 
