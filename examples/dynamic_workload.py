@@ -16,9 +16,13 @@ bit-identical to querying one by one, but the burst shares its page
 reads.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro import BuildConfig, NNCellIndex, SelectorKind, uniform_points
+from repro.core.persistence import load_index, save_index
 
 INITIAL = 150
 OPERATIONS = 160
@@ -73,8 +77,25 @@ def main() -> None:
     # The snapshot queries read holds exactly the cells' rectangles.
     owners = [owner for owner, __ in index.all_cell_rectangles()]
     assert sorted(index.snapshot.leaves.ids.tolist()) == sorted(owners)
-    index.data_tree.validate()
-    print("index structural invariants: OK")
+    # A written index is the index its reload lays out: both snapshots
+    # hold the same arrays, and every answer and page count agrees.
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, Path(tmp) / "registry.nnc")
+        reloaded = load_index(Path(tmp) / "registry.nnc")
+    fields = ("lows", "highs", "ids", "offsets", "counts", "page_ids")
+    for mine, theirs in ((index.snapshot, reloaded.snapshot),
+                         (index.data_snapshot, reloaded.data_snapshot)):
+        assert mine.height == theirs.height
+        for a, b in zip(mine.levels, theirs.levels):
+            assert all(
+                np.array_equal(getattr(a, f), getattr(b, f)) for f in fields
+            )
+    probes = np.vstack([rng.uniform(size=(20, DIM)),
+                        rng.uniform(1.0, 2.0, size=(5, DIM))])
+    for q in probes:
+        assert index.nearest(q) == reloaded.nearest(q)
+        assert index.k_nearest(q, 3) == reloaded.k_nearest(q, 3)
+    print("index structural invariants: OK (written index equals its reload)")
 
 
 if __name__ == "__main__":

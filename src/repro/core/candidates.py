@@ -21,9 +21,12 @@ Lemma 1 (tested in ``tests/core/test_lemma1.py``): every strategy yields
 an approximation containing the Correct one, so none induces false
 dismissals.
 
-Selectors are stateful objects bound to the point set and its data index;
-``candidates(i)`` returns opponent ids for database point ``i`` and
-``candidates_for_point(p)`` serves the dynamic-insert path.
+A selector is bound to one version of the point set: the points, which
+of them are live and the data snapshot that packs the live ones
+(:mod:`repro.index.packed`).  A build makes one; a write makes one over
+the version it publishes.  ``candidates(i)`` returns opponent ids for
+database point ``i`` and ``candidates_for_point(p)`` those for any
+centre.
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ from typing import List, Sequence
 import numpy as np
 
 from ..geometry.distance import distances_to_points
-from ..index.rstar import RStarTree
+from ..index.packed import (
+    PackedTree,
+    leaves_containing,
+    leaves_intersecting_sphere,
+)
 
 __all__ = [
     "SelectorKind",
@@ -86,19 +93,27 @@ class CandidateSelector:
     def __init__(
         self,
         points: np.ndarray,
-        data_tree: "RStarTree | None",
+        data: "PackedTree | None",
         kind: SelectorKind,
         params: "SelectorParams | None" = None,
+        active: "np.ndarray | None" = None,
+        chaos=None,
     ):
+        """``data`` is the data snapshot of the points ``active`` marks
+        live (every point, by default); the Point and Sphere selectors
+        search it, each node read through the ``chaos`` hook."""
         self._points = np.asarray(points, dtype=np.float64)
         if self._points.ndim != 2:
             raise ValueError("points must be an (n, d) array")
-        if kind in (SelectorKind.POINT, SelectorKind.SPHERE) and data_tree is None:
+        if kind in (SelectorKind.POINT, SelectorKind.SPHERE) and data is None:
             raise ValueError(f"{kind.value} selector requires a data index")
-        self._tree = data_tree
+        self._data = data
+        self._chaos = chaos
         self.kind = kind
         self.params = params or SelectorParams()
-        self._active = np.ones(self._points.shape[0], dtype=bool)
+        if active is None:
+            active = np.ones(self._points.shape[0], dtype=bool)
+        self._active = active
 
     # ------------------------------------------------------------------
     @property
@@ -108,18 +123,6 @@ class CandidateSelector:
     @property
     def dim(self) -> int:
         return self._points.shape[1]
-
-    def set_active(self, point_id: int, active: bool) -> None:
-        """Track deletions so candidate sets never cite dead points."""
-        self._active[point_id] = active
-
-    def extend_points(self, new_points: np.ndarray) -> None:
-        """Register appended database points (dynamic insertion)."""
-        new_points = np.atleast_2d(np.asarray(new_points, dtype=np.float64))
-        self._points = np.vstack([self._points, new_points])
-        self._active = np.append(
-            self._active, np.ones(new_points.shape[0], dtype=bool)
-        )
 
     # ------------------------------------------------------------------
     def candidates(self, center_id: int) -> np.ndarray:
@@ -149,21 +152,15 @@ class CandidateSelector:
     # Strategy implementations
     # ------------------------------------------------------------------
     def _point_query_ids(self, center: np.ndarray) -> np.ndarray:
-        leaves = self._tree.leaves_containing(center)
-        ids: "List[int]" = []
-        for leaf in leaves:
-            ids.extend(int(i) for i in leaf.ids)
-        return np.asarray(ids, dtype=np.int64)
+        return leaves_containing(self._data, center, self._chaos)
 
     def _sphere_query_ids(self, center: np.ndarray) -> np.ndarray:
         radius = sphere_radius(
             max(self.n_points, 1), self.dim, self.params.sphere_radius_factor
         )
-        leaves = self._tree.leaves_intersecting_sphere(center, radius)
-        ids: "List[int]" = []
-        for leaf in leaves:
-            ids.extend(int(i) for i in leaf.ids)
-        return np.asarray(ids, dtype=np.int64)
+        return leaves_intersecting_sphere(
+            self._data, center, radius, self._chaos
+        )
 
     def _nn_direction_ids(self, center: np.ndarray, exclude: int) -> np.ndarray:
         """2d directional nearest neighbors + 2d minimal-axis-deviation

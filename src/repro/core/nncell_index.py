@@ -2,11 +2,11 @@
 
 This is the paper's contribution.  Build time precomputes, for every
 database point, the MBR approximation of its NN-cell (optionally
-decomposed) and stores all rectangles in a multidimensional index (the
-X-tree).  A nearest-neighbor query then degenerates to a *point
-query*: fetch the candidate rectangles containing the query point and pick
-the closest owner — by Lemmas 1 and 2 the true nearest neighbor is always
-among the candidates.
+decomposed) and stores all rectangles in a multidimensional index.  A
+nearest-neighbor query then degenerates to a *point query*: fetch the
+candidate rectangles containing the query point and pick the closest
+owner — by Lemmas 1 and 2 the true nearest neighbor is always among the
+candidates.
 
 The index is dynamic (Section 2, "the dynamic case"):
 
@@ -33,9 +33,14 @@ opponent's id and its right-hand side ``b``: the row's normal is the
 bisector's ``2 (p_j - p_i)`` (Definition 2), which
 :meth:`NNCellIndex.constraint_system` derives from the two points.
 Queries walk :attr:`NNCellIndex.snapshot`, the immutable packed cell tree
-(:mod:`repro.index.packed`), which build, load and every write lay out
-from the columns by the same STR packing; a write publishes its columns,
-live mask and snapshot together.
+(:mod:`repro.index.packed`).  The data index is a second packed tree,
+:attr:`NNCellIndex.data_snapshot`, of the live points: the fallback,
+``k_nearest``'s sphere refinement, ``within_radius`` and the Point and
+Sphere selectors search it.  Build, load and every write lay both out by
+the same STR packing, the cells from the columns and the data from the
+live points, and a write publishes its points, live mask, columns and
+both snapshots together, with one assignment; so a written index holds
+what its reload lays out.
 """
 
 from __future__ import annotations
@@ -50,10 +55,15 @@ import numpy as np
 from ..geometry.distance import distances_to_points
 from ..geometry.halfspace import HalfspaceSystem, bisector
 from ..geometry.mbr import MBR
-from ..index.bulk import bulk_load, str_layout
-from ..index.nnsearch import hs_k_nearest, rkv_nearest
-from ..index.packed import PackedTree, Walk, batched_point_query
-from ..index.xtree import XTree
+from ..index.packed import (
+    PackedTree,
+    Walk,
+    batched_point_query,
+    bulk_load,
+    hs_k_nearest,
+    rkv_nearest,
+    sphere_query,
+)
 from ..obs import analytics, metrics, workload
 from ..obs.tracing import span
 from ..storage.page import DEFAULT_PAGE_SIZE, record_reads
@@ -69,11 +79,12 @@ __all__ = [
     "QueryExplain",
     "QueryInfo",
     "approximate_system",
+    "as_k",
     "as_query",
+    "cell_snapshot",
     "compute_cell",
+    "data_snapshot",
     "fallback_reason",
-    "load_data_tree",
-    "make_tree",
 ]
 
 #: The cell columns: each offsets array -> the columns it cuts into
@@ -91,9 +102,10 @@ class BuildConfig:
 
     The defaults mirror the paper's recommended configuration: Sphere
     candidate selection (the best quality-to-performance ratio for
-    moderate dimensionality) with X-tree indexing of the approximations
-    and no decomposition; turn ``decompose`` on for sparse or clustered
-    data (Section 3 / Figure 13).  An archive stores every field but
+    moderate dimensionality) and no decomposition; turn ``decompose`` on
+    for sparse or clustered data (Section 3 / Figure 13).  ``page_size``
+    sizes the nodes of both packed snapshots, the cells' and the
+    points', as disk blocks.  An archive stores every field but
     ``data_space`` (its ``box`` member) and ``workers``.
     """
 
@@ -104,7 +116,6 @@ class BuildConfig:
         default_factory=DecompositionConfig
     )
     page_size: int = DEFAULT_PAGE_SIZE
-    cache_pages: int = 0
     query_atol: float = 1e-9
     data_space: "MBR | None" = None
     #: Cell-construction worker processes (repro.engine): 1 = serial
@@ -113,6 +124,8 @@ class BuildConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.page_size <= 0:
+            raise ValueError("page_size must be positive")
         if self.query_atol < 0.0:
             raise ValueError("query_atol must be >= 0")
         if self.workers < 0:
@@ -238,19 +251,31 @@ class QueryExplain:
 # which is what makes parallel construction bit-identical to serial.
 # ======================================================================
 
-def make_tree(dim: int, config: BuildConfig, leaf_entry_bytes: int) -> XTree:
-    """An empty X-tree of the configured page geometry."""
-    return XTree(
-        dim,
-        page_size=config.page_size,
-        cache_pages=config.cache_pages,
-        leaf_entry_bytes=leaf_entry_bytes,
+def data_snapshot(
+    points: np.ndarray, live: np.ndarray, config: BuildConfig
+) -> PackedTree:
+    """The data index: the live points ``points[live]``, each under its
+    id, packed by STR into pages of ``config.page_size`` bytes that hold
+    a point's ``d`` coordinates and its id per entry."""
+    entries = points[live]
+    return bulk_load(
+        entries, entries, live, config.page_size, 8 * points.shape[1] + 8
     )
 
 
-def load_data_tree(tree: XTree, points: np.ndarray) -> XTree:
-    """Fill an empty data tree with ``points`` by STR packing."""
-    return bulk_load(tree, points, points, np.arange(points.shape[0]))
+def cell_snapshot(
+    cells: "Dict[str, np.ndarray]", live: np.ndarray, config: BuildConfig
+) -> PackedTree:
+    """The cell tree: the rectangles of the cell columns ``cells``, each
+    under its owner among the live ids ``live``, packed by STR into
+    pages of ``config.page_size`` bytes that hold a rectangle and its
+    owner's coordinates per entry."""
+    lows = cells["rect_lows"]
+    owners = np.repeat(live, np.diff(cells["rect_offsets"]))
+    return bulk_load(
+        lows, cells["rect_highs"], owners, config.page_size,
+        3 * 8 * lows.shape[1] + 8,
+    )
 
 
 def approximate_system(
@@ -276,6 +301,16 @@ def compute_cell(
     candidates = selector.candidates(point_id)
     system = cell_system(points, point_id, candidates, box)
     return system, approximate_system(system, points[point_id], config)
+
+
+def as_k(k: Any) -> int:
+    """``k`` as an int; ``ValueError`` unless it is an integer >= 1 (a
+    bool is not an integer here)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an int >= 1, not {k!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int(k)
 
 
 def as_query(
@@ -362,15 +397,12 @@ class NNCellIndex:
         #: :data:`CELL_COLUMNS` over the live ids in ascending order.  A
         #: write replaces them whole, with one assignment.
         self.cells: "Dict[str, np.ndarray]" = {}
-        # Data pages hold points (d coordinates + id); solution-space
-        # pages hold a cell rectangle plus its owner's coordinates.
-        self.data_tree = make_tree(
-            self.dim, self.config, leaf_entry_bytes=8 * self.dim + 8
-        )
-        #: What every query reads: the cell tree, packed and immutable,
-        #: laid out from :attr:`cells`.  A write replaces it whole.
+        #: What every point query reads: the cell tree, packed and
+        #: immutable, laid out from :attr:`cells` (:func:`cell_snapshot`).
         self.snapshot: "Optional[PackedTree]" = None
-        self._selector: "Optional[CandidateSelector]" = None
+        #: What the data searches read: the live points, packed and
+        #: immutable (:func:`data_snapshot`).
+        self.data_snapshot: "Optional[PackedTree]" = None
         self._chaos = None  # page-read fault injector (repro.chaos)
 
     # ==================================================================
@@ -392,12 +424,14 @@ class NNCellIndex:
             from ..engine.parallel import resolve_workers
 
             workers = resolve_workers(workers)
+        live = self.active_ids
         with span("build.nncell", n_points=n, dim=self.dim,
                   selector=self.config.selector.value,
                   workers=workers) as root:
             with span("build.data_tree"):
-                load_data_tree(self.data_tree, self.points)
-            self._make_selector()
+                self.data_snapshot = data_snapshot(
+                    self.points, live, self.config
+                )
             with span("build.cells", workers=workers):
                 if workers > 1:
                     from ..engine.parallel import parallel_cells
@@ -406,27 +440,36 @@ class NNCellIndex:
                         self.points, self.config, workers=workers
                     )
                 else:
+                    selector = self._selector_over(
+                        self.points, self._active, self.data_snapshot
+                    )
                     runs = [
-                        _cell_runs(*self._compute_cell(i)) for i in range(n)
+                        _cell_runs(*compute_cell(
+                            self.points, selector, self.box, self.config, i
+                        ))
+                        for i in range(n)
                     ]
                 self.cells = _stack_cells(runs)
             with span("build.cell_tree"):
-                self.snapshot = self._index_cells(self.cells, self.active_ids)
+                self.snapshot = cell_snapshot(self.cells, live, self.config)
             n_rects = self.cells["rect_lows"].shape[0]
             root.set("n_rectangles", n_rects)
         metrics.inc("build.cells", n)
         metrics.inc("build.rectangles", n_rects)
 
-    def _compute_cell(
-        self, point_id: int
-    ) -> "Tuple[HalfspaceSystem, List[MBR]]":
-        """Candidate selection -> constraint system -> MBR (-> pieces)."""
-        return compute_cell(
-            self.points, self._selector, self.box, self.config, point_id
+    def _selector_over(
+        self, points: np.ndarray, active: np.ndarray, data: PackedTree
+    ) -> CandidateSelector:
+        """The candidate selector of one version: ``points``, the live
+        mask ``active`` and ``data``, the data snapshot of the live
+        points."""
+        return CandidateSelector(
+            points, data, self.config.selector, self.config.selector_params,
+            active=active, chaos=self._chaos,
         )
 
     # ------------------------------------------------------------------
-    # The cell tree's read snapshot
+    # The read snapshots
     # ------------------------------------------------------------------
     @classmethod
     def _restore(
@@ -439,32 +482,18 @@ class NNCellIndex:
         """An index over validated archive columns (``load_index``).
 
         ``points`` holds every row, deleted ones included, so stored
-        point ids stay valid.  The data tree is bulk-loaded, because
-        fallback queries read it; the cell tree is only laid out into
-        :attr:`snapshot`.
+        point ids stay valid.  Both snapshots are laid out as a build
+        lays them out: the data snapshot from the live points and the
+        cell snapshot from the columns.
         """
         index = cls(points[active], config)
         index.points = points.copy()
         index._active = active.copy()
         index.cells = cells
         live = index.active_ids
-        bulk_load(index.data_tree, points[live], points[live], live)
-        index.snapshot = index._index_cells(cells, live)
+        index.data_snapshot = data_snapshot(index.points, live, config)
+        index.snapshot = cell_snapshot(cells, live, config)
         return index
-
-    def _index_cells(
-        self, cells: "Dict[str, np.ndarray]", live: np.ndarray
-    ) -> PackedTree:
-        """The snapshot of the cell columns ``cells`` over the live ids
-        ``live``, laid out by STR as a bulk load would pack them; build,
-        load and every write make theirs here."""
-        tree = make_tree(  # read for its page geometry only
-            self.dim, self.config, leaf_entry_bytes=3 * 8 * self.dim + 8
-        )
-        owners = np.repeat(live, np.diff(cells["rect_offsets"]))
-        return PackedTree.from_layout(str_layout(
-            tree, cells["rect_lows"], cells["rect_highs"], owners
-        ))
 
     def _cell_entries(self) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Every cell rectangle as ``(lows, highs, owners)``."""
@@ -472,29 +501,18 @@ class NNCellIndex:
         owners = np.repeat(self.active_ids, np.diff(cells["rect_offsets"]))
         return cells["rect_lows"], cells["rect_highs"], owners
 
-    def _make_selector(self) -> None:
-        """Make the candidate selector over the live points, once: a
-        build makes it first, a loaded index on its first write."""
-        if self._selector is None:
-            self._selector = CandidateSelector(
-                self.points,
-                self.data_tree,
-                self.config.selector,
-                self.config.selector_params,
-            )
-            for pid in np.flatnonzero(~self._active).tolist():
-                self._selector.set_active(pid, False)
-
     def _publish(
         self,
+        points: np.ndarray,
         active: np.ndarray,
+        data: PackedTree,
         changed: "Dict[int, Tuple[HalfspaceSystem, List[MBR]]]",
     ) -> None:
         """End of a write: splice the ``changed`` cells (id -> new system
         and rectangles) into new columns over the live ids of ``active``,
         the other cells' rows copied from :attr:`cells`, lay them out into
-        a snapshot, then publish the columns, ``active`` and the snapshot
-        together."""
+        a cell snapshot, then publish ``points``, ``active``, the columns
+        and both snapshots, ``data`` the data snapshot, together."""
         cells = self.cells
         sys_at, rect_at = cells["sys_offsets"], cells["rect_offsets"]
         position = {pid: i for i, pid in enumerate(self.active_ids.tolist())}
@@ -512,19 +530,21 @@ class NNCellIndex:
                 cells["rect_lows"][rects], cells["rect_highs"][rects],
             ))
         cells = _stack_cells(runs)
-        snapshot = self._index_cells(cells, live)
-        self.cells, self._active, self.snapshot = cells, active, snapshot
+        snapshot = cell_snapshot(cells, live, self.config)
+        (
+            self.points, self._active, self.cells, self.snapshot,
+            self.data_snapshot,
+        ) = points, active, cells, snapshot, data
 
     def set_page_chaos(self, injector) -> None:
         """Install (or, with ``None``, remove) a page-read fault injector.
 
         ``injector`` duck-types :class:`repro.chaos.ChaosInjector`.  The
-        cell-tree walk runs it for every node it touches, and the data
-        tree's page manager for every read, each with the flaky-read
-        retries of :func:`repro.storage.page.chaos_read`.
+        cell-tree walk and every search of the data snapshot run it for
+        every node they touch, each with the flaky-read retries of
+        :func:`repro.storage.page.chaos_read`.
         """
         self._chaos = injector
-        self.data_tree.pages.set_chaos(injector)
 
     def _rows(self, point_id: int) -> "Tuple[slice, slice]":
         """The rows of live ``point_id``'s system and rectangles in
@@ -548,7 +568,8 @@ class NNCellIndex:
         Inside the data space this is one point query on the solution
         space index plus a distance scan over the candidate owners.
         Outside the data space (where NN-cells are not defined) the data
-        index answers via branch-and-bound, with ``info.fallback`` set.
+        snapshot answers via branch-and-bound, with ``info.fallback``
+        set.
         """
         q = as_query(query, self.dim)
         started = time.perf_counter()
@@ -619,7 +640,7 @@ class NNCellIndex:
     ) -> "Tuple[int, float, QueryInfo, None, List[Walk]]":
         info.fallback = True
         with span("query.fallback"):
-            result = rkv_nearest(self.data_tree, q)
+            result = rkv_nearest(self.data_snapshot, q, self._chaos)
         info.pages += result.pages
         info.distance_computations += result.distance_computations
         return result.nearest_id, result.nearest_distance, info, None, walks
@@ -631,15 +652,15 @@ class NNCellIndex:
 
         The point query yields the order-1 candidates; their k-th best
         distance is a valid upper bound on the k-NN radius, so one sphere
-        query on the data index completes the answer exactly.  (The
+        query on the data snapshot completes the answer exactly.  (The
         paper's future work proposes order-k cells — implemented in
         :mod:`repro.core.order_k` — for turning this into a single point
         query; this method is the practical hybrid.)  The answer is the
         k smallest points by ``(distance, id)`` — the order the sharded
-        merge uses — on this path and on the fallback alike.
+        merge uses — on this path and on the fallback alike.  ``k`` must
+        be an int >= 1 (:func:`as_k`).
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = as_k(k)
         q = as_query(query, self.dim)
         n_live = len(self)
         k_eff = min(k, n_live)
@@ -667,8 +688,9 @@ class NNCellIndex:
 
             # Every k-NN member lies within the candidates' k-th distance.
             with span("query.sphere_refinement"):
-                within, blocks = self.data_tree.sphere_query_blocks(
-                    q, radius + self.config.query_atol
+                within, blocks = sphere_query(
+                    self.data_snapshot, q, radius + self.config.query_atol,
+                    self._chaos,
                 )
             info.pages += blocks
             within = np.unique(within)
@@ -694,7 +716,7 @@ class NNCellIndex:
         info.fallback = True
         metrics.inc("query.fallbacks")
         with span("query.fallback"):
-            result = hs_k_nearest(self.data_tree, q, k)
+            result = hs_k_nearest(self.data_snapshot, q, k, self._chaos)
         info.pages += result.pages
         info.distance_computations += result.distance_computations
         return result.ids, result.distances, info
@@ -702,17 +724,19 @@ class NNCellIndex:
     def within_radius(
         self, center: Sequence[float], radius: float
     ) -> np.ndarray:
-        """Ids of all points within Euclidean distance ``radius``.
+        """Ids of all points within Euclidean distance ``radius``,
+        ascending.
 
         Range queries bypass the solution space (cells answer *nearest*
-        questions); the data index serves them directly.
+        questions); the data snapshot serves them directly.  ``center``
+        must be finite (:func:`as_query`) and ``radius`` a number >= 0.
         """
-        if radius < 0.0:
-            raise ValueError("radius must be >= 0")
-        c = np.asarray(center, dtype=np.float64)
-        if c.shape != (self.dim,):
-            raise ValueError(f"center must be a {self.dim}-vector")
-        candidates = np.unique(self.data_tree.sphere_query(c, radius))
+        if not radius >= 0.0:  # NaN fails this too
+            raise ValueError(f"radius must be >= 0, not {radius!r}")
+        c = as_query(center, self.dim)
+        candidates = np.unique(
+            sphere_query(self.data_snapshot, c, radius, self._chaos)[0]
+        )
         if candidates.size == 0:
             return candidates
         dist_sq = distances_to_points(c, self.points[candidates])
@@ -759,7 +783,7 @@ class NNCellIndex:
         q = as_query(query, self.dim)
         atol = self.config.query_atol
         if not self.box.contains_point(q, atol=atol):
-            result = rkv_nearest(self.data_tree, q)
+            result = rkv_nearest(self.data_snapshot, q, self._chaos)
             return QueryExplain(
                 query=q, path="outside_data_space", atol=atol,
                 retried_atol=False, nearest_id=result.nearest_id,
@@ -774,7 +798,7 @@ class NNCellIndex:
             atol = self.config.retry_atol
         path = "cell_retry" if info.retried_atol else "cell"
         if not owners.size:
-            result = rkv_nearest(self.data_tree, q)
+            result = rkv_nearest(self.data_snapshot, q, self._chaos)
             return QueryExplain(
                 query=q, path="empty_point_query", atol=atol,
                 retried_atol=True, nearest_id=result.nearest_id,
@@ -813,31 +837,34 @@ class NNCellIndex:
         Existing NN-cells can only shrink (their systems gain one
         bisector), so the update is local: only cells whose approximation
         is not entirely on the old owner's side of the new bisector are
-        recomputed.
+        recomputed.  The new point's cell is selected over the version
+        the insert publishes.
         """
         p = np.asarray(point, dtype=np.float64)
         if p.shape != (self.dim,):
             raise ValueError(f"point must be a {self.dim}-vector")
         if not self.box.contains_point(p, atol=1e-12):
             raise ValueError("point lies outside the data space")
-        self._make_selector()
         new_id = self.points.shape[0]
-        self.points = np.vstack([self.points, p[None, :]])
-        self._selector.extend_points(p[None, :])
-        self.data_tree.insert_point(p, new_id)
+        points = np.vstack([self.points, p[None, :]])
+        active = np.append(self._active, True)
+        data = data_snapshot(points, np.flatnonzero(active), self.config)
 
         changed = {}
         for cell_id in self._cells_possibly_shrunk_by(p):
-            a, b = bisector(self.points[cell_id], p)
+            a, b = bisector(points[cell_id], p)
             system = self.constraint_system(cell_id).with_constraint(
                 a, b, point_id=new_id
             )
             changed[cell_id] = (
                 system,
-                approximate_system(system, self.points[cell_id], self.config),
+                approximate_system(system, points[cell_id], self.config),
             )
-        changed[new_id] = self._compute_cell(new_id)
-        self._publish(np.append(self._active, True), changed)
+        changed[new_id] = compute_cell(
+            points, self._selector_over(points, active, data), self.box,
+            self.config, new_id,
+        )
+        self._publish(points, active, data, changed)
         return new_id
 
     def _cells_possibly_shrunk_by(self, p: np.ndarray) -> "List[int]":
@@ -861,21 +888,16 @@ class NNCellIndex:
 
     def delete(self, point_id: int) -> None:
         """Remove a point; the cells that referenced it are recomputed
-        (they can only grow, so recomputation keeps the superset
-        guarantee)."""
+        over the version the delete publishes (they can only grow, so
+        recomputation keeps the superset guarantee)."""
         if not self._is_active(point_id):
             raise KeyError(f"point {point_id} is not in the index")
         if int(np.sum(self._active)) == 1:
             raise ValueError("cannot delete the last remaining point")
-        self._make_selector()
-        removed = self.data_tree.delete(
-            self.points[point_id], self.points[point_id], point_id
-        )
-        if not removed:  # pragma: no cover - bookkeeping invariant
-            raise RuntimeError(f"point {point_id} missing from data index")
         active = self._active.copy()
         active[point_id] = False
-        self._selector.set_active(point_id, False)
+        data = data_snapshot(self.points, np.flatnonzero(active), self.config)
+        selector = self._selector_over(self.points, active, data)
 
         # The cells whose systems hold a row of the removed point: one
         # comparison over every row, then each row's cell by its offset.
@@ -883,10 +905,12 @@ class NNCellIndex:
         rows = np.flatnonzero(cells["sys_ids"] == point_id)
         at = np.searchsorted(cells["sys_offsets"], rows, side="right") - 1
         changed = {
-            cell_id: self._compute_cell(cell_id)
+            cell_id: compute_cell(
+                self.points, selector, self.box, self.config, cell_id
+            )
             for cell_id in np.unique(self.active_ids[at]).tolist()
         }
-        self._publish(active, changed)
+        self._publish(self.points, active, data, changed)
 
     # ==================================================================
     # Introspection
@@ -944,6 +968,6 @@ class NNCellIndex:
             "n_rectangles": float(lows.shape[0]),
             "expected_candidates": total_volume / box_volume,
             "cell_tree_height": float(self.snapshot.height),
-            "data_tree_height": float(self.data_tree.height),
+            "data_tree_height": float(self.data_snapshot.height),
             "cell_tree_blocks": float(self.snapshot.total_blocks()),
         }

@@ -7,22 +7,22 @@ produced — the points, each cell's constraint system and its (decomposed)
 rectangle approximations — into a single archive file.
 
 The archive stores *results*, not tree pages: the trees are rebuilt from
-the stored rectangles deterministically, keeping the format independent
-of node-layout details.  Its cell columns are the index's own cell store
-(:attr:`NNCellIndex.cells`), which a build concatenates, a write splices
-and a save writes as it is.  A load makes only what a query reads: it
-bulk-loads the data tree (fallback queries search it) and lays the
-rectangles out, as a bulk load would, straight into the packed cell-tree
-snapshot the queries walk, the snapshot a build or a write lays out from
-the same columns.
+the stored points and rectangles deterministically, keeping the format
+independent of node-layout details.  Its cell columns are the index's own
+cell store (:attr:`NNCellIndex.cells`), which a build concatenates, a
+write splices and a save writes as it is.  A load makes only what a
+query reads: it lays the live points and the rectangles out, as a bulk
+load would, straight into the two packed snapshots the queries search,
+the snapshots a build or a write lays out from the same points and
+columns.
 
-Format version 6 is one file in three parts:
+Format version 7 is one file in three parts:
 
 * a 24-byte preamble: the magic ``b"\\x93NNCELL\\0"``, the length of the
   header and a ``zlib.crc32`` of every byte after the preamble, the
   last two as little-endian u64;
 * the header: one UTF-8 JSON object with sorted keys, padded with
-  spaces to a multiple of 8 bytes.  ``format_version`` is 6; ``meta``
+  spaces to a multiple of 8 bytes.  ``format_version`` is 7; ``meta``
   holds every :class:`BuildConfig` field but ``data_space`` (stored as
   the ``box`` column) and ``workers`` (how the build ran, not what it
   made), nested configs as JSON objects and ``selector`` by its value;
@@ -71,7 +71,9 @@ rectangle constructors would check.  Any failure, a damaged or truncated
 file included, is a ``ValueError`` naming the key or column.  A file
 without the magic is refused, every ``.npz`` archive of versions 1 to 4
 included, and so is any other header version, format 5 (which stored
-the normals) included: rebuild the index with ``repro build``.
+the normals) and format 6 (whose ``meta`` held the data tree's buffer
+pool size, ``cache_pages``) included: rebuild the index with ``repro
+build``.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ __all__ = [
     "save_sharded_index",
 ]
 
-_FORMAT_VERSION = 6
+_FORMAT_VERSION = 7
 
 #: Magic, header length and the crc32 of every byte after the preamble.
 _PREAMBLE = struct.Struct("<8sQQ")
@@ -184,7 +186,7 @@ def _write_archive(
     columns: "Dict[str, np.ndarray]",
 ) -> None:
     """Write the JSON object ``meta`` and ``columns`` to the file
-    ``path`` as a format-6 archive.
+    ``path`` as a format-7 archive.
 
     Each (contiguous) column's own buffer is written and fed to the
     checksum in turn, never copied or joined; the checksum goes into the
@@ -235,7 +237,7 @@ def _read_archive(
 
     The file is read with one read into one read-only buffer, and every
     column is a view of it.  Raises ``ValueError`` naming the problem
-    unless the file has the magic and its checksum, a format-6 header
+    unless the file has the magic and its checksum, a format-7 header
     whose column table is well formed, and columns that end exactly at
     the end of the file.
     """

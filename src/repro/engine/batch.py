@@ -34,8 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.nncell_index import as_query
-from ..index.nnsearch import rkv_nearest
-from ..index.packed import batched_point_query
+from ..index.packed import batched_point_query, rkv_nearest
 from ..obs import workload
 from ..obs.tracing import span
 
@@ -88,14 +87,15 @@ def query_batch(
     candidates = np.zeros(m, dtype=np.int64)  # per query, for the record
     cells = []
     walks = []
-    snapshot = index.snapshot  # one version for the whole batch
+    # One version of both snapshots for the whole batch.
+    snapshot, data = index.snapshot, index.data_snapshot
     with span("query.batch", n_queries=m, dim=index.dim,
               batch_size=size) as root:
         for start in range(0, m, size):
             stop = min(start + size, m)
             cells.append(
                 _walk_chunk(
-                    index, snapshot, qs[start:stop], ids[start:stop],
+                    index, snapshot, data, qs[start:stop], ids[start:stop],
                     dists[start:stop], candidates[start:stop], info, walks,
                 )
             )
@@ -113,6 +113,7 @@ def query_batch(
 def _walk_chunk(
     index,
     snapshot,
+    data,
     q: np.ndarray,
     ids_out: np.ndarray,
     dists_out: np.ndarray,
@@ -193,7 +194,7 @@ def _walk_chunk(
     for j in np.flatnonzero(~answered):
         info.fallbacks += 1
         with span("query.fallback"):
-            result = rkv_nearest(index.data_tree, q[j])
+            result = rkv_nearest(data, q[j], index._chaos)
         ids_out[j] = result.nearest_id
         dists_out[j] = result.nearest_distance
         info.pages += result.pages

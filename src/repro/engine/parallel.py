@@ -2,8 +2,8 @@
 
 Precomputation is the expensive half of the paper's trade (Section 4
 reports build times in minutes); each point's cell is computed from
-read-only state — the point set, the data tree, the selector — so the
-work chunks cleanly.  This module fans the per-point pipeline of
+read-only state — the point set, its data snapshot, the selector — so
+the work chunks cleanly.  This module fans the per-point pipeline of
 :mod:`repro.core.nncell_index` (``compute_cell``: candidate selection →
 constraint system → ``2d`` LPs → optional decomposition) out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  The simplex is Python
@@ -17,7 +17,7 @@ normals follow from the ids, so the parent never needs them.
 inputs with the same code (:class:`CellWorkshop` calls the very
 functions the serial build uses), LP solves are deterministic, and chunk
 results are merged in submission order — so the cells, and therefore the
-bulk-loaded tree, are *bit-identical* to a serial build for any worker
+cell snapshot, are *bit-identical* to a serial build for any worker
 count.  ``tests/engine/test_parallel_build.py`` asserts this.
 
 Worker observability: worker processes run with instrumentation turned
@@ -42,8 +42,7 @@ from ..core.nncell_index import (
     BuildConfig,
     _cell_runs,
     compute_cell,
-    load_data_tree,
-    make_tree,
+    data_snapshot,
 )
 from ..geometry.halfspace import HalfspaceSystem
 from ..geometry.mbr import MBR
@@ -102,25 +101,22 @@ class ChunkResult:
 class CellWorkshop:
     """Self-contained rebuild of the read-only build state.
 
-    One lives in every worker process.  It reconstructs the data tree
-    and candidate selector exactly as ``NNCellIndex._build`` does — same
-    bulk loader, same parameters — which is the determinism guarantee:
-    ``compute(i)`` here returns byte-for-byte what the serial build
-    computes for point ``i``.
+    One lives in every worker process.  It lays out the data snapshot
+    and makes the candidate selector exactly as ``NNCellIndex._build``
+    does — same layout function, same parameters — which is the
+    determinism guarantee: ``compute(i)`` here returns byte-for-byte
+    what the serial build computes for point ``i``.
     """
 
     def __init__(self, points: np.ndarray, config: BuildConfig):
         self.points = np.asarray(points, dtype=np.float64)
         self.config = config
-        dim = self.points.shape[1]
+        n, dim = self.points.shape
         self.box = config.data_space or MBR.unit_cube(dim)
-        self.data_tree = make_tree(
-            dim, config, leaf_entry_bytes=8 * dim + 8
-        )
-        load_data_tree(self.data_tree, self.points)
+        self.data_snapshot = data_snapshot(self.points, np.arange(n), config)
         self.selector = CandidateSelector(
             self.points,
-            self.data_tree,
+            self.data_snapshot,
             config.selector,
             config.selector_params,
         )

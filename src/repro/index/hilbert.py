@@ -25,6 +25,7 @@ from .bulk import (
     load_layout,
     pack_layout,
 )
+from .node import Fanout
 from .rstar import RStarTree
 
 __all__ = ["hilbert_bulk_load", "hilbert_indices", "hilbert_layout"]
@@ -88,11 +89,12 @@ def _hilbert_key(coords: "List[int]", bits: int) -> int:
 
 
 def hilbert_layout(
-    tree: RStarTree,
+    fanout: Fanout,
     lows: np.ndarray,
     highs: np.ndarray,
     ids: np.ndarray,
     fill: float = DEFAULT_FILL,
+    first_page: int = 1,
     bits: int = 10,
 ) -> "List[LayoutLevel]":
     """The nodes of the Hilbert packing: runs of leaves in the curve
@@ -108,7 +110,7 @@ def hilbert_layout(
             order = np.argsort(keys, kind="stable")
         return _balanced_chunks(order, capacity, min_entries)
 
-    return pack_layout(tree, lows, highs, ids, fill, runs)
+    return pack_layout(fanout, lows, highs, ids, fill, runs, first_page)
 
 
 def hilbert_bulk_load(

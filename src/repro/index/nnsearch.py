@@ -18,14 +18,17 @@ Both operate on any :class:`repro.index.rstar.RStarTree` (hence also the
 X-tree) whose leaf entries are data points stored as degenerate
 rectangles, and report the page accesses and distance computations they
 performed.  Each counts the blocks of the nodes it reads itself, so a
-search's page count does not depend on what other threads read.
+search's page count does not depend on what other threads read.  The
+searches themselves, :func:`branch_and_bound` and :func:`best_first`,
+read nodes through a reader function, so the NN-cell index runs the same
+code over its packed data snapshot (:mod:`repro.index.packed`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +37,14 @@ from ..obs import metrics
 from ..obs.tracing import span
 from .rstar import RStarTree
 
-__all__ = ["NNResult", "rkv_nearest", "hs_nearest", "hs_k_nearest"]
+__all__ = [
+    "NNResult",
+    "best_first",
+    "branch_and_bound",
+    "hs_k_nearest",
+    "hs_nearest",
+    "rkv_nearest",
+]
 
 
 @dataclass
@@ -66,55 +76,7 @@ class NNResult:
 
 def rkv_nearest(tree: RStarTree, query: Sequence[float]) -> NNResult:
     """Branch-and-bound nearest neighbor (Roussopoulos et al., 1995)."""
-    q = np.asarray(query, dtype=np.float64)
-    result = NNResult()
-    state = {"best_sq": np.inf, "best_id": -1}
-
-    def visit(page_id: int) -> None:
-        node = tree._read(page_id)
-        result.pages += tree.pages.n_blocks_of(page_id)
-        metrics.inc("search.node_visits")
-        if node.n_entries == 0:
-            return
-        if node.is_leaf:
-            dist_sq = mindist_sq_arrays(q, node.lows, node.highs)
-            result.distance_computations += node.n_entries
-            idx = int(np.argmin(dist_sq))
-            # Non-strict: the MINMAXDIST bound may already equal the true
-            # nearest distance (e.g. a single-entry leaf), and the entry
-            # achieving it must still be recorded.
-            if dist_sq[idx] <= state["best_sq"]:
-                state["best_sq"] = float(dist_sq[idx])
-                state["best_id"] = int(node.ids[idx])
-            return
-        mindists = mindist_sq_arrays(q, node.lows, node.highs)
-        minmaxdists = minmaxdist_sq_arrays(q, node.lows, node.highs)
-        # MINMAXDIST guarantees an object within that distance, so it
-        # tightens the global upper bound before any child is expanded.
-        # Relative epsilon slack: the bound and the later exact distance
-        # are computed by different float expressions, and the guaranteed
-        # object must not be rejected by a last-ulp difference.
-        best_upper = float(np.min(minmaxdists))
-        best_upper += 1e-12 * (1.0 + best_upper)
-        if best_upper < state["best_sq"]:
-            state["best_sq"] = best_upper
-            # No id yet: the guaranteed object is discovered on descent.
-        order = np.argsort(mindists)
-        for child_pos in order:
-            if mindists[child_pos] > state["best_sq"] + 1e-12:
-                break  # sorted: every later child is pruned too
-            visit(int(node.ids[child_pos]))
-
-    with span("search.rkv") as s:
-        visit(tree.root_id)
-        s.set("pages", result.pages)
-        s.set("distance_computations", result.distance_computations)
-    metrics.inc("search.queries")
-    metrics.inc("search.distance_computations", result.distance_computations)
-    if state["best_id"] >= 0:
-        result.ids = [state["best_id"]]
-        result.distances = [float(np.sqrt(state["best_sq"]))]
-    return result
+    return branch_and_bound(_pages(tree), tree.root_id, query)
 
 
 def hs_nearest(tree: RStarTree, query: Sequence[float]) -> NNResult:
@@ -130,32 +92,124 @@ def hs_k_nearest(tree: RStarTree, query: Sequence[float], k: int) -> NNResult:
     entry leaves it only after every node that could hold one as close
     has been opened.
     """
+    return best_first(_pages(tree), tree.root_id, tree.root_id, query, k)
+
+
+def _pages(tree: RStarTree) -> "Callable[[int], Tuple]":
+    """The node reader of ``tree`` (see :func:`branch_and_bound`): a
+    node is its page, read through the tree's page manager."""
+
+    def read(page_id: int) -> "Tuple":
+        node = tree._read(page_id)
+        return (
+            node.lows, node.highs, node.ids, node.ids, node.is_leaf,
+            tree.pages.n_blocks_of(page_id),
+        )
+
+    return read
+
+
+def branch_and_bound(
+    read: "Callable[[Any], Tuple]", root: Any, query: Sequence[float]
+) -> NNResult:
+    """:func:`rkv_nearest` over any R-tree-family layout.
+
+    ``read(node)`` reads one node and returns ``(lows, highs, ids, keys,
+    is_leaf, blocks)``: its ``(n, d)`` entry bounds, its children (above
+    the leaves) or entry ids (at them), the children's page ids and the
+    blocks the read cost.  Children are visited in MINDIST order;
+    MINMAXDIST supplies an upper bound that prunes branches early.
+    """
+    q = np.asarray(query, dtype=np.float64)
+    result = NNResult()
+    state = {"best_sq": np.inf, "best_id": -1}
+
+    def visit(node: Any) -> None:
+        lows, highs, ids, __, is_leaf, blocks = read(node)
+        result.pages += blocks
+        metrics.inc("search.node_visits")
+        if lows.shape[0] == 0:
+            return
+        if is_leaf:
+            dist_sq = mindist_sq_arrays(q, lows, highs)
+            result.distance_computations += lows.shape[0]
+            idx = int(np.argmin(dist_sq))
+            # Non-strict: the MINMAXDIST bound may already equal the true
+            # nearest distance (e.g. a single-entry leaf), and the entry
+            # achieving it must still be recorded.
+            if dist_sq[idx] <= state["best_sq"]:
+                state["best_sq"] = float(dist_sq[idx])
+                state["best_id"] = int(ids[idx])
+            return
+        mindists = mindist_sq_arrays(q, lows, highs)
+        minmaxdists = minmaxdist_sq_arrays(q, lows, highs)
+        # MINMAXDIST guarantees an object within that distance, so it
+        # tightens the global upper bound before any child is expanded.
+        # Relative epsilon slack: the bound and the later exact distance
+        # are computed by different float expressions, and the guaranteed
+        # object must not be rejected by a last-ulp difference.
+        best_upper = float(np.min(minmaxdists))
+        best_upper += 1e-12 * (1.0 + best_upper)
+        if best_upper < state["best_sq"]:
+            state["best_sq"] = best_upper
+            # No id yet: the guaranteed object is discovered on descent.
+        order = np.argsort(mindists)
+        for child_pos in order:
+            if mindists[child_pos] > state["best_sq"] + 1e-12:
+                break  # sorted: every later child is pruned too
+            visit(int(ids[child_pos]))
+
+    with span("search.rkv") as s:
+        visit(root)
+        s.set("pages", result.pages)
+        s.set("distance_computations", result.distance_computations)
+    metrics.inc("search.queries")
+    metrics.inc("search.distance_computations", result.distance_computations)
+    if state["best_id"] >= 0:
+        result.ids = [state["best_id"]]
+        result.distances = [float(np.sqrt(state["best_sq"]))]
+    return result
+
+
+def best_first(
+    read: "Callable[[Any], Tuple]",
+    root: Any,
+    root_key: int,
+    query: Sequence[float],
+    k: int,
+) -> NNResult:
+    """:func:`hs_k_nearest` over any R-tree-family layout: ``read`` is as
+    for :func:`branch_and_bound`, and ``root_key`` is the root's page id.
+    A node is queued under its page id, so equidistant nodes open in page
+    order whatever their reader calls them."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q = np.asarray(query, dtype=np.float64)
     result = NNResult()
-    # Heap items: (mindist, kind, payload); kind 0 = node page, kind 1 =
-    # data entry.  Distances, not their squares, so that ties are the
-    # ties of the reported distances.
-    heap: "List[tuple[float, int, int]]" = [(0.0, 0, tree.root_id)]
+    # Heap items: (mindist, 0, page id, node) for a node, (distance, 1,
+    # id) for a data entry.  Distances, not their squares, so that ties
+    # are the ties of the reported distances.
+    heap: "List[tuple]" = [(0.0, 0, root_key, root)]
     with span("search.hs", k=k) as s:
         while heap and len(result.ids) < k:
-            dist, kind, payload = heapq.heappop(heap)
-            if kind == 1:
-                result.ids.append(payload)
-                result.distances.append(dist)
+            item = heapq.heappop(heap)
+            if item[1] == 1:
+                result.ids.append(item[2])
+                result.distances.append(item[0])
                 continue
-            node = tree._read(payload)
-            result.pages += tree.pages.n_blocks_of(payload)
+            lows, highs, ids, keys, is_leaf, blocks = read(item[3])
+            result.pages += blocks
             metrics.inc("search.node_visits")
-            if node.n_entries == 0:
+            if lows.shape[0] == 0:
                 continue
-            dists = np.sqrt(mindist_sq_arrays(q, node.lows, node.highs))
-            if node.is_leaf:
-                result.distance_computations += node.n_entries
-            child_kind = int(node.is_leaf)
-            for d, child in zip(dists.tolist(), node.ids.tolist()):
-                heapq.heappush(heap, (d, child_kind, child))
+            dists = np.sqrt(mindist_sq_arrays(q, lows, highs)).tolist()
+            if is_leaf:
+                result.distance_computations += lows.shape[0]
+                for d, entry in zip(dists, ids.tolist()):
+                    heapq.heappush(heap, (d, 1, entry))
+            else:
+                for d, key, child in zip(dists, keys.tolist(), ids.tolist()):
+                    heapq.heappush(heap, (d, 0, key, child))
         s.set("pages", result.pages)
         s.set("distance_computations", result.distance_computations)
     metrics.inc("search.queries")

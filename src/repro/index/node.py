@@ -14,18 +14,60 @@ reinsert) trivially correct.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..geometry.mbr import MBR
+from ..storage.page import entries_per_page
 
-__all__ = ["Node", "entry_bytes"]
+__all__ = ["MIN_FILL", "Fanout", "Node", "entry_bytes"]
+
+#: Fraction of the maximum fan-out used as the minimum fill grade.
+MIN_FILL = 0.4
 
 
 def entry_bytes(dim: int, id_bytes: int = 8) -> int:
     """On-disk size of one node entry: two float64 bound vectors + an id."""
     return 2 * 8 * dim + id_bytes
+
+
+class Fanout(NamedTuple):
+    """How many entries the nodes of an R-tree-family index hold."""
+
+    max_entries: int
+    min_entries: int
+    leaf_max_entries: int
+    leaf_min_entries: int
+
+    @classmethod
+    def of(
+        cls,
+        dim: int,
+        page_size: int,
+        leaf_entry_bytes: "int | None" = None,
+        max_entries: "int | None" = None,
+    ) -> "Fanout":
+        """The fan-outs of ``page_size``-byte nodes over ``dim``
+        dimensions.
+
+        Directory entries are rectangles (:func:`entry_bytes`), unless
+        ``max_entries`` fixes their count; ``leaf_entry_bytes`` sizes a
+        leaf entry's payload and defaults to the directory's fan-out.
+        Every node holds at least 4 entries and must keep
+        :data:`MIN_FILL` of its maximum, but at least 2.
+        """
+        if max_entries is None:
+            max_entries = entries_per_page(page_size, entry_bytes(dim))
+        max_entries = max(4, max_entries)
+        if leaf_entry_bytes is None:
+            leaf_max = max_entries
+        else:
+            leaf_max = max(4, entries_per_page(page_size, leaf_entry_bytes))
+        return cls(
+            max_entries, max(2, int(MIN_FILL * max_entries)),
+            leaf_max, max(2, int(MIN_FILL * leaf_max)),
+        )
 
 
 class Node:

@@ -23,19 +23,47 @@ with one attribute assignment, and a reader keeps the one it started
 with.  The walk counts its own pages — one per node it touches, each
 once per walk — and returns the page ids, instead of reading through a
 :class:`~repro.storage.page.PageManager`.
+
+:func:`bulk_load` lays out both snapshots of the NN-cell index: its cell
+rectangles and its data points.  The searches over a data snapshot are
+those the index once ran on a bulk-loaded X-tree of its points, and read
+the nodes those read: :func:`rkv_nearest` and :func:`hs_k_nearest` run
+:mod:`repro.index.nnsearch`'s branch-and-bound and best-first searches
+node by node; :func:`sphere_query` and the candidate selectors' leaf
+queries (:func:`leaves_containing`, :func:`leaves_intersecting_sphere`)
+test one level at a time, with the arithmetic of the R*-tree's node by
+node tests, and touch the nodes its depth-first walks touch, level by
+level.  Each read runs the chaos hook and counts as one block in
+``storage.*`` and on the page heatmap, as an uncached page manager read
+does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.page import chaos_read
-from .bulk import LayoutLevel
+from ..storage.page import chaos_read, read_page, record_reads
+from .bulk import LayoutLevel, str_layout
+from .nnsearch import NNResult, best_first, branch_and_bound
+from .node import Fanout
 
-__all__ = ["PackedLevel", "PackedTree", "Walk", "batched_point_query"]
+__all__ = [
+    "PackedLevel",
+    "PackedTree",
+    "Walk",
+    "batched_point_query",
+    "bulk_load",
+    "hs_k_nearest",
+    "leaves_containing",
+    "leaves_intersecting_sphere",
+    "rkv_nearest",
+    "sphere_query",
+]
 
 
 @dataclass(frozen=True)
@@ -50,6 +78,19 @@ class PackedLevel:
     offsets: np.ndarray  # (N + 1,)
     counts: np.ndarray  # (N,) entries per node
     page_ids: np.ndarray  # (N,) one block each
+
+    @cached_property
+    def rows(self) -> "Tuple[np.ndarray, np.ndarray]":
+        """``lows`` and ``highs`` row-major, ``(E, d)`` each, made on
+        first use: the layout of a tree node's bounds, over which a sum
+        along ``d`` rounds as it does on the node."""
+        rows = (
+            np.ascontiguousarray(self.lows.T),
+            np.ascontiguousarray(self.highs.T),
+        )
+        for array in rows:
+            array.setflags(write=False)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -236,3 +277,176 @@ def batched_point_query(
     return Walk(
         pair_q, pair_node, level.ids[pair_node], pages, tuple(touched), tree
     )
+
+
+def bulk_load(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    ids: np.ndarray,
+    page_size: int,
+    leaf_entry_bytes: int,
+) -> PackedTree:
+    """The snapshot of ``n >= 1`` entries that bulk loading them into a
+    new tree of ``page_size``-byte pages, whose leaf entries take
+    ``leaf_entry_bytes``, lays out (:func:`~repro.index.bulk.str_layout`),
+    page ids included, without building the tree."""
+    fanout = Fanout.of(lows.shape[1], page_size, leaf_entry_bytes)
+    return PackedTree.from_layout(str_layout(fanout, lows, highs, ids))
+
+
+# ----------------------------------------------------------------------
+# Searches over a data snapshot, whose leaf entries are points
+# ----------------------------------------------------------------------
+
+def _rows(level: PackedLevel, entries) -> "Tuple[np.ndarray, np.ndarray]":
+    """The bounds of ``entries`` (a slice or an index array) of ``level``,
+    row-major (:attr:`PackedLevel.rows`)."""
+    lows, highs = level.rows
+    return lows[entries], highs[entries]
+
+
+def _reader(tree: PackedTree, chaos) -> "Callable[[int], Tuple]":
+    """The node reader :func:`~repro.index.nnsearch.branch_and_bound`
+    and :func:`~repro.index.nnsearch.best_first` search with.  A node is
+    its position in breadth-first order over all levels (the root is
+    0); each read is one block, published by
+    :func:`~repro.storage.page.read_page`."""
+    levels = tree.levels
+    starts = [0]
+    for level in levels:
+        starts.append(starts[-1] + level.counts.size)
+
+    def read(node: int) -> "Tuple":
+        depth = bisect_right(starts, node) - 1
+        level, i = levels[depth], node - starts[depth]
+        read_page(chaos, int(level.page_ids[i]))
+        entries = slice(int(level.offsets[i]), int(level.offsets[i + 1]))
+        lows, highs = _rows(level, entries)
+        ids = level.ids[entries]
+        if depth == len(levels) - 1:
+            return lows, highs, ids, ids, True, 1
+        below = levels[depth + 1]
+        return lows, highs, ids + starts[depth + 1], below.page_ids[ids], False, 1
+
+    return read
+
+
+def rkv_nearest(
+    tree: PackedTree, query: Sequence[float], chaos=None
+) -> NNResult:
+    """Branch-and-bound nearest neighbor over a data snapshot
+    (:func:`repro.index.nnsearch.rkv_nearest`'s search); ``chaos`` runs
+    on every node read."""
+    return branch_and_bound(_reader(tree, chaos), 0, query)
+
+
+def hs_k_nearest(
+    tree: PackedTree, query: Sequence[float], k: int, chaos=None
+) -> NNResult:
+    """Best-first k nearest neighbors over a data snapshot
+    (:func:`repro.index.nnsearch.hs_k_nearest`'s search); ``chaos`` runs
+    on every node read."""
+    root = int(tree.levels[0].page_ids[0])
+    return best_first(_reader(tree, chaos), 0, root, query, k)
+
+
+def _touch(level: PackedLevel, nodes: np.ndarray, chaos) -> np.ndarray:
+    """The pages of ``nodes`` of ``level``, each read through ``chaos``."""
+    page_ids = level.page_ids[nodes]
+    if chaos is not None:
+        for page_id in page_ids.tolist():
+            chaos_read(chaos, page_id)
+    return page_ids
+
+
+def sphere_query(
+    tree: PackedTree, center: Sequence[float], radius: float, chaos=None
+) -> "Tuple[np.ndarray, int]":
+    """Ids of the leaf entries intersecting the closed ball
+    ``B(center, radius)``, in leaf order, and the nodes read.
+
+    :meth:`RStarTree.sphere_query_blocks` one level at a time: a node is
+    read when its parent's entry intersects the ball, and every entry of
+    the nodes read is tested at once with the same arithmetic (the
+    squared distance to the entry's nearest point, reduced over ``d`` as
+    on a node, against ``radius ** 2 + 1e-12``).  The nearest point is
+    clipped by ``np.maximum`` then ``np.minimum``, the bits ``np.clip``
+    gives finite inputs, at a ufunc's cost.
+    """
+    c = np.asarray(center, dtype=np.float64)
+    r_sq = radius * radius + 1e-12
+    nodes, pages = _ROOT, []
+    for depth, level in enumerate(tree.levels):
+        pages.append(_touch(level, nodes, chaos))
+        if depth:
+            entries = _ranges(level.offsets[nodes], level.counts[nodes])
+            lows, highs = _rows(level, entries)
+        else:  # the root holds every entry of its level
+            lows, highs = level.rows
+        diff = np.minimum(np.maximum(c, lows), highs) - c
+        inside = np.einsum("ij,ij->i", diff, diff) <= r_sq
+        nodes = level.ids[entries[inside] if depth else inside]
+    page_ids = np.concatenate(pages)
+    record_reads(page_ids, page_ids.size)
+    return nodes, int(page_ids.size)
+
+
+def leaves_containing(
+    tree: PackedTree, point: Sequence[float], chaos=None
+) -> np.ndarray:
+    """Ids of every entry on the leaves whose region contains ``point``:
+    the Point selector's query (:meth:`RStarTree.leaves_containing`, with
+    :meth:`MBR.contains_point`'s test at ``atol`` 1e-12)."""
+    p = np.asarray(point, dtype=np.float64)
+
+    def contains(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        return np.all((lows - 1e-12 <= p) & (p <= highs + 1e-12), axis=1)
+
+    return _leaf_ids(tree, contains, chaos)
+
+
+def leaves_intersecting_sphere(
+    tree: PackedTree, center: Sequence[float], radius: float, chaos=None
+) -> np.ndarray:
+    """Ids of every entry on the leaves whose region intersects the
+    closed ball ``B(center, radius)``: the Sphere selector's query
+    (:meth:`RStarTree.leaves_intersecting_sphere`, with
+    :meth:`MBR.intersects_sphere`'s test, its sum over ``d`` included)."""
+    c = np.asarray(center, dtype=np.float64)
+    bound = radius * radius + 1e-12
+
+    def intersects(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        nearest = np.minimum(np.maximum(c, lows), highs)  # np.clip's bits
+        return np.sum((nearest - c) ** 2, axis=1) <= bound
+
+    return _leaf_ids(tree, intersects, chaos)
+
+
+def _leaf_ids(
+    tree: PackedTree,
+    test: "Callable[[np.ndarray, np.ndarray], np.ndarray]",
+    chaos,
+) -> np.ndarray:
+    """Ids of every entry on the leaves whose region passes ``test``.
+
+    As :meth:`RStarTree._leaves_matching` walks: the root is read and its
+    region tested, and every child of a directory node whose region
+    passed is read and its region, its parent's entry, tested.  The
+    root is read once (that walk reads it twice).  ``test`` takes the
+    regions' bounds as :func:`_rows` gives them.
+    """
+    levels = tree.levels
+    root = levels[0]
+    pages = [_touch(root, _ROOT, chaos)]
+    # The root's region is its entries' MBR, computed as Node.mbr() does.
+    low = root.lows.min(axis=1)
+    high = np.maximum(low, root.highs.max(axis=1))
+    nodes = _ROOT if test(low[None, :], high[None, :])[0] else _EMPTY
+    for level, below in zip(levels, levels[1:]):
+        children = _ranges(level.offsets[nodes], level.counts[nodes])
+        pages.append(_touch(below, children, chaos))
+        nodes = children[test(*_rows(level, children))]
+    page_ids = np.concatenate(pages)
+    record_reads(page_ids, page_ids.size)
+    leaves = levels[-1]
+    return leaves.ids[_ranges(leaves.offsets[nodes], leaves.counts[nodes])]

@@ -31,7 +31,7 @@ import numpy as np
 from ..geometry.mbr import MBR
 from ..obs import metrics
 from ..storage.page import DEFAULT_PAGE_SIZE, PageManager
-from .node import Node, entry_bytes
+from .node import Fanout, Node
 
 __all__ = ["RStarTree", "REINSERT_FRACTION"]
 
@@ -46,9 +46,6 @@ class RStarTree:
     the decomposed NN-cell index stores several rectangles per cell — but
     deletion then requires the exact rectangle (:meth:`delete`).
     """
-
-    #: fraction of the maximum fan-out used as the minimum fill grade
-    MIN_FILL = 0.4
 
     def __init__(
         self,
@@ -69,18 +66,13 @@ class RStarTree:
             raise ValueError("dimension must be positive")
         self.dim = dim
         self.pages = page_manager or PageManager(page_size, cache_pages)
-        if max_entries is None:
-            max_entries = self.pages.entries_per_page(entry_bytes(dim))
-        if max_entries < 4:
-            max_entries = 4
-        self.max_entries = max_entries
-        self.min_entries = max(2, int(self.MIN_FILL * max_entries))
-        if leaf_entry_bytes is None:
-            leaf_max = max_entries
-        else:
-            leaf_max = max(4, self.pages.entries_per_page(leaf_entry_bytes))
-        self.leaf_max_entries = leaf_max
-        self.leaf_min_entries = max(2, int(self.MIN_FILL * leaf_max))
+        self.fanout = Fanout.of(
+            dim, self.pages.page_size, leaf_entry_bytes, max_entries
+        )
+        (
+            self.max_entries, self.min_entries,
+            self.leaf_max_entries, self.leaf_min_entries,
+        ) = self.fanout
         self.height = 1
         self.n_entries = 0
         self.root_id = self.pages.allocate(Node.empty(True, 0, dim))

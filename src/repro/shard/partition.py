@@ -81,7 +81,7 @@ class HashPartitioner:
 
     @classmethod
     def from_manifest(cls, doc: "Dict[str, Any]") -> "HashPartitioner":
-        return cls(int(doc["n_shards"]))
+        return cls(_manifest_int(doc, "n_shards"))
 
 
 class HilbertRangePartitioner:
@@ -148,11 +148,28 @@ class HilbertRangePartitioner:
 
     @classmethod
     def from_manifest(cls, doc: "Dict[str, Any]") -> "HilbertRangePartitioner":
+        uppers = doc.get("uppers")
+        if not (
+            isinstance(uppers, list) and all(type(u) is int for u in uppers)
+        ):
+            raise ValueError(
+                "partitioner key 'uppers' is not a list of ints: "
+                f"{uppers!r}"
+            )
         return cls(
-            int(doc["n_shards"]),
-            np.asarray(doc["uppers"], dtype=np.int64),
-            int(doc["bits"]),
+            _manifest_int(doc, "n_shards"),
+            np.asarray(uppers, dtype=np.int64),
+            _manifest_int(doc, "bits"),
         )
+
+
+def _manifest_int(doc: "Dict[str, Any]", key: str) -> int:
+    """The int ``doc[key]``; ``ValueError`` naming the key unless it is
+    an int (a float or a bool is not)."""
+    value = doc.get(key)
+    if type(value) is not int:
+        raise ValueError(f"partitioner key {key!r} is not an int: {value!r}")
+    return value
 
 
 def key_bits(bits: int, dim: int) -> int:

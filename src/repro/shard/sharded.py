@@ -48,6 +48,7 @@ from ..core.nncell_index import (
     NNCellIndex,
     QueryExplain,
     QueryInfo,
+    as_k,
     as_query,
 )
 from ..engine.batch import BatchQueryInfo
@@ -428,9 +429,9 @@ class ShardedNNCellIndex:
         The global top-k is a subset of the union of per-shard top-k's
         (any global top-k member is within its own shard's top-k), so
         merging by ``(distance, global id)`` and truncating is exact.
+        ``k`` must be an int >= 1 (:func:`as_k`).
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = as_k(k)
         q = as_query(query, self.dim)
         k_eff = min(k, len(self))
         info = QueryInfo()

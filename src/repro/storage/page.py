@@ -11,14 +11,14 @@ simulates that storage layer:
   accesses — the paper grants each index "the same amount of cache";
 * :class:`AccessStats` is the counter bundle the evaluation harness
   snapshots around each query;
-* :func:`chaos_read` and :func:`record_reads` are the page hooks of a
-  read made outside a :class:`PageManager`: the packed cell-tree walk
-  (:mod:`repro.index.packed`) counts its own pages and calls them.
+* :func:`chaos_read`, :func:`read_page` and :func:`record_reads` are the
+  page hooks of a read made outside a :class:`PageManager`: the packed
+  snapshots' walks and searches (:mod:`repro.index.packed`) count their
+  own pages and call them.
 
 Pages store opaque Python payloads; *capacity* questions (how many entries
-fit in a node) are answered by :meth:`PageManager.entries_per_page` from
-the byte sizes of an entry, matching how block-based trees size their
-fan-out.
+fit in a node) are answered by :func:`entries_per_page` from the byte
+sizes of an entry, matching how block-based trees size their fan-out.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "FLAKY_READ_RETRIES",
     "chaos_read",
+    "entries_per_page",
+    "read_page",
     "record_reads",
 ]
 
@@ -68,6 +70,33 @@ def chaos_read(injector, page_id: int) -> None:
     raise last
 
 
+def entries_per_page(
+    page_size: int, entry_bytes: int, header_bytes: int = 32
+) -> int:
+    """How many fixed-size entries fit in one page (at least 2, so tree
+    nodes always admit a legal split)."""
+    if page_size <= 0:
+        raise ValueError("page_size must be positive")
+    if entry_bytes <= 0:
+        raise ValueError("entry_bytes must be positive")
+    return max(2, (page_size - header_bytes) // entry_bytes)
+
+
+def read_page(injector, page_id: int) -> None:
+    """One one-block read of ``page_id`` made outside a
+    :class:`PageManager`, published as an uncached
+    :meth:`PageManager.read` publishes it: ``injector`` (``None``, or a
+    :class:`repro.chaos.ChaosInjector`) runs first, through
+    :func:`chaos_read`, then the read counts once in
+    ``storage.logical_reads`` and ``storage.physical_reads`` and once on
+    the page heatmap."""
+    if injector is not None:
+        chaos_read(injector, page_id)
+    metrics.inc("storage.logical_reads")
+    metrics.inc("storage.physical_reads")
+    analytics.record_page(page_id)
+
+
 def record_reads(page_ids: "Iterable[int]", blocks: int) -> None:
     """Publish page reads made outside a :class:`PageManager`.
 
@@ -75,8 +104,8 @@ def record_reads(page_ids: "Iterable[int]", blocks: int) -> None:
     ``storage.physical_reads`` (such reads bypass the buffer pool) and
     counts each page on the access heatmap with no cache outcome.  The
     query record (:mod:`repro.obs.workload`) does the same inside its own
-    update; this is for the paths without one (``explain``,
-    ``k_nearest``).
+    update; this is for the walks without one (``explain``, ``k_nearest``
+    and the level-by-level data searches).
     """
     if blocks:
         metrics.inc("storage.logical_reads", blocks)
@@ -155,12 +184,8 @@ class PageManager:
     # Sizing
     # ------------------------------------------------------------------
     def entries_per_page(self, entry_bytes: int, header_bytes: int = 32) -> int:
-        """How many fixed-size entries fit in one page (at least 2, so tree
-        nodes always admit a legal split)."""
-        if entry_bytes <= 0:
-            raise ValueError("entry_bytes must be positive")
-        usable = self.page_size - header_bytes
-        return max(2, usable // entry_bytes)
+        """:func:`entries_per_page` of this manager's pages."""
+        return entries_per_page(self.page_size, entry_bytes, header_bytes)
 
     # ------------------------------------------------------------------
     # Page lifecycle

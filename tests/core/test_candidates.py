@@ -1,4 +1,8 @@
-"""Unit tests for the four candidate-selection strategies."""
+"""Unit tests for the four candidate-selection strategies.
+
+A selector searches the data snapshot an index lays out of its live
+points; the Point selector's leaves are checked against those of the
+X-tree bulk loaded from the same points."""
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from repro.core.candidates import (
     SelectorParams,
     sphere_radius,
 )
+from repro.core.nncell_index import BuildConfig, data_snapshot
 from repro.data import uniform_points
 from repro.index.bulk import bulk_load
 from repro.index.xtree import XTree
@@ -17,8 +22,7 @@ from repro.index.xtree import XTree
 @pytest.fixture
 def dataset():
     points = uniform_points(150, 4, seed=21)
-    tree = bulk_load(XTree(4), points, points, np.arange(150))
-    return points, tree
+    return points, data_snapshot(points, np.arange(150), BuildConfig())
 
 
 def make_selector(points, tree, kind, **params):
@@ -65,8 +69,12 @@ class TestPoint:
         assert 3 not in ids
         # Every leaf whose region contains the point contributes all its
         # entries, so the set must cover the point's own leaf (minus it).
+        reference = bulk_load(
+            XTree(4, leaf_entry_bytes=8 * 4 + 8), points, points,
+            np.arange(150),
+        )
         own_leaf_ids = set()
-        for leaf in tree.leaves_containing(points[3]):
+        for leaf in reference.leaves_containing(points[3]):
             own_leaf_ids.update(int(i) for i in leaf.ids)
         own_leaf_ids.discard(3)
         assert own_leaf_ids <= set(ids.tolist())
@@ -135,18 +143,24 @@ class TestNNDirection:
 
 
 class TestDynamicBookkeeping:
-    def test_set_active_excludes_deleted(self, dataset):
-        points, tree = dataset
-        selector = make_selector(points, tree, SelectorKind.CORRECT)
-        selector.set_active(4, False)
-        ids = selector.candidates(0)
-        assert 4 not in ids
-        assert len(ids) == len(points) - 2
+    def test_inactive_points_excluded(self, dataset):
+        points, __ = dataset
+        active = np.ones(len(points), dtype=bool)
+        active[4] = False
+        data = data_snapshot(points, np.flatnonzero(active), BuildConfig())
+        for kind in SelectorKind:
+            selector = CandidateSelector(points, data, kind, active=active)
+            assert selector.n_points == len(points) - 1
+            ids = selector.candidates(0)
+            assert 4 not in ids
+            if kind is SelectorKind.CORRECT:
+                assert len(ids) == len(points) - 2
 
-    def test_extend_points(self, dataset, rng):
-        points, tree = dataset
-        selector = make_selector(points, tree, SelectorKind.CORRECT)
-        selector.extend_points(rng.uniform(size=(3, 4)))
+    def test_selector_over_a_grown_point_set(self, dataset, rng):
+        points, __ = dataset
+        grown = np.vstack([points, rng.uniform(size=(3, 4))])
+        data = data_snapshot(grown, np.arange(len(grown)), BuildConfig())
+        selector = CandidateSelector(grown, data, SelectorKind.CORRECT)
         assert selector.n_points == len(points) + 3
         assert len(selector.candidates(0)) == len(points) + 2
 

@@ -8,10 +8,10 @@ Section 2, "the dynamic case").
 import numpy as np
 import pytest
 
-from helpers import brute_nearest
+from helpers import brute_nearest, snapshots_equal
 from repro.core.candidates import SelectorKind
 from repro.core.decomposition import DecompositionConfig
-from repro.core.nncell_index import BuildConfig, NNCellIndex
+from repro.core.nncell_index import BuildConfig, NNCellIndex, data_snapshot
 from repro.data import uniform_points
 from repro.geometry.halfspace import bisector, box_inside_halfspace
 
@@ -223,7 +223,10 @@ class TestMixedWorkload:
                 check_queries(index, rng, n_queries=3)
         check_queries(index, rng, n_queries=20)
         assert_snapshot_holds_the_columns(index)
-        index.data_tree.validate()
+        # The data snapshot packs exactly the live points, as a load would.
+        assert snapshots_equal(index.data_snapshot, data_snapshot(
+            index.points, index.active_ids, index.config
+        ))
 
     def test_reinsert_after_delete_same_location(self, rng):
         index = NNCellIndex.build(uniform_points(20, 2, seed=73))

@@ -13,10 +13,9 @@ import pytest
 
 from helpers import brute_nearest
 from repro.core.candidates import SelectorKind
-from repro.core.nncell_index import BuildConfig, NNCellIndex, make_tree
+from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import diagonal_points, uniform_points
-from repro.index.bulk import str_layout
-from repro.index.packed import PackedTree
+from repro.index.packed import bulk_load
 
 
 class TestSafetyNets:
@@ -29,10 +28,10 @@ class TestSafetyNets:
         lows, highs, owners = index._cell_entries()
         # Every rectangle moved outside the data space: no query inside
         # it finds a candidate.
-        index.snapshot = PackedTree.from_layout(str_layout(
-            make_tree(3, index.config, 3 * 8 * 3 + 8),
-            lows + 10.0, highs + 10.0, owners,
-        ))
+        index.snapshot = bulk_load(
+            lows + 10.0, highs + 10.0, owners, index.config.page_size,
+            3 * 8 * 3 + 8,
+        )
         for __ in range(20):
             q = rng.uniform(size=3)
             pid, dist, info = index.nearest(q)

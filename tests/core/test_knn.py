@@ -50,6 +50,23 @@ class TestKNearest:
         with pytest.raises(ValueError):
             index.k_nearest(np.full(4, 0.5), 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None, -1])
+    def test_k_must_be_an_int(self, index_and_points, k):
+        # A float reached numpy's partition and a bool answered as k=1.
+        index, __ = index_and_points
+        with pytest.raises(ValueError, match="k must be"):
+            index.k_nearest(np.full(4, 0.5), k)
+
+    def test_numpy_int_k_answers(self, index_and_points):
+        index, __ = index_and_points
+        q = np.full(4, 0.5)
+        assert index.k_nearest(q, np.int64(3)) == index.k_nearest(q, 3)
+
+    def test_non_finite_query_rejected(self, index_and_points):
+        index, __ = index_and_points
+        with pytest.raises(ValueError, match="non-finite"):
+            index.k_nearest([np.nan, 0.5, 0.5, 0.5], 2)
+
     def test_wrong_dim_rejected(self, index_and_points):
         index, __ = index_and_points
         with pytest.raises(ValueError):

@@ -13,15 +13,19 @@ from repro.core.approximation import approximate_cell
 from repro.core.candidates import CandidateSelector, SelectorKind, SelectorParams
 from repro.core.constraints import cell_system
 from repro.data import clustered_points, uniform_points
-from repro.index.bulk import bulk_load
-from repro.index.xtree import XTree
+from repro.index.node import entry_bytes
+from repro.index.packed import bulk_load
+from repro.storage.page import DEFAULT_PAGE_SIZE
 
 OPTIMIZED = [SelectorKind.POINT, SelectorKind.SPHERE, SelectorKind.NN_DIRECTION]
 
 
 def build_tree(points):
+    """The data snapshot of ``points``, each leaf entry sized as a
+    directory rectangle."""
     return bulk_load(
-        XTree(points.shape[1]), points, points, np.arange(len(points))
+        points, points, np.arange(len(points)), DEFAULT_PAGE_SIZE,
+        entry_bytes(points.shape[1]),
     )
 
 

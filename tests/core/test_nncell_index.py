@@ -204,6 +204,16 @@ class TestQueryEdgeCases:
             index.within_radius(np.full(4, 0.5), -0.1)
         with pytest.raises(ValueError):
             index.within_radius([0.5, 0.5], 0.1)
+        # NaN answered with an empty array: a centre or a radius that is
+        # not a number matches nothing, so no answer is right.
+        for center in ([np.nan, 0.5, 0.5, 0.5], [0.5, np.inf, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="non-finite"):
+                index.within_radius(center, 0.3)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            index.within_radius(np.full(4, 0.5), np.nan)
+        assert index.within_radius(np.full(4, 0.5), np.inf).tolist() == (
+            index.active_ids.tolist()
+        )
 
     def test_nearest_batch(self, points_4d, rng):
         index = NNCellIndex.build(points_4d)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_nearest, write_format_5
+from helpers import brute_nearest, write_format_5, write_format_6
 from repro.core.candidates import SelectorKind, SelectorParams
 from repro.core.decomposition import DecompositionConfig
 from repro.core.nncell_index import BuildConfig, NNCellIndex
@@ -199,12 +199,12 @@ class TestRoundtrip:
             assert dist == pytest.approx(true_dist)
 
     def test_config_restored(self, archive_path):
-        config = BuildConfig(selector=SelectorKind.POINT, cache_pages=16)
+        config = BuildConfig(selector=SelectorKind.POINT, page_size=1024)
         index = NNCellIndex.build(uniform_points(20, 2, seed=115), config)
         save_index(index, archive_path)
         loaded = load_index(archive_path)
         assert loaded.config.selector is SelectorKind.POINT
-        assert loaded.config.cache_pages == 16
+        assert loaded.config.page_size == 1024
 
     def test_version_guard(self, archive_path):
         # Version 3 kept only part of the build config (no decomposition
@@ -255,13 +255,29 @@ class TestRoundtrip:
         write_format_5(index, archive_path)
         with pytest.raises(
             ValueError,
-            match=r"version 5 \(expected 6\); rebuild the index with `repro build`",
+            match=r"version 5 \(expected 7\); rebuild the index with `repro build`",
         ):
             load_index(archive_path)
-        # The version refuses it: the same file as version 6 loads up to
+        # The version refuses it: the same file as version 7 loads up to
         # its extra column.
-        reseal(archive_path, lambda doc: doc.update(format_version=6))
+        reseal(archive_path, lambda doc: doc.update(format_version=7))
         with pytest.raises(ValueError, match="has unknown column 'sys_a'"):
+            load_index(archive_path)
+
+    def test_format_6_refused(self, archive_path):
+        # Format 6 stored the data tree's buffer-pool size, `cache_pages`,
+        # in its meta; there is no reader for it.
+        index = NNCellIndex.build(uniform_points(10, 2, seed=116))
+        write_format_6(index, archive_path)
+        with pytest.raises(
+            ValueError,
+            match=r"version 6 \(expected 7\); rebuild the index with `repro build`",
+        ):
+            load_index(archive_path)
+        # The version refuses it: the same file as version 7 loads up to
+        # its extra meta key.
+        reseal(archive_path, lambda doc: doc.update(format_version=7))
+        with pytest.raises(ValueError, match="unknown key 'cache_pages'"):
             load_index(archive_path)
 
     def test_foreign_archive_refused(self, archive_path):
@@ -423,7 +439,7 @@ class TestColumnarArchive:
             ("no key 'query_atol'", {"drop": ("query_atol",)}),
             ("'selector' is 'voronoi', not one of", {"selector": "voronoi"}),
             ("'page_size' is '4096', not int", {"page_size": "4096"}),
-            ("'cache_pages' is True, not int", {"cache_pages": True}),
+            ("'page_size' is True, not int", {"page_size": True}),
             ("'decompose' is 1, not bool", {"decompose": 1}),
             ("'query_atol' is nan, not finite", {"query_atol": float("nan")}),
             (
@@ -657,7 +673,6 @@ _CONFIGS = st.builds(
         min_extent=st.floats(0.0, 1e-3),
     ),
     page_size=st.integers(256, 8192),
-    cache_pages=st.integers(0, 32),
     query_atol=st.floats(0.0, 1e-6),
     data_space=st.sampled_from([None, MBR([-1.0, -0.5], [2.0, 1.5])]),
 )
@@ -671,7 +686,7 @@ def test_reload_keeps_the_whole_build_config(tmp_path_factory, config):
     loaded = load_index(path).config
     for name in (
         "selector", "selector_params", "decompose", "decomposition",
-        "page_size", "cache_pages", "query_atol",
+        "page_size", "query_atol",
     ):
         assert getattr(loaded, name) == getattr(config, name), name
     assert loaded.data_space == MBR(*_read_archive(path)[1]["box"])

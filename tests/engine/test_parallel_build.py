@@ -27,25 +27,6 @@ from repro.engine.parallel import (
 from repro.obs import analytics, events, metrics, tracing
 
 
-def tree_signature(tree):
-    """Full structural fingerprint: every node's bounds and ids, in a
-    deterministic traversal order."""
-    signature = []
-    stack = [tree.root_id]
-    while stack:
-        node = tree._read(stack.pop())
-        signature.append((
-            node.is_leaf,
-            node.level,
-            node.lows.tobytes(),
-            node.highs.tobytes(),
-            node.ids.tobytes(),
-        ))
-        if not node.is_leaf:
-            stack.extend(int(i) for i in node.ids)
-    return signature
-
-
 def cells_signature(index):
     """Byte-exact record of every cell: the index's cell columns."""
     return {
@@ -93,9 +74,7 @@ class TestParity:
         parallel = build(points, workers=workers)
         assert cells_signature(serial) == cells_signature(parallel)
         assert snapshots_equal(serial.snapshot, parallel.snapshot)
-        assert tree_signature(serial.data_tree) == tree_signature(
-            parallel.data_tree
-        )
+        assert snapshots_equal(serial.data_snapshot, parallel.data_snapshot)
 
     def test_thread_build_identical(self):
         points = uniform_points(40, 3, seed=3)
@@ -149,6 +128,7 @@ class TestWorkshop:
         points = uniform_points(30, 2, seed=4)
         serial = build(points)
         workshop = CellWorkshop(points, serial.config)
+        assert snapshots_equal(workshop.data_snapshot, serial.data_snapshot)
         for point_id in range(points.shape[0]):
             system, rects = workshop.compute(point_id)
             assert_cell_matches(serial, point_id, system, rects)

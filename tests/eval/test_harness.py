@@ -28,7 +28,7 @@ def setup():
     )
     index = NNCellIndex.build(
         points,
-        BuildConfig(selector=SelectorKind.NN_DIRECTION, cache_pages=8),
+        BuildConfig(selector=SelectorKind.NN_DIRECTION),
     )
     scan = LinearScan(points, cache_pages=8)
     return points, queries, tree, index, scan

@@ -1,7 +1,8 @@
 """Shared reference implementations for tests (brute-force baselines,
-the HiGHS LP oracle, the cell tree a snapshot packs), a writer of the
-retired archive format 5, a batch function that holds a service's
-flush, and a loader for the standalone scripts in ``tools/``."""
+the HiGHS LP oracle, the cell and data trees the snapshots pack),
+writers of the retired archive formats 5 and 6, a batch function that
+holds a service's flush, and a loader for the standalone scripts in
+``tools/``."""
 
 import importlib.util
 import json
@@ -46,15 +47,36 @@ class Stall:
 
 def cell_tree(index):
     """The cell tree STR packs from ``index``'s current columns, bulk
-    loaded: the oracle of the packed walk.  Its ``point_query`` finds the
-    owners the walk of ``index.snapshot`` finds and reads, as logical
-    reads, the pages that walk counts."""
-    from repro.core.nncell_index import make_tree
+    loaded into an X-tree: the oracle of the packed walk.  Its
+    ``point_query`` finds the owners the walk of ``index.snapshot`` finds
+    and reads, as logical reads, the pages that walk counts."""
     from repro.index.bulk import bulk_load
+    from repro.index.xtree import XTree
 
     dim = index.dim
-    tree = make_tree(dim, index.config, 3 * 8 * dim + 8)
+    tree = XTree(
+        dim, page_size=index.config.page_size,
+        leaf_entry_bytes=3 * 8 * dim + 8,
+    )
     return bulk_load(tree, *index._cell_entries())
+
+
+def data_tree(index):
+    """``index``'s live points, bulk loaded into an X-tree of its page
+    geometry: the oracle of the searches of ``index.data_snapshot``.
+    ``nnsearch.rkv_nearest``, ``nnsearch.hs_k_nearest`` and its
+    ``sphere_query_blocks`` find the ids and read the pages those
+    searches find and count, and its leaf queries give the Point and
+    Sphere selectors' ids."""
+    from repro.index.bulk import bulk_load
+    from repro.index.xtree import XTree
+
+    dim = index.dim
+    tree = XTree(
+        dim, page_size=index.config.page_size, leaf_entry_bytes=8 * dim + 8
+    )
+    live = index.active_ids
+    return bulk_load(tree, index.points[live], index.points[live], live)
 
 
 def snapshots_equal(a, b):
@@ -137,21 +159,43 @@ def highs_least_violation(a_ub, b_ub, lb, ub):
     return float(res.fun)
 
 
-def write_format_5(index, path):
-    """Write ``index`` to ``path`` as archive format 5 did: the same
-    preamble, header and columns, plus each constraint row's normal as
-    the column ``sys_a`` after ``sys_offsets``, and ``format_version``
-    5, under a valid checksum."""
+def _rewrite_header(path, version, meta=None, columns=None):
+    """Rewrite the archive at ``path`` with ``format_version`` set to
+    ``version``, under a valid checksum; ``meta`` (a dict) updates its
+    meta, and ``columns`` (name -> array, in file order) replaces its
+    columns."""
     from repro.core.persistence import (
         _MAGIC,
         _PREAMBLE,
         _read_archive,
         _write_archive,
-        save_index,
     )
 
+    stored, stored_columns = _read_archive(path)
+    _write_archive(
+        path, {**stored, **(meta or {})}, columns or dict(stored_columns)
+    )
+    data = Path(path).read_bytes()
+    __, size, __ = _PREAMBLE.unpack_from(data)
+    doc = json.loads(data[_PREAMBLE.size:_PREAMBLE.size + size])
+    doc["format_version"] = version
+    header = json.dumps(doc, sort_keys=True).encode()
+    header += b" " * (-len(header) % 8)
+    payload = header + data[_PREAMBLE.size + size:]
+    Path(path).write_bytes(
+        _PREAMBLE.pack(_MAGIC, len(header), zlib.crc32(payload)) + payload
+    )
+
+
+def write_format_5(index, path):
+    """Write ``index`` to ``path`` as archive format 5 did: the same
+    preamble, header and columns, plus each constraint row's normal as
+    the column ``sys_a`` after ``sys_offsets``, ``meta.cache_pages`` 0
+    and ``format_version`` 5, under a valid checksum."""
+    from repro.core.persistence import _read_archive, save_index
+
     save_index(index, path)
-    meta, columns = _read_archive(path)
+    __, columns = _read_archive(path)
     owners = np.repeat(index.active_ids, np.diff(columns["sys_offsets"]))
     ids = columns["sys_ids"]
     ordered = {}
@@ -159,17 +203,17 @@ def write_format_5(index, path):
         ordered[name] = column
         if name == "sys_offsets":
             ordered["sys_a"] = 2.0 * (index.points[ids] - index.points[owners])
-    _write_archive(path, meta, ordered)
-    data = Path(path).read_bytes()
-    __, size, __ = _PREAMBLE.unpack_from(data)
-    doc = json.loads(data[_PREAMBLE.size:_PREAMBLE.size + size])
-    doc["format_version"] = 5
-    header = json.dumps(doc, sort_keys=True).encode()
-    header += b" " * (-len(header) % 8)
-    payload = header + data[_PREAMBLE.size + size:]
-    Path(path).write_bytes(
-        _PREAMBLE.pack(_MAGIC, len(header), zlib.crc32(payload)) + payload
-    )
+    _rewrite_header(path, 5, {"cache_pages": 0}, ordered)
+
+
+def write_format_6(index, path):
+    """Write ``index`` to ``path`` as archive format 6 did: the same
+    preamble, header and columns, with ``meta.cache_pages`` 0 and
+    ``format_version`` 6, under a valid checksum."""
+    from repro.core.persistence import save_index
+
+    save_index(index, path)
+    _rewrite_header(path, 6, {"cache_pages": 0})
 
 
 def highs_mbr(system):

@@ -103,7 +103,7 @@ class TestLayoutReference:
         lows = rng.uniform(size=(n, dim))
         highs = lows + rng.uniform(0.0, 0.1, size=(n, dim))
         lows[::7] = np.round(lows[::7], 1)  # ties along the sort axes
-        levels = str_layout(XTree(dim, page_size=512), lows, highs, np.arange(n))
+        levels = str_layout(XTree(dim, page_size=512).fanout, lows, highs, np.arange(n))
         for below, above in zip(levels, levels[1:]):
             entries = np.sort(np.concatenate(below.groups))
             assert np.array_equal(entries, np.arange(below.ids.shape[0]))

@@ -41,7 +41,9 @@ def rectangles(rng, n, dim, spread=0.3):
 def packed_and_loaded(tree, lows, highs, ids):
     """The snapshot laid out for the empty ``tree``, and the tree bulk
     loaded from the same layout."""
-    snapshot = PackedTree.from_layout(str_layout(tree, lows, highs, ids))
+    snapshot = PackedTree.from_layout(str_layout(
+        tree.fanout, lows, highs, ids, first_page=tree.pages.next_page_id
+    ))
     return snapshot, bulk_load(tree, lows, highs, ids)
 
 
@@ -182,7 +184,7 @@ def test_whole_batch_on_a_large_low_dimensional_tree(rng):
 def test_empty_tree_reads_its_root():
     empty = np.zeros((0, 3))
     snapshot = PackedTree.from_layout(
-        str_layout(RStarTree(3), empty, empty, np.zeros(0, dtype=np.int64))
+        str_layout(RStarTree(3).fanout, empty, empty, np.zeros(0, dtype=np.int64))
     )
     walk = batched_point_query(snapshot, np.zeros((2, 3)))
     assert walk.owner.size == 0
@@ -195,7 +197,7 @@ def test_snapshot_is_immutable(rng):
     lows, highs = rectangles(rng, 50, 2)
     ids = np.arange(50)
     snapshot = PackedTree.from_layout(
-        str_layout(RStarTree(2), lows, highs, ids)
+        str_layout(RStarTree(2).fanout, lows, highs, ids)
     )
     with pytest.raises(ValueError, match="read-only"):
         snapshot.leaves.lows[0, 0] = 1.0
@@ -209,7 +211,7 @@ class TestChaos:
     def test_every_touched_node_is_one_read_attempt(self, rng):
         lows, highs = rectangles(rng, 200, 3)
         snapshot = PackedTree.from_layout(
-            str_layout(RStarTree(3), lows, highs, np.arange(200))
+            str_layout(RStarTree(3).fanout, lows, highs, np.arange(200))
         )
         log = PageLog()
         walk = batched_point_query(snapshot, rng.uniform(size=(8, 3)),
@@ -219,7 +221,7 @@ class TestChaos:
     def test_flaky_reads_retry_then_propagate(self, rng):
         lows, highs = rectangles(rng, 30, 2)
         snapshot = PackedTree.from_layout(
-            str_layout(RStarTree(2), lows, highs, np.arange(30))
+            str_layout(RStarTree(2).fanout, lows, highs, np.arange(30))
         )
         q = rng.uniform(size=(1, 2))
         clean = batched_point_query(snapshot, q)

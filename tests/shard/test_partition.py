@@ -118,3 +118,48 @@ class TestFactories:
     def test_manifest_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="manifest"):
             partitioner_from_manifest({"kind": "mystery"})
+
+
+class TestManifestValues:
+    """An edited manifest value that is not an int is refused, naming
+    its key, instead of being truncated or cast."""
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    def test_hash_n_shards(self, value):
+        doc = HashPartitioner(2).to_manifest()
+        doc["n_shards"] = value
+        with pytest.raises(ValueError, match="'n_shards' is not an int"):
+            partitioner_from_manifest(doc)
+
+    @pytest.fixture()
+    def hilbert(self):
+        points = uniform_points(40, 3, seed=10)
+        return HilbertRangePartitioner.fit(points, 3).to_manifest()
+
+    @pytest.mark.parametrize("value", [3.0, 2.9, False])
+    def test_hilbert_n_shards(self, hilbert, value):
+        hilbert["n_shards"] = value
+        with pytest.raises(ValueError, match="'n_shards' is not an int"):
+            partitioner_from_manifest(hilbert)
+
+    @pytest.mark.parametrize("value", [10.0, 9.5, True, "10"])
+    def test_hilbert_bits(self, hilbert, value):
+        hilbert["bits"] = value
+        with pytest.raises(ValueError, match="'bits' is not an int"):
+            partitioner_from_manifest(hilbert)
+
+    @pytest.mark.parametrize("edit", [
+        lambda u: [u[0] + 0.7, u[1]],
+        lambda u: [float(u[0]), u[1]],
+        lambda u: [True, u[1]],
+        lambda u: tuple(u),
+        lambda u: None,
+    ])
+    def test_hilbert_uppers(self, hilbert, edit):
+        hilbert["uppers"] = edit(hilbert["uppers"])
+        with pytest.raises(ValueError, match="'uppers' is not a list of ints"):
+            partitioner_from_manifest(hilbert)
+
+    def test_ints_still_load(self, hilbert):
+        back = partitioner_from_manifest(hilbert)
+        assert back.to_manifest() == hilbert

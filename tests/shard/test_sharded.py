@@ -84,6 +84,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             sharded.k_nearest([0.5, 0.5, 0.5], 0)
 
+    @pytest.mark.parametrize("k", [2.5, True, "2"])
+    def test_k_must_be_an_int(self, sharded, k):
+        with pytest.raises(ValueError, match="k must be"):
+            sharded.k_nearest([0.5, 0.5, 0.5], k)
+
     def test_insert_rejects_bad_points(self, points):
         index = ShardedNNCellIndex.build(points, ShardConfig(n_shards=2))
         with pytest.raises(ValueError):

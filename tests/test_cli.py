@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import load_tool, write_format_5
+from helpers import load_tool, write_format_5, write_format_6
 from repro.cli import main
 from repro.core.nncell_index import NNCellIndex
 from repro.data import uniform_points
@@ -203,6 +203,17 @@ class TestErrorHandling:
         assert "version 5" in stderr and "repro build" in stderr
         assert "Traceback" not in stderr
 
+    def test_format_6_archive_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "idx.nnc"
+        write_format_6(NNCellIndex.build(uniform_points(20, 3, seed=5)), out)
+        code, __, stderr = run(
+            capsys, "query", str(out), "--point", "0.5,0.5,0.5",
+        )
+        assert code == 1
+        assert stderr.startswith("error:")
+        assert "version 6 (expected 7)" in stderr and "repro build" in stderr
+        assert "Traceback" not in stderr
+
     def test_missing_point_file(self, tmp_path, capsys):
         code, __, stderr = run(
             capsys, "build", "--points", str(tmp_path / "nope.npy"),
@@ -316,6 +327,33 @@ class TestShardedCli:
         assert stderr.startswith("error: ")
         assert "shards[0] is not a JSON object" in stderr
         assert "Traceback" not in stderr
+
+    def test_manifest_partitioner_value_not_an_int_is_an_error(
+        self, tmp_path, capsys
+    ):
+        # A partitioner whose n_shards was edited to 2.9 loaded as 2
+        # shards and answered.
+        import json
+
+        out = tmp_path / "fleet"
+        code, __, __ = run(
+            capsys, "build", "--dataset", "uniform", "--n", "20",
+            "--dim", "2", "--out", str(out), "--shards", "2",
+            "--partitioner", "hash",
+        )
+        assert code == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["partitioner"]["n_shards"] = 2.9
+        manifest.write_text(json.dumps(doc))
+        code, stdout, stderr = run(
+            capsys, "query", str(out), "--point", "0.5,0.5"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1
+        assert "'n_shards' is not an int" in stderr
 
     def test_build_rejects_negative_shards(self, tmp_path, capsys):
         code, __, stderr = run(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import load_tool, write_format_5
+from helpers import load_tool, write_format_5, write_format_6
 from repro.core.nncell_index import NNCellIndex
 from repro.core.persistence import _write_archive, save_index
 from repro.data import uniform_points
@@ -82,10 +82,10 @@ class TestCompareArchives:
         points = uniform_points(12, 2, seed=5)
         a, b = tmp_path / "a.nnc", tmp_path / "b.nnc"
         save_index(NNCellIndex.build(points), a)
-        save_index(NNCellIndex.build(points, BuildConfig(cache_pages=16)), b)
-        assert tool.compare_archives(a, b) == ["meta.cache_pages: 0 != 16"]
+        save_index(NNCellIndex.build(points, BuildConfig(query_atol=1e-8)), b)
+        assert tool.compare_archives(a, b) == ["meta.query_atol: 1e-09 != 1e-08"]
         assert tool.main([str(a), str(b)]) == 1
-        assert "meta.cache_pages: 0 != 16" in capsys.readouterr().out
+        assert "meta.query_atol: 1e-09 != 1e-08" in capsys.readouterr().out
 
     def test_nested_meta_listed_leaf_by_leaf(self, tool, tmp_path):
         from repro.core.decomposition import DecompositionConfig
@@ -153,6 +153,17 @@ class TestMain:
         assert tool.main([str(a), str(b)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "version 5" in err
+
+    def test_format_6_archive_exit_two(self, tool, tmp_path, capsys):
+        a = tmp_path / "a.nnc"
+        b = tmp_path / "b.nnc"
+        index = NNCellIndex.build(uniform_points(10, 2, seed=6))
+        save_index(index, a)
+        write_format_6(index, b)
+        for args in ([a, b], [b, a]):
+            assert tool.main([str(path) for path in args]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "version 6 (expected 7)" in err
 
     def test_usage_and_missing_file_exit_two(self, tool, tmp_path, capsys):
         assert tool.main(["just-one.nnc"]) == 2

@@ -34,7 +34,7 @@ if str(REPO_SRC) not in sys.path:  # allow running without installation
 # tools/ is sys.path[0] when this file runs as a script.
 from compare_archives import compare_archives  # noqa: E402
 
-from repro import NNCellIndex  # noqa: E402
+from repro import BuildConfig, NNCellIndex  # noqa: E402
 from repro.chaos import FaultPlan, ShardFaults, run_drill  # noqa: E402
 from repro.core.persistence import (  # noqa: E402
     is_sharded_archive,
@@ -314,10 +314,12 @@ def leg_build(workdir: Path) -> str:
     bytes, the archive loads back with the build config it was made
     with and saves the same bytes again, an insert into the loaded index
     saves what the same insert into a fresh build saves (a loaded
-    index's constraint normals are derived from the points), a
-    truncated copy is refused with an ``error:`` line and no traceback,
-    and a ``--profile`` build documents its cells and ``build.nncell``
-    span."""
+    index's constraint normals are derived from the points), an index
+    written with 3 insert/delete pairs then reloaded takes one more pair
+    to the written index's archive (both lay out their snapshots from
+    the same points and columns), a truncated copy is refused with an
+    ``error:`` line and no traceback, and a ``--profile`` build
+    documents its cells and ``build.nncell`` span."""
     flags = ("--decompose", "--k-max", "8")
     serial = build(workdir / "serial.nnc", 60, 3, *flags)
     parallel = build(workdir / "parallel.nnc", 60, 3, *flags, "--workers", "2")
@@ -339,6 +341,7 @@ def leg_build(workdir: Path) -> str:
         save_index(index, path)
     diffs = compare_archives(built_insert, loaded_insert)
     check(not diffs, f"an insert saves other cells loaded than built: {diffs}")
+    written_equals_reloaded(workdir)
     damaged = workdir / "truncated.nnc"
     damaged.write_bytes(serial.read_bytes()[:-100])
     stderr = repro_run("query", damaged, "--point", "0.5,0.5,0.5", status=1).stderr
@@ -357,8 +360,34 @@ def leg_build(workdir: Path) -> str:
     check("build.nncell" in names, f"no build.nncell span: {names}")
     return (
         "workers=2 archive identical, build config reloaded, reload and "
-        "insert archives identical, truncated archive refused, profile OK"
+        "insert archives identical, written index writes its reload's "
+        "archive, truncated archive refused, profile OK"
     )
+
+
+def written_equals_reloaded(workdir: Path) -> None:
+    """Small pages give the data snapshot many leaves, so the Sphere
+    selector's leaf queries see where each write put its point: 3
+    insert/delete pairs, a save and a load, then one more pair on the
+    written index and on its reload must save the same archive."""
+    rng = np.random.default_rng(7)
+    index = NNCellIndex.build(
+        rng.uniform(size=(80, 2)), BuildConfig(page_size=256)
+    )
+    for __ in range(3):
+        index.insert(rng.uniform(size=2))
+        index.delete(int(rng.choice(index.active_ids)))
+    save_index(index, workdir / "written.nnc")
+    reloaded = load_any_index(workdir / "written.nnc")
+    point, victim = rng.uniform(size=2), int(index.active_ids[7])
+    paths = []
+    for name, target in (("written", index), ("reloaded", reloaded)):
+        target.insert(point)
+        target.delete(victim)
+        paths.append(workdir / f"{name}+1.nnc")
+        save_index(target, paths[-1])
+    diffs = compare_archives(*paths)
+    check(not diffs, f"a written index and its reload write apart: {diffs}")
 
 
 def leg_shard(workdir: Path) -> str:
