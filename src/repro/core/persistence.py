@@ -539,15 +539,12 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
     target.mkdir(parents=True, exist_ok=True)
     shard_entries = []
     for s, shard in enumerate(index._shards):
-        if shard is None:
-            shard_entries.append(
-                {"archive": None, "global_ids": list(index._globals[s])}
-            )
-            continue
-        name = f"shard_{s}.nnc"
-        save_index(shard, target / name)
+        name = None
+        if shard is not None:
+            name = f"shard_{s}.nnc"
+            save_index(shard, target / name)
         shard_entries.append(
-            {"archive": name, "global_ids": list(index._globals[s])}
+            {"archive": name, "global_ids": index._globals[s].tolist()}
         )
     manifest = {
         "format_version": _SHARD_FORMAT_VERSION,
@@ -648,15 +645,19 @@ def load_sharded_index(path: "Union[str, Path]"):
 
 def _shard_entries(
     manifest_path: Path, shards: Any
-) -> "List[Tuple[Optional[str], List[int]]]":
-    """The manifest's ``shards`` as ``(archive, global_ids)`` pairs.
+) -> "List[Tuple[Optional[str], np.ndarray]]":
+    """The manifest's ``shards`` as ``(archive, global_ids)`` pairs, each
+    id map a read-only int64 array (:func:`repro.shard.sharded.id_map`).
 
     Raises ``ValueError`` naming the key unless ``shards`` is a list of
     objects with exactly the keys ``archive`` — ``null`` or, for entry
     ``s``, the ``shard_<s>.nnc`` that :func:`save_sharded_index` writes,
     so that a manifest cannot send the load outside its directory — and
-    ``global_ids``, a list of ints (a bool or a float is not an id).
+    ``global_ids``, a list of ints (a bool or a float is not an id) that
+    fit in int64.
     """
+    from ..shard.sharded import id_map
+
     if not isinstance(shards, list):
         raise ValueError(f"{manifest_path}: key 'shards' is not a list")
     pairs = []
@@ -676,7 +677,12 @@ def _shard_entries(
             )
         if not (isinstance(ids, list) and all(type(g) is int for g in ids)):
             raise ValueError(f"{where} key 'global_ids' is not a list of ints")
-        pairs.append((archive, ids))
+        try:
+            pairs.append((archive, id_map(ids)))
+        except OverflowError:
+            raise ValueError(
+                f"{where} key 'global_ids' holds an id outside int64"
+            ) from None
     return pairs
 
 
@@ -729,15 +735,14 @@ def _check_id_maps(
                 f"per point ({n})"
             )
     held = 0
-    for s, (shard, gids) in enumerate(zip(shards, globals_)):
+    for s, (shard, ids) in enumerate(zip(shards, globals_)):
         where = f"{source}: shard {s}"
         if shard is None:
-            if gids:
+            if ids.size:
                 raise ValueError(
-                    f"{where} has no archive but maps {len(gids)} global ids"
+                    f"{where} has no archive but maps {ids.size} global ids"
                 )
             continue
-        ids = np.asarray(gids, dtype=np.int64)
         rows = shard.points.shape[0]
         if ids.size != rows:
             raise ValueError(

@@ -2,8 +2,10 @@
 
 ``repro.shard`` partitions the database across N independent
 :class:`~repro.core.nncell_index.NNCellIndex` shards and answers
-queries by concurrent scatter-gather with an exact k-merge — results
-are bit-identical to an unsharded index over the same points.  See
+queries by scatter-gather with an exact k-merge — results are
+bit-identical to an unsharded index over the same points.  Probes run
+on the calling thread, or on a thread pool for a large batch and under
+a resilience policy.  See
 ``docs/sharding.md`` for the partitioners, the exactness argument and
 tuning guidance.
 

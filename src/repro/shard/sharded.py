@@ -3,7 +3,8 @@
 A :class:`ShardedNNCellIndex` splits the database across ``n_shards``
 independent :class:`~repro.core.nncell_index.NNCellIndex` instances and
 answers queries by *scatter-gather*: fan the query out to every live
-shard (concurrently, on a thread pool), then k-merge the per-shard
+shard (on the calling thread for small batches, on a thread pool for
+large ones or under a resilience policy), then k-merge the per-shard
 ``(distance, id)`` results.  The merge is **exact**, not approximate:
 
 * every shard's solution space tiles the *whole* data space (the
@@ -24,7 +25,8 @@ across partitioners, shard counts and dynamic insert/delete sequences;
 ``docs/sharding.md`` spells out the full exactness argument.
 
 Global point ids are preserved: shard ``s`` keeps a local→global id map
-and every result is translated before merging, so ids returned by the
+(a read-only int64 array, replaced whole by a write) and every result is
+translated before merging, so ids returned by the
 sharded index are the positions in the original build array — the same
 ids the unsharded index would return.  ``insert``/``delete`` route to
 the owning shard through the (deterministic) partitioner.
@@ -65,13 +67,38 @@ from .resilience import (
 
 __all__ = ["ShardConfig", "ShardedNNCellIndex"]
 
+#: Most rows per live shard that a scatter with no resilience policy
+#: probes on the calling thread; a larger batch goes through the pool.
+#: The pool's hand-off costs more than the GIL lets the probes overlap
+#: until each shard walks about this many rows.  On a shared 2-vCPU VM
+#: (d=6, 2-8 Hilbert shards; the table is in docs/sharding.md) the
+#: calling thread answered 2.9-4.6x the pool's q/s for one row, 1.2-1.9x
+#: at 32 rows per shard with 50-100 points per shard but 0.84x with 250,
+#: and the pool won or tied from 64 rows per shard.  A served flush (at
+#: most ``ServeConfig.max_batch_size``, 32 rows) stays below the cut.
+_INLINE_ROWS_PER_SHARD = 32
+
+
+def id_map(ids) -> np.ndarray:
+    """A shard's local→global id map: a read-only int64 copy of ``ids``."""
+    ids = np.array(ids, dtype=np.int64)
+    ids.flags.writeable = False
+    return ids
+
+
+_NO_IDS = id_map([])  # the map of a shard with no rows
+
 
 @dataclass(frozen=True)
 class ShardConfig:
     """Sharding parameters, orthogonal to the per-shard ``BuildConfig``.
 
-    ``query_workers`` sizes the scatter pool (0 = one thread per shard,
-    1 = scatter inline/serially).  Build parallelism is the per-shard
+    ``query_workers`` sizes the scatter pool: 0 = one thread per shard,
+    N = N threads (at most one per shard), and 1 = no pool unless a
+    resilience policy needs one.  The pool runs only batches of more
+    than ``_INLINE_ROWS_PER_SHARD`` rows per live shard and every
+    scatter under a resilience policy; any other scatter probes its
+    shards on the calling thread.  Build parallelism is the per-shard
     ``BuildConfig.workers``.
     """
 
@@ -133,10 +160,11 @@ class ShardedNNCellIndex:
         self._shards: "List[Optional[NNCellIndex]]" = (
             [None] * self.shard_config.n_shards
         )
-        #: Per shard: local row -> global id (rows keep their slots on
-        #: delete, exactly as NNCellIndex rows do).
-        self._globals: "List[List[int]]" = (
-            [[] for __ in range(self.shard_config.n_shards)]
+        #: Per shard: local row -> global id, a read-only int64 array
+        #: (rows keep their slots on delete, exactly as NNCellIndex rows
+        #: do); a write replaces a shard's map by one assignment.
+        self._globals: "List[np.ndarray]" = (
+            [_NO_IDS] * self.shard_config.n_shards
         )
         self._shard_of: "List[int]" = []
         self._local_of: "List[int]" = []
@@ -181,11 +209,12 @@ class ShardedNNCellIndex:
         build_config: BuildConfig,
         partitioner,
         shards: "List[Optional[NNCellIndex]]",
-        globals_: "List[List[int]]",
+        globals_: "List[np.ndarray]",
         shard_of: "List[int]",
         local_of: "List[int]",
     ) -> "ShardedNNCellIndex":
-        """Wire a fully-specified instance (persistence load path)."""
+        """Wire a fully-specified instance (persistence load path);
+        ``globals_`` are the shards' :func:`id_map` arrays."""
         self = cls.__new__(cls)
         self.shard_config = shard_config
         self.config = build_config
@@ -212,7 +241,7 @@ class ShardedNNCellIndex:
         self._shard_of = [int(s) for s in assignment]
         self._local_of = [0] * n
         for s, ids in enumerate(members):
-            self._globals[s] = [int(g) for g in ids]
+            self._globals[s] = id_map(ids)
             for local, g in enumerate(ids):
                 self._local_of[int(g)] = local
 
@@ -246,13 +275,15 @@ class ShardedNNCellIndex:
     def set_resilience(self, config: "Optional[ResilienceConfig]") -> None:
         """Install (or, with ``None``, remove) the scatter mitigation policy.
 
-        With a policy installed every scatter runs through
-        :func:`repro.shard.resilience.resilient_gather` — per-probe
-        timeouts, backoff retries, hedging, optional partial answers —
-        and query infos carry ``degraded``/``failed_shards``.  Without
-        one, the original wait-for-everything gather runs unchanged.
-        The scatter pool is rebuilt on the next query (a resilient pool
-        carries headroom for hedges and retries).
+        With a policy installed every scatter, one query too, runs
+        through :func:`repro.shard.resilience.resilient_gather` on the
+        scatter pool — per-probe timeouts, backoff retries, hedging,
+        optional partial answers — and query infos carry
+        ``degraded``/``failed_shards``.  Without one, the
+        wait-for-everything gather runs, on the calling thread unless
+        the batch is large (:meth:`_scatter`).  The pool is shut down
+        here and made again by the next scatter that needs it (a
+        resilient pool carries headroom for hedges and retries).
         """
         if config is not None and not isinstance(config, ResilienceConfig):
             raise TypeError("expected a ResilienceConfig or None")
@@ -275,25 +306,24 @@ class ShardedNNCellIndex:
         """
         self._chaos = injector
 
-    def _scatter_pool(self) -> "Optional[ThreadPoolExecutor]":
-        """The persistent fan-out pool (``None`` = scatter inline).
+    def _scatter_pool(self) -> ThreadPoolExecutor:
+        """The persistent fan-out pool, made on first use.
 
-        A resilient scatter always gets a pool — timeouts and hedges
-        need probes the gather thread does not sit behind — and it is
-        oversized 2x so hedge duplicates and retries of stuck probes
-        never queue behind the stragglers they are meant to beat.
+        Only :meth:`_scatter` asks for it, for a batch too large to
+        probe on the calling thread or for a scatter under a resilience
+        policy.  It holds ``query_workers`` threads (0 = one per shard),
+        at most one per shard.  A resilient pool instead holds
+        ``2 * n_shards`` — timeouts and hedges need probes the gather
+        thread does not sit behind, and the headroom keeps hedge
+        duplicates and retries of stuck probes from queueing behind the
+        stragglers they are meant to beat.
         """
-        workers = self.shard_config.query_workers
-        resilient = self._resilience is not None
-        if not resilient and (
-            workers == 1 or self.shard_config.n_shards == 1
-        ):
-            return None
         if self._pool is None:
-            size = self.shard_config.n_shards if workers == 0 else workers
-            size = min(size, self.shard_config.n_shards)
-            if resilient:
-                size = max(2 * self.shard_config.n_shards, 2)
+            n_shards = self.shard_config.n_shards
+            workers = self.shard_config.query_workers
+            size = min(n_shards if workers == 0 else workers, n_shards)
+            if self._resilience is not None:
+                size = max(2 * n_shards, 2)
             self._pool = ThreadPoolExecutor(
                 max_workers=size,
                 thread_name_prefix="repro-shard",
@@ -301,30 +331,37 @@ class ShardedNNCellIndex:
         return self._pool
 
     def _scatter(
-        self, probe: "Callable[[NNCellIndex], object]"
+        self, probe: "Callable[[NNCellIndex], object]", rows: int
     ) -> "Tuple[List[Tuple[int, object]], ScatterReport]":
         """Run ``probe`` against every live shard; results in shard order.
 
-        Each probe runs under a ``shard.probe`` span re-entered from the
-        submitting context (:func:`repro.obs.tracing.carrier`), so shard
-        work nests beneath the caller's span — a serve flush span
-        contains the scatter — and carries the request's trace id.
+        The one place that decides where probes run, from the ``rows``
+        each probe answers (1 for ``nearest``, ``k_nearest`` and
+        ``explain``, the batch size for ``query_batch``).  With no
+        resilience policy, every probe runs on the calling thread, one
+        after another in shard order, unless the batch holds more than
+        ``_INLINE_ROWS_PER_SHARD`` rows per live shard (and
+        ``query_workers`` is not 1): only then do the probes go to the
+        pool, where threads overlap enough numpy work to beat the
+        hand-off.  Under a policy every scatter uses the pool.
+
+        Each probe runs under a ``shard.probe`` span and a
+        :func:`repro.obs.analytics.shard_scope`.  On the pool, the
+        submitting context is re-entered around it
+        (:func:`repro.obs.tracing.carrier`); either way shard work nests
+        beneath the caller's span — a serve flush span contains the
+        scatter — and carries the request's trace id.
 
         Returns ``(results, report)``: with no resilience policy the
-        report is trivially complete (and a shard exception propagates,
-        exactly as before); with one, the report accounts retries,
-        hedges, timeouts and — under ``allow_partial`` — the shards
-        missing from a degraded answer.
+        report is trivially complete and a shard exception propagates
+        (on the calling thread, the shards after it are not probed);
+        with one, the report accounts retries, hedges, timeouts and —
+        under ``allow_partial`` — the shards missing from a degraded
+        answer.
         """
         live = self._live_shards()
         resilience = self._resilience
         chaos = self._chaos
-        pool = (
-            self._scatter_pool()
-            if (len(live) > 1 or resilience is not None)
-            else None
-        )
-        submit_ctx = carrier()
 
         def run(item: "Tuple[int, NNCellIndex]"):
             s, shard = item
@@ -339,20 +376,21 @@ class ShardedNNCellIndex:
 
         metrics.observe("shard.fanout", len(live))
         if resilience is None:
-            if pool is None:
-                return (
-                    [(s, run((s, shard))) for s, shard in live],
-                    complete_report([s for s, __ in live]),
-                )
+            report = complete_report([s for s, __ in live])
+            if (
+                len(live) < 2
+                or self.shard_config.query_workers == 1
+                or rows <= _INLINE_ROWS_PER_SHARD * len(live)
+            ):
+                return [(s, run((s, shard))) for s, shard in live], report
+            pool, submit_ctx = self._scatter_pool(), carrier()
             futures = [
                 (s, pool.submit(submit_ctx.call, run, (s, shard)))
                 for s, shard in live
             ]
-            return (
-                [(s, f.result()) for s, f in futures],
-                complete_report([s for s, __ in live]),
-            )
+            return [(s, f.result()) for s, f in futures], report
 
+        pool, submit_ctx = self._scatter_pool(), carrier()
         shards = dict(live)
 
         def submit(s: int):
@@ -392,11 +430,13 @@ class ShardedNNCellIndex:
         q = as_query(query, self.dim)
         info = QueryInfo()
         with span("shard.nearest", dim=self.dim) as root:
-            gathered, report = self._scatter(lambda shard: shard.nearest(q))
+            gathered, report = self._scatter(
+                lambda shard: shard.nearest(q), 1
+            )
             with span("shard.merge", results=len(gathered)):
                 best_gid, best_dist = -1, np.inf
                 for s, (local, dist, shard_info) in gathered:
-                    gid = self._globals[s][int(local)]
+                    gid = int(self._globals[s][local])
                     if dist < best_dist or (
                         dist == best_dist and gid < best_gid
                     ):
@@ -418,8 +458,8 @@ class ShardedNNCellIndex:
             if report.degraded:
                 root.set("degraded", True)
                 root.set("failed_shards", list(report.failed_shards))
-        workload.record_query(q, int(best_gid), float(best_dist), info)
-        return int(best_gid), float(best_dist), info
+        workload.record_query(q, best_gid, float(best_dist), info)
+        return best_gid, float(best_dist), info
 
     def k_nearest(
         self, query: Sequence[float], k: int
@@ -437,14 +477,13 @@ class ShardedNNCellIndex:
         info = QueryInfo()
         with span("shard.k_nearest", dim=self.dim, k=k_eff) as root:
             gathered, report = self._scatter(
-                lambda shard: shard.k_nearest(q, k)
+                lambda shard: shard.k_nearest(q, k), 1
             )
             with span("shard.merge", results=len(gathered)):
                 merged: "List[Tuple[float, int]]" = []
                 for s, (ids, dists, shard_info) in gathered:
                     merged.extend(
-                        (float(d), self._globals[s][int(i)])
-                        for i, d in zip(ids, dists)
+                        zip(map(float, dists), self._globals[s][ids].tolist())
                     )
                     info.n_candidates += shard_info.n_candidates
                     info.pages += shard_info.pages
@@ -479,8 +518,9 @@ class ShardedNNCellIndex:
         """Batched scatter-gather: one batched walk *per shard*.
 
         The whole batch fans out to every shard's
-        :meth:`NNCellIndex.query_batch` concurrently; winners merge
-        per query by ``(distance, global id)``.  Returns
+        :meth:`NNCellIndex.query_batch` (on the calling thread, or on
+        the scatter pool for a large batch — :meth:`_scatter`); winners
+        merge per query by ``(distance, global id)``.  Returns
         ``(ids, distances, info)`` with ``info`` aggregating per-shard
         traffic — ``pages`` is the sum over shards (each shard walks
         its own tree).
@@ -495,11 +535,11 @@ class ShardedNNCellIndex:
             return ids, dists, info
         with span("shard.query_batch", n_queries=m) as root:
             gathered, report = self._scatter(
-                lambda shard: shard.query_batch(qs, batch_size=batch_size)
+                lambda shard: shard.query_batch(qs, batch_size=batch_size), m
             )
             with span("shard.merge", results=len(gathered)):
                 for s, (lids, ldists, binfo) in gathered:
-                    gids = np.asarray(self._globals[s], dtype=np.int64)[lids]
+                    gids = self._globals[s][lids]
                     better = (ldists < dists) | (
                         (ldists == dists) & (gids < ids)
                     )
@@ -538,23 +578,24 @@ class ShardedNNCellIndex:
         answer fields agree with :meth:`nearest`.
         """
         q = as_query(query, self.dim)
-        gathered, report = self._scatter(lambda shard: shard.explain(q))
+        gathered, report = self._scatter(lambda shard: shard.explain(q), 1)
         best: "Optional[Tuple[float, int, QueryExplain]]" = None
         rectangles = []
         candidates: "List[Tuple[int, float]]" = []
         visited = 0
         pages = 0
         for s, explain in gathered:
-            gid = self._globals[s][int(explain.nearest_id)]
+            globals_ = self._globals[s]
+            gid = int(globals_[explain.nearest_id])
             key = (explain.nearest_distance, gid)
             if best is None or key < (best[0], best[1]):
                 best = (explain.nearest_distance, gid, explain)
             rectangles.extend(
-                (self._globals[s][int(owner)], rect)
+                (int(globals_[owner]), rect)
                 for owner, rect in explain.rectangles
             )
             candidates.extend(
-                (self._globals[s][int(owner)], dist)
+                (int(globals_[owner]), dist)
                 for owner, dist in explain.candidates
             )
             visited += explain.nodes_visited
@@ -566,7 +607,7 @@ class ShardedNNCellIndex:
             path=winner.path,
             atol=winner.atol,
             retried_atol=any(e.retried_atol for __, e in gathered),
-            nearest_id=int(gid),
+            nearest_id=gid,
             nearest_distance=float(distance),
             rectangles=rectangles,
             candidates=candidates,
@@ -594,11 +635,11 @@ class ShardedNNCellIndex:
                 self._shards[s] = NNCellIndex.build(
                     p[None, :], self._shard_build_config
                 )
-                self._globals[s] = []
+                self._globals[s] = id_map([gid])
                 local = 0
             else:
                 local = self._shards[s].insert(p)
-            self._globals[s].append(gid)
+                self._globals[s] = id_map(np.append(self._globals[s], gid))
         self.points = np.vstack([self.points, p[None, :]])
         self._active = np.append(self._active, True)
         self._shard_of.append(int(s))
@@ -625,7 +666,7 @@ class ShardedNNCellIndex:
         with span("shard.delete", shard=s):
             if len(shard) == 1:
                 self._shards[s] = None
-                self._globals[s] = []
+                self._globals[s] = _NO_IDS
             else:
                 shard.delete(self._local_of[point_id])
         self._active[point_id] = False

@@ -12,14 +12,23 @@ Queries are drawn from continuous distributions, so exact distance ties
 between *distinct* points have measure zero here; both paths order such
 ties by ``(distance, id)``, and ``test_knn_ties.py`` checks that on a
 grid, where ties are the rule.
+
+A scatter probes its shards on the calling thread unless the batch is
+above the break-even (``_INLINE_ROWS_PER_SHARD`` rows per live shard);
+the drawn batches stay below it, so the pool path is checked apart:
+forced by a zero break-even, and by batches above the real one.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.shard.sharded as sharded_module
 from repro.core.nncell_index import NNCellIndex
 from repro.data import uniform_points
+from repro.obs import analytics, tracing
 from repro.shard import ShardConfig, ShardedNNCellIndex
 
 _DIM = 3
@@ -80,6 +89,90 @@ def test_query_batch_bit_identical_across_fleet(queries, batch_size):
         )
         assert np.array_equal(got_ids, exp_ids)
         assert np.array_equal(got_dists, exp_dists)
+
+
+def _pooled():
+    """Every scatter with two or more live shards goes to the pool."""
+    return mock.patch.object(sharded_module, "_INLINE_ROWS_PER_SHARD", 0)
+
+
+def _span_shape(node):
+    """A span tree without its times or trace ids.  Children are sorted:
+    pool probes attach to their parent in the order they finish."""
+    attrs = sorted(
+        (key, repr(value))
+        for key, value in node.attributes.items()
+        if key != "trace_id"
+    )
+    children = sorted(_span_shape(child) for child in node.children)
+    return node.name, tuple(attrs), tuple(children)
+
+
+def _observed(call):
+    """``call()``'s result, per-shard analytics tallies and span trees."""
+    with analytics.recording() as recorder, tracing.collecting() as tracer:
+        result = call()
+    return result, recorder.report()["shards"], [
+        _span_shape(root) for root in tracer.spans
+    ]
+
+
+def _pools(sharded):
+    """Whether a scatter above the break-even uses the pool."""
+    live = sum(1 for size in sharded.shard_sizes() if size)
+    return sharded.shard_config.query_workers != 1 and live > 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(queries=query_arrays(), batch_size=st.sampled_from([None, 7]))
+def test_pool_and_calling_thread_agree_bit_for_bit(queries, batch_size):
+    """Ids, float64 distances, infos (pages, candidates...), per-shard
+    analytics tallies and span trees are the same on both paths."""
+    q = queries[0]
+    for sharded in _SHARDED:
+        live = sum(1 for size in sharded.shard_sizes() if size)
+        calls = {
+            "query_batch": lambda: sharded.query_batch(
+                queries, batch_size=batch_size
+            ),
+            "nearest": lambda: sharded.nearest(q),
+            "k_nearest": lambda: sharded.k_nearest(q, 3),
+        }
+        for name, call in calls.items():
+            sharded.close()
+            inline = _observed(call)
+            assert sharded._pool is None, name
+            with _pooled():
+                pooled = _observed(call)
+            assert (sharded._pool is not None) == _pools(sharded), name
+            assert pooled[1] == inline[1], name  # analytics tallies
+            assert pooled[2] == inline[2], name  # span trees
+            ((root, __, children),) = inline[2]
+            assert root == f"shard.{name}"
+            assert [c[0] for c in children].count("shard.probe") == live
+            (ids, dists, info), (p_ids, p_dists, p_info) = inline[0], pooled[0]
+            assert np.array_equal(p_ids, ids), name
+            assert np.array_equal(p_dists, dists), name
+            assert p_info == info, name
+        ids, dists, __ = calls["query_batch"]()
+        exp_ids, exp_dists, __ = _FLAT.query_batch(
+            queries, batch_size=batch_size
+        )
+        assert np.array_equal(ids, exp_ids)
+        assert np.array_equal(dists, exp_dists)
+
+
+def test_batches_above_the_break_even_stay_bit_identical():
+    # Above the cut of every fleet: none has more than 5 live shards.
+    rows = 5 * sharded_module._INLINE_ROWS_PER_SHARD + 1
+    queries = np.random.default_rng(7).uniform(-0.1, 1.1, size=(rows, _DIM))
+    exp_ids, exp_dists, __ = _FLAT.query_batch(queries)
+    for sharded in _SHARDED:
+        sharded.close()
+        got_ids, got_dists, __ = sharded.query_batch(queries)
+        assert np.array_equal(got_ids, exp_ids)
+        assert np.array_equal(got_dists, exp_dists)
+        assert (sharded._pool is not None) == _pools(sharded)
 
 
 @st.composite

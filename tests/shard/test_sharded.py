@@ -29,7 +29,7 @@ from repro.core.persistence import (
 )
 from repro.data import uniform_points
 from repro.serve import QueryService
-from repro.shard import ShardConfig, ShardedNNCellIndex
+from repro.shard import ResilienceConfig, ShardConfig, ShardedNNCellIndex
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +187,165 @@ class TestShardLifecycle:
         with ShardedNNCellIndex.build(
             points, ShardConfig(n_shards=2)
         ) as index:
-            index.query_batch(uniform_points(5, 3, seed=2))
+            # Only a batch above the break-even makes the pool.
+            rows = 2 * sharded_module._INLINE_ROWS_PER_SHARD + 1
+            index.query_batch(uniform_points(rows, 3, seed=2))
             assert index._pool is not None
         assert index._pool is None
+
+
+class ProbeLog:
+    """A chaos hook that logs each probe's shard and thread, and raises
+    on the probe of shard ``fail``."""
+
+    def __init__(self, fail=None):
+        self.calls = []
+        self.fail = fail
+
+    def before_probe(self, shard):
+        self.calls.append((shard, threading.current_thread().name))
+        if shard == self.fail:
+            raise RuntimeError(f"probe of shard {shard} failed")
+
+
+def pool_threads():
+    return {
+        t.ident for t in threading.enumerate()
+        if t.name.startswith("repro-shard")
+    }
+
+
+class TestWhereProbesRun:
+    """With no resilience policy, a scatter of at most
+    ``_INLINE_ROWS_PER_SHARD`` rows per live shard probes every shard on
+    the calling thread; a larger batch or a policy uses the pool."""
+
+    @pytest.fixture()
+    def fleet(self, points):
+        index = ShardedNNCellIndex.build(points, ShardConfig(n_shards=4))
+        yield index
+        index.close()
+
+    def test_small_scatters_start_no_pool_thread(self, fleet):
+        before = pool_threads()
+        log = ProbeLog()
+        fleet.set_chaos(log)
+        q = np.array([0.3, 0.6, 0.2])
+        at_break_even = 4 * sharded_module._INLINE_ROWS_PER_SHARD
+        fleet.nearest(q)
+        fleet.k_nearest(q, 3)
+        fleet.explain(q)
+        fleet.query_batch(q[None, :])
+        fleet.query_batch(uniform_points(at_break_even, 3, seed=1))
+        me = threading.current_thread().name
+        assert log.calls == [(s, me) for __ in range(5) for s in range(4)]
+        assert fleet._pool is None
+        assert pool_threads() == before
+
+    def test_a_batch_above_the_break_even_makes_the_pool(self, fleet):
+        log = ProbeLog()
+        fleet.set_chaos(log)
+        rows = 4 * sharded_module._INLINE_ROWS_PER_SHARD + 1
+        fleet.query_batch(uniform_points(rows, 3, seed=2))
+        assert fleet._pool is not None
+        assert sorted(s for s, __ in log.calls) == [0, 1, 2, 3]
+        assert all(name.startswith("repro-shard") for __, name in log.calls)
+
+    def test_query_workers_one_never_pools(self, points):
+        index = ShardedNNCellIndex.build(
+            points, ShardConfig(n_shards=4, query_workers=1)
+        )
+        log = ProbeLog()
+        index.set_chaos(log)
+        index.query_batch(uniform_points(400, 3, seed=3))
+        assert index._pool is None
+        me = threading.current_thread().name
+        assert log.calls == [(s, me) for s in range(4)]
+
+    def test_a_resilience_policy_pools_even_one_query(self, fleet):
+        fleet.set_resilience(ResilienceConfig())
+        log = ProbeLog()
+        fleet.set_chaos(log)
+        fleet.nearest([0.3, 0.6, 0.2])
+        assert fleet._pool is not None
+        assert sorted(s for s, __ in log.calls) == [0, 1, 2, 3]
+        assert all(name.startswith("repro-shard") for __, name in log.calls)
+
+    def test_a_raising_probe_propagates_as_with_query_workers_one(
+        self, points
+    ):
+        outcomes = []
+        for workers in (0, 1):
+            index = ShardedNNCellIndex.build(
+                points, ShardConfig(n_shards=4, query_workers=workers)
+            )
+            log = ProbeLog(fail=1)
+            index.set_chaos(log)
+            for call in (
+                lambda: index.nearest([0.3, 0.6, 0.2]),
+                lambda: index.query_batch(uniform_points(8, 3, seed=4)),
+            ):
+                with pytest.raises(RuntimeError) as raised:
+                    call()
+                outcomes.append((workers, str(raised.value), log.calls))
+                log.calls = []
+            assert index._pool is None
+        me = threading.current_thread().name
+        expected = ("probe of shard 1 failed", [(0, me), (1, me)])
+        assert [o[1:] for o in outcomes] == [expected] * 4
+
+
+class TestIdMaps:
+    def test_answers_carry_python_int_ids(self, sharded):
+        q = [0.31, 0.62, 0.18]
+        gid, __, __ = sharded.nearest(q)
+        k_ids, __, __ = sharded.k_nearest(q, 5)
+        explain = sharded.explain(q)
+        batch_ids, __, __ = sharded.query_batch(uniform_points(9, 3, seed=6))
+        owners = [owner for owner, __ in explain.rectangles] + [
+            owner for owner, __ in explain.candidates
+        ]
+        assert type(gid) is int
+        assert {type(i) for i in k_ids} == {int}
+        assert type(explain.nearest_id) is int
+        assert {type(owner) for owner in owners} == {int}
+        assert batch_ids.dtype == np.int64  # as the unsharded index's
+        # What the JSONL front-end writes.
+        json.dumps([gid, k_ids, explain.nearest_id, owners])
+
+    def test_maps_are_read_only_int64_arrays(self, tmp_path):
+        pts = uniform_points(6, 2, seed=9)
+        index = ShardedNNCellIndex.build(pts, ShardConfig(n_shards=3))
+
+        def check(index, step):
+            for s, ids in enumerate(index._globals):
+                shard = index._shards[s]
+                rows = 0 if shard is None else shard.points.shape[0]
+                assert isinstance(ids, np.ndarray), step
+                assert ids.dtype == np.int64 and ids.shape == (rows,), step
+                assert not ids.flags.writeable, step
+
+        check(index, "build")
+        save_sharded_index(index, tmp_path / "fleet")
+        check(load_sharded_index(tmp_path / "fleet"), "load")
+        rng = np.random.default_rng(3)
+        index.insert(rng.uniform(size=2))
+        check(index, "insert")
+        victim_shard = index._shard_of[0]
+        for g in range(6):
+            if index._shard_of[g] == victim_shard:
+                index.delete(g)
+                check(index, "delete")
+        assert index._shards[victim_shard] is None
+        check(index, "teardown")
+        while index._shards[victim_shard] is None:
+            index.insert(rng.uniform(size=2))
+        check(index, "insert into a torn-down shard")
+        save_sharded_index(index, tmp_path / "grown")
+        manifest = json.loads((tmp_path / "grown" / "manifest.json").read_text())
+        assert [e["global_ids"] for e in manifest["shards"]] == [
+            ids.tolist() for ids in index._globals
+        ]
 
 
 class TestShardBuild:
@@ -436,6 +592,11 @@ class TestPersistence:
         refused(
             "shards[1] key 'global_ids' is not a list of ints",
             shards=entry(1, global_ids=" ".join(map(str, ids))),
+        )
+        # np.int64 raised OverflowError, which the CLI printed as a trace.
+        refused(
+            "shards[1] key 'global_ids' holds an id outside int64",
+            shards=entry(1, global_ids=[2 ** 63, *ids[1:]]),
         )
         # A path that leaves the fleet's directory, even to a valid shard.
         outside = str((target / "shard_0.nnc").resolve())

@@ -50,6 +50,7 @@ from repro.obs.timeseries import DEFAULT_WINDOWS  # noqa: E402
 from repro.obs.workload import load_workload  # noqa: E402
 from repro.serve import QueryService, ServeConfig, ServiceOverloaded  # noqa: E402
 from repro.shard import ResilienceConfig, ShardConfig, ShardedNNCellIndex  # noqa: E402
+from repro.shard.sharded import _INLINE_ROWS_PER_SHARD  # noqa: E402
 
 #: Every child ``repro`` process gets this environment, with ``src``
 #: first on ``PYTHONPATH`` so an uninstalled checkout runs.
@@ -204,6 +205,15 @@ def poll(fetch, ready, seconds: float):
         if ready(value) or time.monotonic() >= deadline:
             return value
         time.sleep(0.1)
+
+
+def pool_threads() -> set:
+    """The live scatter-pool threads of this process."""
+    return {
+        thread.ident
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-shard")
+    }
 
 
 def served_parity(index, reference) -> dict:
@@ -393,8 +403,9 @@ def written_equals_reloaded(workdir: Path) -> None:
 def leg_shard(workdir: Path) -> str:
     """A CLI-built 4-shard archive is the same directory with ``--workers
     2``, loads back, serves the 200-query loop bit-identically to an
-    unsharded index with a real fan-out, and works with ``repro query``
-    and ``repro info``."""
+    unsharded index with a real fan-out and no scatter-pool thread,
+    answers a batch above the break-even bit-identically through the
+    pool, and works with ``repro query`` and ``repro info``."""
     fleet = workdir / "fleet"
     flags = ("--seed", "5", "--shards", "4", "--partitioner", "hilbert")
     build(fleet, 120, 4, *flags)
@@ -418,9 +429,20 @@ def leg_shard(workdir: Path) -> str:
         check(index.n_shards == 4, f"archive has {index.n_shards} shards, not 4")
         check(len(index) == 120, f"archive holds {len(index)} points, not 120")
         flat = NNCellIndex.build(index.points, index.config)
+        before = pool_threads()
         with metrics.collecting(fresh=True) as registry:
             served_parity(index, flat)
         fanout = registry.histogram("shard.fanout").summary()
+        started = pool_threads() - before
+        check(not started, f"served loop started {len(started)} pool threads")
+        check(index._pool is None, "served loop made the scatter pool")
+        # One batch above the break-even goes through the pool.
+        rows = 4 * _INLINE_ROWS_PER_SHARD + 1
+        batch = query_points(rows, index.dim, seed=17)
+        got, want = index.query_batch(batch), flat.query_batch(batch)
+        same = all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
+        check(same, f"a {rows}-row sharded batch differs from the flat index")
+        check(index._pool is not None, f"a {rows}-row batch made no pool")
     finally:
         index.close()
     check(fanout["count"] > 0, "no shard.fanout observations recorded")
@@ -432,7 +454,7 @@ def leg_shard(workdir: Path) -> str:
     check("sharding" in info, f"info output lacks a sharding line: {info[:300]!r}")
     return (
         f"workers=2 fleet identical, 0 mismatches, mean fan-out "
-        f"{fanout['mean']:.2f}"
+        f"{fanout['mean']:.2f}, served without the pool, {rows} rows through it"
     )
 
 
