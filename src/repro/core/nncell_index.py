@@ -22,7 +22,11 @@ The index is dynamic (Section 2, "the dynamic case"):
 
 Queries that fall outside the data space — where NN-cells are undefined —
 fall back to branch-and-bound search on the data index and are flagged in
-the returned :class:`QueryInfo`.
+the returned :class:`QueryInfo`.  Every query surface answers through the
+one query path, :func:`repro.engine.batch.answer`: ``nearest``,
+``explain`` and ``k_nearest`` (for its order-1 candidates) pass it one
+row and ``query_batch`` a chunk of rows, each on the cell snapshot, data
+snapshot and points it read once, at its start.
 
 Each live cell's constraint system and rectangles live in six read-only
 columns, :attr:`NNCellIndex.cells` — the archive's own form
@@ -38,9 +42,10 @@ Queries walk :attr:`NNCellIndex.snapshot`, the immutable packed cell tree
 ``k_nearest``'s sphere refinement, ``within_radius`` and the Point and
 Sphere selectors search it.  Build, load and every write lay both out by
 the same STR packing, the cells from the columns and the data from the
-live points, and a write publishes its points, live mask, columns and
-both snapshots together, with one assignment; so a written index holds
-what its reload lays out.
+live points, so a written index holds what its reload lays out.  A write
+publishes its points, live mask, columns and both snapshots in one
+statement, but as five stores one after another: a query that reads
+them while a write publishes can see two versions.
 """
 
 from __future__ import annotations
@@ -52,19 +57,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine import batch as engine_batch
 from ..geometry.distance import distances_to_points
 from ..geometry.halfspace import HalfspaceSystem, bisector
 from ..geometry.mbr import MBR
-from ..index.packed import (
-    PackedTree,
-    Walk,
-    batched_point_query,
-    bulk_load,
-    hs_k_nearest,
-    rkv_nearest,
-    sphere_query,
-)
-from ..obs import analytics, metrics, workload
+from ..index.packed import PackedTree, bulk_load, hs_k_nearest, sphere_query
+from ..index.packed import rkv_nearest  # noqa: F401 - benchmarks/layers wraps it
+from ..obs import metrics, workload
 from ..obs.tracing import span
 from ..storage.page import DEFAULT_PAGE_SIZE, record_reads
 from .approximation import approximate_cell
@@ -365,11 +364,14 @@ def _stack_cells(
     return cells
 
 
-def _publish_walks(walks: "List[Walk]") -> None:
-    """Publish the pages of walks no query record carries."""
-    record_reads(
-        np.concatenate([w.page_ids() for w in walks]),
-        sum(w.pages for w in walks),
+def _row_info(found: "engine_batch.Answer") -> QueryInfo:
+    """The :class:`QueryInfo` of a one-row answer."""
+    return QueryInfo(
+        n_candidates=int(found.pair_owner.size),
+        pages=found.pages,
+        distance_computations=found.distance_computations,
+        fallback=bool(found.fallback.size),
+        retried_atol=bool(found.retried.size),
     )
 
 
@@ -387,6 +389,10 @@ class NNCellIndex:
         self.box = self.config.data_space or MBR.unit_cube(self.dim)
         if self.box.dim != self.dim:
             raise ValueError("data_space dimensionality mismatch")
+        #: The data space widened by ``query_atol``: the cells answer the
+        #: queries inside it (:func:`repro.engine.batch.answer`).
+        atol = self.config.query_atol
+        self.query_space = MBR(self.box.low - atol, self.box.high + atol)
         if not (
             np.all(self.box.low - 1e-12 <= pts)
             and np.all(pts <= self.box.high + 1e-12)
@@ -512,7 +518,8 @@ class NNCellIndex:
         and rectangles) into new columns over the live ids of ``active``,
         the other cells' rows copied from :attr:`cells`, lay them out into
         a cell snapshot, then publish ``points``, ``active``, the columns
-        and both snapshots, ``data`` the data snapshot, together."""
+        and both snapshots, ``data`` the data snapshot: five stores, one
+        after another, not one atomic swap."""
         cells = self.cells
         sys_at, rect_at = cells["sys_offsets"], cells["rect_offsets"]
         position = {pid: i for i, pid in enumerate(self.active_ids.tolist())}
@@ -569,81 +576,24 @@ class NNCellIndex:
         space index plus a distance scan over the candidate owners.
         Outside the data space (where NN-cells are not defined) the data
         snapshot answers via branch-and-bound, with ``info.fallback``
-        set.
+        set.  A batch of one on the one query path
+        (:func:`repro.engine.batch.answer`).
         """
         q = as_query(query, self.dim)
         started = time.perf_counter()
-        point_id, distance, info, cells, walks = self._nearest_impl(q)
-        workload.record_query(
-            q, point_id, distance, info, cells, started, reads=walks
-        )
-        return point_id, distance, info
-
-    def _nearest_impl(
-        self, q: np.ndarray
-    ) -> "Tuple[int, float, QueryInfo, Optional[np.ndarray], List[Walk]]":
-        """``nearest`` without its record; also returns the candidate
-        cells (``None`` on the fallback path) and the cell-tree walks."""
-        info = QueryInfo()
+        snapshot, data, points = self.snapshot, self.data_snapshot, self.points
         with span("query.nearest", dim=self.dim) as root:
-            if not self.box.contains_point(q, atol=self.config.query_atol):
-                return self._fallback_nearest(q, info, [])
-
-            with span("query.point_query") as lookup:
-                candidate_ids, walks = self._point_query(q, info)
-                lookup.set("pages", info.pages)
-            if candidate_ids.size == 0:  # pragma: no cover - safety net
-                return self._fallback_nearest(q, info, walks)
-
-            with span("query.candidate_scan") as scan:
-                dist_sq = distances_to_points(q, self.points[candidate_ids])
-                info.n_candidates = int(candidate_ids.size)
-                info.distance_computations = int(candidate_ids.size)
-                scan.set("candidates", info.n_candidates)
+            found = engine_batch.answer(self, snapshot, data, points, q[None])
+            info = _row_info(found)
             root.set("pages", info.pages)
             root.set("candidates", info.n_candidates)
-            best = int(np.argmin(dist_sq))
-            return (
-                int(candidate_ids[best]),
-                float(np.sqrt(dist_sq[best])),
-                info,
-                candidate_ids,
-                walks,
-            )
-
-    def _point_query(
-        self, q: np.ndarray, info: QueryInfo, retry: bool = True
-    ) -> "Tuple[np.ndarray, List[Walk]]":
-        """Owners of the cell rectangles containing ``q`` (sorted, once
-        each) and the walks of :attr:`snapshot` that found them.
-
-        With ``retry``, an empty answer is retried once at the looser
-        :attr:`BuildConfig.retry_atol`.  The walks' pages are added to
-        ``info.pages``.
-        """
-        snapshot = self.snapshot  # one version for the whole query
-        walk = batched_point_query(
-            snapshot, q[None, :], self.config.query_atol, self._chaos
+        point_id, distance = int(found.ids[0]), float(found.dists[0])
+        workload.record_query(
+            q, point_id, distance, info,
+            None if info.fallback else found.pair_owner, started,
+            reads=found.walks,
         )
-        walks = [walk]
-        if retry and not walk.owner.size:
-            info.retried_atol = True
-            walk = batched_point_query(
-                snapshot, q[None, :], self.config.retry_atol, self._chaos
-            )
-            walks.append(walk)
-        info.pages += sum(w.pages for w in walks)
-        return np.unique(walk.owner), walks
-
-    def _fallback_nearest(
-        self, q: np.ndarray, info: QueryInfo, walks: "List[Walk]"
-    ) -> "Tuple[int, float, QueryInfo, None, List[Walk]]":
-        info.fallback = True
-        with span("query.fallback"):
-            result = rkv_nearest(self.data_snapshot, q, self._chaos)
-        info.pages += result.pages
-        info.distance_computations += result.distance_computations
-        return result.nearest_id, result.nearest_distance, info, None, walks
+        return point_id, distance, info
 
     def k_nearest(
         self, query: Sequence[float], k: int
@@ -655,71 +605,61 @@ class NNCellIndex:
         query on the data snapshot completes the answer exactly.  (The
         paper's future work proposes order-k cells — implemented in
         :mod:`repro.core.order_k` — for turning this into a single point
-        query; this method is the practical hybrid.)  The answer is the
-        k smallest points by ``(distance, id)`` — the order the sharded
-        merge uses — on this path and on the fallback alike.  ``k`` must
-        be an int >= 1 (:func:`as_k`).
+        query; this method is the practical hybrid.)  The order-1
+        candidates are a one-row answer of the one query path, tolerance
+        retry included; a query outside the data space, or with fewer
+        than ``k`` candidates, is answered by best-first search on the
+        data snapshot instead.  The answer is the k smallest points by
+        ``(distance, id)`` — the order the sharded merge uses — on this
+        path and on the fallback alike.  ``k`` must be an int >= 1
+        (:func:`as_k`).
+
+        The cell snapshot, the data snapshot and the points are read
+        once, at the start, so the refinement searches the version the
+        point query walked.  A write still publishes them one store at a
+        time (:meth:`_publish`), so the first reads can straddle it; no
+        read order is safe against both an insert and a delete.
         """
         k = as_k(k)
         q = as_query(query, self.dim)
-        n_live = len(self)
-        k_eff = min(k, n_live)
-        info = QueryInfo()
+        snapshot, data, points = self.snapshot, self.data_snapshot, self.points
+        # The data snapshot holds exactly the live points of its version.
+        k_eff = min(k, data.leaves.ids.size)
         with span("query.k_nearest", dim=self.dim, k=k_eff) as root:
-            if not self.box.contains_point(q, atol=self.config.query_atol):
-                return self._fallback_k_nearest(q, k_eff, info)
-
-            with span("query.point_query") as lookup:
-                candidates, walks = self._point_query(q, info, retry=False)
-                lookup.set("pages", info.pages)
-            _publish_walks(walks)
-
-            if candidates.size < k_eff:
-                # Not enough order-1 candidates: let the data index finish.
-                return self._fallback_k_nearest(q, k_eff, info)
-
-            with span("query.candidate_scan") as scan:
-                dist_sq = distances_to_points(q, self.points[candidates])
-                info.n_candidates = int(candidates.size)
-                info.distance_computations += int(candidates.size)
-                scan.set("candidates", info.n_candidates)
-            analytics.record_cells(candidates)
-            radius = float(np.sqrt(np.partition(dist_sq, k_eff - 1)[k_eff - 1]))
-
-            # Every k-NN member lies within the candidates' k-th distance.
-            with span("query.sphere_refinement"):
-                within, blocks = sphere_query(
-                    self.data_snapshot, q, radius + self.config.query_atol,
-                    self._chaos,
-                )
-            info.pages += blocks
-            within = np.unique(within)
-            final = np.sqrt(distances_to_points(q, self.points[within]))
-            info.distance_computations += int(within.size)
-            metrics.inc("query.count")
-            metrics.observe("query.candidates", info.n_candidates)
-            metrics.observe("query.pages", info.pages)
+            found = engine_batch.answer(
+                self, snapshot, data, points, q[None], fallback=False
+            )
+            info = _row_info(found)
+            cells = found.pair_owner
+            if cells.size < k_eff:
+                info.fallback = True
+                with span("query.fallback"):
+                    result = hs_k_nearest(data, q, k_eff, self._chaos)
+                info.pages += result.pages
+                info.distance_computations += result.distance_computations
+                ids, dists, cells = result.ids, result.distances, None
+            else:
+                radius = float(np.sqrt(
+                    np.partition(found.pair_dist_sq, k_eff - 1)[k_eff - 1]
+                ))
+                # Every k-NN member lies within the candidates' k-th
+                # distance.
+                with span("query.sphere_refinement"):
+                    within, blocks = sphere_query(
+                        data, q, radius + self.config.query_atol, self._chaos,
+                    )
+                info.pages += blocks
+                within = np.unique(within)
+                final = np.sqrt(distances_to_points(q, points[within]))
+                info.distance_computations += int(within.size)
+                # ``within`` is sorted, so a stable sort by distance
+                # breaks exact ties by id.
+                best = np.argsort(final, kind="stable")[:k_eff]
+                ids, dists = within[best].tolist(), final[best].tolist()
             root.set("pages", info.pages)
             root.set("candidates", info.n_candidates)
-            # ``within`` is sorted, so a stable sort by distance breaks
-            # exact ties by id.
-            best = np.argsort(final, kind="stable")[:k_eff]
-            return (
-                [int(within[i]) for i in best],
-                [float(final[i]) for i in best],
-                info,
-            )
-
-    def _fallback_k_nearest(
-        self, q: np.ndarray, k: int, info: QueryInfo
-    ) -> "Tuple[List[int], List[float], QueryInfo]":
-        info.fallback = True
-        metrics.inc("query.fallbacks")
-        with span("query.fallback"):
-            result = hs_k_nearest(self.data_snapshot, q, k, self._chaos)
-        info.pages += result.pages
-        info.distance_computations += result.distance_computations
-        return result.ids, result.distances, info
+        workload.record_k_nearest(info, cells, found.walks)
+        return ids, dists, info
 
     def within_radius(
         self, center: Sequence[float], radius: float
@@ -734,31 +674,28 @@ class NNCellIndex:
         if not radius >= 0.0:  # NaN fails this too
             raise ValueError(f"radius must be >= 0, not {radius!r}")
         c = as_query(center, self.dim)
-        candidates = np.unique(
-            sphere_query(self.data_snapshot, c, radius, self._chaos)[0]
-        )
+        data, points = self.data_snapshot, self.points
+        candidates = np.unique(sphere_query(data, c, radius, self._chaos)[0])
         if candidates.size == 0:
             return candidates
-        dist_sq = distances_to_points(c, self.points[candidates])
+        dist_sq = distances_to_points(c, points[candidates])
         return candidates[dist_sq <= radius * radius + 1e-12]
 
     def query_batch(
         self, queries: np.ndarray, batch_size: "int | None" = None
-    ) -> "Tuple[np.ndarray, np.ndarray, 'BatchQueryInfo']":
+    ) -> "Tuple[np.ndarray, np.ndarray, engine_batch.BatchQueryInfo]":
         """Answer many NN queries in one batched index walk.
 
         Returns ``(ids, distances, info)`` where ``info`` aggregates page
         and candidate traffic over the whole batch.  Results are
-        identical to calling :meth:`nearest` per row (the parity suite
-        asserts this bit-for-bit), but the tree descent is shared: every
-        index node along the batch's paths is read *once*, not once per
-        query.  ``batch_size`` caps the number of queries walked
-        together, bounding the working-set memory of the vectorised
-        containment tests.  See :mod:`repro.engine.batch`.
+        identical to calling :meth:`nearest` per row (both run the one
+        query path, :func:`repro.engine.batch.answer`), but the tree
+        descent is shared: every index node along the batch's paths is
+        read *once*, not once per query.  ``batch_size`` caps the number
+        of queries walked together, bounding the working-set memory of
+        the vectorised containment tests.
         """
-        from ..engine.batch import query_batch
-
-        return query_batch(self, queries, batch_size=batch_size)
+        return engine_batch.query_batch(self, queries, batch_size=batch_size)
 
     def nearest_batch(
         self, queries: np.ndarray
@@ -770,62 +707,54 @@ class NNCellIndex:
     def explain(self, query: Sequence[float]) -> QueryExplain:
         """Why ``query``'s answer is what it is: a :class:`QueryExplain`.
 
-        Re-runs the :meth:`nearest` decision procedure while recording
-        what each step saw — the leaf rectangles containing the point,
-        the deduplicated candidate owners with their distances, the
-        tolerance retries, and which path produced the answer.  The
-        returned ``nearest_id``/``nearest_distance`` match
-        :meth:`nearest` exactly (same candidate set, same tie-break).
+        Reads the one-row answer :meth:`nearest` reads — the leaf
+        rectangles containing the point (the last walk's pairs, in walk
+        order), the deduplicated candidate owners with their distances,
+        the tolerance retry, and which path produced the answer — so
+        ``nearest_id``/``nearest_distance`` match :meth:`nearest`
+        exactly.  The walks' pages are published; no query record is.
 
         Surfaced as ``python -m repro explain`` and as the serve JSONL
         protocol's ``"explain": true`` request field.
         """
         q = as_query(query, self.dim)
-        atol = self.config.query_atol
-        if not self.box.contains_point(q, atol=atol):
-            result = rkv_nearest(self.data_snapshot, q, self._chaos)
-            return QueryExplain(
-                query=q, path="outside_data_space", atol=atol,
-                retried_atol=False, nearest_id=result.nearest_id,
-                nearest_distance=result.nearest_distance, rectangles=[],
-                candidates=[], nodes_visited=0, pages=result.pages,
-            )
-        info = QueryInfo()
-        owners, walks = self._point_query(q, info)
-        _publish_walks(walks)
-        visited = sum(len(w.page_ids()) for w in walks)
-        if info.retried_atol:
-            atol = self.config.retry_atol
-        path = "cell_retry" if info.retried_atol else "cell"
-        if not owners.size:
-            result = rkv_nearest(self.data_snapshot, q, self._chaos)
-            return QueryExplain(
-                query=q, path="empty_point_query", atol=atol,
-                retried_atol=True, nearest_id=result.nearest_id,
-                nearest_distance=result.nearest_distance, rectangles=[],
-                candidates=[], nodes_visited=visited,
-                pages=info.pages + result.pages,
-            )
-        walk = walks[-1]
-        leaves = walk.tree.leaves
-        rectangles = [
-            (owner, MBR(leaves.lows[:, entry], leaves.highs[:, entry]))
-            for owner, entry in zip(walk.owner.tolist(), walk.entry.tolist())
-        ]
-        # np.unique sorts ids and the argsort is stable, so among
-        # equidistant owners the lowest id wins, exactly as nearest()'s
-        # argmin over the unique candidate array does.
-        dist = np.sqrt(distances_to_points(q, self.points[owners]))
-        order = np.argsort(dist, kind="stable")
-        candidates = [
-            (int(owners[i]), float(dist[i])) for i in order
-        ]
+        snapshot, data, points = self.snapshot, self.data_snapshot, self.points
+        with span("query.explain", dim=self.dim):
+            found = engine_batch.answer(self, snapshot, data, points, q[None])
+        info = _row_info(found)
+        visited = 0
+        if found.walks:
+            page_ids = np.concatenate([w.page_ids() for w in found.walks])
+            record_reads(page_ids, page_ids.size)
+            visited = int(page_ids.size)
+        rectangles: "List[Tuple[int, MBR]]" = []
+        candidates: "List[Tuple[int, float]]" = []
+        if not info.fallback:
+            walk = found.walks[-1]
+            leaves = walk.tree.leaves
+            rectangles = [
+                (owner, MBR(low, high)) for owner, low, high in zip(
+                    walk.owner.tolist(), leaves.lows[:, walk.entry].T,
+                    leaves.highs[:, walk.entry].T,
+                )
+            ]
+            # The pairs ascend by id and the argsort is stable, so among
+            # equidistant owners the lowest id comes first, as it wins
+            # in nearest().
+            dist = np.sqrt(found.pair_dist_sq)
+            order = np.argsort(dist, kind="stable")
+            candidates = list(zip(
+                found.pair_owner[order].tolist(), dist[order].tolist()
+            ))
+        retried = info.retried_atol
         return QueryExplain(
-            query=q, path=path, atol=atol, retried_atol=info.retried_atol,
-            nearest_id=candidates[0][0],
-            nearest_distance=candidates[0][1],
-            rectangles=rectangles, candidates=candidates,
-            nodes_visited=visited, pages=info.pages,
+            query=q, path=fallback_reason(info) or (
+                "cell_retry" if retried else "cell"
+            ),
+            atol=self.config.retry_atol if retried else self.config.query_atol,
+            retried_atol=retried, nearest_id=int(found.ids[0]),
+            nearest_distance=float(found.dists[0]), rectangles=rectangles,
+            candidates=candidates, nodes_visited=visited, pages=info.pages,
         )
 
     # ==================================================================

@@ -10,9 +10,10 @@ orchestrations of the existing pipeline:
   of the next — embarrassingly parallel.  Workers rebuild identical
   read-only state and results merge in point-id order, so the built
   index is bit-identical to a serial build for every worker count.
-* :mod:`repro.engine.batch` — many point queries answered in one shared
-  tree walk plus one vectorised candidate distance scan, amortising
-  page reads and NumPy dispatch across the batch.
+* :mod:`repro.engine.batch` — the one query path: many point queries
+  answered in one shared tree walk plus one vectorised candidate
+  distance scan, amortising page reads and NumPy dispatch across the
+  batch; a single query is a batch of one.
 
 Both are reached through the normal API (``BuildConfig(workers=...)``,
 ``NNCellIndex.query_batch``); importing this package directly is only

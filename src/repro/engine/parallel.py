@@ -38,12 +38,8 @@ import numpy as np
 
 from ..core.approximation import lp_call_count
 from ..core.candidates import CandidateSelector
-from ..core.nncell_index import (
-    BuildConfig,
-    _cell_runs,
-    compute_cell,
-    data_snapshot,
-)
+# A module import: repro.core.nncell_index imports this package.
+from ..core import nncell_index
 from ..geometry.halfspace import HalfspaceSystem
 from ..geometry.mbr import MBR
 from ..obs import analytics, events, metrics, tracing
@@ -108,12 +104,14 @@ class CellWorkshop:
     what the serial build computes for point ``i``.
     """
 
-    def __init__(self, points: np.ndarray, config: BuildConfig):
+    def __init__(self, points: np.ndarray, config: "nncell_index.BuildConfig"):
         self.points = np.asarray(points, dtype=np.float64)
         self.config = config
         n, dim = self.points.shape
         self.box = config.data_space or MBR.unit_cube(dim)
-        self.data_snapshot = data_snapshot(self.points, np.arange(n), config)
+        self.data_snapshot = nncell_index.data_snapshot(
+            self.points, np.arange(n), config
+        )
         self.selector = CandidateSelector(
             self.points,
             self.data_snapshot,
@@ -124,14 +122,16 @@ class CellWorkshop:
     def compute(
         self, point_id: int
     ) -> "Tuple[HalfspaceSystem, List[MBR]]":
-        return compute_cell(
+        return nncell_index.compute_cell(
             self.points, self.selector, self.box, self.config, int(point_id)
         )
 
     def compute_chunk(self, ids: Sequence[int]) -> ChunkResult:
         started = time.perf_counter()
         lp_before = lp_call_count()
-        cells = [_cell_runs(*self.compute(int(i))) for i in ids]
+        cells = [
+            nncell_index._cell_runs(*self.compute(int(i))) for i in ids
+        ]
         return ChunkResult(
             cells=cells,
             worker=f"pid-{os.getpid()}",
@@ -148,7 +148,9 @@ class CellWorkshop:
 _PROCESS_WORKSHOP: "CellWorkshop | None" = None
 
 
-def _init_process_worker(points: np.ndarray, config: BuildConfig) -> None:
+def _init_process_worker(
+    points: np.ndarray, config: "nncell_index.BuildConfig"
+) -> None:
     """Pool initializer.  A fork copies the parent's instrumentation
     switches, and with them the sinks' locks in whatever state another
     parent thread held them; nothing a worker records reaches the
@@ -179,7 +181,7 @@ def _mp_context():
 
 
 def parallel_cells(
-    points: np.ndarray, config: BuildConfig, workers: int
+    points: np.ndarray, config: "nncell_index.BuildConfig", workers: int
 ) -> "List[Tuple[np.ndarray, ...]]":
     """All cells of ``points`` computed by a worker-process pool, in
     point-id order, each as its runs of the cell columns — the parallel

@@ -342,9 +342,7 @@ _STAGE_BY_NAME = {
     "serve.queue_wait": "queue_wait",
     "serve.deliver": "deliver",
     "query.point_query": "tree_walk",
-    "query.batch.point_query": "tree_walk",
     "query.candidate_scan": "candidate_scan",
-    "query.batch.candidate_scan": "candidate_scan",
     "query.sphere_refinement": "candidate_scan",
     "query.fallback": "fallback",
     "search.rkv": "fallback",

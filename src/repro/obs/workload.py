@@ -25,8 +25,11 @@ their ``QueryInfo``/``BatchQueryInfo`` and make one call,
 that is on — the ``query.*``/``shard.*`` and ``storage.*`` metrics and
 windows (one registry lock acquisition), the page and cell heatmaps (one
 analytics lock acquisition), the ``query``/``batch`` event and the
-capture.  The cell-tree walk reads a snapshot, not a page manager, so
-its pages reach ``storage.*`` and the page heatmap only here.  A query
+capture.  ``k_nearest`` makes one call too, :func:`record_k_nearest`:
+the same metrics and heatmaps, no event and no capture.  The cell-tree
+walk reads a snapshot, not a page manager, so its pages reach
+``storage.*`` and the page heatmap only here (``explain`` publishes its
+walks' pages itself).  A query
 run inside a shard probe (:func:`repro.obs.analytics.shard_scope`)
 counts its cells against that shard and is not captured: the outer
 sharded query is the workload, not its per-shard fan-out.
@@ -56,6 +59,7 @@ __all__ = [
     "install",
     "load_workload",
     "record_batch",
+    "record_k_nearest",
     "record_query",
     "save_workload_npz",
     "uninstall",
@@ -347,6 +351,26 @@ def _record_access(cells, reads) -> None:
     )
 
 
+def _record_unsharded(registry, info, cells, reads) -> None:
+    """One unsharded query's ``query.*`` and ``storage.*`` update in
+    ``registry`` (if on), then its heatmaps."""
+    if registry is not None:
+        counters = _storage_counters(reads)
+        if info.retried_atol:
+            counters.append(("query.atol_retries", 1.0))
+        if info.fallback:
+            registry.apply(counters + [("query.fallbacks", 1.0)])
+        else:
+            registry.apply(
+                counters + [("query.count", 1.0)],
+                [
+                    ("query.candidates", info.n_candidates),
+                    ("query.pages", info.pages),
+                ],
+            )
+    _record_access(cells, reads)
+
+
 def record_query(
     query: "np.ndarray",
     point_id: int,
@@ -379,21 +403,7 @@ def record_query(
             )
     else:
         source = "fallback" if info.fallback else "cell"
-        if registry is not None:
-            counters = _storage_counters(reads)
-            if info.retried_atol:
-                counters.append(("query.atol_retries", 1.0))
-            if info.fallback:
-                registry.apply(counters + [("query.fallbacks", 1.0)])
-            else:
-                registry.apply(
-                    counters + [("query.count", 1.0)],
-                    [
-                        ("query.candidates", info.n_candidates),
-                        ("query.pages", info.pages),
-                    ],
-                )
-        _record_access(cells, reads)
+        _record_unsharded(registry, info, cells, reads)
         if events.enabled():
             # Imported here: repro.core imports this module.
             from ..core.nncell_index import fallback_reason
@@ -411,6 +421,18 @@ def record_query(
     recorder = _recorder
     if recorder is not None and shard is None:
         recorder.record(query, point_id, distance, info.pages, source)
+
+
+def record_k_nearest(
+    info, cells: "Optional[np.ndarray]" = None, reads: "Sequence" = ()
+) -> None:
+    """Publish one unsharded ``k_nearest`` as :func:`record_query`
+    publishes a ``nearest``, with no event and no capture; ``cells`` are
+    its order-1 candidates (``None`` on the fallback)."""
+    _record_unsharded(
+        metrics.get_registry() if metrics.enabled() else None,
+        info, cells, reads,
+    )
 
 
 def record_batch(

@@ -104,8 +104,8 @@ def record_reads(page_ids: "Iterable[int]", blocks: int) -> None:
     ``storage.physical_reads`` (such reads bypass the buffer pool) and
     counts each page on the access heatmap with no cache outcome.  The
     query record (:mod:`repro.obs.workload`) does the same inside its own
-    update; this is for the walks without one (``explain``, ``k_nearest``
-    and the level-by-level data searches).
+    update; this is for the reads without one (``explain``'s walks and
+    the level-by-level data searches).
     """
     if blocks:
         metrics.inc("storage.logical_reads", blocks)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import move_rectangles
 from repro.core.nncell_index import (
+    BuildConfig,
     NNCellIndex,
     QueryInfo,
     fallback_reason,
@@ -128,3 +130,33 @@ class TestQueryEvents:
     def test_disabled_events_leave_no_trace(self, index):
         index.nearest(np.full(3, 0.5))
         assert events.get_log() is None
+
+
+@pytest.mark.parametrize("path, move, q", [
+    ("cell", (0.0, 0.0), [0.5, 0.5, 0.5]),
+    # 1e-9 short of the face x = 0: found only at the retry's tolerance.
+    ("cell_retry", (1e-9, -1e-9), [0.0, 0.5, 0.5]),
+    # Every rectangle outside the data space: nothing is found.
+    ("empty_point_query", (10.0, 10.0), [0.5, 0.5, 0.5]),
+    ("outside_data_space", (0.0, 0.0), [1.5, 0.5, 0.5]),
+])
+def test_every_surface_gives_the_same_answer_on_every_path(path, move, q):
+    """``explain``, ``nearest``, a one-row ``query_batch`` and
+    ``k_nearest(q, 1)`` run the one query path: the same id and the same
+    distance bits on each of explain's four paths."""
+    index = NNCellIndex.build(
+        uniform_points(60, 3, seed=11), BuildConfig(query_atol=0.0)
+    )
+    move_rectangles(index, *move)
+    q = np.array(q)
+    explain = index.explain(q)
+    assert explain.path == path
+    point_id, distance, __ = index.nearest(q)
+    ids, dists, __ = index.query_batch(q[None])
+    k_ids, k_dists, __ = index.k_nearest(q, 1)
+    assert explain.nearest_id == point_id == ids[0] == k_ids[0]
+    bits = {
+        np.float64(d).tobytes()
+        for d in (explain.nearest_distance, distance, dists[0], k_dists[0])
+    }
+    assert len(bits) == 1

@@ -11,11 +11,18 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import brute_nearest
+from helpers import brute_k_nearest, brute_nearest, move_rectangles
 from repro.core.candidates import SelectorKind
 from repro.core.nncell_index import BuildConfig, NNCellIndex
 from repro.data import diagonal_points, uniform_points
 from repro.index.packed import bulk_load
+
+
+def crack_queries(dim):
+    """Axis-aligned boundary coordinates: faces and mid-planes."""
+    for x in np.linspace(0.0, 1.0, 21):
+        for rest in itertools.product((0.0, 0.5, 1.0), repeat=dim - 1):
+            yield np.array([x, *rest])
 
 
 class TestSafetyNets:
@@ -47,13 +54,29 @@ class TestSafetyNets:
         rectangle reaches the face exactly, not a few ulps short of it."""
         points = uniform_points(60, dim, seed=seed)
         index = NNCellIndex.build(points, BuildConfig(query_atol=0.0))
-        # Hammer axis-aligned boundary coordinates: faces and mid-planes.
-        for x in np.linspace(0.0, 1.0, 21):
-            for rest in itertools.product((0.0, 0.5, 1.0), repeat=dim - 1):
-                q = np.array([x, *rest])
-                __, dist, __info = index.nearest(q)
-                __, true_dist = brute_nearest(q, points)
-                assert dist == pytest.approx(true_dist), q
+        for q in crack_queries(dim):
+            __, dist, __info = index.nearest(q)
+            __, true_dist = brute_nearest(q, points)
+            assert dist == pytest.approx(true_dist), q
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_k_nearest_retries_through_a_crack(self, dim):
+        """The crack queries at query_atol = 0 on rectangles laid out
+        1e-9 short of their bounds, the roundoff a crack stands for: a
+        query on a face of the data space finds no rectangle, and
+        ``k_nearest`` answers it on the cell path after the tolerance
+        retry, exactly as a linear scan with ties by id does."""
+        points = uniform_points(60, dim, seed=170)
+        index = NNCellIndex.build(points, BuildConfig(query_atol=0.0))
+        move_rectangles(index, 1e-9, -1e-9)
+        retried = 0
+        for q, k in itertools.product(crack_queries(dim), (1, 4)):
+            ids, dists, info = index.k_nearest(q, k)
+            true_ids, true_dists = brute_k_nearest(q, points, k)
+            assert ids == true_ids.tolist(), q
+            assert dists == pytest.approx(true_dists), q
+            retried += info.retried_atol and not info.fallback
+        assert retried
 
 
 class TestDegenerateData:

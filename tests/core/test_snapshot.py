@@ -52,14 +52,14 @@ def reads(tree, run):
     return result, tree.pages.stats.logical_reads - before, log.pages
 
 
-def tree_point_query(index, tree, q, retry=True):
+def tree_point_query(index, tree, q):
     """Owners, pages and page ids of the oracle ``tree``'s point query,
     tolerance retry included."""
     config = index.config
     owners, pages, ids = reads(
         tree, lambda: tree.point_query(q, config.query_atol)
     )
-    if retry and owners.size == 0:
+    if owners.size == 0:
         owners, more, more_ids = reads(
             tree, lambda: tree.point_query(q, config.retry_atol)
         )
@@ -108,12 +108,12 @@ def expected_batch(index, tree, data, queries, size):
 
 
 def expected_k_nearest(index, tree, data, q, k):
-    """Pages of ``k_nearest(q, k)``: point query, then the sphere
-    refinement or the best-first fallback."""
+    """Pages of ``k_nearest(q, k)``: point query, tolerance retry
+    included, then the sphere refinement or the best-first fallback."""
     k = min(k, len(index))
     if not index.box.contains_point(q, atol=index.config.query_atol):
         return hs_k_nearest(data, q, k).pages
-    owners, pages, __ = tree_point_query(index, tree, q, retry=False)
+    owners, pages, __ = tree_point_query(index, tree, q)
     if owners.size < k:
         return pages + hs_k_nearest(data, q, k).pages
     dist = np.sqrt(np.sum((index.points[owners] - q) ** 2, axis=1))
@@ -348,6 +348,39 @@ def brute_k_nearest(points, live, q, k):
     dist = np.sqrt(distances_to_points(q, points[live]))
     order = np.lexsort((live, dist))[:k]
     return live[order].tolist(), dist[order].tolist()
+
+
+class DeleteAtFirstRead:
+    """A page hook that publishes one delete at the first page a query
+    reads, while the query's walk is under way."""
+
+    def __init__(self, index, victim):
+        self.index, self.victim = index, victim
+
+    def page_read(self, page_id):
+        if self.victim is not None:
+            victim, self.victim = self.victim, None
+            self.index.delete(victim)
+
+
+class TestOneVersionPerQuery:
+    def test_k_nearest_refines_the_version_it_walked(self):
+        """A delete published while ``k_nearest``'s point query walks
+        the cell snapshot does not reach its refinement: the answer is
+        the k nearest of the version the query started on, ``min(k,
+        live)`` ids, the deleted point among them."""
+        index = NNCellIndex.build(uniform_points(60, 3, seed=7))
+        rng = np.random.default_rng(7)
+        for q in rng.uniform(size=(8, 3)):
+            expected = brute_k_nearest(index.points, index.active_ids, q, 4)
+            victim = expected[0][int(rng.integers(4))]
+            index.set_page_chaos(DeleteAtFirstRead(index, victim))
+            try:
+                found = index.k_nearest(q, 4)
+            finally:
+                index.set_page_chaos(None)
+            assert not index._is_active(victim)  # the delete was published
+            assert found[:2] == expected
 
 
 class TestDataSearchesMatchTheTree:

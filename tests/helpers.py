@@ -1,8 +1,8 @@
 """Shared reference implementations for tests (brute-force baselines,
 the HiGHS LP oracle, the cell and data trees the snapshots pack),
 writers of the retired archive formats 5 and 6, a batch function that
-holds a service's flush, and a loader for the standalone scripts in
-``tools/``."""
+holds a service's flush, a cell snapshot laid out from moved
+rectangles, and a loader for the standalone scripts in ``tools/``."""
 
 import importlib.util
 import json
@@ -79,6 +79,20 @@ def data_tree(index):
     return bulk_load(tree, index.points[live], index.points[live], live)
 
 
+def move_rectangles(index, low, high):
+    """Lay ``index``'s cell snapshot out again from its rectangles'
+    bounds moved by ``low`` and ``high``: a shrunk rectangle stands for
+    the roundoff of a cell-boundary crack, a far one for a lost cell."""
+    from repro.core.nncell_index import cell_snapshot
+
+    cells = index.cells
+    moved = dict(
+        cells, rect_lows=cells["rect_lows"] + low,
+        rect_highs=cells["rect_highs"] + high,
+    )
+    index.snapshot = cell_snapshot(moved, index.active_ids, index.config)
+
+
 def snapshots_equal(a, b):
     """Two packed snapshots hold the same arrays, byte for byte."""
     if a.height != b.height:
@@ -100,10 +114,11 @@ def brute_nearest(query, points):
 
 
 def brute_k_nearest(query, points, k):
-    """Reference k-NN: (indices, distances) sorted ascending."""
+    """Reference k-NN: (indices, distances) sorted ascending, ties by
+    index."""
     diffs = np.asarray(points) - np.asarray(query)
     dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    order = np.argsort(dist)[:k]
+    order = np.argsort(dist, kind="stable")[:k]
     return order, dist[order]
 
 

@@ -1,7 +1,8 @@
 """One record per answered query: lock acquisitions per query path.
 
 With the serving telemetry on (metrics, windows, analytics), each
-``nearest`` and each ``query_batch`` — whatever its batch size — takes
+``nearest``, each ``k_nearest`` and each ``query_batch`` — whatever its
+batch size — takes
 the registry lock at most once and the analytics lock at most once for
 its query-level work.  A sharded call adds, per shard probe, one
 registry and two analytics acquisitions (the probe count and the
@@ -12,6 +13,7 @@ stay at one per ``storage.*`` counter plus one heatmap update per read.
 """
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ import pytest
 from repro.core import nncell_index as nncell_module
 from repro.core.nncell_index import NNCellIndex
 from repro.engine import batch as batch_module
-from repro.obs import metrics
+from repro.obs import analytics, metrics
 from repro.serve import TelemetryConfig, TelemetrySession
 from repro.shard import ShardConfig, ShardedNNCellIndex
 from repro.storage.page import PageManager
@@ -175,3 +177,70 @@ def test_batch_record_matches_serial_metrics(index, data, tally):
     index.query_batch(data[1], batch_size=7)
     assert registry.histogram("query.candidates")._samples == serial
     assert registry.counter("query.fallbacks").value == 1
+
+
+def test_k_nearest_takes_each_lock_at_most_once(
+    index, data, tally, monkeypatch
+):
+    """``k_nearest`` publishes its walk pages, cells and metrics in one
+    record; the data pages of its sphere refinement and of its
+    best-first fallback are counted apart, as the nearest fallback's
+    are."""
+    for name in ("sphere_query", "hs_k_nearest"):
+        monkeypatch.setattr(
+            nncell_module, name,
+            _excluded(getattr(nncell_module, name), tally, "fallback"),
+        )
+    for q in data[1]:
+        for k in (1, 3, 8):
+            counts = _run(tally, lambda: index.k_nearest(q, k))
+            assert counts.get(("registry", "query"), 0) == 1
+            assert counts.get(("analytics", "query"), 0) <= 1
+
+
+class _PageLog:
+    def __init__(self):
+        self.pages = []
+
+    def page_read(self, page_id):
+        self.pages.append(page_id)
+
+
+def test_k_nearest_record_publishes_what_it_read(index, data):
+    """After a fixed ``k_nearest`` traffic the registry and the heatmaps
+    hold what the queries read and found: each page read once in
+    ``storage.*`` and on the page heatmap, the order-1 cells of each
+    query the cells answered, its candidates and pages, and one
+    ``query.count`` or ``query.fallbacks`` per query."""
+    traffic = [(q, k) for q in data[1] for k in (1, 3, 8)]
+    log = _PageLog()
+    index.set_page_chaos(log)
+    try:
+        with metrics.collecting(fresh=True) as registry, \
+                analytics.recording() as recorder:
+            infos = [index.k_nearest(q, k)[2] for q, k in traffic]
+    finally:
+        index.set_page_chaos(None)
+    answered = [info for info in infos if not info.fallback]
+    assert 0 < len(answered) < len(infos)
+    cells = Counter()
+    for (q, __), info in zip(traffic, infos):
+        if not info.fallback:
+            cells.update(pid for pid, __ in index.explain(q).candidates)
+    assert recorder.cells._counts == {
+        cell: float(count) for cell, count in cells.items()
+    }
+    assert recorder.pages._counts == {
+        page: float(count) for page, count in Counter(log.pages).items()
+    }
+    snap = registry.snapshot()
+    assert snap["storage.logical_reads"] == len(log.pages)
+    assert snap["storage.physical_reads"] == len(log.pages)
+    assert snap["query.count"] == len(answered)
+    assert snap["query.fallbacks"] == len(infos) - len(answered)
+    assert registry.histogram("query.candidates")._samples == [
+        info.n_candidates for info in answered
+    ]
+    assert registry.histogram("query.pages")._samples == [
+        info.pages for info in answered
+    ]

@@ -193,8 +193,8 @@ def request_trace_with_flush(store):
     flush_root = make_span(
         "serve.flush", 0.010, 0.018, trace_id="flush1",
         children=[make_span("query.batch", 0.010, 0.017, children=[
-            make_span("query.batch.point_query", 0.010, 0.013),
-            make_span("query.batch.candidate_scan", 0.013, 0.015),
+            make_span("query.point_query", 0.010, 0.013),
+            make_span("query.candidate_scan", 0.013, 0.015),
             make_span("lp.solve", 0.015, 0.016),
         ])],
     )
@@ -256,7 +256,7 @@ class TestCriticalPath:
         store = TraceStore()
         store.add(make_span(
             "serve.flush", 0.0, 1.0, trace_id="f",
-            children=[make_span("query.batch.point_query", 0.0, 1.0)],
+            children=[make_span("query.point_query", 0.0, 1.0)],
         ))
         root = make_span("serve.request", 0.0, 0.002, children=[
             make_span("serve.compute", 0.0, 0.002, flush="f"),

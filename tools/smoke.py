@@ -524,33 +524,40 @@ def leg_telemetry(workdir: Path) -> str:
         # the scrapes below see the traffic while the process serves.
         proc.stdin.write("[0.5, 0.5, 0.5]\n")
         proc.stdin.write('{"point": [0.25, 0.5, 0.75], "explain": true}\n')
+        proc.stdin.write('{"point": [1.5, 0.5, 0.5], "explain": true}\n')
         proc.stdin.flush()
         samples = poll(
             lambda: scrape(url),
-            lambda s: s.get("serve_latency_ms_count", 0.0) >= 2.0,
+            lambda s: s.get("serve_latency_ms_count", 0.0) >= 3.0,
             30.0,
         )
         check("serve_latency_ms_count" in samples, f"scrape: {sorted(samples)[:8]}")
         count = samples["serve_latency_ms_count"]
-        check(count >= 2.0, f"latency count {count} < 2")
+        check(count >= 3.0, f"latency count {count} < 3")
         windows = get_json(f"{url}/telemetry")["windows"]
         expected = sorted(str(s) for s in DEFAULT_WINDOWS)
         check(sorted(windows) == expected, f"unexpected windows: {sorted(windows)}")
         in_60s = windows["60"].get("serve.latency_ms", {})
-        check(in_60s.get("count", 0) >= 2, f"60s window missed traffic: {in_60s}")
+        check(in_60s.get("count", 0) >= 3, f"60s window missed traffic: {in_60s}")
         check(get(f"{url}/healthz") == b"ok\n", "healthz not ok")
 
         proc.stdin.close()
         plain = json.loads(proc.stdout.readline())
-        explained = json.loads(proc.stdout.readline())
         check(plain.get("ok") is True, f"plain request failed: {plain}")
         check("explain" not in plain, "unsolicited explain payload")
-        check(explained.get("ok") is True, f"explain request failed: {explained}")
-        echo = explained.get("explain")
-        check(isinstance(echo, dict), f"missing explain echo: {explained}")
-        agrees = echo["nearest_id"] == explained["point_id"]
-        check(agrees, "explain echo disagrees with the served answer")
-        check(echo["path"] in _EXPLAIN_PATHS, f"explain path {echo['path']!r}")
+        paths = []
+        for __ in range(2):
+            explained = json.loads(proc.stdout.readline())
+            check(explained.get("ok") is True, f"explain request failed: {explained}")
+            echo = explained.get("explain")
+            check(isinstance(echo, dict), f"missing explain echo: {explained}")
+            agrees = (echo["nearest_id"], echo["nearest_distance"]) == (
+                explained["point_id"], explained["distance"]
+            )
+            check(agrees, f"explain echo disagrees with the served answer: {explained}")
+            paths.append(echo["path"])
+        check(paths[0] in _EXPLAIN_PATHS, f"explain path {paths[0]!r}")
+        check(paths[1] == "outside_data_space", f"out-of-box explain path {paths[1]!r}")
         check(proc.wait(timeout=30) == 0, f"serve exited {proc.returncode}")
 
     with serving(index, "--tracing", "--slo") as (proc, url):
