@@ -62,18 +62,17 @@ Archives are outside input.  The container holds only ``<f8``, ``<i8``
 and ``|b1`` columns (nothing is unpickled), every shape is a list of
 non-negative ints and the columns end exactly at the end of the file.
 :func:`load_index` requires exactly its nine columns, each of its dtype;
-reads ``meta`` with the checker the sharded manifest's ``shard_config``
-also goes through (exactly the config's keys, each of its default's
-type, floats finite, enum values known, then the config's own checks);
-then checks that the columns fit together, that every float is finite
-and — over whole columns — what the per-cell constraint-system and
-rectangle constructors would check.  Any failure, a damaged or truncated
-file included, is a ``ValueError`` naming the key or column.  A file
-without the magic is refused, every ``.npz`` archive of versions 1 to 4
-included, and so is any other header version, format 5 (which stored
-the normals) and format 6 (whose ``meta`` held the data tree's buffer
-pool size, ``cache_pages``) included: rebuild the index with ``repro
-build``.
+reads ``meta`` with a strict checker (exactly the config's keys, each of
+its default's type, floats finite, enum values known, then the config's
+own checks); then checks that the columns fit together, that every
+float is finite and — over whole columns — what the per-cell
+constraint-system and rectangle constructors would check.  Any failure,
+a damaged or truncated file included, is a ``ValueError`` naming the key
+or column.  A file without the magic is refused, every ``.npz`` archive
+of versions 1 to 4 included, and so is any other header version, format
+5 (which stored the normals) and format 6 (whose ``meta`` held the data
+tree's buffer pool size, ``cache_pages``) included: rebuild the index
+with ``repro build``.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ _ALIGN = 8
 #: The column dtypes an archive may hold.
 _DTYPES = ("<f8", "<i8", "|b1")
 
-_SHARD_FORMAT_VERSION = 3
+_SHARD_FORMAT_VERSION = 4
 _SHARD_MANIFEST = "manifest.json"
 _SHARD_GLOBALS = "global.nnc"
 
@@ -134,12 +133,7 @@ _COLUMNS = {
 }
 
 #: The columns of a sharded archive's global member and their dtypes.
-_GLOBAL_COLUMNS = {
-    "points": "<f8",
-    "active": "|b1",
-    "shard_of": "<i8",
-    "local_of": "<i8",
-}
+_GLOBAL_COLUMNS = {"points": "<f8", "active": "|b1"}
 
 #: The per-cell columns, which a loaded index keeps.
 _CELL_ARRAYS = tuple(
@@ -510,16 +504,20 @@ def _check_cells(fields: "Dict[str, np.ndarray]") -> None:
 # ordinary `save_index` archive, `shard_<s>.nnc`, that loads
 # independently — a deployment can ship shards to different hosts and
 # only the manifest needs global knowledge.  `manifest.json` carries the
-# shard/partitioner config and the per-shard local→global id maps;
-# `global.nnc`, an archive of the same format with an empty `meta`,
-# carries the full point array and active mask (rows of deleted points
-# included, so global ids stay stable across save/load exactly as
-# unsharded ids do) and the `shard_of`/`local_of` routes.  The manifest
-# is outside input too: the load checks its version, its `shard_config`
-# keys and types, that the partitioner is an object matching that config,
-# that each `shards` entry names its own `shard_<s>.nnc` (or none) and
+# partitioner (its kind, shard count and, for Hilbert, its key bits and
+# cuts: the fleet's `ShardConfig` is read back from it) and the
+# per-shard local→global id maps, which ascend; `global.nnc`, an archive
+# of the same format with an empty `meta`, carries the full point array
+# and active mask (rows of deleted points included, so global ids stay
+# stable across save/load exactly as unsharded ids do).  Each fact is
+# stored once.  The manifest is outside input too: the load checks its
+# version, that the partitioner is an object whose shard count is the
+# number of `shards` entries and whose Hilbert key bits are the ones a
+# fit picks, that each entry names its own `shard_<s>.nnc` (or none) and
 # lists int ids, and that the id maps agree with the archives.  Versions
-# 1 and 2 (whose members were `.npz` files) are refused.
+# 1 and 2 (whose members were `.npz` files) and 3 (which also stored a
+# `shard_config` and each point's shard and row in `global.nnc`) are
+# refused.
 # ======================================================================
 
 def is_sharded_archive(path: "Union[str, Path]") -> bool:
@@ -549,29 +547,22 @@ def save_sharded_index(index, path: "Union[str, Path]") -> None:
     manifest = {
         "format_version": _SHARD_FORMAT_VERSION,
         "kind": "sharded-nncell",
-        "dim": int(index.dim),
-        "shard_config": _config_doc(index.shard_config),
         "partitioner": index.partitioner.to_manifest(),
         "shards": shard_entries,
     }
     (target / _SHARD_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    _write_archive(target / _SHARD_GLOBALS, {}, {
-        "points": index.points,
-        "active": index._active,
-        "shard_of": np.asarray(index._shard_of, dtype=np.int64),
-        "local_of": np.asarray(index._local_of, dtype=np.int64),
-    })
+    _write_archive(
+        target / _SHARD_GLOBALS, {},
+        {"points": index.points, "active": index._active},
+    )
 
 
 def load_sharded_index(path: "Union[str, Path]"):
     """Rebuild a sharded index saved with :func:`save_sharded_index`."""
-    from ..shard import (
-        ShardConfig,
-        ShardedNNCellIndex,
-        partitioner_from_manifest,
-    )
+    from ..shard import ShardedNNCellIndex, partitioner_from_manifest
+    from ..shard.partition import key_bits
 
     source = Path(path)
     if not source.exists():
@@ -589,11 +580,6 @@ def load_sharded_index(path: "Union[str, Path]"):
             f"(expected {_SHARD_FORMAT_VERSION}); rebuild the index with "
             "`repro build --shards N`"
         )
-    shard_config = _read_config(
-        ShardConfig,
-        manifest.get("shard_config"),
-        f"{manifest_path}: shard_config",
-    )
     if not isinstance(manifest.get("partitioner"), dict):
         raise ValueError(
             f"{manifest_path}: key 'partitioner' is not a JSON object"
@@ -613,33 +599,34 @@ def load_sharded_index(path: "Union[str, Path]"):
         shards.append(shard)
     if build_config is None:  # pragma: no cover - archives are non-empty
         raise ValueError(f"{source} contains no live shards")
-    if len(shards) != shard_config.n_shards:
+    if len(shards) != partitioner.n_shards:
         raise ValueError(
             f"{source}: manifest lists {len(shards)} shards, but its "
-            f"shard_config has n_shards={shard_config.n_shards}"
+            f"partitioner has n_shards={partitioner.n_shards}"
         )
     where = f"index archive {source / _SHARD_GLOBALS}"
     arrays = _read_archive(source / _SHARD_GLOBALS)[1]
     _require_columns(arrays, _GLOBAL_COLUMNS, where)
-    points, shard_of, local_of = (
-        arrays[name] for name in ("points", "shard_of", "local_of")
-    )
+    points = arrays["points"]
     if points.ndim != 2:
         raise ValueError(f"{where}: 'points' must be an (n, d) array")
+    # The precision `fit` picks keeps every key inside 62 bits.
+    dim = points.shape[1]
+    if partitioner.kind == "hilbert" and partitioner.bits != key_bits(dim):
+        raise ValueError(
+            f"{manifest_path}: partitioner bits is {partitioner.bits}, "
+            f"but Hilbert keys at d={dim} have {key_bits(dim)}"
+        )
     # The fleet marks deleted points in place.
     active = arrays["active"].copy()
-    _check_partitioner(manifest_path, partitioner, shard_config, points.shape[1])
-    _check_id_maps(source, shards, globals_, points, active, shard_of, local_of)
+    _check_id_maps(source, shards, globals_, points, active)
     return ShardedNNCellIndex._restore(
         points=points,
         active=active,
-        shard_config=shard_config,
         build_config=build_config,
         partitioner=partitioner,
         shards=shards,
         globals_=globals_,
-        shard_of=shard_of.tolist(),
-        local_of=local_of.tolist(),
     )
 
 
@@ -686,54 +673,21 @@ def _shard_entries(
     return pairs
 
 
-def _check_partitioner(manifest_path: Path, partitioner, config, dim: int) -> None:
-    """Raise ``ValueError`` naming both values unless the manifest's
-    partitioner is the one its ``shard_config`` fits: same kind, same
-    shard count and, for Hilbert, the key precision ``fit`` picks."""
-    from ..shard.partition import key_bits
-
-    pairs = [
-        ("kind", partitioner.kind, "partitioner", config.partitioner),
-        ("n_shards", partitioner.n_shards, "n_shards", config.n_shards),
-    ]
-    if partitioner.kind == "hilbert":
-        pairs.append((
-            "bits", partitioner.bits,
-            f"hilbert_bits={config.hilbert_bits} at d={dim}",
-            key_bits(config.hilbert_bits, dim),
-        ))
-    for key, value, source, expected in pairs:
-        if value != expected:
-            raise ValueError(
-                f"{manifest_path}: partitioner {key} is {value!r}, but "
-                f"shard_config {source} gives {expected!r}"
-            )
-
-
-def _check_id_maps(
-    source: Path, shards, globals_, points, active, shard_of, local_of
-) -> None:
+def _check_id_maps(source: Path, shards, globals_, points, active) -> None:
     """Raise ``ValueError`` naming the shard unless the manifest's id
     maps, ``global.nnc`` and the shard archives agree.
 
-    Each live shard's rows are the global rows its map names, bit for
-    bit, and ``shard_of``/``local_of`` route each of those ids back to
-    its row, active exactly where the shard's row is.  The maps are not
-    exact inverses: a torn-down shard's deleted ids keep their stale
-    ``shard_of``/``local_of`` entries, so only the live shards' ids are
-    checked, and no active id may lie outside them.
+    Each live shard's map strictly ascends (``delete`` binary-searches
+    it) and names global rows equal to the shard's rows, bit for bit,
+    active exactly where the shard's row is; no global id is in two
+    maps, and no active id is outside them.
     """
     n = points.shape[0]
-    for name, column, kind in (
-        ("active", active, "bool"),
-        ("shard_of", shard_of, "int"),
-        ("local_of", local_of, "int"),
-    ):
-        if column.shape != (n,):
-            raise ValueError(
-                f"{source / _SHARD_GLOBALS}: {name!r} must hold one {kind} "
-                f"per point ({n})"
-            )
+    if active.shape != (n,):
+        raise ValueError(
+            f"{source / _SHARD_GLOBALS}: 'active' must hold one bool per "
+            f"point ({n})"
+        )
     held = 0
     for s, (shard, ids) in enumerate(zip(shards, globals_)):
         where = f"{source}: shard {s}"
@@ -751,6 +705,8 @@ def _check_id_maps(
             )
         if ids.min() < 0 or ids.max() >= n:
             raise ValueError(f"{where} maps global ids outside [0, {n})")
+        if np.any(np.diff(ids) <= 0):
+            raise ValueError(f"{where}: its map does not strictly ascend")
         mapped = points[ids]
         if (
             mapped.shape != shard.points.shape
@@ -760,16 +716,20 @@ def _check_id_maps(
                 f"{where}: its rows differ from the global points its "
                 "map names"
             )
-        if np.any(shard_of[ids] != s) or np.any(local_of[ids] != np.arange(rows)):
-            raise ValueError(
-                f"{where}: shard_of/local_of do not route its global ids "
-                "to its rows"
-            )
         if not np.array_equal(active[ids], shard._active):
             raise ValueError(
                 f"{where}: its active rows differ from the global active mask"
             )
         held += len(shard)
+    mapped = np.sort(np.concatenate(globals_))
+    twice = mapped[1:][mapped[1:] == mapped[:-1]]
+    if twice.size:
+        gid = int(twice[0])
+        holders = [s for s, ids in enumerate(globals_) if gid in ids]
+        raise ValueError(
+            f"{source}: global id {gid} is mapped by shards {holders[0]} "
+            f"and {holders[1]}"
+        )
     if held != np.count_nonzero(active):
         raise ValueError(
             f"{source / _SHARD_GLOBALS} marks {np.count_nonzero(active)} "

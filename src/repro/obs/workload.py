@@ -371,6 +371,16 @@ def _record_unsharded(registry, info, cells, reads) -> None:
     _record_access(cells, reads)
 
 
+def _record_sharded(registry, info) -> None:
+    """One sharded query's ``shard.query.*`` update in ``registry`` (if
+    on); its shards' probes published their own records."""
+    if registry is not None:
+        registry.apply(
+            [("shard.query.count", 1.0)],
+            [("shard.query.pages", info.pages)],
+        )
+
+
 def record_query(
     query: "np.ndarray",
     point_id: int,
@@ -396,11 +406,7 @@ def record_query(
     registry = metrics.get_registry() if metrics.enabled() else None
     if info.shards_answered is not None:
         source = "sharded"
-        if registry is not None:
-            registry.apply(
-                [("shard.query.count", 1.0)],
-                [("shard.query.pages", info.pages)],
-            )
+        _record_sharded(registry, info)
     else:
         source = "fallback" if info.fallback else "cell"
         _record_unsharded(registry, info, cells, reads)
@@ -426,13 +432,16 @@ def record_query(
 def record_k_nearest(
     info, cells: "Optional[np.ndarray]" = None, reads: "Sequence" = ()
 ) -> None:
-    """Publish one unsharded ``k_nearest`` as :func:`record_query`
-    publishes a ``nearest``, with no event and no capture; ``cells`` are
-    its order-1 candidates (``None`` on the fallback)."""
-    _record_unsharded(
-        metrics.get_registry() if metrics.enabled() else None,
-        info, cells, reads,
-    )
+    """Publish one ``k_nearest`` as :func:`record_query` publishes a
+    ``nearest``, with no event and no capture: a sharded one (``info``'s
+    ``shards_answered`` set) updates ``shard.query.*``, an unsharded one
+    the ``query.*`` and ``storage.*`` metrics and the heatmaps; ``cells``
+    are its order-1 candidates (``None`` on the fallback)."""
+    registry = metrics.get_registry() if metrics.enabled() else None
+    if info.shards_answered is not None:
+        _record_sharded(registry, info)
+    else:
+        _record_unsharded(registry, info, cells, reads)
 
 
 def record_batch(

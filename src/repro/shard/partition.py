@@ -2,9 +2,11 @@
 
 A partitioner is a *pure, deterministic* function from a point's
 coordinates to a shard number.  Determinism is what makes the sharded
-index dynamic: an ``insert`` or ``delete`` long after the build must
-route to the same shard the build would have chosen, with no lookup
-table to keep in sync.  Two policies are provided:
+index dynamic: an ``insert`` long after the build, or after a reload,
+routes to the shard the build would have chosen.  A ``delete`` names a
+point by its id, which it finds in the shards' id maps — the maps the
+fleet keeps anyway to translate answers — so no second routing table
+is kept in sync.  Two policies are provided:
 
 * :class:`HashPartitioner` — a content hash of the coordinate bytes.
   Shards come out statistically balanced for any input distribution and
@@ -14,7 +16,8 @@ table to keep in sync.  Two policies are provided:
   Hilbert space-filling curve (reusing
   :func:`repro.index.hilbert.hilbert_indices`, the same keys the
   Hilbert-packed bulk loader sorts by) and the key range is cut into
-  ``n_shards`` contiguous runs fitted to the build set.  Spatial
+  ``n_shards`` contiguous runs fitted to the build set, at
+  :data:`HILBERT_BITS` bits per axis (:func:`key_bits`).  Spatial
   locality is preserved — a shard owns a compact region — which keeps
   per-shard candidate sets small for clustered data, at the price of
   balance depending on how well the build sample predicts future
@@ -36,6 +39,7 @@ import numpy as np
 from ..index.hilbert import hilbert_indices
 
 __all__ = [
+    "HILBERT_BITS",
     "PARTITIONER_KINDS",
     "HashPartitioner",
     "HilbertRangePartitioner",
@@ -46,6 +50,10 @@ __all__ = [
 
 #: Recognised ``ShardConfig.partitioner`` / CLI ``--partitioner`` values.
 PARTITIONER_KINDS = ("hash", "hilbert")
+
+#: The per-axis precision of a Hilbert key, before :func:`key_bits`
+#: caps it so that a key fits in 62 bits.
+HILBERT_BITS = 10
 
 
 class HashPartitioner:
@@ -112,15 +120,14 @@ class HilbertRangePartitioner:
         self.bits = int(bits)
 
     @classmethod
-    def fit(
-        cls, points: np.ndarray, n_shards: int, bits: int = 10
-    ) -> "HilbertRangePartitioner":
-        """Bounds splitting ``points`` into ``n_shards`` near-equal runs."""
+    def fit(cls, points: np.ndarray, n_shards: int) -> "HilbertRangePartitioner":
+        """Bounds splitting ``points`` into ``n_shards`` near-equal runs,
+        keyed at :func:`key_bits` bits per axis."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n, dim = pts.shape
         if n == 0:
             raise ValueError("cannot fit a partitioner to zero points")
-        bits = key_bits(bits, dim)
+        bits = key_bits(dim)
         keys = np.sort(hilbert_indices(pts, bits=bits))
         cuts = [
             keys[min(n - 1, math.ceil(n * (i + 1) / n_shards) - 1)]
@@ -172,21 +179,19 @@ def _manifest_int(doc: "Dict[str, Any]", key: str) -> int:
     return value
 
 
-def key_bits(bits: int, dim: int) -> int:
+def key_bits(dim: int) -> int:
     """The per-axis precision :meth:`HilbertRangePartitioner.fit` keys
-    ``dim``-dimensional points with: ``bits``, capped so that a key fits
-    in 62 bits."""
-    return min(bits, max(1, 62 // dim))
+    ``dim``-dimensional points with: :data:`HILBERT_BITS`, capped so
+    that a key fits in 62 bits."""
+    return min(HILBERT_BITS, max(1, 62 // dim))
 
 
-def make_partitioner(
-    kind: str, n_shards: int, points: np.ndarray, hilbert_bits: int = 10
-):
+def make_partitioner(kind: str, n_shards: int, points: np.ndarray):
     """Build-time factory: a fitted partitioner of the requested kind."""
     if kind == "hash":
         return HashPartitioner(n_shards)
     if kind == "hilbert":
-        return HilbertRangePartitioner.fit(points, n_shards, bits=hilbert_bits)
+        return HilbertRangePartitioner.fit(points, n_shards)
     raise ValueError(
         f"unknown partitioner {kind!r} (expected one of {PARTITIONER_KINDS})"
     )

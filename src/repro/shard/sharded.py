@@ -24,12 +24,17 @@ large ones or under a resilience policy), then k-merge the per-shard
 across partitioners, shard counts and dynamic insert/delete sequences;
 ``docs/sharding.md`` spells out the full exactness argument.
 
+Every query surface answers through one gather (:meth:`_gather`); a
+surface keeps only its probe and the shape of its answer.
+
 Global point ids are preserved: shard ``s`` keeps a local→global id map
 (a read-only int64 array, replaced whole by a write) and every result is
 translated before merging, so ids returned by the
 sharded index are the positions in the original build array — the same
-ids the unsharded index would return.  ``insert``/``delete`` route to
-the owning shard through the (deterministic) partitioner.
+ids the unsharded index would return.  ``insert`` routes a new point
+through the (deterministic) partitioner; ``delete`` binary-searches the
+maps, which ascend (a build lays each out in id order, and a write only
+appends a larger id), so no other routing table is kept.
 
 Construction builds the shards one after another on the calling
 thread; each shard build honours ``BuildConfig.workers``, so the
@@ -89,23 +94,89 @@ def id_map(ids) -> np.ndarray:
 _NO_IDS = id_map([])  # the map of a shard with no rows
 
 
+def _row(local: int, distance: float, info) -> tuple:
+    """One answer as the gather ranks a one-row probe's answers."""
+    return (local,), (distance,), info
+
+
+def _rank_row(gathered, maps, keep: int) -> "Tuple[List[int], List[float]]":
+    """One row's ``keep`` best answers over the shards by ``(distance,
+    global id)``, as Python ints and floats."""
+    ranked = sorted(
+        (float(dist), maps[s].item(local))
+        for s, (ids, dists, __) in gathered
+        for local, dist in zip(ids, dists)
+    )[:keep]
+    return [gid for __, gid in ranked], [dist for dist, __ in ranked]
+
+
+def _rank_rows(gathered, maps, rows: int) -> "Tuple[np.ndarray, np.ndarray]":
+    """Each of ``rows`` rows' best answer over the shards by ``(distance,
+    global id)``: one shard's answers fold in at a time, vectorised."""
+    ids = np.full(rows, -1, dtype=np.int64)
+    dists = np.full(rows, np.inf)
+    for s, (local, local_dists, __) in gathered:
+        gids = maps[s][local]
+        better = (local_dists < dists) | ((local_dists == dists) & (gids < ids))
+        ids[better] = gids[better]
+        dists[better] = local_dists[better]
+    return ids, dists
+
+
+def _add_query(total: QueryInfo, gathered, maps) -> None:
+    for __, (__, __, part) in gathered:
+        total.n_candidates += part.n_candidates
+        total.pages += part.pages
+        total.distance_computations += part.distance_computations
+        total.fallback = total.fallback or part.fallback
+        total.retried_atol = total.retried_atol or part.retried_atol
+
+
+def _add_batch(total: BatchQueryInfo, gathered, maps) -> None:
+    for __, (__, __, part) in gathered:
+        total.pages += part.pages
+        total.distance_computations += part.distance_computations
+        total.n_candidates += part.n_candidates
+        total.fallbacks += part.fallbacks
+        total.retried_atol += part.retried_atol
+        total.n_batches += part.n_batches
+
+
+def _add_explain(total: QueryExplain, gathered, maps) -> None:
+    for s, (__, __, part) in gathered:
+        owners = maps[s]
+        total.retried_atol = total.retried_atol or part.retried_atol
+        total.rectangles.extend(
+            (owners.item(owner), rect) for owner, rect in part.rectangles
+        )
+        total.candidates.extend(
+            (owners.item(owner), dist) for owner, dist in part.candidates
+        )
+        total.nodes_visited += part.nodes_visited
+        total.pages += part.pages
+
+
+#: How the gather adds the shards' infos into the total, by info type;
+#: ``maps`` are the shards' id maps (an explain's owners are global).
+_ADD_INFO = {
+    QueryInfo: _add_query,
+    BatchQueryInfo: _add_batch,
+    QueryExplain: _add_explain,
+}
+
+
 @dataclass(frozen=True)
 class ShardConfig:
-    """Sharding parameters, orthogonal to the per-shard ``BuildConfig``.
+    """Sharding parameters, orthogonal to the per-shard ``BuildConfig``:
+    how many shards, and which partitioner routes points to them.
 
-    ``query_workers`` sizes the scatter pool: 0 = one thread per shard,
-    N = N threads (at most one per shard), and 1 = no pool unless a
-    resilience policy needs one.  The pool runs only batches of more
-    than ``_INLINE_ROWS_PER_SHARD`` rows per live shard and every
-    scatter under a resilience policy; any other scatter probes its
-    shards on the calling thread.  Build parallelism is the per-shard
-    ``BuildConfig.workers``.
+    A fleet keeps only its fitted partitioner, which holds both; its
+    :attr:`ShardedNNCellIndex.shard_config` is read back from it.
+    Build parallelism is the per-shard ``BuildConfig.workers``.
     """
 
     n_shards: int = 4
     partitioner: str = "hash"  # "hash" | "hilbert"
-    hilbert_bits: int = 10
-    query_workers: int = 0
 
     def __post_init__(self):
         if self.n_shards < 1:
@@ -114,10 +185,6 @@ class ShardConfig:
             raise ValueError(
                 f"partitioner must be one of {PARTITIONER_KINDS}"
             )
-        if self.hilbert_bits < 1:
-            raise ValueError("hilbert_bits must be >= 1")
-        if self.query_workers < 0:
-            raise ValueError("query_workers must be >= 0 (0 means auto)")
 
 
 class ShardedNNCellIndex:
@@ -139,39 +206,40 @@ class ShardedNNCellIndex:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, d) array")
-        self.shard_config = shard_config or ShardConfig()
-        self.config = build_config or BuildConfig()
-        self.points = pts.copy()
-        self.dim = pts.shape[1]
-        self.box = self.config.data_space or MBR.unit_cube(self.dim)
+        shard_config = shard_config or ShardConfig()
+        partitioner = make_partitioner(
+            shard_config.partitioner, shard_config.n_shards, pts
+        )
+        self._wire(
+            pts.copy(), np.ones(pts.shape[0], dtype=bool),
+            build_config or BuildConfig(), partitioner,
+            [None] * partitioner.n_shards, [],
+        )
+        self._build()
+
+    def _wire(self, points, active, config, partitioner, shards, globals_):
+        """Set every field; the build and the load path both end here."""
+        self.config = config
+        self.points = points
+        self.dim = points.shape[1]
+        self.box = config.data_space or MBR.unit_cube(self.dim)
         if self.box.dim != self.dim:
             raise ValueError("data_space dimensionality mismatch")
         # Shards must share one data space: each shard's cells tile the
         # *global* box, which is what makes every shard answer any
         # in-box query exactly (the exactness precondition).
-        self._shard_build_config = replace(self.config, data_space=self.box)
-        self.partitioner = make_partitioner(
-            self.shard_config.partitioner,
-            self.shard_config.n_shards,
-            pts,
-            hilbert_bits=self.shard_config.hilbert_bits,
-        )
-        self._active = np.ones(pts.shape[0], dtype=bool)
-        self._shards: "List[Optional[NNCellIndex]]" = (
-            [None] * self.shard_config.n_shards
-        )
+        self._shard_build_config = replace(config, data_space=self.box)
+        self.partitioner = partitioner
+        self._active = active
+        self._shards: "List[Optional[NNCellIndex]]" = shards
         #: Per shard: local row -> global id, a read-only int64 array
-        #: (rows keep their slots on delete, exactly as NNCellIndex rows
-        #: do); a write replaces a shard's map by one assignment.
-        self._globals: "List[np.ndarray]" = (
-            [_NO_IDS] * self.shard_config.n_shards
-        )
-        self._shard_of: "List[int]" = []
-        self._local_of: "List[int]" = []
+        #: that ascends (rows keep their slots on delete, exactly as
+        #: NNCellIndex rows do); a write replaces a shard's map by one
+        #: assignment.
+        self._globals: "List[np.ndarray]" = globals_
         self._pool: "Optional[ThreadPoolExecutor]" = None
         self._resilience: "Optional[ResilienceConfig]" = None
         self._chaos = None  # fault-injection hook (repro.chaos)
-        self._build()
 
     # ==================================================================
     # Construction
@@ -205,46 +273,27 @@ class ShardedNNCellIndex:
         *,
         points: np.ndarray,
         active: np.ndarray,
-        shard_config: ShardConfig,
         build_config: BuildConfig,
         partitioner,
         shards: "List[Optional[NNCellIndex]]",
         globals_: "List[np.ndarray]",
-        shard_of: "List[int]",
-        local_of: "List[int]",
     ) -> "ShardedNNCellIndex":
         """Wire a fully-specified instance (persistence load path);
-        ``globals_`` are the shards' :func:`id_map` arrays."""
+        ``globals_`` are the shards' :func:`id_map` arrays, each
+        ascending."""
         self = cls.__new__(cls)
-        self.shard_config = shard_config
-        self.config = build_config
-        self.points = np.asarray(points, dtype=np.float64)
-        self.dim = self.points.shape[1]
-        self.box = build_config.data_space or MBR.unit_cube(self.dim)
-        self._shard_build_config = replace(build_config, data_space=self.box)
-        self.partitioner = partitioner
-        self._active = np.asarray(active, dtype=bool)
-        self._shards = shards
-        self._globals = globals_
-        self._shard_of = shard_of
-        self._local_of = local_of
-        self._pool = None
-        self._resilience = None
-        self._chaos = None
+        self._wire(
+            np.asarray(points, dtype=np.float64),
+            np.asarray(active, dtype=bool),
+            build_config, partitioner, shards, globals_,
+        )
         return self
 
     def _build(self) -> None:
-        n = self.points.shape[0]
-        n_shards = self.shard_config.n_shards
+        n_shards = self.n_shards
         assignment = self.partitioner.shard_of_batch(self.points)
         members = [np.flatnonzero(assignment == s) for s in range(n_shards)]
-        self._shard_of = [int(s) for s in assignment]
-        self._local_of = [0] * n
-        for s, ids in enumerate(members):
-            self._globals[s] = id_map(ids)
-            for local, g in enumerate(ids):
-                self._local_of[int(g)] = local
-
+        self._globals = [id_map(ids) for ids in members]
         with span(
             "shard.build",
             n_shards=n_shards,
@@ -311,19 +360,16 @@ class ShardedNNCellIndex:
 
         Only :meth:`_scatter` asks for it, for a batch too large to
         probe on the calling thread or for a scatter under a resilience
-        policy.  It holds ``query_workers`` threads (0 = one per shard),
-        at most one per shard.  A resilient pool instead holds
-        ``2 * n_shards`` — timeouts and hedges need probes the gather
-        thread does not sit behind, and the headroom keeps hedge
-        duplicates and retries of stuck probes from queueing behind the
-        stragglers they are meant to beat.
+        policy.  It holds one thread per shard.  A resilient pool
+        instead holds ``2 * n_shards`` — timeouts and hedges need probes
+        the gather thread does not sit behind, and the headroom keeps
+        hedge duplicates and retries of stuck probes from queueing
+        behind the stragglers they are meant to beat.
         """
         if self._pool is None:
-            n_shards = self.shard_config.n_shards
-            workers = self.shard_config.query_workers
-            size = min(n_shards if workers == 0 else workers, n_shards)
+            size = self.n_shards
             if self._resilience is not None:
-                size = max(2 * n_shards, 2)
+                size *= 2
             self._pool = ThreadPoolExecutor(
                 max_workers=size,
                 thread_name_prefix="repro-shard",
@@ -340,10 +386,10 @@ class ShardedNNCellIndex:
         ``explain``, the batch size for ``query_batch``).  With no
         resilience policy, every probe runs on the calling thread, one
         after another in shard order, unless the batch holds more than
-        ``_INLINE_ROWS_PER_SHARD`` rows per live shard (and
-        ``query_workers`` is not 1): only then do the probes go to the
-        pool, where threads overlap enough numpy work to beat the
-        hand-off.  Under a policy every scatter uses the pool.
+        ``_INLINE_ROWS_PER_SHARD`` rows per live shard: only then do the
+        probes go to the pool, where threads overlap enough numpy work
+        to beat the hand-off.  Under a policy every scatter uses the
+        pool.
 
         Each probe runs under a ``shard.probe`` span and a
         :func:`repro.obs.analytics.shard_scope`.  On the pool, the
@@ -377,11 +423,7 @@ class ShardedNNCellIndex:
         metrics.observe("shard.fanout", len(live))
         if resilience is None:
             report = complete_report([s for s, __ in live])
-            if (
-                len(live) < 2
-                or self.shard_config.query_workers == 1
-                or rows <= _INLINE_ROWS_PER_SHARD * len(live)
-            ):
+            if len(live) < 2 or rows <= _INLINE_ROWS_PER_SHARD * len(live):
                 return [(s, run((s, shard))) for s, shard in live], report
             pool, submit_ctx = self._scatter_pool(), carrier()
             futures = [
@@ -396,12 +438,7 @@ class ShardedNNCellIndex:
         def submit(s: int):
             return pool.submit(submit_ctx.call, run, (s, shards[s]))
 
-        results, report = resilient_gather(
-            [s for s, __ in live], submit, resilience
-        )
-        if report.degraded:
-            metrics.inc("shard.degraded")
-        return results, report
+        return resilient_gather([s for s, __ in live], submit, resilience)
 
     def close(self) -> None:
         """Shut the scatter pool down (idempotent)."""
@@ -418,6 +455,48 @@ class ShardedNNCellIndex:
     # ==================================================================
     # Queries
     # ==================================================================
+    def _gather(
+        self,
+        surface: str,
+        probe: "Callable[[NNCellIndex], tuple]",
+        rows: int,
+        info,
+        keep: int = 1,
+        **attributes,
+    ) -> "Tuple[Sequence, Sequence, List[Tuple[int, tuple]]]":
+        """The one scatter-gather behind every query surface.
+
+        Opens ``shard.<surface>`` (with ``attributes``) and scatters
+        ``probe`` (:meth:`_scatter`, for ``rows`` query rows), which
+        returns a shard's ``(local ids, distances, info)``: an answer per
+        row, or one row's answers.  Under ``shard.merge`` it adds each
+        shard's info into ``info`` and ranks each row's answers by
+        ``(distance, global id)``, keeping ``keep``; then it tags
+        ``info`` with the scatter's degradation.  Returns the best ids
+        and distances (lists for one row, arrays for more) and the
+        shards' results in shard order.
+        """
+        maps = self._globals
+        with span(f"shard.{surface}", **attributes) as root:
+            gathered, report = self._scatter(probe, rows)
+            with span("shard.merge", results=len(gathered)):
+                _ADD_INFO[type(info)](info, gathered, maps)
+                if rows == 1:
+                    ids, dists = _rank_row(gathered, maps, keep)
+                else:
+                    ids, dists = _rank_rows(gathered, maps, rows)
+            info.degraded = report.degraded
+            info.failed_shards = report.failed_shards
+            info.shards_answered = report.shards_answered
+            root.set("pages", info.pages)
+            if not isinstance(info, QueryExplain):  # it lists candidates
+                root.set("candidates", info.n_candidates)
+            if report.degraded:
+                metrics.inc("shard.degraded")
+                root.set("degraded", True)
+                root.set("failed_shards", list(report.failed_shards))
+        return ids, dists, gathered
+
     def nearest(
         self, query: Sequence[float]
     ) -> "Tuple[int, float, QueryInfo]":
@@ -429,37 +508,12 @@ class ShardedNNCellIndex:
         """
         q = as_query(query, self.dim)
         info = QueryInfo()
-        with span("shard.nearest", dim=self.dim) as root:
-            gathered, report = self._scatter(
-                lambda shard: shard.nearest(q), 1
-            )
-            with span("shard.merge", results=len(gathered)):
-                best_gid, best_dist = -1, np.inf
-                for s, (local, dist, shard_info) in gathered:
-                    gid = int(self._globals[s][local])
-                    if dist < best_dist or (
-                        dist == best_dist and gid < best_gid
-                    ):
-                        best_gid, best_dist = gid, dist
-                    info.n_candidates += shard_info.n_candidates
-                    info.pages += shard_info.pages
-                    info.distance_computations += (
-                        shard_info.distance_computations
-                    )
-                    info.fallback = info.fallback or shard_info.fallback
-                    info.retried_atol = (
-                        info.retried_atol or shard_info.retried_atol
-                    )
-            info.degraded = report.degraded
-            info.failed_shards = report.failed_shards
-            info.shards_answered = report.shards_answered
-            root.set("candidates", info.n_candidates)
-            root.set("pages", info.pages)
-            if report.degraded:
-                root.set("degraded", True)
-                root.set("failed_shards", list(report.failed_shards))
-        workload.record_query(q, best_gid, float(best_dist), info)
-        return best_gid, float(best_dist), info
+        (gid,), (dist,), __ = self._gather(
+            "nearest", lambda shard: _row(*shard.nearest(q)), 1, info,
+            dim=self.dim,
+        )
+        workload.record_query(q, gid, dist, info)
+        return gid, dist, info
 
     def k_nearest(
         self, query: Sequence[float], k: int
@@ -473,44 +527,14 @@ class ShardedNNCellIndex:
         """
         k = as_k(k)
         q = as_query(query, self.dim)
-        k_eff = min(k, len(self))
+        keep = min(k, len(self))
         info = QueryInfo()
-        with span("shard.k_nearest", dim=self.dim, k=k_eff) as root:
-            gathered, report = self._scatter(
-                lambda shard: shard.k_nearest(q, k), 1
-            )
-            with span("shard.merge", results=len(gathered)):
-                merged: "List[Tuple[float, int]]" = []
-                for s, (ids, dists, shard_info) in gathered:
-                    merged.extend(
-                        zip(map(float, dists), self._globals[s][ids].tolist())
-                    )
-                    info.n_candidates += shard_info.n_candidates
-                    info.pages += shard_info.pages
-                    info.distance_computations += (
-                        shard_info.distance_computations
-                    )
-                    info.fallback = info.fallback or shard_info.fallback
-                    info.retried_atol = (
-                        info.retried_atol or shard_info.retried_atol
-                    )
-                merged.sort()
-                merged = merged[:k_eff]
-            info.degraded = report.degraded
-            info.failed_shards = report.failed_shards
-            info.shards_answered = report.shards_answered
-            root.set("candidates", info.n_candidates)
-            root.set("pages", info.pages)
-            if report.degraded:
-                root.set("degraded", True)
-                root.set("failed_shards", list(report.failed_shards))
-        metrics.inc("shard.query.count")
-        metrics.observe("shard.query.pages", info.pages)
-        return (
-            [gid for __, gid in merged],
-            [dist for dist, __ in merged],
-            info,
+        ids, dists, __ = self._gather(
+            "k_nearest", lambda shard: shard.k_nearest(q, k), 1, info,
+            keep=keep, dim=self.dim, k=keep,
         )
+        workload.record_k_nearest(info)
+        return ids, dists, info
 
     def query_batch(
         self, queries: np.ndarray, batch_size: "int | None" = None
@@ -528,37 +552,15 @@ class ShardedNNCellIndex:
         qs = as_query(queries, self.dim, batch=True)
         m = qs.shape[0]
         info = BatchQueryInfo(n_queries=m)
-        ids = np.full(m, -1, dtype=np.int64)
-        dists = np.full(m, np.inf)
         if m == 0:
-            dists[:] = np.nan
-            return ids, dists, info
-        with span("shard.query_batch", n_queries=m) as root:
-            gathered, report = self._scatter(
-                lambda shard: shard.query_batch(qs, batch_size=batch_size), m
-            )
-            with span("shard.merge", results=len(gathered)):
-                for s, (lids, ldists, binfo) in gathered:
-                    gids = self._globals[s][lids]
-                    better = (ldists < dists) | (
-                        (ldists == dists) & (gids < ids)
-                    )
-                    ids[better] = gids[better]
-                    dists[better] = ldists[better]
-                    info.pages += binfo.pages
-                    info.distance_computations += binfo.distance_computations
-                    info.n_candidates += binfo.n_candidates
-                    info.fallbacks += binfo.fallbacks
-                    info.retried_atol += binfo.retried_atol
-                    info.n_batches += binfo.n_batches
-            info.degraded = report.degraded
-            info.failed_shards = report.failed_shards
-            info.shards_answered = report.shards_answered
-            root.set("pages", info.pages)
-            root.set("candidates", info.n_candidates)
-            if report.degraded:
-                root.set("degraded", True)
-                root.set("failed_shards", list(report.failed_shards))
+            return np.empty(0, dtype=np.int64), np.empty(0), info
+        ids, dists, __ = self._gather(
+            "query_batch",
+            lambda shard: shard.query_batch(qs, batch_size=batch_size),
+            m, info, n_queries=m,
+        )
+        ids = np.asarray(ids, dtype=np.int64)
+        dists = np.asarray(dists, dtype=np.float64)
         workload.record_batch(qs, ids, dists, info)
         return ids, dists, info
 
@@ -572,57 +574,42 @@ class ShardedNNCellIndex:
     def explain(self, query: Sequence[float]) -> QueryExplain:
         """Merged account of one query: per-shard explains, one answer.
 
-        Rectangles and candidates carry *global* owner ids;
-        ``nodes_visited``/``pages`` sum over shards; ``path``/``atol``
-        come from the shard that produced the winning answer.  The
-        answer fields agree with :meth:`nearest`.
+        Rectangles carry *global* owner ids in shard order, candidates
+        too, sorted by ``(distance, global id)``;
+        ``nodes_visited``/``pages`` sum over shards and ``retried_atol``
+        is an OR; ``path``/``atol`` come from the shard that produced
+        the winning answer.  The answer fields agree with
+        :meth:`nearest`.
         """
         q = as_query(query, self.dim)
-        gathered, report = self._scatter(lambda shard: shard.explain(q), 1)
-        best: "Optional[Tuple[float, int, QueryExplain]]" = None
-        rectangles = []
-        candidates: "List[Tuple[int, float]]" = []
-        visited = 0
-        pages = 0
-        for s, explain in gathered:
-            globals_ = self._globals[s]
-            gid = int(globals_[explain.nearest_id])
-            key = (explain.nearest_distance, gid)
-            if best is None or key < (best[0], best[1]):
-                best = (explain.nearest_distance, gid, explain)
-            rectangles.extend(
-                (int(globals_[owner]), rect)
-                for owner, rect in explain.rectangles
-            )
-            candidates.extend(
-                (int(globals_[owner]), dist)
-                for owner, dist in explain.candidates
-            )
-            visited += explain.nodes_visited
-            pages += explain.pages
-        candidates.sort(key=lambda pair: (pair[1], pair[0]))
-        distance, gid, winner = best
-        return QueryExplain(
-            query=q,
-            path=winner.path,
-            atol=winner.atol,
-            retried_atol=any(e.retried_atol for __, e in gathered),
-            nearest_id=gid,
-            nearest_distance=float(distance),
-            rectangles=rectangles,
-            candidates=candidates,
-            nodes_visited=visited,
-            pages=pages,
-            degraded=report.degraded,
-            failed_shards=report.failed_shards,
-            shards_answered=report.shards_answered,
+        info = QueryExplain(
+            query=q, path="", atol=0.0, retried_atol=False, nearest_id=-1,
+            nearest_distance=np.inf, rectangles=[], candidates=[],
+            nodes_visited=0, pages=0,
         )
+
+        def probe(shard: NNCellIndex) -> tuple:
+            part = shard.explain(q)
+            return _row(part.nearest_id, part.nearest_distance, part)
+
+        (gid,), (dist,), gathered = self._gather(
+            "explain", probe, 1, info, dim=self.dim
+        )
+        info.nearest_id, info.nearest_distance = gid, dist
+        info.path, info.atol = next(
+            (part.path, part.atol)
+            for s, (__, __, part) in gathered
+            if self._globals[s][part.nearest_id] == gid
+        )
+        info.candidates.sort(key=lambda pair: (pair[1], pair[0]))
+        return info
 
     # ==================================================================
     # Dynamic updates
     # ==================================================================
     def insert(self, point: Sequence[float]) -> int:
-        """Insert a point into its owning shard; returns the global id."""
+        """Insert a point into the shard its partitioner names; returns
+        the global id."""
         p = np.asarray(point, dtype=np.float64)
         if p.shape != (self.dim,):
             raise ValueError(f"point must be a {self.dim}-vector")
@@ -636,19 +623,16 @@ class ShardedNNCellIndex:
                     p[None, :], self._shard_build_config
                 )
                 self._globals[s] = id_map([gid])
-                local = 0
             else:
-                local = self._shards[s].insert(p)
+                self._shards[s].insert(p)
                 self._globals[s] = id_map(np.append(self._globals[s], gid))
         self.points = np.vstack([self.points, p[None, :]])
         self._active = np.append(self._active, True)
-        self._shard_of.append(int(s))
-        self._local_of.append(int(local))
         metrics.inc("shard.insert.count")
         return gid
 
     def delete(self, point_id: int) -> None:
-        """Remove a point from its owning shard.
+        """Remove a point from the shard whose map holds it.
 
         A shard whose last member is removed is torn down (and lazily
         rebuilt if a later insert routes to it); removing the globally
@@ -661,14 +645,18 @@ class ShardedNNCellIndex:
             raise KeyError(f"point {point_id} is not in the index")
         if int(np.sum(self._active)) == 1:
             raise ValueError("cannot delete the last remaining point")
-        s = self._shard_of[point_id]
+        # An active id is in exactly one map, and the maps ascend.
+        for s, ids in enumerate(self._globals):
+            row = int(np.searchsorted(ids, point_id))
+            if row < ids.size and ids[row] == point_id:
+                break
         shard = self._shards[s]
         with span("shard.delete", shard=s):
             if len(shard) == 1:
                 self._shards[s] = None
                 self._globals[s] = _NO_IDS
             else:
-                shard.delete(self._local_of[point_id])
+                shard.delete(row)
         self._active[point_id] = False
         metrics.inc("shard.delete.count")
 
@@ -680,7 +668,13 @@ class ShardedNNCellIndex:
 
     @property
     def n_shards(self) -> int:
-        return self.shard_config.n_shards
+        return self.partitioner.n_shards
+
+    @property
+    def shard_config(self) -> ShardConfig:
+        """The :class:`ShardConfig` the fleet's partitioner was fitted
+        with."""
+        return ShardConfig(self.partitioner.n_shards, self.partitioner.kind)
 
     @property
     def active_ids(self) -> np.ndarray:

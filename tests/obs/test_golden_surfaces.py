@@ -41,9 +41,7 @@ def traffic():
     index = NNCellIndex.build(points)
     sharded = ShardedNNCellIndex.build(
         points,
-        shard_config=ShardConfig(
-            n_shards=4, partitioner="hilbert", query_workers=1
-        ),
+        shard_config=ShardConfig(n_shards=4, partitioner="hilbert"),
     )
     yield index, sharded, queries
     sharded.close()

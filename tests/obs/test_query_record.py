@@ -88,9 +88,7 @@ def index(data):
 def sharded(data):
     with ShardedNNCellIndex.build(
         data[0],
-        shard_config=ShardConfig(
-            n_shards=N_SHARDS, partitioner="hilbert", query_workers=1
-        ),
+        shard_config=ShardConfig(n_shards=N_SHARDS, partitioner="hilbert"),
     ) as built:
         yield built
 
@@ -153,10 +151,21 @@ def test_query_batch_takes_each_lock_at_most_once(
     assert counts.get(("analytics", "query"), 0) == 1
 
 
-def test_sharded_calls_add_one_record_per_probe(sharded, data, tally):
+def test_sharded_calls_add_one_record_per_probe(
+    sharded, data, tally, monkeypatch
+):
+    """The shards' ``k_nearest`` refinement searches are counted apart,
+    as in :func:`test_k_nearest_takes_each_lock_at_most_once`."""
+    for name in ("sphere_query", "hs_k_nearest"):
+        monkeypatch.setattr(
+            nncell_module, name,
+            _excluded(getattr(nncell_module, name), tally, "fallback"),
+        )
     for call in (
         lambda: sharded.nearest(data[1][0]),
         lambda: sharded.nearest(data[1][-1]),  # outside: fallbacks
+        lambda: sharded.k_nearest(data[1][0], 3),
+        lambda: sharded.k_nearest(data[1][-1], 3),
         lambda: sharded.query_batch(data[1]),
         lambda: sharded.query_batch(data[1], batch_size=7),
     ):

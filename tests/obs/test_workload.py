@@ -146,9 +146,7 @@ class TestBatchPages:
 
         with ShardedNNCellIndex.build(
             points,
-            shard_config=ShardConfig(
-                n_shards=4, partitioner="hilbert", query_workers=1
-            ),
+            shard_config=ShardConfig(n_shards=4, partitioner="hilbert"),
         ) as index:
             self._check(index)
 

@@ -10,6 +10,7 @@ from repro.shard import (
     make_partitioner,
     partitioner_from_manifest,
 )
+from repro.shard.partition import key_bits
 
 
 class TestHashPartitioner:
@@ -85,7 +86,8 @@ class TestHilbertRangePartitioner:
 
     def test_bits_clamped_to_key_budget(self):
         points = uniform_points(10, 16, seed=9)
-        part = HilbertRangePartitioner.fit(points, 2, bits=10)
+        part = HilbertRangePartitioner.fit(points, 2)
+        assert part.bits == key_bits(16) == 3
         assert part.bits * 16 <= 62
 
     def test_manifest_roundtrip(self):

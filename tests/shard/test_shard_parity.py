@@ -17,8 +17,14 @@ A scatter probes its shards on the calling thread unless the batch is
 above the break-even (``_INLINE_ROWS_PER_SHARD`` rows per live shard);
 the drawn batches stay below it, so the pool path is checked apart:
 forced by a zero break-even, and by batches above the real one.
+
+The dynamic scripts also save and reload the fleet at a drawn step and
+carry on with the reload, so deletes route through a loaded fleet's id
+maps; a written fleet and its reload must then write the same files.
 """
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.shard.sharded as sharded_module
-from repro.core.nncell_index import NNCellIndex
+from helpers import load_tool
+from repro.core.nncell_index import NNCellIndex, QueryExplain
+from repro.core.persistence import load_sharded_index, save_sharded_index
 from repro.data import uniform_points
 from repro.obs import analytics, tracing
 from repro.shard import ShardConfig, ShardedNNCellIndex
@@ -35,14 +43,13 @@ _DIM = 3
 _POINTS = uniform_points(40, _DIM, seed=101)
 _FLAT = NNCellIndex.build(_POINTS)
 #: The fleet under test: both partitioners, several shard counts,
-#: including n_shards=1 (degenerate) and serial scatter (query_workers=1).
+#: including n_shards=1 (degenerate).
 _SHARDED = [
     ShardedNNCellIndex.build(
-        _POINTS,
-        ShardConfig(n_shards=n, partitioner=kind, query_workers=workers),
+        _POINTS, ShardConfig(n_shards=n, partitioner=kind)
     )
     for kind in ("hash", "hilbert")
-    for n, workers in ((1, 0), (3, 0), (5, 1))
+    for n in (1, 3, 5)
 ]
 
 
@@ -119,8 +126,16 @@ def _observed(call):
 
 def _pools(sharded):
     """Whether a scatter above the break-even uses the pool."""
-    live = sum(1 for size in sharded.shard_sizes() if size)
-    return sharded.shard_config.query_workers != 1 and live > 1
+    return sum(1 for size in sharded.shard_sizes() if size) > 1
+
+
+def _fields(result):
+    """A surface's answer as comparable values: ``explain``'s every
+    field, or the ids, distances and info of the other surfaces."""
+    if isinstance(result, QueryExplain):
+        return result.as_dict()
+    ids, dists, info = result
+    return np.asarray(ids).tolist(), np.asarray(dists).tolist(), info
 
 
 @settings(max_examples=10, deadline=None)
@@ -137,6 +152,7 @@ def test_pool_and_calling_thread_agree_bit_for_bit(queries, batch_size):
             ),
             "nearest": lambda: sharded.nearest(q),
             "k_nearest": lambda: sharded.k_nearest(q, 3),
+            "explain": lambda: sharded.explain(q),
         }
         for name, call in calls.items():
             sharded.close()
@@ -149,11 +165,10 @@ def test_pool_and_calling_thread_agree_bit_for_bit(queries, batch_size):
             assert pooled[2] == inline[2], name  # span trees
             ((root, __, children),) = inline[2]
             assert root == f"shard.{name}"
-            assert [c[0] for c in children].count("shard.probe") == live
-            (ids, dists, info), (p_ids, p_dists, p_info) = inline[0], pooled[0]
-            assert np.array_equal(p_ids, ids), name
-            assert np.array_equal(p_dists, dists), name
-            assert p_info == info, name
+            assert sorted(c[0] for c in children) == (
+                ["shard.merge"] + ["shard.probe"] * live
+            ), name
+            assert _fields(pooled[0]) == _fields(inline[0]), name
         ids, dists, __ = calls["query_batch"]()
         exp_ids, exp_dists, __ = _FLAT.query_batch(
             queries, batch_size=batch_size
@@ -177,7 +192,8 @@ def test_batches_above_the_break_even_stay_bit_identical():
 
 @st.composite
 def dynamic_scenarios(draw):
-    """A fresh small database plus an interleaved update/query script."""
+    """A fresh small database, an interleaved update/query script and
+    the step after which the fleet is saved and reloaded."""
     seed = draw(st.integers(0, 2 ** 31))
     rng = np.random.default_rng(seed)
     n_initial = draw(st.integers(4, 12))
@@ -187,37 +203,72 @@ def dynamic_scenarios(draw):
     ops = []
     for __ in range(n_ops):
         ops.append(draw(st.sampled_from(["insert", "delete", "query"])))
-    return rng, n_initial, n_shards, kind, ops
+    reload_at = draw(st.integers(0, n_ops))
+    return rng, n_initial, n_shards, kind, ops, reload_at
+
+
+def _same_files(a: Path, b: Path) -> None:
+    """Two fleet directories hold the same manifest bytes and archives."""
+    compare = load_tool("compare_archives").compare_archives
+    assert (a / "manifest.json").read_bytes() == (
+        b / "manifest.json"
+    ).read_bytes()
+    names = sorted(path.name for path in a.glob("*.nnc"))
+    assert names == sorted(path.name for path in b.glob("*.nnc"))
+    for name in names:
+        assert compare(a / name, b / name) == [], name
 
 
 @settings(max_examples=15, deadline=None)
 @given(scenario=dynamic_scenarios())
 def test_dynamic_sequences_stay_bit_identical(scenario):
-    rng, n_initial, n_shards, kind, ops = scenario
+    rng, n_initial, n_shards, kind, ops, reload_at = scenario
     points = rng.uniform(size=(n_initial, 2))
     flat = NNCellIndex.build(points)
     sharded = ShardedNNCellIndex.build(
         points, ShardConfig(n_shards=n_shards, partitioner=kind)
     )
     live = list(range(n_initial))
-    for op in ops:
-        if op == "insert" or len(live) <= 1:
-            p = rng.uniform(size=2)
-            fid = flat.insert(p)
-            sid = sharded.insert(p)
-            assert sid == fid  # same global id allocation
-            live.append(fid)
-        elif op == "delete":
-            victim = int(rng.choice(live))
-            flat.delete(victim)
-            sharded.delete(victim)
-            live.remove(victim)
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = Path(workdir)
+        for step, op in enumerate([*ops, None]):
+            if step == reload_at:
+                # The rest of the script runs on the reload.
+                save_sharded_index(sharded, workdir / "drawn")
+                sharded = load_sharded_index(workdir / "drawn")
+            if op is None:
+                break
+            if op == "insert" or len(live) <= 1:
+                p = rng.uniform(size=2)
+                fid = flat.insert(p)
+                sid = sharded.insert(p)
+                assert sid == fid  # same global id allocation
+                live.append(fid)
+            elif op == "delete":
+                victim = int(rng.choice(live))
+                flat.delete(victim)
+                sharded.delete(victim)
+                live.remove(victim)
+            q = rng.uniform(-0.05, 1.05, size=2)
+            assert sharded.nearest(q)[:2] == flat.nearest(q)[:2]
+        assert np.array_equal(sharded.active_ids, flat.active_ids)
+        queries = rng.uniform(size=(10, 2))
+        exp = flat.query_batch(queries)
+        got = sharded.query_batch(queries)
+        assert np.array_equal(got[0], exp[0])
+        assert np.array_equal(got[1], exp[1])
+        # One more insert/delete pair on the fleet and on its reload:
+        # both answer as the flat index does and write the same files.
+        save_sharded_index(sharded, workdir / "written")
+        reloaded = load_sharded_index(workdir / "written")
+        p = rng.uniform(size=2)
+        live.append(flat.insert(p))
+        victim = int(rng.choice(live))
+        flat.delete(victim)
         q = rng.uniform(-0.05, 1.05, size=2)
-        assert sharded.nearest(q)[:2] == flat.nearest(q)[:2]
-    assert np.array_equal(sharded.active_ids, flat.active_ids)
-    queries = rng.uniform(size=(10, 2))
-    exp = flat.query_batch(queries)
-    got = sharded.query_batch(queries)
-    assert np.array_equal(got[0], exp[0])
-    assert np.array_equal(got[1], exp[1])
-    sharded.close()
+        for fleet, name in ((sharded, "written+1"), (reloaded, "reloaded+1")):
+            assert fleet.insert(p) == live[-1]
+            fleet.delete(victim)
+            assert fleet.nearest(q)[:2] == flat.nearest(q)[:2]
+            save_sharded_index(fleet, workdir / name)
+        _same_files(workdir / "written+1", workdir / "reloaded+1")

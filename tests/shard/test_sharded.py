@@ -10,6 +10,7 @@ import json
 import re
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.core.persistence import (
     save_sharded_index,
 )
 from repro.data import uniform_points
+from repro.obs import tracing
 from repro.serve import QueryService
 from repro.shard import ResilienceConfig, ShardConfig, ShardedNNCellIndex
 
@@ -48,10 +50,6 @@ class TestValidation:
             ShardConfig(n_shards=0)
         with pytest.raises(ValueError):
             ShardConfig(partitioner="range")
-        with pytest.raises(ValueError):
-            ShardConfig(hilbert_bits=0)
-        with pytest.raises(ValueError):
-            ShardConfig(query_workers=-2)
 
     def test_build_rejects_empty_points(self):
         with pytest.raises(ValueError):
@@ -124,10 +122,10 @@ class TestShardLifecycle:
         pts = uniform_points(6, 2, seed=9)
         index = ShardedNNCellIndex.build(pts, ShardConfig(n_shards=3))
         # Empty one shard completely.
-        victim_shard = index._shard_of[0]
-        victims = [
-            g for g in range(6) if index._shard_of[g] == victim_shard
-        ]
+        routes = index.partitioner.shard_of_batch(pts)
+        victim_shard = routes[0]
+        victims = np.flatnonzero(routes == victim_shard).tolist()
+        assert index._globals[victim_shard].tolist() == victims
         for g in victims:
             index.delete(g)
         assert index.shard_sizes()[victim_shard] == 0
@@ -251,17 +249,6 @@ class TestWhereProbesRun:
         assert sorted(s for s, __ in log.calls) == [0, 1, 2, 3]
         assert all(name.startswith("repro-shard") for __, name in log.calls)
 
-    def test_query_workers_one_never_pools(self, points):
-        index = ShardedNNCellIndex.build(
-            points, ShardConfig(n_shards=4, query_workers=1)
-        )
-        log = ProbeLog()
-        index.set_chaos(log)
-        index.query_batch(uniform_points(400, 3, seed=3))
-        assert index._pool is None
-        me = threading.current_thread().name
-        assert log.calls == [(s, me) for s in range(4)]
-
     def test_a_resilience_policy_pools_even_one_query(self, fleet):
         fleet.set_resilience(ResilienceConfig())
         log = ProbeLog()
@@ -271,28 +258,37 @@ class TestWhereProbesRun:
         assert sorted(s for s, __ in log.calls) == [0, 1, 2, 3]
         assert all(name.startswith("repro-shard") for __, name in log.calls)
 
-    def test_a_raising_probe_propagates_as_with_query_workers_one(
-        self, points
-    ):
-        outcomes = []
-        for workers in (0, 1):
-            index = ShardedNNCellIndex.build(
-                points, ShardConfig(n_shards=4, query_workers=workers)
-            )
-            log = ProbeLog(fail=1)
-            index.set_chaos(log)
-            for call in (
-                lambda: index.nearest([0.3, 0.6, 0.2]),
-                lambda: index.query_batch(uniform_points(8, 3, seed=4)),
-            ):
-                with pytest.raises(RuntimeError) as raised:
-                    call()
-                outcomes.append((workers, str(raised.value), log.calls))
-                log.calls = []
-            assert index._pool is None
+    def test_a_raising_probe_propagates_on_both_paths(self, fleet):
+        """On the calling thread the shards after the raising one are
+        not probed; on the pool (forced by a zero break-even) every
+        shard is, and the same exception reaches the caller."""
+        log = ProbeLog(fail=1)
+        fleet.set_chaos(log)
+        calls = (
+            lambda: fleet.nearest([0.3, 0.6, 0.2]),
+            lambda: fleet.k_nearest([0.3, 0.6, 0.2], 3),
+            lambda: fleet.explain([0.3, 0.6, 0.2]),
+            lambda: fleet.query_batch(uniform_points(8, 3, seed=4)),
+        )
         me = threading.current_thread().name
-        expected = ("probe of shard 1 failed", [(0, me), (1, me)])
-        assert [o[1:] for o in outcomes] == [expected] * 4
+        for call in calls:
+            log.calls = []
+            with pytest.raises(RuntimeError, match="probe of shard 1 failed"):
+                call()
+            assert log.calls == [(0, me), (1, me)]
+        assert fleet._pool is None
+        with mock.patch.object(sharded_module, "_INLINE_ROWS_PER_SHARD", 0):
+            for call in calls:
+                log.calls = []
+                with pytest.raises(
+                    RuntimeError, match="probe of shard 1 failed"
+                ):
+                    call()
+                fleet.close()  # waits for the probes still running
+                assert sorted(s for s, __ in log.calls) == [0, 1, 2, 3]
+                assert all(
+                    name.startswith("repro-shard") for __, name in log.calls
+                )
 
 
 class TestIdMaps:
@@ -324,6 +320,7 @@ class TestIdMaps:
                 assert isinstance(ids, np.ndarray), step
                 assert ids.dtype == np.int64 and ids.shape == (rows,), step
                 assert not ids.flags.writeable, step
+                assert np.all(np.diff(ids) > 0), step  # delete's search
 
         check(index, "build")
         save_sharded_index(index, tmp_path / "fleet")
@@ -331,9 +328,10 @@ class TestIdMaps:
         rng = np.random.default_rng(3)
         index.insert(rng.uniform(size=2))
         check(index, "insert")
-        victim_shard = index._shard_of[0]
+        routes = index.partitioner.shard_of_batch(index.points)
+        victim_shard = routes[0]
         for g in range(6):
-            if index._shard_of[g] == victim_shard:
+            if routes[g] == victim_shard:
                 index.delete(g)
                 check(index, "delete")
         assert index._shards[victim_shard] is None
@@ -397,6 +395,21 @@ class TestExplain:
         owners = {owner for owner, __ in explain.candidates}
         assert owners <= set(int(g) for g in sharded.active_ids)
 
+    def test_traced_explain_is_one_trace(self, sharded):
+        """One root, ``shard.explain``: a probe per live shard, then the
+        merge."""
+        with tracing.collecting() as tracer:
+            explain = sharded.explain([0.31, 0.62, 0.18])
+        (root,) = tracer.spans
+        assert root.name == "shard.explain"
+        assert [child.name for child in root.children] == (
+            ["shard.probe"] * 4 + ["shard.merge"]
+        )
+        assert [c.attributes["shard"] for c in root.children[:4]] == [
+            0, 1, 2, 3,
+        ]
+        assert root.attributes["pages"] == explain.pages
+
 
 class TestServeIntegration:
     def test_query_service_over_sharded_backend(self, points, sharded):
@@ -441,23 +454,33 @@ class TestPersistence:
         assert loaded.nearest(q)[:2] == flat.nearest(q)[:2]
 
     def test_roundtrip_after_teardown_and_rebuild(self, tmp_path):
-        # A torn-down shard's deleted ids keep stale shard_of/local_of
-        # entries, which the load's id-map checks must accept.
+        # A torn-down shard's deleted ids leave every map; its lazy
+        # rebuild maps only the new id.  The load must take such maps,
+        # and deletes on the reload must find their rows in them.
         pts = uniform_points(6, 2, seed=9)
         index = ShardedNNCellIndex.build(pts, ShardConfig(n_shards=3))
-        victim = index._shard_of[0]
-        for g in range(6):
-            if index._shard_of[g] == victim:
-                index.delete(g)
+        routes = index.partitioner.shard_of_batch(pts)
+        victim = routes[0]
+        for g in np.flatnonzero(routes == victim).tolist():
+            index.delete(g)
         draws = np.random.default_rng(3).uniform(size=(50, 2))
         index.insert(next(p for p in draws if index.partitioner.shard_of(p) == victim))
+        assert index._globals[victim].tolist() == [6]
         save_sharded_index(index, tmp_path / "fleet")
         loaded = load_sharded_index(tmp_path / "fleet")
-        assert loaded._shard_of == index._shard_of
-        assert loaded._local_of == index._local_of
+        assert [ids.tolist() for ids in loaded._globals] == [
+            ids.tolist() for ids in index._globals
+        ]
         queries = uniform_points(20, 2, seed=10)
         for got, exp in zip(loaded.query_batch(queries), index.query_batch(queries)):
             assert np.array_equal(got, exp)
+        victims = index.active_ids[::2].tolist()
+        for fleet in (index, loaded):
+            for g in victims:
+                fleet.delete(g)
+        for got, exp in zip(loaded.query_batch(queries), index.query_batch(queries)):
+            assert np.array_equal(got, exp)
+        assert loaded.shard_sizes() == index.shard_sizes()
 
     def test_load_any_index_dispatches(self, tmp_path, points, sharded):
         flat = NNCellIndex.build(points)
@@ -513,10 +536,16 @@ class TestPersistence:
             column[rows] = values
             return column
 
-        # A rotated map loaded once and gave answers other points' ids.
+        # A rotated map loaded once and gave answers other points' ids;
+        # one that ascends but names another shard's point.
         refused(
             "shard 0: its rows differ from the global points",
-            entry(0, global_ids=ids[0][1:] + ids[0][:1]),
+            entry(0, global_ids=sorted(ids[0][1:] + ids[1][:1])),
+        )
+        # delete binary-searches the maps.
+        refused(
+            "shard 0: its map does not strictly ascend",
+            entry(0, global_ids=ids[0][::-1]),
         )
         refused(
             r"shard 1 maps \d+ global ids, but its archive holds \d+ rows",
@@ -528,28 +557,21 @@ class TestPersistence:
         )
         refused("shard 3 has no archive but maps", entry(3, archive=None))
         refused(
-            "manifest lists 3 shards, but its shard_config has n_shards=4",
+            "manifest lists 3 shards, but its partitioner has n_shards=4",
             manifest["shards"][:3],
-        )
-        refused(
-            "shard 0: shard_of/local_of do not route",
-            shard_of=edited("shard_of", ids[0][0], 1),
-        )
-        refused(
-            "shard 1: shard_of/local_of do not route",
-            local_of=edited("local_of", ids[1], np.arange(len(ids[1]))[::-1]),
         )
         refused(
             "shard 2: its active rows differ from the global active mask",
             active=edited("active", ids[2][0], False),
         )
         refused(
-            "'local_of' must hold one int per point",
-            local_of=arrays["local_of"][:-1],
+            "'active' must hold one bool per point",
+            active=arrays["active"][:-1],
         )
+        # The routes format 3 kept beside the maps.
         refused(
-            "column 'shard_of' has dtype '<f8', not '<i8'",
-            shard_of=arrays["shard_of"].astype(np.float64),
+            "has unknown column 'shard_of'",
+            shard_of=np.zeros(48, dtype=np.int64),
         )
         refused(
             r"global.nnc: 'points' must be an \(n, d\) array",
@@ -558,6 +580,19 @@ class TestPersistence:
         # An active id that no shard maps.
         grown = {name: np.concatenate([a, a[:1]]) for name, a in arrays.items()}
         refused("marks 49 points active, but the shards hold 48", **grown)
+        # An id that two shards map: shard 1 rebuilt over its own points
+        # and shard 0's first, each shard consistent with global.nnc.
+        doubled = sorted(ids[1] + ids[0][:1])
+        save_index(
+            NNCellIndex.build(
+                arrays["points"][doubled], sharded._shards[1].config
+            ),
+            target / "shard_1.nnc",
+        )
+        refused(
+            f"global id {ids[0][0]} is mapped by shards 0 and 1",
+            entry(1, global_ids=doubled),
+        )
 
     def test_load_type_checks_the_shard_entries(self, tmp_path, sharded):
         target = tmp_path / "fleet"
@@ -631,13 +666,13 @@ class TestPersistence:
         save_sharded_index(sharded, hashed)
         # Loaded once, then the first insert raised an IndexError.
         refused(
-            "partitioner n_shards is 8, but shard_config n_shards gives 4",
+            "manifest lists 4 shards, but its partitioner has n_shards=8",
             hashed,
             {"kind": "hash", "n_shards": 8},
         )
 
-        # At d=7 a Hilbert key keeps 8 of hilbert_bits=10 bits per axis
-        # (it must fit in 62 bits); such a fleet loads and takes writes.
+        # At d=7 a Hilbert key keeps 8 of its 10 bits per axis (it must
+        # fit in 62 bits); such a fleet loads and takes writes.
         fleet = ShardedNNCellIndex.build(
             uniform_points(24, 7, seed=12),
             ShardConfig(n_shards=2, partitioner="hilbert"),
@@ -646,26 +681,18 @@ class TestPersistence:
         save_sharded_index(fleet, hilbert)
         loaded = load_sharded_index(hilbert)
         assert loaded.partitioner.bits == 8
+        assert loaded.shard_config == ShardConfig(2, "hilbert")
         assert loaded.insert(np.full(7, 0.5)) == 24
-        saved = fleet.partitioner.to_manifest()
         refused(
-            "partitioner bits is 10, but shard_config hilbert_bits=10 at "
-            "d=7 gives 8",
+            "partitioner bits is 10, but Hilbert keys at d=7 have 8",
             hilbert,
-            dict(saved, bits=10),
-        )
-        refused(
-            "partitioner kind is 'hash', but shard_config partitioner "
-            "gives 'hilbert'",
-            hilbert,
-            {"kind": "hash", "n_shards": 2},
+            dict(fleet.partitioner.to_manifest(), bits=10),
         )
 
     def test_load_checks_the_manifest(self, tmp_path, sharded):
         target = tmp_path / "fleet"
         save_sharded_index(sharded, target)
         manifest = json.loads((target / "manifest.json").read_text())
-        config = manifest["shard_config"]
 
         def refused(error, **changes):
             doc = dict(manifest, **changes)
@@ -673,35 +700,50 @@ class TestPersistence:
             with pytest.raises(ValueError, match=re.escape(error)):
                 load_sharded_index(target)
 
-        refused(
-            "shard_config has unknown key 'bogus'",
-            shard_config=dict(config, bogus=1),
-        )
-        refused(
-            "shard_config has no key 'query_workers'",
-            shard_config={k: v for k, v in config.items() if k != "query_workers"},
-        )
-        refused(
-            "shard_config key 'n_shards' is '4', not int",
-            shard_config=dict(config, n_shards="4"),
-        )
-        refused(
-            "shard_config key 'query_workers' is True, not int",
-            shard_config=dict(config, query_workers=True),
-        )
-        refused(
-            "shard_config key 'partitioner' is 1, not str",
-            shard_config=dict(config, partitioner=1),
-        )
-        refused("shard_config is not a JSON object", shard_config=[4, "hash"])
-        # Version 2 named its members shard_<s>.npz and global.npz.
-        for version in (1, 2):
+        # Version 2 named its members shard_<s>.npz and global.npz;
+        # version 3 also kept a shard_config and per-point routes.
+        for version in (1, 2, 3):
             refused(
-                f"version {version} (expected 3); rebuild the index with "
+                f"version {version} (expected 4); rebuild the index with "
                 "`repro build --shards N`",
                 format_version=version,
             )
-        refused("version '3'", format_version="3")
+        refused("version '4'", format_version="4")
+
+    def test_a_version_3_fleet_is_refused(self, tmp_path, sharded):
+        """A fleet in the layout format 3 wrote: a ``shard_config`` and
+        a ``dim`` in the manifest, and each point's shard and row in
+        ``global.nnc``."""
+        target = tmp_path / "fleet"
+        save_sharded_index(sharded, target)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest.update(
+            format_version=3,
+            dim=3,
+            shard_config={
+                "hilbert_bits": 10, "n_shards": 4, "partitioner": "hash",
+                "query_workers": 0,
+            },
+        )
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        meta, arrays = _read_archive(target / "global.nnc")
+        shard_of = np.empty(48, dtype=np.int64)
+        local_of = np.empty(48, dtype=np.int64)
+        for s, entry in enumerate(manifest["shards"]):
+            shard_of[entry["global_ids"]] = s
+            local_of[entry["global_ids"]] = np.arange(len(entry["global_ids"]))
+        _write_archive(target / "global.nnc", meta, {
+            **arrays, "shard_of": shard_of, "local_of": local_of,
+        })
+        for load in (load_sharded_index, load_any_index):
+            with pytest.raises(
+                ValueError,
+                match=re.escape(
+                    "unsupported sharded archive version 3 (expected 4); "
+                    "rebuild the index with `repro build --shards N`"
+                ),
+            ):
+                load(target)
 
     def test_plain_loader_rejects_sharded_archive(
         self, tmp_path, sharded

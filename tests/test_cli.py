@@ -298,13 +298,13 @@ class TestShardedCli:
         assert code == 0
         manifest = out / "manifest.json"
         doc = json.loads(manifest.read_text())
-        for change in ({"bogus": 1}, {"n_shards": "2"}):
-            config = dict(doc["shard_config"], **change)
-            manifest.write_text(json.dumps(dict(doc, shard_config=config)))
+        for change in ({"kind": "range"}, {"n_shards": 3}):
+            partitioner = dict(doc["partitioner"], **change)
+            manifest.write_text(json.dumps(dict(doc, partitioner=partitioner)))
             code, __, stderr = run(capsys, "stats", str(out))
             assert code == 1
             assert stderr.startswith("error: ")
-            assert "shard_config" in stderr
+            assert "partitioner" in stderr
 
     def test_manifest_shard_entry_not_an_object_is_an_error(
         self, tmp_path, capsys

@@ -40,6 +40,7 @@ from repro.core.persistence import (  # noqa: E402
     is_sharded_archive,
     load_any_index,
     save_index,
+    save_sharded_index,
 )
 from repro.data import query_points, uniform_points  # noqa: E402
 from repro.eval.replay import replay  # noqa: E402
@@ -400,12 +401,54 @@ def written_equals_reloaded(workdir: Path) -> None:
     check(not diffs, f"a written index and its reload write apart: {diffs}")
 
 
+def written_fleet_equals_reloaded(
+    workdir: Path, fleet: ShardedNNCellIndex, flat: NNCellIndex
+) -> None:
+    """Two deletes and an insert on ``fleet`` and ``flat``, then a save
+    and a load: the reload answers a 64-row batch bit for bit like the
+    written fleet and the flat index, and one more insert/delete pair on
+    the written fleet and on its reload saves the same files."""
+    for victim in (3, 77):
+        fleet.delete(victim)
+        flat.delete(victim)
+    point = query_points(1, fleet.dim, seed=29)[0]
+    gid = fleet.insert(point)
+    check(gid == flat.insert(point), f"the fleet gave the insert id {gid}")
+    save_sharded_index(fleet, workdir / "fleet_written")
+    reloaded = load_any_index(workdir / "fleet_written")
+    batch = query_points(64, fleet.dim, seed=31)
+    want = flat.query_batch(batch)[:2]
+    for name, target in (("written", fleet), ("reloaded", reloaded)):
+        got = target.query_batch(batch)[:2]
+        same = all(np.array_equal(g, w) for g, w in zip(got, want))
+        check(same, f"the {name} fleet's 64-row batch differs from the flat index")
+    point, victim = query_points(1, fleet.dim, seed=37)[0], 11
+    paths = []
+    for name, target in (("written", fleet), ("reloaded", reloaded)):
+        target.insert(point)
+        target.delete(victim)
+        paths.append(workdir / f"fleet_{name}+1")
+        save_sharded_index(target, paths[-1])
+    same = (paths[0] / "manifest.json").read_bytes() == (
+        paths[1] / "manifest.json"
+    ).read_bytes()
+    check(same, "a written fleet and its reload write apart: manifest.json")
+    names = sorted(path.name for path in paths[0].glob("*.nnc"))
+    others = sorted(path.name for path in paths[1].glob("*.nnc"))
+    check(names == others, f"a written fleet has {names}, its reload {others}")
+    for name in names:
+        diffs = compare_archives(paths[0] / name, paths[1] / name)
+        check(not diffs, f"a written fleet and its reload write apart: {diffs}")
+
+
 def leg_shard(workdir: Path) -> str:
     """A CLI-built 4-shard archive is the same directory with ``--workers
     2``, loads back, serves the 200-query loop bit-identically to an
     unsharded index with a real fan-out and no scatter-pool thread,
     answers a batch above the break-even bit-identically through the
-    pool, and works with ``repro query`` and ``repro info``."""
+    pool, takes writes that its save and reload keep
+    (:func:`written_fleet_equals_reloaded`), and works with ``repro
+    query`` and ``repro info``."""
     fleet = workdir / "fleet"
     flags = ("--seed", "5", "--shards", "4", "--partitioner", "hilbert")
     build(fleet, 120, 4, *flags)
@@ -443,6 +486,7 @@ def leg_shard(workdir: Path) -> str:
         same = all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
         check(same, f"a {rows}-row sharded batch differs from the flat index")
         check(index._pool is not None, f"a {rows}-row batch made no pool")
+        written_fleet_equals_reloaded(workdir, index, flat)
     finally:
         index.close()
     check(fanout["count"] > 0, "no shard.fanout observations recorded")
@@ -454,7 +498,8 @@ def leg_shard(workdir: Path) -> str:
     check("sharding" in info, f"info output lacks a sharding line: {info[:300]!r}")
     return (
         f"workers=2 fleet identical, 0 mismatches, mean fan-out "
-        f"{fanout['mean']:.2f}, served without the pool, {rows} rows through it"
+        f"{fanout['mean']:.2f}, served without the pool, {rows} rows through "
+        "it, written fleet writes its reload's files"
     )
 
 
